@@ -6,6 +6,7 @@ with the successive growth ratios (they approach a constant between 3 and 4).
 """
 
 import argparse
+import sys
 
 from twistkit.forests import count_ample_trees, enumerate_ample_trees
 
@@ -27,7 +28,10 @@ def main():
         count = count_ample_trees(n)
         if n <= args.verify:
             enumerated = len(enumerate_ample_trees(n, cap=max(16, args.verify)))
-            assert enumerated == count, (n, enumerated, count)
+            if enumerated != count:
+                print(f"n = {n}: enumerated {enumerated} trees, counted {count}",
+                      file=sys.stderr)
+                sys.exit(1)
         ratio = f"{count / previous:8.4f}" if previous else " " * 8
         print(f"{n:>3} {count:>12} {ratio}")
         previous = count

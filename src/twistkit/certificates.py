@@ -102,7 +102,10 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
         cofactors = None
         if unit:
             gcd_full, cofs = univariate_extended_gcd(stripped, ring, variables)
-            assert gcd_full == gcd
+            if gcd_full != gcd:
+                raise InconclusiveCertificate(
+                    f"extended gcd {gcd_full} disagrees with gcd {gcd}"
+                )
             # map cofactors back to the original (unstripped) generators
             cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs)
         return IdealMembershipResult(unit, "gcd", (gcd,), cofactors)
@@ -142,7 +145,8 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
 
 
 def _assemble_cofactors(gens, nonzero_indices, shifts, cofs):
-    """Re-express cofactors over the original generators and verify the identity."""
+    """Re-express cofactors over the original generators and verify the identity;
+    a failed identity raises `InconclusiveCertificate`."""
     ring = gens[0].ring
     variables = gens[0].variables
     out = [LaurentPoly.zero(ring, variables)] * len(gens)
@@ -151,7 +155,8 @@ def _assemble_cofactors(gens, nonzero_indices, shifts, cofs):
     total = LaurentPoly.zero(ring, variables)
     for c, g in zip(out, gens):
         total = total + c * g
-    assert total == LaurentPoly.one(ring, variables), "cofactor certificate failed"
+    if total != LaurentPoly.one(ring, variables):
+        raise InconclusiveCertificate(f"cofactor certificate failed: sum c_i g_i = {total}")
     return tuple(out)
 
 

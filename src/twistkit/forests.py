@@ -18,7 +18,6 @@ Text grammar (whitespace insignificant)::
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InvalidLeafIndex, ParseError
@@ -48,6 +47,14 @@ class RootedTree:
     @property
     def vertex_count(self) -> int:
         return 1 + sum(c.vertex_count for c in self.children)
+
+    @functools.cached_property
+    def canonical_key(self) -> str:
+        """The canonical string of `canonical_form`, built once from the
+        children's stored keys (kept outside eq, hash and repr)."""
+        if not self.children:
+            return "()"
+        return "(" + ",".join(sorted(c.canonical_key for c in self.children)) + ")"
 
     def __str__(self) -> str:
         return print_tree(self)
@@ -170,14 +177,14 @@ def _replace_leaf(tree: RootedTree, index: int, replacement: RootedTree) -> Root
 
 
 def canonical_form(tree: RootedTree) -> str:
-    """Planarity-free canonical string: children serialized recursively and sorted.
+    """Planarity-free canonical string: a leaf is "()", an inner vertex is its
+    children's strings sorted, comma-joined and parenthesised.
 
     Two trees have equal canonical form iff they are isomorphic as abstract
-    rooted trees.
+    rooted trees.  The string is the tree's stored `canonical_key`, so each
+    subtree is serialized once however often it is asked for.
     """
-    if tree.is_leaf:
-        return "()"
-    return "(" + ",".join(sorted(canonical_form(c) for c in tree.children)) + ")"
+    return tree.canonical_key
 
 
 def forest_canonical_form(forest: RootedForest) -> tuple[str, ...]:
@@ -200,15 +207,7 @@ def is_ample(tree: RootedTree) -> bool:
         return True
     if len(tree.children) < 2:
         return False
-    return all(_is_ample_subtree(c) for c in tree.children)
-
-
-def _is_ample_subtree(tree: RootedTree) -> bool:
-    if tree.is_leaf:
-        return True
-    if len(tree.children) < 2:
-        return False
-    return all(_is_ample_subtree(c) for c in tree.children)
+    return all(is_ample(c) for c in tree.children)
 
 
 # ---------------------------------------------------------------------------
@@ -254,47 +253,31 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
     return tuple(sorted(found, key=canonical_form))
 
 
-@functools.lru_cache(maxsize=None)
+# a(k), b(k) and c(k) for k < len(a); index 0 is a placeholder for a and c
+_COUNT_PREFIX: tuple[list[int], list[int], list[int]] = ([0, 1], [1, 1], [0, 1])
+
+
 def count_ample_trees(n: int) -> int:
-    """Number of ample rooted trees with n leaves, counted without building
-    them (multiset counting over partitions; cross-checks the enumerator)."""
+    """Number of ample rooted trees with n leaves (OEIS A000669), counted
+    without building them; cross-checks the enumerator.
+
+    For n >= 2 the count is half the Euler transform of the sequence itself:
+    with c(k) = sum over d | k of d * a(d), b(0) = 1 and
+    n * b(n) = sum_{k=1..n} c(k) * b(n - k), a(n) = b(n) / 2.  Each new term
+    costs O(n) big-int operations, and terms are kept in a prefix that grows
+    on demand.
+    """
     if n < 1:
         raise ValueError("leaf count must be >= 1")
-    if n == 1:
-        return 1
-    total = 0
-    for partition in _partitions_with_min_parts(n, 2):
-        ways = 1
-        for part, mult in partition:
-            types = 1 if part == 1 else count_ample_trees(part)
-            ways *= math.comb(types + mult - 1, mult)
-        total += ways
-    return total
-
-
-def _partitions_with_min_parts(n: int, min_parts: int):
-    """Partitions of n (as (part, multiplicity) tuples, parts descending)
-    having at least `min_parts` parts."""
-    results = []
-
-    def rec(remaining: int, max_part: int, acc: list[int]):
-        if remaining == 0:
-            if len(acc) >= min_parts:
-                grouped = []
-                for p in acc:
-                    if grouped and grouped[-1][0] == p:
-                        grouped[-1] = (p, grouped[-1][1] + 1)
-                    else:
-                        grouped.append((p, 1))
-                results.append(tuple(grouped))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n - 1 if n > 1 else 1, [])
-    return results
+    a, b, c = _COUNT_PREFIX
+    for m in range(len(a), n + 1):
+        # c(m) contains m * a(m) = m * b(m) / 2; moving it to the left leaves
+        # m * b(m) / 2 = m * a(m) = (proper-divisor part of c(m)) + the rest
+        c_proper = sum(d * a[d] for d in range(1, m // 2 + 1) if m % d == 0)
+        a.append((c_proper + sum(c[k] * b[m - k] for k in range(1, m))) // m)
+        b.append(2 * a[m])
+        c.append(c_proper + m * a[m])
+    return a[n]
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +304,6 @@ def print_word(word: TwistWord) -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-_TOKEN_NAMES = ("L", "point", "(", ")", "*", ";", "@", "twist", "integer")
-
 
 class _Parser:
     def __init__(self, text: str):

@@ -128,7 +128,16 @@ def transform_germ(germ: Germ, witness: UnimodularWitness) -> Germ:
 
 def germ_equivalent(g1: Germ, g2: Germ):
     """Find an integral unimodular matrix matching the two germs, or report
-    why none exists.  Non-spanning covector sets are indeterminate."""
+    why none exists.  Non-spanning covector sets are indeterminate.
+
+    A spanning set S of the first germ's covectors is fixed, and every
+    ordered n-tuple T of the second germ's covectors is tried in
+    `itertools.permutations` order as the image of S, so the first witness
+    found is the same on every run.  A candidate A with A^T S = T has
+    |det T| = |det A| |det S|, so a tuple whose |det| differs from |det S|
+    cannot give a unimodular A and is skipped before A is formed; the |det|
+    is computed once per unordered subset.
+    """
     if g1.dim != g2.dim:
         raise DimensionMismatch(f"germ dimensions differ: {g1.dim} vs {g2.dim}")
     n = g1.dim
@@ -151,9 +160,16 @@ def germ_equivalent(g1: Germ, g2: Germ):
     basis_subset = _spanning_subset(g1.sorted_covectors(), n)
     s_cols = transpose([g1.sorted_covectors()[i] for i in basis_subset])
     s_inv = mat_inv(s_cols)
+    s_abs_det = abs(mat_det(s_cols))
     targets = g2.sorted_covectors()
     cov_set2 = g2.covectors
+    abs_dets = {}  # |det| of each target subset, keyed by its sorted indices
     for choice in itertools.permutations(range(len(targets)), n):
+        subset = tuple(sorted(choice))
+        if subset not in abs_dets:
+            abs_dets[subset] = abs(mat_det([targets[i] for i in subset]))
+        if abs_dets[subset] != s_abs_det:
+            continue
         t_cols = transpose([targets[i] for i in choice])
         a_t = mat_mul(t_cols, s_inv)
         ints = as_int_matrix(a_t)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from twistkit import certificates
 from twistkit.certificates import (
     certify_nondisplaceable,
     ideal_contains_one,
@@ -57,6 +58,31 @@ def test_unit_monomial_generates_everything():
     assert result.contains_one
     (cofactor,) = result.cofactors
     assert cofactor * t == LaurentPoly.one(GF2, ("t",))
+
+
+def test_wrong_gcd_cofactors_raise_inconclusive(monkeypatch):
+    # the certificate is re-checked by code that python -O keeps
+    real = certificates.univariate_extended_gcd
+
+    def doubled_cofactors(polys, ring, variables):
+        gcd, cofactors = real(polys, ring, variables)
+        return gcd, [c.scale(Fraction(2)) for c in cofactors]
+
+    monkeypatch.setattr(certificates, "univariate_extended_gcd", doubled_cofactors)
+    gens = [univ(RATIONAL, {0: 1, 1: 1}), univ(RATIONAL, {0: -1, 1: 1})]
+    with pytest.raises(InconclusiveCertificate, match="cofactor certificate failed"):
+        ideal_contains_one(gens)
+
+
+def test_extended_gcd_disagreeing_with_gcd_raises_inconclusive(monkeypatch):
+    def wrong_gcd(polys, ring, variables):
+        zero = LaurentPoly.zero(ring, variables)
+        return univ(ring, {0: 1, 1: 1}), [zero] * len(polys)
+
+    monkeypatch.setattr(certificates, "univariate_extended_gcd", wrong_gcd)
+    gens = [univ(RATIONAL, {0: 1, 1: 1}), univ(RATIONAL, {0: -1, 1: 1})]
+    with pytest.raises(InconclusiveCertificate, match="disagrees"):
+        ideal_contains_one(gens)
 
 
 def test_one_generates_everything():

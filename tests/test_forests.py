@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -85,6 +87,38 @@ def shuffled(tree, rng):
     kids = [shuffled(c, rng) for c in tree.children]
     rng.shuffle(kids)
     return RootedTree(tuple(kids))
+
+
+def recursive_canonical(tree):
+    """The canonical string recomputed from scratch at every vertex."""
+    if not tree.children:
+        return "()"
+    return "(" + ",".join(sorted(recursive_canonical(c) for c in tree.children)) + ")"
+
+
+@functools.cache
+def partition_count(n):
+    """Ample-tree count as a sum over the partitions of n into >= 2 parts:
+    a part of size m taken j times contributes multiset-choose(a(m), j)."""
+    if n == 1:
+        return 1
+    total = 0
+    for partition in _partitions(n, n - 1):
+        ways = 1
+        for part in set(partition):
+            mult = partition.count(part)
+            ways *= math.comb(partition_count(part) + mult - 1, mult)
+        total += ways
+    return total
+
+
+def _partitions(n, max_part):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, max_part), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 def random_word(rng, max_steps=5, max_k=3):
@@ -365,3 +399,33 @@ def test_frozen_counts():
     # independent multiset-count recursion
     expected = [1, 1, 2, 5, 12, 33, 90, 261, 766, 2312, 7068, 21965]
     assert [count_ample_trees(n) for n in range(1, 13)] == expected
+
+
+def test_counts_match_partition_sum():
+    for n in range(1, 31):
+        assert count_ample_trees(n) == partition_count(n)
+
+
+def test_large_count_is_a_positive_int():
+    count = count_ample_trees(500)
+    assert type(count) is int and count > 0
+    with pytest.raises(ValueError):
+        count_ample_trees(0)
+
+
+def test_enumeration_order_matches_recursive_canonical_sort():
+    for n in range(1, 11):
+        trees = enumerate_ample_trees(n)
+        assert trees == sorted(trees, key=recursive_canonical)
+
+
+def test_stored_canonical_form_matches_recursive_on_shuffles():
+    rng = random.Random(23)
+    for n in range(1, 9):
+        for tree in enumerate_ample_trees(n):
+            twin = shuffled(tree, rng)
+            assert canonical_form(twin) == recursive_canonical(twin)
+            assert canonical_form(twin) == recursive_canonical(tree)
+    for _ in range(100):
+        tree = shuffled(word_to_tree(random_word(rng, max_steps=6, max_k=4)), rng)
+        assert canonical_form(tree) == recursive_canonical(tree)

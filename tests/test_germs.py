@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,15 @@ from twistkit.germs import (
     germ_value,
     transform_germ,
 )
-from twistkit.matrices import mat_inv, mat_vec
+from twistkit.matrices import (
+    as_int_matrix,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_rank,
+    mat_vec,
+    transpose,
+)
 from twistkit.presets import clifford_germ, theta_germ, theta_s0_germ
 
 
@@ -43,6 +52,45 @@ def random_germ(rng, n=2, count=4):
         if any(vec):
             covs.add(vec)
     return Germ(n, Fraction(rng.randint(0, 3), rng.randint(1, 3)), frozenset(covs))
+
+
+def near_twin(rng, germ):
+    """The germ with one covector nudged by one unit in one coordinate."""
+    covs = sorted(germ.covectors)
+    while True:
+        i, k = rng.randrange(len(covs)), rng.randrange(germ.dim)
+        nudged = list(covs[i])
+        nudged[k] += rng.choice((-1, 1))
+        nudged = tuple(nudged)
+        if any(nudged) and nudged not in germ.covectors:
+            covs[i] = nudged
+            return Germ(germ.dim, germ.constant, frozenset(covs))
+
+
+def unpruned_equivalent(g1, g2):
+    """Reference search: every ordered n-tuple of target covectors is tried
+    as the image of the first spanning n-subset, with no determinant filter."""
+    n = g1.dim
+    if len(g1.covectors) != len(g2.covectors) or g1.constant != g2.constant:
+        return NotEquivalent("counts or constants differ")
+    covs1, covs2 = g1.sorted_covectors(), g2.sorted_covectors()
+    if mat_rank(covs1) != mat_rank(covs2):
+        return NotEquivalent("ranks differ")
+    if mat_rank(covs1) < n:
+        return Indeterminate("rank deficient")
+    basis = next(
+        combo for combo in itertools.combinations(range(len(covs1)), n)
+        if mat_rank([covs1[i] for i in combo]) == n
+    )
+    s_inv = mat_inv(transpose([covs1[i] for i in basis]))
+    for choice in itertools.permutations(range(len(covs2)), n):
+        ints = as_int_matrix(mat_mul(transpose([covs2[i] for i in choice]), s_inv))
+        if ints is None or abs(mat_det(ints)) != 1:
+            continue
+        image = frozenset(tuple(int(x) for x in mat_vec(ints, c)) for c in g1.covectors)
+        if image == g2.covectors:
+            return UnimodularWitness(transpose(ints))
+    return NotEquivalent("no unimodular transform")
 
 
 def apply_matrix(matrix, xi):
@@ -178,6 +226,25 @@ def test_witness_gives_value_consistency():
             continue
         assert germ_value(germ, apply_matrix(witness.matrix, xi)) == germ_value(moved, xi)
         checked += 1
+
+
+def test_pruned_search_matches_unpruned_reference():
+    rng = random.Random(2718)
+    witnesses = rejections = 0
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        germ = random_germ(rng, n=n, count=rng.randint(n + 1, n + 3))
+        moved = transform_germ(germ, random_unimodular(rng, n=n))
+        for other in (moved, near_twin(rng, moved)):
+            outcome = germ_equivalent(germ, other)
+            expected = unpruned_equivalent(germ, other)
+            assert type(outcome) is type(expected)
+            if isinstance(expected, UnimodularWitness):
+                assert outcome.matrix == expected.matrix
+                witnesses += 1
+            elif isinstance(expected, NotEquivalent):
+                rejections += 1
+    assert witnesses >= 60 and rejections >= 40
 
 
 def test_unimodular_witness_validation():
