@@ -5,7 +5,8 @@ Four pieces fit together:
 * `forests`: twist words, rooted trees/forests, canonical forms, and the
   enumeration of ample trees (the shapes primitive twist tori realize);
 * `discs`: candidate Maslov-2 disc classes from intersection positivity,
-  via an exact rational boundedness test and a lattice scan;
+  via one exact Fourier-Motzkin cascade that decides boundedness and
+  drives a prefix-pruned lattice enumeration;
 * `pearl` / `certificates`: group-ring Laurent algebra, the quadratic pearl
   differential, and Groebner/gcd certificates that degree zero survives
   while positive degrees vanish (non-displaceability);

@@ -3,9 +3,17 @@
 A constraint table records, for a basis of relative homology classes, the
 intersection numbers against a family of holomorphic cycles (each giving an
 inequality `row . x >= 0`) plus the Maslov values (giving the equation
-`mu . x = target`).  The enumerator returns every integer solution, guarded
-by an exact rational recession-cone boundedness test; an explicit search box
-may be supplied instead.
+`mu . x = target`).  The enumerator returns every integer solution.
+
+One exact Fourier-Motzkin elimination pass over x_{n-1}, ..., x_0 keeps, for
+each coordinate x_k, the constraints that bound it from below and above in
+terms of x_0..x_{k-1} (Schrijver, Theory of Linear and Integer Programming,
+1986, section 12.2).  That cascade decides emptiness, decides boundedness (a
+nonempty region is bounded iff every coordinate has both bounds), and drives
+a prefix-pruned enumeration: x_0 over its integer interval, then each x_k
+over the integers of its interval at the chosen prefix.  A recession-cone
+ray is searched for only to report an unbounded region.  An explicit search
+box may be supplied instead, and is then scanned whole.
 """
 
 from __future__ import annotations
@@ -188,10 +196,15 @@ def _fm_eliminate_var(constraints, j):
     return list(new), pos, neg
 
 
-def _fm_feasible_point(constraints, nvars):
-    """A rational point satisfying all constraints, or None.
+def _fm_cascade(constraints, nvars):
+    """One Fourier-Motzkin pass over x_{n-1}, ..., x_0.
 
-    Equations should be passed as inequality pairs.
+    Returns None when the region is empty; otherwise `rounds`, where
+    `rounds[k] = (pos, neg)` are the constraints that bound x_k from below
+    and from above given x_0..x_{k-1}.  Every point whose coordinates meet
+    their rounds' bounds in turn satisfies the input system, and every prefix
+    meeting rounds 0..k extends to a rational point of the region.  Equations
+    should be passed as inequality pairs.
     """
     work = []
     for coeffs, const in constraints:
@@ -204,15 +217,24 @@ def _fm_feasible_point(constraints, nvars):
         work.append(_normalize_constraint(coeffs, const))
     rounds = []
     for j in range(nvars - 1, -1, -1):
+        # after the last round no variable is left: `_fm_eliminate_var` has
+        # already checked every constant constraint
         work, pos, neg = _fm_eliminate_var(work, j)
         if work is None:
             return None
-        rounds.append((j, pos, neg))
-    for coeffs, const in work:
-        if const < 0:
-            return None
+        rounds.append((pos, neg))
+    rounds.reverse()
+    return rounds
+
+
+def _fm_feasible_point(constraints, nvars):
+    """A rational point satisfying all constraints, or None: the cascade,
+    then back-substitution at the midpoint of each conditional interval."""
+    rounds = _fm_cascade(constraints, nvars)
+    if rounds is None:
+        return None
     point = [Fraction(0)] * nvars
-    for j, pos, neg in reversed(rounds):
+    for j, (pos, neg) in enumerate(rounds):
         lowers = []
         uppers = []
         for coeffs, const in pos:
@@ -233,41 +255,15 @@ def _fm_feasible_point(constraints, nvars):
     return tuple(point)
 
 
-def _fm_interval(constraints, nvars, target):
-    """Exact projection interval of x_target over the constraint region.
-
-    Returns (lo, hi) with None for a missing bound, or "empty".
-    """
-    work = []
+def _integer_round(constraints, k):
+    """Round-k constraints scaled to integers, as (a_k, (a_0..a_{k-1}), b)
+    for `a_k x_k + sum a_i x_i + b >= 0`."""
+    out = []
     for coeffs, const in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        const = Fraction(const)
-        if all(c == 0 for c in coeffs):
-            if const < 0:
-                return "empty"
-            continue
-        work.append(_normalize_constraint(coeffs, const))
-    for j in range(nvars - 1, -1, -1):
-        if j == target:
-            continue
-        work, _, _ = _fm_eliminate_var(work, j)
-        if work is None:
-            return "empty"
-    lo, hi = None, None
-    for coeffs, const in work:
-        c = coeffs[target]
-        if c == 0:
-            if const < 0:
-                return "empty"
-            continue
-        bound = -const / c
-        if c > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo > hi:
-        return "empty"
-    return lo, hi
+        scale = math.lcm(const.denominator, *(c.denominator for c in coeffs[: k + 1]))
+        ints = [int(c * scale) for c in coeffs[: k + 1]]
+        out.append((ints[k], tuple(ints[:k]), int(const * scale)))
+    return out
 
 
 def _table_constraints(table: ConstraintTable, homogeneous: bool):
@@ -291,12 +287,18 @@ def _integral_ray(point) -> tuple[int, ...]:
 
 
 def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
-    """Exact recession-cone test: the solution polyhedron is bounded iff it
-    is empty or the cone {rows.y >= 0, mu.y = 0} is trivial; returns a
-    witness ray otherwise."""
+    """Exact boundedness test of the solution polyhedron, read from one
+    Fourier-Motzkin cascade.
+
+    An empty region is bounded.  A nonempty one is bounded iff every round
+    of the cascade has both a lower and an upper bound on its coordinate.
+    Only when some round lacks one is a witness ray searched for: a point of
+    the recession cone {rows.y >= 0, mu.y = 0} with some y_i = +-1.
+    """
     n = len(table.basis.names)
-    if _fm_feasible_point(_table_constraints(table, homogeneous=False), n) is None:
-        return BoundednessResult(True)  # empty regions are bounded
+    rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
+    if rounds is None or all(pos and neg for pos, neg in rounds):
+        return BoundednessResult(True)
     cone = _table_constraints(table, homogeneous=True)
     for i in range(n):
         for sign in (1, -1):
@@ -309,18 +311,26 @@ def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
 
 
 def _normalize_bounds(bounds, n):
+    """Per-coordinate boxes from one (lo, hi) pair of ints or n such pairs;
+    anything else raises ValueError."""
     if bounds is None:
         return None
-    if (
-        len(bounds) == 2
-        and all(isinstance(b, int) for b in bounds)
-    ):
-        lo, hi = bounds
-        boxes = [(lo, hi)] * n
-    else:
-        boxes = [(int(lo), int(hi)) for lo, hi in bounds]
+
+    def is_pair(b):
+        return (
+            isinstance(b, (tuple, list))
+            and len(b) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in b)
+        )
+
+    if is_pair(bounds):
+        boxes = [tuple(bounds)] * n
+    elif isinstance(bounds, (tuple, list)) and all(is_pair(b) for b in bounds):
+        boxes = [tuple(b) for b in bounds]
         if len(boxes) != n:
             raise ValueError(f"need {n} bound pairs, got {len(boxes)}")
+    else:
+        raise ValueError(f"bounds must be a pair of ints or {n} pairs, got {bounds!r}")
     for lo, hi in boxes:
         if lo > hi:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
@@ -329,36 +339,63 @@ def _normalize_bounds(bounds, n):
 
 def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[DiscClass]:
     """All integer classes with `rows . x >= 0` and `mu . x = target`, sorted
-    lexicographically.  Without explicit bounds the region must be bounded
-    (checked exactly); with bounds, the given box is scanned."""
+    lexicographically.
+
+    Without explicit bounds the region must be bounded; otherwise
+    `UnboundedRegion` carries the ray from `feasible_region_bounded`.  One
+    Fourier-Motzkin cascade gives emptiness, boundedness and the enumeration:
+    x_0 runs over its integer interval, then each x_k over the integers of
+    its conditional interval at the current prefix, so only prefixes that
+    extend to a rational solution are visited.  With bounds, the given box
+    is scanned.
+    """
     n = len(table.basis.names)
     boxes = _normalize_bounds(bounds, n)
-    if boxes is None:
-        result = feasible_region_bounded(table)
-        if not result.bounded:
-            raise UnboundedRegion(result.ray)
-        constraints = _table_constraints(table, homogeneous=False)
-        boxes = []
-        for j in range(n):
-            interval = _fm_interval(constraints, n, j)
-            if interval == "empty":
-                return []
-            lo, hi = interval
-            # bounded region: both ends are finite rationals
-            boxes.append((math.ceil(lo), math.floor(hi)))
-            if boxes[-1][0] > boxes[-1][1]:
-                return []
-
-    found = []
     rows = [vec for _, vec in table.rows]
     mu = table.maslov_vector
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes)):
-        if sum(m * c for m, c in zip(mu, x)) != table.target_maslov:
-            continue
-        if any(sum(r * c for r, c in zip(vec, x)) < 0 for vec in rows):
-            continue
-        found.append(DiscClass(x, table.basis.boundary_of(x)))
-    found.sort(key=lambda d: d.coefficients)
+
+    def accepts(x):
+        return sum(m * c for m, c in zip(mu, x)) == table.target_maslov and all(
+            sum(r * c for r, c in zip(vec, x)) >= 0 for vec in rows
+        )
+
+    if boxes is not None:
+        found = [
+            DiscClass(x, table.basis.boundary_of(x))
+            for x in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes))
+            if accepts(x)
+        ]
+        found.sort(key=lambda d: d.coefficients)
+        return found
+
+    rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
+    if rounds is None:
+        return []
+    if not all(pos and neg for pos, neg in rounds):
+        raise UnboundedRegion(feasible_region_bounded(table).ray)
+    scaled = [
+        (_integer_round(pos, k), _integer_round(neg, k)) for k, (pos, neg) in enumerate(rounds)
+    ]
+    found = []
+    prefix = []
+
+    def extend():
+        k = len(prefix)
+        if k == n:
+            if accepts(prefix):
+                x = tuple(prefix)
+                found.append(DiscClass(x, table.basis.boundary_of(x)))
+            return
+        lowers, uppers = scaled[k]
+        # a x_k + s >= 0: x_k >= ceil(-s / a) if a > 0, x_k <= floor(s / -a) if a < 0
+        lo = max(-((b + sum(c * x for c, x in zip(cs, prefix))) // a) for a, cs, b in lowers)
+        hi = min((b + sum(c * x for c, x in zip(cs, prefix))) // -a for a, cs, b in uppers)
+        for value in range(lo, hi + 1):
+            prefix.append(value)
+            extend()
+            prefix.pop()
+
+    extend()
     return found
 
 
@@ -394,5 +431,9 @@ def table_from_json(data: dict) -> tuple[ConstraintTable, list | None]:
     )
     bounds = data.get("bounds")
     if bounds is not None:
-        bounds = [tuple(b) for b in bounds] if isinstance(bounds[0], list) else tuple(bounds)
+        _normalize_bounds(bounds, len(basis.names))  # raises ValueError on a bad shape
+        if all(isinstance(b, int) for b in bounds):
+            bounds = tuple(bounds)
+        else:
+            bounds = [tuple(b) for b in bounds]
     return table, bounds

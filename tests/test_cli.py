@@ -164,6 +164,21 @@ def test_classes_from_problem_file_with_bounds(tmp_path):
     assert payload["count"] == 5
 
 
+def test_malformed_bounds_in_problem_file_exit_two(tmp_path):
+    data = table_to_json(theta_constraint_table())
+    path = tmp_path / "problem.json"
+    for bounds in ([], [3], [-3, 3, 5], [[-3, 3], [0, 1]], [[-3, 3, 1]] * 4, "3", [-3, 3.5]):
+        path.write_text(json.dumps({**data, "bounds": bounds}), encoding="utf-8")
+        code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
+        assert code == 2, bounds
+        assert rendered.startswith("error: ValueError"), rendered
+    path.write_text(json.dumps({**data, "bounds": [[-4, 2], [-2, 2], [0, 2], [0, 2]]}),
+                    encoding="utf-8")
+    code, payload = run_json("classes", {"infile": str(path)})
+    assert code == 0
+    assert payload["count"] == 5
+
+
 def test_certify_from_potential_file(tmp_path):
     from twistkit.laurent import hom_to_json
     from twistkit.presets import theta_h0_hom, theta_regularity_hom

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +251,243 @@ def test_witness_ray_lies_in_the_recession_cone():
         )
         assert sum(m * c for m, c in zip(table.maslov_vector, ray)) == 0
     assert seen_unbounded > 5
+
+
+# ---------------------------------------------------------------------------
+# the unbounded-box path (no `bounds`) against independent oracles
+
+C_CLASSES = {(1, 0), (-1, 1)}
+
+
+def clifford_table():
+    """The Clifford circle in S2: disc D and sphere S."""
+    return ConstraintTable(
+        basis=HomologyBasis(names=("D", "S"), boundary_matrix=((1, 0),), n_torus_rank=1),
+        rows=(("0", (1, 1)), ("inf", (0, 1))),
+        maslov_vector=(2, 4),
+        target_maslov=2,
+    )
+
+
+FACTORS = {"T": (theta_constraint_table, THETA_CLASSES), "C": (clifford_table, C_CLASSES)}
+
+
+def product_table(symbols):
+    """Block-diagonal table of a product of theta (T) and Clifford (C)
+    factors, with the factor classes padded by zeros."""
+    tables = [FACTORS[s][0]() for s in symbols]
+    width = sum(len(t.basis.names) for t in tables)
+    names, boundary, rows, mu, classes = [], [], [], [], set()
+    offset = 0
+    for i, (s, t) in enumerate(zip(symbols, tables)):
+        size = len(t.basis.names)
+        pad = lambda v: (0,) * offset + tuple(v) + (0,) * (width - offset - size)
+        names += [f"{name}_{i}" for name in t.basis.names]
+        boundary += [pad(row) for row in t.basis.boundary_matrix]
+        rows += [(f"{label}_{i}", pad(vec)) for label, vec in t.rows]
+        mu += t.maslov_vector
+        classes |= {pad(c) for c in FACTORS[s][1]}
+        offset += size
+    basis = HomologyBasis(names=tuple(names), boundary_matrix=tuple(boundary),
+                          n_torus_rank=len(boundary))
+    return ConstraintTable(basis, tuple(rows), tuple(mu), 2), classes
+
+
+def recoordinatise(table, rng, steps):
+    """The table in coordinates x' with x = M x'.  M is block triangular in
+    (carrier, surface) blocks with unimodular diagonal blocks, so surface
+    columns stay boundary-free."""
+    n = len(table.basis.names)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for block in (table.basis.boundary_indices, table.basis.surface_indices):
+        for _ in range(steps if len(block) > 1 else 0):
+            i, j = rng.sample(block, 2)
+            sign = rng.choice((1, -1))
+            for k in block:
+                m[i][k] += sign * m[j][k]
+    for _ in range(steps):
+        i = rng.choice(table.basis.surface_indices)
+        m[i][rng.choice(table.basis.boundary_indices)] += rng.choice((1, -1))
+    times_m = lambda v: tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
+    basis = HomologyBasis(
+        names=table.basis.names,
+        boundary_matrix=tuple(times_m(row) for row in table.basis.boundary_matrix),
+        n_torus_rank=table.basis.n_torus_rank,
+    )
+    rows = tuple((label, times_m(vec)) for label, vec in table.rows)
+    return ConstraintTable(basis, rows, times_m(table.maslov_vector), table.target_maslov), m
+
+
+def solve_exact(matrix, rhs):
+    """The unique solution of a square rational system, or None."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def vertex_box(table):
+    """Integer box strictly containing every vertex of the region, or None
+    when it has none.  Vertices are where n-1 rows and the Maslov equation
+    are active; a bounded region is empty iff it has no vertex."""
+    n = len(table.basis.names)
+    rows = [vec for _, vec in table.rows]
+    vertices = []
+    for active in itertools.combinations(rows, n - 1):
+        point = solve_exact(list(active) + [table.maslov_vector],
+                            [0] * (n - 1) + [table.target_maslov])
+        if point is not None and all(
+            sum(r * x for r, x in zip(vec, point)) >= 0 for vec in rows
+        ):
+            vertices.append(point)
+    if not vertices:
+        return None
+    lo = min(math.floor(x) for v in vertices for x in v) - 1
+    hi = max(math.ceil(x) for v in vertices for x in v) + 1
+    return lo, hi
+
+
+def test_recoordinatised_products_map_back_to_the_known_classes():
+    rng = random.Random(3031)
+    for symbols, steps, count in (("T", 2, 12), ("CC", 2, 10), ("TC", 1, 6)):
+        base, expected = product_table(symbols)
+        for _ in range(count):
+            table, m = recoordinatise(base, rng, steps)
+            n = len(m)
+            classes = enumerate_candidate_classes(table)
+            got = {tuple(sum(m[i][j] * c.coefficients[j] for j in range(n)) for i in range(n))
+                   for c in classes}
+            assert got == expected
+            assert len(classes) == len(expected)
+            assert [c.coefficients for c in classes] == sorted(c.coefficients for c in classes)
+            for c in classes:
+                assert c.boundary_class == table.basis.boundary_of(c.coefficients)
+
+
+def test_random_bounded_tables_match_box_scan_oracle():
+    rng = random.Random(5150)
+    checked = empty = with_classes = 0
+    while checked < 40:
+        n = rng.randint(1, 4)
+        table = random_table(rng, n=n, n_rows=rng.randint(n, n + 3))
+        if not feasible_region_bounded(table).bounded:
+            continue
+        got = [c.coefficients for c in enumerate_candidate_classes(table)]
+        box = vertex_box(table)
+        if box is None:
+            assert got == []
+            empty += 1
+            continue
+        assert got == box_scan_oracle(table, box)
+        checked += 1
+        with_classes += bool(got)
+    assert empty > 10 and with_classes > 20
+
+
+def test_theta_cubed_and_theta_squared_circle_without_bounds():
+    # theta^3 has 12 variables: its projection box holds 46656 points, of
+    # which 15 are classes
+    for symbols, count in (("TTT", 15), ("TTC", 12)):
+        table, expected = product_table(symbols)
+        got = [c.coefficients for c in enumerate_candidate_classes(table)]
+        assert got == sorted(expected)
+        assert len(got) == count
+
+
+# ---------------------------------------------------------------------------
+# boundedness verdicts and rays against the recession-cone reference
+
+
+def reference_bounded(table):
+    """Self-contained reference: a full Fourier-Motzkin elimination for a
+    feasible point, then 2n eliminations on the recession cone with one
+    coordinate fixed to +-1; returns (bounded, ray)."""
+
+    def normalize(coeffs, const):
+        scale = next((abs(c) for c in coeffs if c != 0), abs(const) or Fraction(1))
+        return tuple(c / scale for c in coeffs), const / scale
+
+    def feasible_point(constraints, n):
+        work = []
+        for coeffs, const in constraints:
+            coeffs, const = tuple(Fraction(c) for c in coeffs), Fraction(const)
+            if not any(coeffs):
+                if const < 0:
+                    return None
+                continue
+            work.append(normalize(coeffs, const))
+        rounds = []
+        for j in range(n - 1, -1, -1):
+            pos = [c for c in work if c[0][j] > 0]
+            neg = [c for c in work if c[0][j] < 0]
+            new = set()
+            combined = [c for c in work if c[0][j] == 0] + [
+                (tuple(-bc[j] * a + ac[j] * b for a, b in zip(ac, bc)), -bc[j] * a0 + ac[j] * b0)
+                for ac, a0 in pos
+                for bc, b0 in neg
+            ]
+            for coeffs, const in combined:
+                if not any(coeffs):
+                    if const < 0:
+                        return None
+                    continue
+                new.add(normalize(coeffs, const))
+            work = list(new)
+            rounds.append((j, pos, neg))
+        point = [Fraction(0)] * n
+        for j, pos, neg in reversed(rounds):
+            value = lambda coeffs, const: -(
+                const + sum(c * point[i] for i, c in enumerate(coeffs) if i != j)
+            ) / coeffs[j]
+            lowers = [value(*c) for c in pos]
+            uppers = [value(*c) for c in neg]
+            if lowers and uppers:
+                point[j] = (max(lowers) + min(uppers)) / 2
+            elif lowers or uppers:
+                point[j] = max(lowers) if lowers else min(uppers)
+        return point
+
+    n = len(table.basis.names)
+    mu, t = table.maslov_vector, table.target_maslov
+    region = [(vec, 0) for _, vec in table.rows]
+    if feasible_point(region + [(mu, -t), (tuple(-m for m in mu), t)], n) is None:
+        return True, None
+    cone = region + [(mu, 0), (tuple(-m for m in mu), 0)]
+    for i in range(n):
+        for sign in (1, -1):
+            unit = tuple(int(k == i) * sign for k in range(n))
+            point = feasible_point(cone + [(unit, -1), (tuple(-u for u in unit), 1)], n)
+            if point is not None:
+                scale = math.lcm(*(x.denominator for x in point))
+                ints = [int(x * scale) for x in point]
+                g = math.gcd(*ints)
+                return False, tuple(v // g for v in ints)
+    return True, None
+
+
+def test_boundedness_and_rays_match_the_reference():
+    rng = random.Random(1212)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        table = random_table(rng, n=n, n_rows=rng.randint(0, n + 2))
+        result = feasible_region_bounded(table)
+        assert (result.bounded, result.ray) == reference_bounded(table)
+        verdicts[result.bounded] += 1
+        if result.bounded:
+            continue
+        with pytest.raises(UnboundedRegion) as err:
+            enumerate_candidate_classes(table)
+        assert err.value.ray == result.ray
+    assert min(verdicts.values()) > 30
 
 
 # ---------------------------------------------------------------------------
