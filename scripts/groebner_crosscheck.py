@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Cross-check twistkit's reduced Groebner bases against sympy.
+
+For seeded random ideals over GF(2) and Q in two or three variables, the
+reduced grevlex basis from `twistkit.groebner.groebner_basis` must equal the
+one from `sympy.groebner(..., order='grevlex')`.  Both sides are compared as
+monic sympy `Poly` objects over the same domain, since expression strings
+differ over GF(2) (sympy prints its coefficients in symmetric form).  Prints
+each mismatch and exits 1 if there is one.  A development check: it needs
+sympy, which the package itself never imports.
+
+    PYTHONPATH=src python3 scripts/groebner_crosscheck.py --ideals 400 --seed 1
+"""
+
+import argparse
+import random
+import sys
+from fractions import Fraction
+
+import sympy
+
+from twistkit.groebner import groebner_basis
+from twistkit.laurent import GF2, RATIONAL, LaurentPoly
+
+DOMAINS = {GF2: sympy.GF(2), RATIONAL: sympy.QQ}
+
+
+def random_ideal(rng):
+    ring = rng.choice((GF2, RATIONAL))
+    variables = ("x", "y", "z")[: rng.randint(2, 3)]
+    max_deg = 3 if len(variables) == 2 else 2
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, max_deg) for _ in variables)
+            terms[exps] = 1 if ring is GF2 else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        gens.append(LaurentPoly(ring, variables, terms))
+    return gens
+
+
+def to_sympy(poly, symbols, domain):
+    terms = {exps: sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c
+             for exps, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *symbols, domain=domain)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ideals", type=int, default=400, help="number of random ideals")
+    parser.add_argument("--seed", type=int, default=1, help="random seed")
+    args = parser.parse_args()
+
+    rng = random.Random(args.seed)
+    mismatches = compared = 0
+    while compared < args.ideals:
+        gens = random_ideal(rng)
+        if all(g.is_zero for g in gens):
+            continue
+        compared += 1
+        ring, variables = gens[0].ring, gens[0].variables
+        domain = DOMAINS[ring]
+        symbols = sympy.symbols(variables)
+        ours = [to_sympy(b, symbols, domain).monic() for b in groebner_basis(gens)]
+        theirs = [
+            sympy.Poly(p, *symbols, domain=domain).monic()
+            for p in sympy.groebner(
+                [to_sympy(g, symbols, domain) for g in gens if not g.is_zero],
+                *symbols, order="grevlex", domain=domain,
+            ).exprs
+        ]
+        if len(ours) != len(theirs) or any(p not in theirs for p in ours):
+            mismatches += 1
+            print(f"mismatch over {ring} for ({', '.join(map(str, gens))}):")
+            print(f"  twistkit: {[p.as_expr() for p in ours]}")
+            print(f"  sympy:    {[p.as_expr() for p in theirs]}")
+    print(f"{compared} ideals compared, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

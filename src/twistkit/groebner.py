@@ -5,14 +5,29 @@ polynomials).  The monomial order is degree-reverse-lexicographic on the
 polynomial's variable tuple, so callers control the order by variable
 placement (the localization variable goes last).  The reduced basis returned
 is the canonical one for that order.
+
+One Buchberger loop builds the basis.  Its S-pairs wait in a heap keyed by
+the grevlex key of their lcm, with ties broken by the pair's indices, beside
+a set of the pending pairs that the chain criterion consults (the heap-based
+queue of Gebauer and Moeller, without the sugar strategy, which would change
+the cofactors).  Coprime leading monomials and the chain criterion skip a
+pair; a surviving S-polynomial is reduced by the first basis element, in
+basis order, whose leading monomial divides its leading term.  Inside the
+loop polynomials and cofactor vectors are plain `{exponents: coefficient}`
+dicts reduced in place, each basis element's leading monomial is kept, and
+the grevlex key of each exponent tuple is computed once per call; the
+results become LaurentPoly values only at the end.  `normal_form` is the
+same reduction behind a LaurentPoly interface.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from operator import add, le, sub
 
 from .errors import UnsupportedRing, VariableMismatch
-from .laurent import LaurentPoly
+from .laurent import GF2, LaurentPoly
 
 
 def grevlex_key(exps):
@@ -20,6 +35,8 @@ def grevlex_key(exps):
 
 
 def leading_term(poly: LaurentPoly):
+    if poly.is_zero:
+        raise ValueError("the zero polynomial has no leading term")
     exps = max(poly.terms, key=grevlex_key)
     return exps, poly.terms[exps]
 
@@ -33,7 +50,7 @@ def _exps_sub(a, b):
 
 
 def _exps_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def _require_polynomial(poly: LaurentPoly):
@@ -42,12 +59,91 @@ def _require_polynomial(poly: LaurentPoly):
             raise ValueError("groebner machinery needs nonnegative exponents")
 
 
-def _monic(poly: LaurentPoly, cof=None):
-    _, lc = leading_term(poly)
-    inv = poly.ring.inv(lc)
-    if cof is None:
-        return poly.scale(inv), None
-    return poly.scale(inv), [c.scale(inv) for c in cof]
+class _Keys(dict):
+    """grevlex keys of exponent tuples, each computed on first lookup."""
+
+    def __missing__(self, exps):
+        key = self[exps] = grevlex_key(exps)
+        return key
+
+
+class _Working:
+    """Dict-term arithmetic for one computation over one coefficient ring.
+
+    A polynomial is a `{exps: coeff}` dict of nonzero coefficients.  A
+    divisor is a tuple `(lm, lc, poly, cofs)`: leading monomial, leading
+    coefficient, polynomial and cofactor vector (a list of dicts, or None).
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.gf2 = ring is GF2
+        self.keys = _Keys()
+
+    def lead(self, poly):
+        return max(poly, key=self.keys.__getitem__)
+
+    def sub_shifted(self, dst, src, shift, q):
+        """dst -= q * x^shift * src, in place."""
+        if self.gf2:  # every nonzero coefficient, q included, is 1
+            for e in src:
+                m = tuple(map(add, e, shift))
+                if m in dst:
+                    del dst[m]
+                else:
+                    dst[m] = 1
+            return
+        for e, c in src.items():
+            m = tuple(map(add, e, shift))
+            v = dst.get(m)
+            if v is None:
+                dst[m] = -(c * q)
+            else:
+                v -= c * q
+                if v:
+                    dst[m] = v
+                else:
+                    del dst[m]
+
+    def s_combination(self, a, ua, b, ub):
+        """x^ua * a - x^ub * b, as a new dict."""
+        out = {tuple(map(add, e, ua)): c for e, c in a.items()}
+        self.sub_shifted(out, b, ub, self.ring.one)
+        return out
+
+    def monic(self, poly, cofs):
+        """Scale `poly` (and its cofactor vector) by the inverse of its
+        leading coefficient, in place."""
+        lc = poly[self.lead(poly)]
+        if lc == 1:
+            return
+        inv = self.ring.inv(lc)
+        for part in [poly] + (cofs or []):
+            for e in part:
+                part[e] *= inv
+
+    def reduce(self, work, divisors, cofs):
+        """Full remainder of `work` modulo `divisors`, reducing each leading
+        term by the first divisor whose leading monomial divides it.  `work`
+        is consumed; each step subtracts the same multiple of the divisor's
+        cofactor vector from `cofs`."""
+        ring = self.ring
+        remainder = {}
+        while work:
+            exps = self.lead(work)
+            coeff = work[exps]
+            for lm, lc, poly, dcofs in divisors:
+                if all(map(le, lm, exps)):
+                    shift = tuple(map(sub, exps, lm))
+                    q = coeff if lc == 1 else ring.mul(coeff, ring.inv(lc))
+                    self.sub_shifted(work, poly, shift, q)
+                    if cofs is not None:
+                        for c, dc in zip(cofs, dcofs):
+                            self.sub_shifted(c, dc, shift, q)
+                    break
+            else:
+                remainder[exps] = work.pop(exps)
+        return remainder
 
 
 def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
@@ -55,44 +151,24 @@ def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
 
     If cofactors are tracked, the invariant `tracked_total = sum(cof_i * gen_i)`
     is preserved, where the generators are those the basis cofactors refer to.
+    Zero elements of `basis` divide nothing and are skipped.
     """
-    ring = poly.ring
-    work = poly
-    remainder = LaurentPoly.zero(ring, poly.variables)
-    while not work.is_zero:
-        exps, coeff = leading_term(work)
-        for j, g in enumerate(basis):
-            g_exps, g_coeff = leading_term(g)
-            if _divides(g_exps, exps):
-                q_exps = _exps_sub(exps, g_exps)
-                q_coeff = ring.mul(coeff, ring.inv(g_coeff))
-                work = work - g.times_monomial(q_exps, q_coeff)
-                if cof is not None:
-                    for i in range(len(cof)):
-                        cof[i] = cof[i] - basis_cofs[j][i].times_monomial(q_exps, q_coeff)
-                break
-        else:
-            term = LaurentPoly.monomial(ring, poly.variables, exps, coeff)
-            remainder = remainder + term
-            work = work - term
-    return remainder, cof
-
-
-def _s_polynomial(f, g, cf, cg):
-    ring = f.ring
-    f_exps, f_coeff = leading_term(f)
-    g_exps, g_coeff = leading_term(g)
-    l = _exps_lcm(f_exps, g_exps)
-    uf_exps, uf_coeff = _exps_sub(l, f_exps), ring.inv(f_coeff)
-    ug_exps, ug_coeff = _exps_sub(l, g_exps), ring.inv(g_coeff)
-    s = f.times_monomial(uf_exps, uf_coeff) - g.times_monomial(ug_exps, ug_coeff)
-    cof = None
-    if cf is not None:
-        cof = [
-            a.times_monomial(uf_exps, uf_coeff) - b.times_monomial(ug_exps, ug_coeff)
-            for a, b in zip(cf, cg)
-        ]
-    return s, cof
+    ring, variables = poly.ring, poly.variables
+    w = _Working(ring)
+    divisors = []
+    for j, g in enumerate(basis):
+        if g.ring is not ring or g.variables != variables:
+            raise VariableMismatch("normal_form: basis element lives in another ring")
+        if g.is_zero:
+            continue
+        lm = w.lead(g.terms)
+        dcofs = None if cof is None else [dict(c.terms) for c in basis_cofs[j]]
+        divisors.append((lm, g.terms[lm], g.terms, dcofs))
+    work_cofs = None if cof is None else [dict(c.terms) for c in cof]
+    remainder = w.reduce(dict(poly.terms), divisors, work_cofs)
+    if cof is not None:
+        cof[:] = [LaurentPoly(ring, variables, c) for c in work_cofs]
+    return LaurentPoly(ring, variables, remainder), cof
 
 
 def groebner_basis(gens, with_cofactors=False):
@@ -113,91 +189,93 @@ def groebner_basis(gens, with_cofactors=False):
             raise VariableMismatch("generators live in different rings")
         _require_polynomial(g)
 
-    basis: list[LaurentPoly] = []
-    cofs: list[list[LaurentPoly]] = []
-    unit = lambda i: [
-        LaurentPoly.one(ring, variables) if j == i else LaurentPoly.zero(ring, variables)
-        for j in range(len(gens))
-    ]
+    w = _Working(ring)
+    keys = w.keys
+    one = (0,) * len(variables)
+    basis = []  # divisors (lm, 1, poly, cofs), every poly monic
     for i, g in enumerate(gens):
         if g.is_zero:
             continue
-        p, c = _monic(g, unit(i) if with_cofactors else None)
-        basis.append(p)
-        cofs.append(c)
+        poly = dict(g.terms)
+        cofs = None
+        if with_cofactors:
+            cofs = [{one: ring.one} if j == i else {} for j in range(len(gens))]
+        w.monic(poly, cofs)
+        basis.append((w.lead(poly), ring.one, poly, cofs))
 
-    lms = [leading_term(g)[0] for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (grevlex_key(_exps_lcm(lms[ij[0]], lms[ij[1]])), ij))
-        pairs.discard((i, j))
-        lcm_ij = _exps_lcm(lms[i], lms[j])
-        if lcm_ij == tuple(a + b for a, b in zip(lms[i], lms[j])):
+    lms = [b[0] for b in basis]
+    pending = set()
+    queue = []
+
+    def push(i, j):
+        # (key, i, j) is unique, so the lcm riding along is never compared
+        lcm = _exps_lcm(lms[i], lms[j])
+        pending.add((i, j))
+        heapq.heappush(queue, (keys[lcm], i, j, lcm))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+    while queue:
+        _, i, j, lcm_ij = heapq.heappop(queue)
+        pending.discard((i, j))
+        lm_i, lm_j = lms[i], lms[j]
+        if lcm_ij == tuple(map(add, lm_i, lm_j)):
             continue  # coprime leading monomials: S-poly reduces to zero
         if any(
-            k != i
+            all(map(le, lm_k, lcm_ij))
+            and k != i
             and k != j
-            and _divides(lms[k], lcm_ij)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lm_k in enumerate(lms)
         ):
             continue  # chain criterion
-        s, cof = _s_polynomial(
-            basis[i], basis[j],
-            cofs[i] if with_cofactors else None,
-            cofs[j] if with_cofactors else None,
-        )
-        if s.is_zero:
+        _, _, f, cf = basis[i]
+        _, _, g, cg = basis[j]
+        uf, ug = _exps_sub(lcm_ij, lm_i), _exps_sub(lcm_ij, lm_j)
+        s = w.s_combination(f, uf, g, ug)
+        if not s:
             continue
-        r, cof = normal_form(s, basis, cof, cofs if with_cofactors else None)
-        if r.is_zero:
+        cofs = None
+        if with_cofactors:
+            cofs = [w.s_combination(a, uf, b, ug) for a, b in zip(cf, cg)]
+        r = w.reduce(s, basis, cofs)
+        if not r:
             continue
-        r, cof = _monic(r, cof)
-        basis.append(r)
-        cofs.append(cof)
-        lms.append(leading_term(r)[0])
+        w.monic(r, cofs)
+        basis.append((w.lead(r), ring.one, r, cofs))
+        lms.append(basis[-1][0])
         new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        for k in range(new):
+            push(k, new)
 
-    return _autoreduce(basis, cofs if with_cofactors else None)
+    reduced = _autoreduce(w, basis)
+    out = [LaurentPoly(ring, variables, poly) for _, _, poly, _ in reduced]
+    if not with_cofactors:
+        return out
+    return out, [[LaurentPoly(ring, variables, c) for c in cofs] for _, _, _, cofs in reduced]
 
 
-def _autoreduce(basis, cofs):
+def _autoreduce(w, basis):
+    keys = w.keys
     # drop elements whose leading monomial another element's divides
-    order = sorted(range(len(basis)), key=lambda i: grevlex_key(leading_term(basis[i])[0]))
-    keep = []
+    order = sorted(range(len(basis)), key=lambda i: keys[basis[i][0]])
+    minimal = []
     for i in order:
-        lm = leading_term(basis[i])[0]
-        if any(_divides(leading_term(basis[k])[0], lm) for k in keep):
+        if any(_divides(m[0], basis[i][0]) for m in minimal):
             continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    minimal_cofs = [cofs[i] for i in keep] if cofs is not None else None
+        minimal.append(basis[i])
 
     reduced = []
-    reduced_cofs = [] if cofs is not None else None
-    for i, g in enumerate(minimal):
+    for i, (lm, lc, poly, cofs) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        if cofs is not None:
-            other_cofs = minimal_cofs[:i] + minimal_cofs[i + 1 :]
-            r, c = normal_form(g, others, list(minimal_cofs[i]), other_cofs)
-            r, c = _monic(r, c)
-            reduced.append(r)
-            reduced_cofs.append(c)
-        else:
-            r, _ = normal_form(g, others)
-            r, _ = _monic(r)
-            reduced.append(r)
-
-    order = sorted(
-        range(len(reduced)), key=lambda i: grevlex_key(leading_term(reduced[i])[0]), reverse=True
-    )
-    reduced = [reduced[i] for i in order]
-    if cofs is None:
-        return reduced
-    reduced_cofs = [reduced_cofs[i] for i in order]
-    return reduced, reduced_cofs
+        work_cofs = None if cofs is None else [dict(c) for c in cofs]
+        r = w.reduce(dict(poly), others, work_cofs)
+        w.monic(r, work_cofs)
+        reduced.append((w.lead(r), lc, r, work_cofs))
+    reduced.sort(key=lambda b: keys[b[0]], reverse=True)
+    return reduced
 
 
 def contains_constant(basis) -> bool:
@@ -210,7 +288,10 @@ def contains_constant(basis) -> bool:
 def is_zero_dimensional(basis) -> bool:
     """True iff the quotient by the ideal is finite-dimensional: for every
     variable some leading monomial is a pure power of it (or the ideal is
-    the whole ring)."""
+    the whole ring).  The zero ideal's basis is empty and its quotient, the
+    whole polynomial ring, is infinite-dimensional."""
+    if not basis:
+        return False
     if contains_constant(basis):
         return True
     nvars = len(basis[0].variables)

@@ -14,7 +14,7 @@ from twistkit.certificates import (
     search_h0_hom,
     validate_regularity_hom,
 )
-from twistkit.discs import DiscClass, HomologyBasis
+from twistkit.discs import DiscClass, HomologyBasis, enumerate_candidate_classes
 from twistkit.errors import (
     InconclusiveCertificate,
     NonGenericHom,
@@ -25,6 +25,7 @@ from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
 from twistkit.pearl import Potential
 from twistkit.presets import (
     theta_bundle,
+    theta_constraint_table,
     theta_h0_hom,
     theta_maslov_collapse_hom,
     theta_potential,
@@ -344,6 +345,58 @@ def test_product_torus_in_three_spheres_is_certified():
     assert report.token == "certified"
     assert report.h0.hom_is_identity
     assert report.regularity.quotient_dimension == 8  # z_k = +-1
+
+
+def certify_product(factors):
+    """Certify a product torus with the identity H0 hom and the regularity hom
+    that sends each carrying generator to its own variable and each sphere
+    generator to 1.  A factor is (ring names, number of carrying generators,
+    disc classes), carrying generators first.  The product's generators get
+    the factor's index as a suffix, its boundary matrix is block-diagonal and
+    each factor class is padded with zeros outside its block."""
+    ring_names, carriers, padded = [], [], []
+    width = sum(len(names) for names, _, _ in factors)
+    for index, (names, n_carrying, classes) in enumerate(factors, start=1):
+        offset = len(ring_names)
+        ring_names += [f"{name}_{index}" for name in names]
+        carriers += range(offset, offset + n_carrying)
+        padded += [
+            (0,) * offset + tuple(c) + (0,) * (width - offset - len(names)) for c in classes
+        ]
+    basis = HomologyBasis(
+        names=tuple(f"D_{name}" for name in ring_names),
+        boundary_matrix=tuple(tuple(int(j == c) for j in range(width)) for c in carriers),
+        n_torus_rank=len(carriers),
+        ring_names=tuple(ring_names),
+    )
+    pot = Potential(GF2, basis, [(DiscClass(c, basis.boundary_of(c)), 1) for c in padded])
+    zs = tuple(f"z{k + 1}" for k in range(len(carriers)))
+    hom = RingHom.from_monomials(
+        RATIONAL,
+        zs,
+        {name: tuple(int(j == c) for c in carriers) for j, name in enumerate(ring_names)},
+    )
+    return certify_nondisplaceable(pot, regularity_hom=hom)
+
+
+def test_theta_squared_times_circle_is_certified_by_the_identity_hom():
+    # theta^2 x C in (S2 x S2)^2 x S2: seven generators, ten disc classes;
+    # the identity-hom membership test runs a Buchberger basis in six
+    # variables plus the localization variable
+    theta = (
+        ("R", "T", "S1", "S2"),
+        2,
+        [c.coefficients for c in enumerate_candidate_classes(theta_constraint_table())],
+    )
+    circle = (("R", "S"), 1, [(1, 0), (-1, 1)])
+    dims = []
+    for factors in ([theta], [circle], [theta, theta, circle]):
+        report = certify_product(factors)
+        assert report.token == "certified"
+        assert report.h0.hom_is_identity
+        dims.append(report.regularity.quotient_dimension)
+    theta_dim, circle_dim, product_dim = dims
+    assert product_dim == theta_dim**2 * circle_dim
 
 
 def test_hom_search_finds_a_proper_collapse():

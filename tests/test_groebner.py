@@ -30,6 +30,143 @@ def random_poly(rng, ring, variables, max_terms=4, max_deg=3):
     return LaurentPoly(ring, variables, terms)
 
 
+# ---------------------------------------------------------------------------
+# reference: a plain Buchberger loop with the same pair order, criteria,
+# divisor choice and autoreduction as `groebner_basis`, but a min scan over
+# the pending pairs and LaurentPoly arithmetic at every step; the dict-term
+# core must reproduce its bases and cofactors byte for byte
+
+
+def _ref_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _ref_lead(p):
+    exps = max(p.terms, key=_ref_key)
+    return exps, p.terms[exps]
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _ref_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _ref_monic(p, cof=None):
+    inv = p.ring.inv(_ref_lead(p)[1])
+    return p.scale(inv), None if cof is None else [c.scale(inv) for c in cof]
+
+
+def _ref_normal_form(p, basis, cof=None, basis_cofs=None):
+    ring = p.ring
+    work, remainder = p, LaurentPoly.zero(ring, p.variables)
+    while not work.is_zero:
+        exps, coeff = _ref_lead(work)
+        for j, g in enumerate(basis):
+            g_exps, g_coeff = _ref_lead(g)
+            if _ref_divides(g_exps, exps):
+                q_exps = _ref_sub(exps, g_exps)
+                q_coeff = ring.mul(coeff, ring.inv(g_coeff))
+                work = work - g.times_monomial(q_exps, q_coeff)
+                if cof is not None:
+                    for i in range(len(cof)):
+                        cof[i] = cof[i] - basis_cofs[j][i].times_monomial(q_exps, q_coeff)
+                break
+        else:
+            term = LaurentPoly.monomial(ring, p.variables, exps, coeff)
+            remainder, work = remainder + term, work - term
+    return remainder, cof
+
+
+def reference_groebner_basis(gens, with_cofactors=False):
+    ring, variables = gens[0].ring, gens[0].variables
+    basis, cofs = [], []
+    for i, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        unit = [LaurentPoly.constant(ring, variables, ring.one if j == i else ring.zero)
+                for j in range(len(gens))]
+        p, c = _ref_monic(g, unit if with_cofactors else None)
+        basis.append(p)
+        cofs.append(c)
+    lms = [_ref_lead(g)[0] for g in basis]
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (_ref_key(_ref_lcm(lms[ij[0]], lms[ij[1]])), ij))
+        pairs.discard((i, j))
+        lcm = _ref_lcm(lms[i], lms[j])
+        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+            continue
+        if any(
+            k not in (i, j)
+            and _ref_divides(lms[k], lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k in range(len(basis))
+        ):
+            continue
+        one = ring.one
+        uf, ug = _ref_sub(lcm, lms[i]), _ref_sub(lcm, lms[j])
+        s = basis[i].times_monomial(uf, one) - basis[j].times_monomial(ug, one)
+        cof = None
+        if with_cofactors:
+            cof = [a.times_monomial(uf, one) - b.times_monomial(ug, one)
+                   for a, b in zip(cofs[i], cofs[j])]
+        if s.is_zero:
+            continue
+        r, cof = _ref_normal_form(s, basis, cof, cofs if with_cofactors else None)
+        if r.is_zero:
+            continue
+        r, cof = _ref_monic(r, cof)
+        basis.append(r)
+        cofs.append(cof)
+        lms.append(_ref_lead(r)[0])
+        pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+    # autoreduce: minimal basis by ascending leading monomial, then reduce each
+    # element by the others, then sort by descending leading monomial
+    keep = []
+    for i in sorted(range(len(basis)), key=lambda i: _ref_key(lms[i])):
+        if not any(_ref_divides(lms[k], lms[i]) for k in keep):
+            keep.append(i)
+    out = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        cof = list(cofs[i]) if with_cofactors else None
+        r, cof = _ref_normal_form(
+            basis[i], [basis[k] for k in others], cof,
+            [cofs[k] for k in others] if with_cofactors else None,
+        )
+        out.append(_ref_monic(r, cof))
+    out.sort(key=lambda rc: _ref_key(_ref_lead(rc[0])[0]), reverse=True)
+    if not with_cofactors:
+        return [r for r, _ in out]
+    return [r for r, _ in out], [c for _, c in out]
+
+
+def random_ideals():
+    """240 seeded ideals, half over GF2 and half over Q, in two or three
+    variables, with two or three generators (some of them zero)."""
+    rng = random.Random(2718)
+    out = []
+    for trial in range(240):
+        ring = GF2 if trial % 2 else RATIONAL
+        variables = ("x", "y") if trial % 3 else ("x", "y", "z")
+        max_deg = 3 if len(variables) == 2 else 2
+        gens = [
+            random_poly(rng, ring, variables, max_terms=4, max_deg=max_deg)
+            for _ in range(rng.randint(2, 3))
+        ]
+        if any(not g.is_zero for g in gens):
+            out.append(gens)
+    return out
+
+
 def test_grevlex_order_basics():
     # degree first, then smaller exponent on the last differing variable wins
     assert grevlex_key((2, 0)) > grevlex_key((1, 0))
@@ -126,22 +263,24 @@ def test_every_s_polynomial_reduces_to_zero():
             _exps_sub(l, ge), ring.inv(gc)
         )
 
-    rng = random.Random(2718)
-    for trial in range(20):
-        ring = GF2 if rng.random() < 0.5 else RATIONAL
-        variables = ("x", "y") if trial % 4 else ("x", "y", "z")
-        gens = [
-            random_poly(rng, ring, variables, max_terms=3, max_deg=2)
-            for _ in range(rng.randint(2, 3))
-        ]
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
-            continue
+    for gens in random_ideals():
         basis = groebner_basis(gens)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 r, _ = normal_form(s_poly(basis[i], basis[j]), basis)
                 assert r.is_zero
+
+
+def test_basis_and_cofactors_match_the_reference_loop():
+    ideals = random_ideals()
+    assert len(ideals) >= 200
+    assert {gens[0].ring for gens in ideals} == {GF2, RATIONAL}
+    for gens in ideals:
+        basis, cofs = groebner_basis(gens, with_cofactors=True)
+        ref_basis, ref_cofs = reference_groebner_basis(gens, with_cofactors=True)
+        assert [str(b) for b in basis] == [str(b) for b in ref_basis]
+        assert [[str(c) for c in v] for v in cofs] == [[str(c) for c in v] for v in ref_cofs]
+        assert [str(b) for b in groebner_basis(gens)] == [str(b) for b in ref_basis]
 
 
 def test_unit_ideal_detection():
@@ -156,6 +295,40 @@ def test_positive_dimensional_ideal_has_no_standard_basis():
     basis = groebner_basis([poly(RATIONAL, v, {(1, 1): 1})])  # (xy)
     assert not is_zero_dimensional(basis)
     assert standard_monomials(basis) is None
+
+
+def test_zero_ideal_has_an_infinite_quotient():
+    v = ("x", "y")
+    basis = groebner_basis([LaurentPoly.zero(GF2, v), LaurentPoly.zero(GF2, v)])
+    assert basis == []
+    assert not contains_constant(basis)
+    assert is_zero_dimensional(basis) is False
+    assert standard_monomials(basis) is None
+
+
+def test_zero_polynomial_has_no_leading_term():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        leading_term(LaurentPoly.zero(RATIONAL, ("x",)))
+
+
+def test_normal_form_skips_zero_divisors():
+    v = ("x", "y")
+    g = poly(RATIONAL, v, {(1, 0): 2, (0, 0): -2})  # 2x - 2
+    p = poly(RATIONAL, v, {(2, 1): 1, (1, 0): 1})  # x^2 y + x
+    zero = LaurentPoly.zero(RATIONAL, v)
+    r, _ = normal_form(p, [zero, g])
+    assert r == normal_form(p, [g])[0] == poly(RATIONAL, v, {(0, 1): 1, (0, 0): 1})
+    assert normal_form(p, [zero])[0] == p
+    # cofactor tracking keeps p == r + sum(cof_i * gen_i), the zero divisor
+    # contributing nothing
+    gens = [zero, g]
+    basis_cofs = [
+        [LaurentPoly.one(RATIONAL, v), zero],
+        [zero, LaurentPoly.one(RATIONAL, v)],
+    ]
+    r, cof = normal_form(p, gens, [zero, zero], basis_cofs)
+    assert cof[0] == zero
+    assert r - cof[1] * g == p
 
 
 def test_groebner_requires_a_field():
