@@ -21,6 +21,8 @@ from .discs import enumerate_candidate_classes, table_from_json
 from .errors import TwistKitError
 from .forests import (
     canonical_form,
+    check_enumeration_size,
+    count_ample_trees,
     enumerate_ample_trees,
     forest_canonical_form,
     is_isomorphic,
@@ -76,15 +78,18 @@ def _load_json(path: str) -> dict:
 def _cmd_trees(config: RunConfig):
     n = config.params["n"]
     cap = config.params.get("cap", 16)
-    count_only = config.params.get("count_only", False)
-    trees = enumerate_ample_trees(n, cap=cap)
-    payload = {"n": n, "cap": cap, "count": len(trees)}
-    lines = []
-    if not count_only:
-        payload["trees"] = [canonical_form(t) for t in trees]
-        lines.extend(payload["trees"])
-    lines.append(f"{len(trees)} ample tree(s) with {n} leaves")
-    return payload, lines, str(len(trees))
+    if config.params.get("count_only", False):
+        check_enumeration_size(n, cap)
+        count = count_ample_trees(n)
+        payload = {"n": n, "cap": cap, "count": count}
+        lines = []
+    else:
+        forms = [canonical_form(t) for t in enumerate_ample_trees(n, cap=cap)]
+        count = len(forms)
+        payload = {"n": n, "cap": cap, "count": count, "trees": forms}
+        lines = list(forms)
+    lines.append(f"{count} ample tree(s) with {n} leaves")
+    return payload, lines, str(count)
 
 
 def _cmd_iso(config: RunConfig):
@@ -260,6 +265,11 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 2, f"error: {type(exc).__name__}: {exc}"
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}"
+    except RecursionError:
+        return 2, (
+            "error: input nested beyond the interpreter's recursion limit "
+            f"({sys.getrecursionlimit()})"
+        )
 
     payload = {"schema": SCHEMA, "command": config.command, "seed": config.seed, **payload}
     if config.format == "json":

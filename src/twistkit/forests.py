@@ -7,6 +7,12 @@ primitive tori are forests.  Planar order is kept while a twist word is
 applied (the gluing rule counts leaves from the left) but isomorphism is of
 abstract rooted trees, so children order is forgotten by canonical forms.
 
+Every `RootedTree` is a frozen, slotted value that stores its canonical key
+and its leaf count, both built once from the children's stored values, so
+neither is ever recomputed by walking the tree.  The ample trees with n
+leaves are built level by level: one tree per multiset of smaller ample
+trees whose leaf counts form a partition of n into at least two parts.
+
 Text grammar (whitespace insignificant)::
 
     forest := factor ("*" factor)*
@@ -18,43 +24,50 @@ Text grammar (whitespace insignificant)::
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+import operator
+from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InvalidLeafIndex, ParseError
 
 DEFAULT_ENUMERATION_CAP = 16
 
 
-@dataclass(frozen=True)
+_key_of = operator.attrgetter("canonical_key")
+_leaves_of = operator.attrgetter("leaf_count")
+_concat = functools.partial(sum, start=())
+
+
+@dataclass(frozen=True, slots=True)
 class RootedTree:
     """A finite rooted tree; an empty children tuple is a leaf.
 
-    The single-vertex tree stands for the plain circle factor.
+    The single-vertex tree stands for the plain circle factor.  Equality,
+    hashing and repr see `children` only; `canonical_key` (the string of
+    `canonical_form`) and `leaf_count` are derived from it on construction.
     """
 
     children: tuple["RootedTree", ...] = ()
+    canonical_key: str = field(init=False, compare=False, repr=False)
+    leaf_count: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        kids = self.children
+        if kids:
+            key = "(" + ",".join(sorted(map(_key_of, kids))) + ")"
+            leaves = sum(map(_leaves_of, kids))
+        else:
+            key, leaves = "()", 1
+        object.__setattr__(self, "canonical_key", key)
+        object.__setattr__(self, "leaf_count", leaves)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
     @property
-    def leaf_count(self) -> int:
-        if not self.children:
-            return 1
-        return sum(c.leaf_count for c in self.children)
-
-    @property
     def vertex_count(self) -> int:
         return 1 + sum(c.vertex_count for c in self.children)
-
-    @functools.cached_property
-    def canonical_key(self) -> str:
-        """The canonical string of `canonical_form`, built once from the
-        children's stored keys (kept outside eq, hash and repr)."""
-        if not self.children:
-            return "()"
-        return "(" + ",".join(sorted(c.canonical_key for c in self.children)) + ")"
 
     def __str__(self) -> str:
         return print_tree(self)
@@ -147,29 +160,23 @@ class RootedForest:
 
 def word_to_tree(word: TwistWord) -> RootedTree:
     """Apply the gluing rule: start from the first bush, then replace the
-    l_j-th leaf (left to right) by a bush with k_j + 1 leaves."""
-    if not word.steps:
-        return LEAF
-    (k1, _), *rest = word.steps
-    tree = bush(k1 + 1)
-    for k, l in rest:
-        tree = _replace_leaf(tree, l - 1, bush(k + 1))
-    return tree
+    l_j-th leaf (left to right) by a bush with k_j + 1 leaves.
 
-
-def _replace_leaf(tree: RootedTree, index: int, replacement: RootedTree) -> RootedTree:
-    if tree.is_leaf:
-        if index != 0:
-            raise InvalidLeafIndex(f"leaf index {index} out of range")
-        return replacement
-    kids = list(tree.children)
-    for i, child in enumerate(kids):
-        size = child.leaf_count
-        if index < size:
-            kids[i] = _replace_leaf(child, index, replacement)
-            return RootedTree(tuple(kids))
-        index -= size
-    raise InvalidLeafIndex("leaf index beyond tree")
+    The planar tree is grown as nested lists beside its left-to-right leaf
+    list, then frozen bottom-up, so each vertex becomes one `RootedTree`
+    however deep the tree is."""
+    root: list = []
+    leaves = [root]
+    glued = []  # in gluing order, so every vertex comes after its parent
+    for k, l in word.steps:
+        vertex = leaves[l - 1]
+        vertex.extend([] for _ in range(k + 1))
+        leaves[l - 1:l] = vertex
+        glued.append(vertex)
+    frozen = {}
+    for vertex in reversed(glued):
+        frozen[id(vertex)] = RootedTree(tuple(frozen.get(id(c), LEAF) for c in vertex))
+    return frozen.get(id(root), LEAF)
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +224,53 @@ def is_ample(tree: RootedTree) -> bool:
 def enumerate_ample_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[RootedTree]:
     """All ample rooted trees with exactly n leaves, one per isomorphism
     class, sorted by canonical form."""
+    check_enumeration_size(n, cap)
+    return list(_ample_trees(n))
+
+
+def check_enumeration_size(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """The checks `enumerate_ample_trees` makes before building anything:
+    ValueError for n < 1, then CapExceeded for n > cap."""
     if n < 1:
         raise ValueError("leaf count must be >= 1")
     if n > cap:
         raise CapExceeded(f"{n} leaves exceeds the enumeration cap {cap}")
-    return list(_ample_trees(n))
 
 
 @functools.lru_cache(maxsize=None)
 def _ample_trees(n: int) -> tuple[RootedTree, ...]:
+    """The ample trees with n leaves, sorted by canonical key.
+
+    The subtrees under the root of an ample tree with n >= 2 leaves are at
+    least two smaller ample trees (the leaf, or a tree whose root then has
+    valency >= 3), and their leaf counts form a partition of n.  For each
+    partition with at least two parts, a part size s taken m times
+    contributes a multiset of m trees from level s; the children tuple holds
+    the part sizes in ascending order, each as a non-decreasing run in level
+    s's order, so every tree is built exactly once.
+    """
     if n == 1:
         return (LEAF,)
-    # Candidate subtrees under the root: a leaf, or any smaller ample tree
-    # with >= 2 leaves (its root then has valency >= 3 inside the new tree).
-    candidates: list[tuple[int, RootedTree]] = [(1, LEAF)]
-    for m in range(2, n):
-        candidates.extend((m, t) for t in _ample_trees(m))
+    level = []
+    for parts in _partitions(n):
+        if parts == ((n, 1),):
+            continue
+        runs = [itertools.combinations_with_replacement(_ample_trees(s), m) for s, m in parts]
+        level.extend(map(RootedTree, map(_concat, itertools.product(*runs))))
+    level.sort(key=_key_of)
+    return tuple(level)
 
-    found: list[RootedTree] = []
 
-    def extend(start: int, remaining: int, chosen: list[RootedTree]):
-        if remaining == 0:
-            if len(chosen) >= 2:
-                found.append(RootedTree(tuple(chosen)))
-            return
-        for idx in range(start, len(candidates)):
-            size, sub = candidates[idx]
-            if size > remaining:
-                break
-            chosen.append(sub)
-            extend(idx, remaining - size, chosen)
-            chosen.pop()
-
-    extend(0, n, [])
-    return tuple(sorted(found, key=canonical_form))
+def _partitions(n: int, smallest: int = 1):
+    """Partitions of n into parts >= smallest, each as ((size, multiplicity), ...)
+    in ascending size."""
+    if n == 0:
+        yield ()
+        return
+    for size in range(smallest, n + 1):
+        for m in range(1, n // size + 1):
+            for rest in _partitions(n - size * m, size + 1):
+                yield ((size, m),) + rest
 
 
 # a(k), b(k) and c(k) for k < len(a); index 0 is a placeholder for a and c
@@ -285,9 +305,24 @@ def count_ample_trees(n: int) -> int:
 
 
 def print_tree(tree: RootedTree) -> str:
-    if tree.is_leaf:
-        return "L"
-    return "(" + " ".join(print_tree(c) for c in tree.children) + ")"
+    """Planar text: "L" for a leaf, the children space-separated in
+    parentheses otherwise.  Walks an explicit stack, so depth is unbounded."""
+    out = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not item.children:
+            out.append("L")
+        else:
+            first, *rest = item.children
+            out.append("(")
+            stack.append(")")
+            for child in reversed(rest):
+                stack += (child, " ")
+            stack.append(first)
+    return "".join(out)
 
 
 def print_forest(forest: RootedForest) -> str:

@@ -103,6 +103,57 @@ def test_trees_command_matches_library():
     assert payload["trees"] == [canonical_form(t) for t in enumerate_ample_trees(5)]
 
 
+def test_trees_count_uses_the_counter_not_the_enumerator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--count must not enumerate")
+
+    monkeypatch.setattr("twistkit.cli.enumerate_ample_trees", refuse)
+    code, payload = run_json("trees", {"n": 16, "cap": 16, "count_only": True})
+    assert code == 0
+    assert payload["count"] == 2253676 and "trees" not in payload
+    code, rendered = run(
+        RunConfig(command="trees", params={"n": 16, "cap": 16, "count_only": True})
+    )
+    assert (code, rendered) == (0, "2253676 ample tree(s) with 16 leaves")
+
+
+def test_trees_count_reports_match_the_enumerated_ones():
+    for n in range(1, 10):
+        for fmt in ("text", "json"):
+            full = run(RunConfig(command="trees", format=fmt,
+                                 params={"n": n, "cap": 16, "count_only": False}))
+            count = run(RunConfig(command="trees", format=fmt,
+                                  params={"n": n, "cap": 16, "count_only": True}))
+            if fmt == "text":
+                assert count == (0, full[1].splitlines()[-1])
+            else:
+                payload = json.loads(full[1])
+                del payload["trees"]
+                assert count == (0, json.dumps(payload, sort_keys=True, indent=2))
+
+
+def test_trees_count_checks_size_before_cap():
+    for n, cap, error in ((0, 16, "ValueError"), (0, -1, "ValueError"), (17, 16, "CapExceeded")):
+        for count_only in (False, True):
+            code, rendered = run(RunConfig(
+                command="trees", params={"n": n, "cap": cap, "count_only": count_only}))
+            assert code == 2 and rendered.startswith(f"error: {error}: ")
+
+
+def test_deep_twist_word_is_compared(capsys):
+    word = "twist(1" + "".join(f";1@{j}" for j in range(2, 601)) + ")"  # each on the last leaf
+    assert main(["iso", word, word]) == 0
+    assert capsys.readouterr().out == "isomorphic: true\n"
+
+
+def test_input_nested_beyond_the_recursion_limit_is_an_input_error(capsys):
+    deep = "(L " * 1500 + "L" + ")" * 1500
+    assert main(["iso", deep, "L"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "recursion limit" in out
+
+
 def test_pearl_command_prints_potential_and_differentials():
     code, payload = run_json("pearl", {"preset": "theta_s2xs2"})
     assert code == 0

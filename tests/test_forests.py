@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -429,3 +432,148 @@ def test_stored_canonical_form_matches_recursive_on_shuffles():
     for _ in range(100):
         tree = shuffled(word_to_tree(random_word(rng, max_steps=6, max_k=4)), rng)
         assert canonical_form(tree) == recursive_canonical(tree)
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the code paths the level-by-level construction, the
+# list-based gluing and the stack-based printer replaced
+
+
+def reference_ample_trees(n, memo={}):
+    """Depth-first choice of non-decreasing (size, index) candidates under the
+    root, then one sort of the level by canonical form."""
+    if n == 1:
+        return (LEAF,)
+    if n in memo:
+        return memo[n]
+    candidates = [(1, LEAF)]
+    for m in range(2, n):
+        candidates.extend((m, t) for t in reference_ample_trees(m))
+    found = []
+
+    def extend(start, remaining, chosen):
+        if remaining == 0:
+            if len(chosen) >= 2:
+                found.append(RootedTree(tuple(chosen)))
+            return
+        for idx in range(start, len(candidates)):
+            size, sub = candidates[idx]
+            if size > remaining:
+                break
+            chosen.append(sub)
+            extend(idx, remaining - size, chosen)
+            chosen.pop()
+
+    extend(0, n, [])
+    memo[n] = tuple(sorted(found, key=recursive_canonical))
+    return memo[n]
+
+
+def reference_word_to_tree(word):
+    """Path copying: rebuild the root-to-leaf path for every gluing step."""
+
+    def replace_leaf(tree, index, replacement):
+        if not tree.children:
+            return replacement
+        kids = list(tree.children)
+        for i, child in enumerate(kids):
+            size = len(list(leaves_of(child)))
+            if index < size:
+                kids[i] = replace_leaf(child, index, replacement)
+                return RootedTree(tuple(kids))
+            index -= size
+
+    def leaves_of(tree):
+        if not tree.children:
+            yield tree
+        for child in tree.children:
+            yield from leaves_of(child)
+
+    if not word.steps:
+        return LEAF
+    (k1, _), *rest = word.steps
+    tree = bush(k1 + 1)
+    for k, l in rest:
+        tree = replace_leaf(tree, l - 1, bush(k + 1))
+    return tree
+
+
+def recursive_print(tree):
+    if not tree.children:
+        return "L"
+    return "(" + " ".join(recursive_print(c) for c in tree.children) + ")"
+
+
+def test_enumeration_matches_reference_dfs():
+    for n in range(1, 12):
+        got = enumerate_ample_trees(n)
+        want = reference_ample_trees(n)
+        assert [print_tree(t) for t in got] == [recursive_print(t) for t in want]
+        assert [canonical_form(t) for t in got] == [recursive_canonical(t) for t in want]
+        assert got == list(want)
+
+
+def test_word_to_tree_matches_path_copying_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        word = random_word(rng, max_steps=8, max_k=3)
+        assert word_to_tree(word) == reference_word_to_tree(word)
+
+
+def test_print_tree_matches_recursive_printer():
+    rng = random.Random(37)
+    trees = [shuffled(t, rng) for n in range(1, 8) for t in enumerate_ample_trees(n)]
+    trees += [word_to_tree(random_word(rng, max_steps=8, max_k=3)) for _ in range(100)]
+    for tree in trees:
+        assert print_tree(tree) == recursive_print(tree)
+
+
+# ---------------------------------------------------------------------------
+# the frozen, slotted tree value
+
+
+def test_rooted_tree_is_frozen_and_slotted():
+    tree = RootedTree((bush(2), LEAF))
+    for name, value in (("children", ()), ("canonical_key", "()"), ("leaf_count", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tree, name, value)
+    assert not hasattr(tree, "__dict__")
+    assert not hasattr(LEAF, "__dict__")
+
+
+def test_equality_and_hash_ignore_the_stored_key():
+    left = RootedTree((bush(2), LEAF))
+    right = RootedTree((LEAF, bush(2)))
+    assert canonical_form(left) == canonical_form(right)
+    assert left != right
+    twin = RootedTree((bush(2), LEAF))
+    object.__setattr__(twin, "canonical_key", "tampered")
+    object.__setattr__(twin, "leaf_count", 0)
+    assert twin == left and hash(twin) == hash(left)
+
+
+def test_repr_shows_children_only():
+    assert repr(LEAF) == "RootedTree(children=())"
+    assert repr(bush(2)) == (
+        "RootedTree(children=(RootedTree(children=()), RootedTree(children=())))"
+    )
+
+
+def test_pickle_and_deepcopy_keep_the_stored_fields():
+    tree = word_to_tree(TwistWord(((2, 1), (1, 3), (3, 2))))
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert twin == tree and twin is not tree
+        assert twin.canonical_key == tree.canonical_key == recursive_canonical(tree)
+        assert twin.leaf_count == tree.leaf_count == 7
+
+
+def test_deep_word_builds_without_recursion():
+    steps = ((1, 1),) + tuple((1, j) for j in range(2, 1501))  # each on the last leaf
+    tree = word_to_tree(TwistWord(steps))
+    assert tree.leaf_count == 1501
+    assert print_tree(tree) == "(L " * 1500 + "L" + ")" * 1500
+    key = "()"
+    for _ in range(1500):
+        key = "(" + key + ",())"  # "((" sorts before "()"
+    assert canonical_form(tree) == key
+    assert is_isomorphic(tree, tree)
