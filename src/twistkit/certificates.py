@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InconclusiveCertificate, NonGenericHom, UnsupportedRing
+from .errors import CapExceeded, InconclusiveCertificate, NonGenericHom, UnsupportedRing
 from .groebner import (
     contains_constant,
     groebner_basis,
@@ -31,6 +31,10 @@ from .groebner import (
 )
 from .laurent import RATIONAL, LaurentPoly, RingHom
 from .pearl import Potential
+
+# Most candidate homomorphisms `search_h0_hom` will try; each costs an
+# ideal-membership test.
+HOM_SEARCH_BUDGET = 10_000
 
 REGULARITY_CRITERION_NOTE = (
     "isolated critical points read as: the critical ideal has a "
@@ -422,12 +426,20 @@ def certify_nondisplaceable(
 def search_h0_hom(potential: Potential, target_var: str = "t", exponent_bound: int = 2):
     """Brute-force search for a univariate collapse witnessing a proper
     ideal: every generator is sent to a power of one variable with exponent
-    in [-bound, bound].  Returns the first homomorphism found, or None."""
+    in [-bound, bound].  Returns the first homomorphism found, or None.
+    Raises `CapExceeded`, before trying any, when the (2 bound + 1)^n
+    candidates number more than `HOM_SEARCH_BUDGET`."""
     ring = potential.ring
     if not ring.is_field:
         raise UnsupportedRing("hom search needs field coefficients")
-    vs = potential.toric_differential()
     names = potential.variables
+    candidates = (2 * exponent_bound + 1) ** len(names)
+    if candidates > HOM_SEARCH_BUDGET:
+        raise CapExceeded(
+            f"certificates: {candidates} candidate homomorphisms exceed "
+            f"the search budget of {HOM_SEARCH_BUDGET}"
+        )
+    vs = potential.toric_differential()
     span = range(-exponent_bound, exponent_bound + 1)
     for exponents in itertools.product(span, repeat=len(names)):
         hom = RingHom.from_monomials(

@@ -13,7 +13,22 @@ nonempty region is bounded iff every coordinate has both bounds), and drives
 a prefix-pruned enumeration: x_0 over its integer interval, then each x_k
 over the integers of its interval at the chosen prefix.  A recession-cone
 ray is searched for only to report an unbounded region.  An explicit search
-box may be supplied instead, and is then scanned whole.
+box may be supplied instead, and is then scanned whole.  Either way the
+enumerator examines at most `LATTICE_BUDGET` lattice points and raises
+`CapExceeded` rather than more.
+
+Constraints are primitive integer rows: a row and its constant are divided
+by the gcd of all their entries, which leaves the half-space unchanged and
+makes positive multiples of one row equal.  Each row carries the bitmask of
+input rows it was combined from, and Chernikov's rule drops a combination
+of more than k + 1 input rows after k eliminations; a row reached twice
+keeps the input rows both derivations share (Chernikov, 1965; Imbert,
+"About redundant inequalities generated by Fourier's algorithm", 1990).
+The rows dropped are implied by those kept, so every projection, every
+conditional interval and hence every class list and ray are those of the
+unpruned cascade, while the rows stay few where unpruned elimination can
+grow doubly exponentially.  Only the back-substitution of a feasible point
+(for the ray) uses `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnboundedRegion
+from .errors import CapExceeded, UnboundedRegion
 from .matrices import mat_det
 
 
@@ -120,6 +135,10 @@ class ConstraintTable:
         rows = tuple((str(label), tuple(int(x) for x in vec)) for label, vec in self.rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "maslov_vector", tuple(int(x) for x in self.maslov_vector))
+        target = Fraction(self.target_maslov)
+        if target.denominator != 1:
+            raise ValueError(f"target Maslov index must be an integer, got {self.target_maslov!r}")
+        object.__setattr__(self, "target_maslov", int(target))
         for label, vec in rows:
             if len(vec) != n:
                 raise ValueError(f"row {label!r} has length {len(vec)}, expected {n}")
@@ -153,76 +172,94 @@ class BoundednessResult:
 # ---------------------------------------------------------------------------
 # exact Fourier-Motzkin elimination (constraints are  coeffs . x + const >= 0)
 
+# Most lattice points the enumerator examines for one table: every value the
+# prefix walk tries for a coordinate counts as one, and a search box counts
+# all of its points, checked before the scan starts.
+LATTICE_BUDGET = 1_000_000
+
 
 def _normalize_constraint(coeffs, const):
-    scale = None
-    for c in coeffs:
-        if c != 0:
-            scale = abs(c)
-            break
-    if scale is None:
-        scale = abs(const) if const else Fraction(1)
-    return tuple(c / scale for c in coeffs), const / scale
+    """The primitive integer row of the same half-space: every entry divided
+    by the gcd of all of them, so positive multiples of a row coincide.  The
+    coefficients must not all be zero."""
+    g = math.gcd(const, *coeffs)
+    if g == 1:
+        return coeffs, const
+    return tuple(c // g for c in coeffs), const // g
 
 
-def _fm_eliminate_var(constraints, j):
-    """One elimination round; returns (new_constraints or None if contradiction,
-    lowers, uppers) where lowers/uppers are the constraints that bounded x_j."""
-    pos, neg, rest = [], [], []
-    for coeffs, const in constraints:
-        if coeffs[j] > 0:
-            pos.append((coeffs, const))
-        elif coeffs[j] < 0:
-            neg.append((coeffs, const))
+def _fm_eliminate_var(constraints, j, max_origins):
+    """One elimination round over `{row: origins}`, where `origins` is the
+    bitmask of input rows a row was combined from.  Returns (new constraints,
+    or None on a contradiction; pos; neg), where pos/neg are the rows that
+    bound x_j from below/above, with their origins.
+
+    Chernikov's rule drops a combination of more than `max_origins` input
+    rows.  A row reached by several combinations keeps the input rows they
+    all share: each combination is a nonnegative multiplier vector on the
+    input rows, the projection is cut out by the rows of the extreme
+    multipliers, and an extreme one after k eliminations has at most k + 1
+    input rows and is combined from two extreme ones of the round before.
+    So a row's origins stay inside the support of each of its extreme
+    multipliers, no extreme combination is ever dropped, and the projection
+    is unchanged.  (Keeping only the smaller of two origin sets loses rows:
+    the Maslov equation enters as two opposite rows, so one row often has
+    several derivations, and the smaller set need not be the one a later
+    extreme combination extends.)"""
+    pos, neg, new = [], [], {}
+    for row, origins in constraints.items():
+        c = row[0][j]
+        if c > 0:
+            pos.append((row, origins))
+        elif c < 0:
+            neg.append((row, origins))
         else:
-            rest.append((coeffs, const))
-    new = set()
-    for coeffs, const in rest:
-        if all(c == 0 for c in coeffs):
-            if const < 0:
-                return None, pos, neg
-            continue
-        new.add(_normalize_constraint(coeffs, const))
-    for (ac, a0) in pos:
-        for (bc, b0) in neg:
+            new[row] = origins
+    for (ac, a0), a_origins in pos:
+        for (bc, b0), b_origins in neg:
+            origins = a_origins | b_origins
+            if origins.bit_count() > max_origins:
+                continue
             lam, mu = -bc[j], ac[j]
             coeffs = tuple(lam * a + mu * b for a, b in zip(ac, bc))
             const = lam * a0 + mu * b0
-            if all(c == 0 for c in coeffs):
+            if not any(coeffs):
                 if const < 0:
                     return None, pos, neg
                 continue
-            new.add(_normalize_constraint(coeffs, const))
-    return list(new), pos, neg
+            row = _normalize_constraint(coeffs, const)
+            new[row] = new.get(row, origins) & origins
+    return new, pos, neg
 
 
 def _fm_cascade(constraints, nvars):
-    """One Fourier-Motzkin pass over x_{n-1}, ..., x_0.
+    """One Fourier-Motzkin pass over x_{n-1}, ..., x_0 on integer rows.
 
     Returns None when the region is empty; otherwise `rounds`, where
-    `rounds[k] = (pos, neg)` are the constraints that bound x_k from below
-    and from above given x_0..x_{k-1}.  Every point whose coordinates meet
+    `rounds[k] = (lowers, uppers)` are the constraints that bound x_k from
+    below and from above given x_0..x_{k-1}, each as `(a, (a_0..a_{k-1}), b)`
+    for `a x_k + sum a_i x_i + b >= 0`.  Every point whose coordinates meet
     their rounds' bounds in turn satisfies the input system, and every prefix
-    meeting rounds 0..k extends to a rational point of the region.  Equations
-    should be passed as inequality pairs.
+    meeting rounds 0..k extends to a rational point of the region.  Each
+    constraint is a pair (tuple of ints, int); equations should be passed as
+    inequality pairs.
     """
-    work = []
-    for coeffs, const in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        const = Fraction(const)
-        if all(c == 0 for c in coeffs):
+    work = {}
+    for i, (coeffs, const) in enumerate(constraints):
+        if not any(coeffs):
             if const < 0:
                 return None
             continue
-        work.append(_normalize_constraint(coeffs, const))
+        work.setdefault(_normalize_constraint(coeffs, const), 1 << i)
     rounds = []
-    for j in range(nvars - 1, -1, -1):
+    for eliminated, j in enumerate(range(nvars - 1, -1, -1), start=1):
         # after the last round no variable is left: `_fm_eliminate_var` has
         # already checked every constant constraint
-        work, pos, neg = _fm_eliminate_var(work, j)
+        work, pos, neg = _fm_eliminate_var(work, j, eliminated + 1)
         if work is None:
             return None
-        rounds.append((pos, neg))
+        # x_{j+1}.. are eliminated, so a round-j row is zero beyond index j
+        rounds.append(tuple([(c[j], c[:j], b) for (c, b), _ in side] for side in (pos, neg)))
     rounds.reverse()
     return rounds
 
@@ -233,37 +270,25 @@ def _fm_feasible_point(constraints, nvars):
     rounds = _fm_cascade(constraints, nvars)
     if rounds is None:
         return None
-    point = [Fraction(0)] * nvars
-    for j, (pos, neg) in enumerate(rounds):
-        lowers = []
-        uppers = []
-        for coeffs, const in pos:
-            value = -(const + sum(c * point[i] for i, c in enumerate(coeffs) if i != j))
-            lowers.append(value / coeffs[j])
-        for coeffs, const in neg:
-            value = -(const + sum(c * point[i] for i, c in enumerate(coeffs) if i != j))
-            uppers.append(value / coeffs[j])
-        if lowers and uppers:
-            lo, hi = max(lowers), min(uppers)
+    point = []
+    for lowers, uppers in rounds:
+        # a x_k + s >= 0 bounds x_k by -s / a
+        lows, highs = (
+            [Fraction(-(b + sum(c * x for c, x in zip(cs, point))), a) for a, cs, b in side]
+            for side in (lowers, uppers)
+        )
+        if lows and highs:
+            lo, hi = max(lows), min(highs)
             if lo > hi:
                 return None
-            point[j] = (lo + hi) / 2
-        elif lowers:
-            point[j] = max(lowers)
-        elif uppers:
-            point[j] = min(uppers)
+            point.append((lo + hi) / 2)
+        elif lows:
+            point.append(max(lows))
+        elif highs:
+            point.append(min(highs))
+        else:
+            point.append(Fraction(0))
     return tuple(point)
-
-
-def _integer_round(constraints, k):
-    """Round-k constraints scaled to integers, as (a_k, (a_0..a_{k-1}), b)
-    for `a_k x_k + sum a_i x_i + b >= 0`."""
-    out = []
-    for coeffs, const in constraints:
-        scale = math.lcm(const.denominator, *(c.denominator for c in coeffs[: k + 1]))
-        ints = [int(c * scale) for c in coeffs[: k + 1]]
-        out.append((ints[k], tuple(ints[:k]), int(const * scale)))
-    return out
 
 
 def _table_constraints(table: ConstraintTable, homogeneous: bool):
@@ -286,19 +311,11 @@ def _integral_ray(point) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
-    """Exact boundedness test of the solution polyhedron, read from one
-    Fourier-Motzkin cascade.
-
-    An empty region is bounded.  A nonempty one is bounded iff every round
-    of the cascade has both a lower and an upper bound on its coordinate.
-    Only when some round lacks one is a witness ray searched for: a point of
-    the recession cone {rows.y >= 0, mu.y = 0} with some y_i = +-1.
-    """
+def _recession_ray(table: ConstraintTable):
+    """A witness ray of an unbounded region, or None: the first point of the
+    recession cone {rows.y >= 0, mu.y = 0} with y_i = +1, then y_i = -1, for
+    i = 0, 1, ..., made integral and primitive."""
     n = len(table.basis.names)
-    rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
-    if rounds is None or all(pos and neg for pos, neg in rounds):
-        return BoundednessResult(True)
     cone = _table_constraints(table, homogeneous=True)
     for i in range(n):
         for sign in (1, -1):
@@ -306,8 +323,25 @@ def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
             fixed = cone + [(unit, -1), (tuple(-u for u in unit), 1)]
             point = _fm_feasible_point(fixed, n)
             if point is not None:
-                return BoundednessResult(False, _integral_ray(point))
-    return BoundednessResult(True)
+                return _integral_ray(point)
+    return None
+
+
+def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
+    """Exact boundedness test of the solution polyhedron, read from one
+    Fourier-Motzkin cascade.
+
+    An empty region is bounded.  A nonempty one is bounded iff every round
+    of the cascade has both a lower and an upper bound on its coordinate.
+    Only when some round lacks one is a witness ray searched for
+    (`_recession_ray`).
+    """
+    n = len(table.basis.names)
+    rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
+    if rounds is None or all(lowers and uppers for lowers, uppers in rounds):
+        return BoundednessResult(True)
+    ray = _recession_ray(table)
+    return BoundednessResult(ray is None, ray)
 
 
 def _normalize_bounds(bounds, n):
@@ -342,12 +376,13 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
     lexicographically.
 
     Without explicit bounds the region must be bounded; otherwise
-    `UnboundedRegion` carries the ray from `feasible_region_bounded`.  One
+    `UnboundedRegion` carries the ray `feasible_region_bounded` reports.  One
     Fourier-Motzkin cascade gives emptiness, boundedness and the enumeration:
     x_0 runs over its integer interval, then each x_k over the integers of
     its conditional interval at the current prefix, so only prefixes that
     extend to a rational solution are visited.  With bounds, the given box
-    is scanned.
+    is scanned.  Either way `CapExceeded` is raised rather than examine more
+    than `LATTICE_BUDGET` lattice points.
     """
     n = len(table.basis.names)
     boxes = _normalize_bounds(bounds, n)
@@ -360,6 +395,12 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
         )
 
     if boxes is not None:
+        size = math.prod(hi - lo + 1 for lo, hi in boxes)
+        if size > LATTICE_BUDGET:
+            raise CapExceeded(
+                f"discs: the search box holds {size} points, "
+                f"over the lattice budget of {LATTICE_BUDGET}"
+            )
         found = [
             DiscClass(x, table.basis.boundary_of(x))
             for x in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes))
@@ -371,25 +412,29 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
     rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
     if rounds is None:
         return []
-    if not all(pos and neg for pos, neg in rounds):
-        raise UnboundedRegion(feasible_region_bounded(table).ray)
-    scaled = [
-        (_integer_round(pos, k), _integer_round(neg, k)) for k, (pos, neg) in enumerate(rounds)
-    ]
+    if not all(lowers and uppers for lowers, uppers in rounds):
+        raise UnboundedRegion(_recession_ray(table))
     found = []
     prefix = []
+    visited = 0
 
     def extend():
+        nonlocal visited
         k = len(prefix)
         if k == n:
             if accepts(prefix):
                 x = tuple(prefix)
                 found.append(DiscClass(x, table.basis.boundary_of(x)))
             return
-        lowers, uppers = scaled[k]
+        lowers, uppers = rounds[k]
         # a x_k + s >= 0: x_k >= ceil(-s / a) if a > 0, x_k <= floor(s / -a) if a < 0
         lo = max(-((b + sum(c * x for c, x in zip(cs, prefix))) // a) for a, cs, b in lowers)
         hi = min((b + sum(c * x for c, x in zip(cs, prefix))) // -a for a, cs, b in uppers)
+        visited += max(0, hi - lo + 1)
+        if visited > LATTICE_BUDGET:
+            raise CapExceeded(
+                f"discs: the prefix walk exceeds the lattice budget of {LATTICE_BUDGET} points"
+            )
         for value in range(lo, hi + 1):
             prefix.append(value)
             extend()

@@ -67,7 +67,11 @@ class RootedTree:
 
     @property
     def vertex_count(self) -> int:
-        return 1 + sum(c.vertex_count for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def __str__(self) -> str:
         return print_tree(self)
@@ -210,11 +214,13 @@ def is_isomorphic(f1, f2) -> bool:
 def is_ample(tree: RootedTree) -> bool:
     """True for the single point, and for trees with root valency >= 2 whose
     other internal vertices have valency >= 3 (the parent edge counts)."""
-    if tree.is_leaf:
-        return True
-    if len(tree.children) < 2:
-        return False
-    return all(is_ample(c) for c in tree.children)
+    stack = [tree]
+    while stack:
+        children = stack.pop().children
+        if len(children) == 1:
+            return False
+        stack.extend(children)
+    return True
 
 
 # ---------------------------------------------------------------------------

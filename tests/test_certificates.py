@@ -16,6 +16,7 @@ from twistkit.certificates import (
 )
 from twistkit.discs import DiscClass, HomologyBasis, enumerate_candidate_classes
 from twistkit.errors import (
+    CapExceeded,
     InconclusiveCertificate,
     NonGenericHom,
     UnsupportedRing,
@@ -405,6 +406,15 @@ def test_hom_search_finds_a_proper_collapse():
     assert hom is not None
     images = [hom.apply(v) for v in pot.toric_differential()]
     assert not ideal_contains_one(images).contains_one
+
+
+def test_hom_search_over_budget_raises_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(certificates, "ideal_contains_one", no_search)
+    with pytest.raises(CapExceeded, match="budget of 10000"):
+        search_h0_hom(theta_potential(), exponent_bound=12)  # 25^4 candidates
 
 
 def test_report_serialization_is_self_consistent():

@@ -215,6 +215,20 @@ def test_classes_from_problem_file_with_bounds(tmp_path):
     assert payload["count"] == 5
 
 
+def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
+    assert main(["classes", "--preset", "theta_s2xs2", "--bounds=-20,20"]) == 2
+    assert capsys.readouterr().out.startswith("error: CapExceeded: discs: ")
+    # x_1 = 1 and 0 <= x_0 <= 10^9: bounded, but the walk alone is too long
+    data = {"basis": ["X", "Y"], "boundary": [[1, 0], [0, 1]],
+            "rows": [{"label": "lo", "v": [1, 0]}, {"label": "hi", "v": [-1, 10**9]}],
+            "maslov": [0, 2]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
+    assert code == 2
+    assert rendered.startswith("error: CapExceeded: discs: "), rendered
+
+
 def test_malformed_bounds_in_problem_file_exit_two(tmp_path):
     data = table_to_json(theta_constraint_table())
     path = tmp_path / "problem.json"

@@ -7,13 +7,15 @@ import pytest
 
 from twistkit.discs import (
     ConstraintTable,
+    DiscClass,
     HomologyBasis,
     enumerate_candidate_classes,
     feasible_region_bounded,
     table_from_json,
     table_to_json,
 )
-from twistkit.errors import UnboundedRegion
+from twistkit import discs
+from twistkit.errors import CapExceeded, UnboundedRegion
 from twistkit.presets import theta_constraint_table
 
 THETA_CLASSES = {
@@ -181,6 +183,31 @@ def test_bounds_given_as_per_coordinate_pairs():
     boxes = [(-4, 2), (-2, 2), (0, 2), (0, 2)]
     got = {c.coefficients for c in enumerate_candidate_classes(table, bounds=boxes)}
     assert got == THETA_CLASSES
+
+
+def huge_interval_table(width):
+    """x_1 = 1 and 0 <= x_0 <= width: the walk tries width + 1 values of x_0
+    and one value of x_1 after each."""
+    return ConstraintTable(
+        basis=plain_basis(2),
+        rows=(("lo", (1, 0)), ("hi", (-1, width))),
+        maslov_vector=(0, 2),
+        target_maslov=2,
+    )
+
+
+def test_lattice_walk_and_box_scan_stop_at_the_budget(monkeypatch):
+    with pytest.raises(CapExceeded, match="discs: .* budget of 1000000"):
+        enumerate_candidate_classes(huge_interval_table(10**9))
+    with pytest.raises(CapExceeded, match="discs: .*2825761 points.* budget of 1000000"):
+        enumerate_candidate_classes(theta_constraint_table(), bounds=(-20, 20))
+    monkeypatch.setattr(discs, "LATTICE_BUDGET", 10)
+    assert len(enumerate_candidate_classes(huge_interval_table(4))) == 5  # 10 points
+    with pytest.raises(CapExceeded):
+        enumerate_candidate_classes(huge_interval_table(5))
+    assert len(enumerate_candidate_classes(huge_interval_table(9), bounds=[(0, 4), (0, 1)])) == 5
+    with pytest.raises(CapExceeded):
+        enumerate_candidate_classes(huge_interval_table(9), bounds=[(0, 4), (0, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +518,307 @@ def test_boundedness_and_rays_match_the_reference():
 
 
 # ---------------------------------------------------------------------------
+# the integer, Chernikov-pruned cascade against a copy of the Fraction one
+#
+# The reference is the cascade as it was before rows became primitive integer
+# rows and Chernikov's rule pruned them: every constraint is kept as
+# `fractions.Fraction`s scaled so its first nonzero coefficient is +-1, every
+# pairwise combination survives but exact duplicates, and boundedness,
+# the 2n recession-cone ray search and the prefix walk each run their own
+# cascade.
+
+
+def ref_normalize_constraint(coeffs, const):
+    scale = None
+    for c in coeffs:
+        if c != 0:
+            scale = abs(c)
+            break
+    if scale is None:
+        scale = abs(const) if const else Fraction(1)
+    return tuple(c / scale for c in coeffs), const / scale
+
+
+def ref_fm_eliminate_var(constraints, j):
+    pos, neg, rest = [], [], []
+    for coeffs, const in constraints:
+        if coeffs[j] > 0:
+            pos.append((coeffs, const))
+        elif coeffs[j] < 0:
+            neg.append((coeffs, const))
+        else:
+            rest.append((coeffs, const))
+    new = set()
+    for coeffs, const in rest:
+        if all(c == 0 for c in coeffs):
+            if const < 0:
+                return None, pos, neg
+            continue
+        new.add(ref_normalize_constraint(coeffs, const))
+    for (ac, a0) in pos:
+        for (bc, b0) in neg:
+            lam, mu = -bc[j], ac[j]
+            coeffs = tuple(lam * a + mu * b for a, b in zip(ac, bc))
+            const = lam * a0 + mu * b0
+            if all(c == 0 for c in coeffs):
+                if const < 0:
+                    return None, pos, neg
+                continue
+            new.add(ref_normalize_constraint(coeffs, const))
+    return list(new), pos, neg
+
+
+def ref_fm_cascade(constraints, nvars):
+    work = []
+    for coeffs, const in constraints:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        const = Fraction(const)
+        if all(c == 0 for c in coeffs):
+            if const < 0:
+                return None
+            continue
+        work.append(ref_normalize_constraint(coeffs, const))
+    rounds = []
+    for j in range(nvars - 1, -1, -1):
+        work, pos, neg = ref_fm_eliminate_var(work, j)
+        if work is None:
+            return None
+        rounds.append((pos, neg))
+    rounds.reverse()
+    return rounds
+
+
+def ref_fm_feasible_point(constraints, nvars):
+    rounds = ref_fm_cascade(constraints, nvars)
+    if rounds is None:
+        return None
+    point = [Fraction(0)] * nvars
+    for j, (pos, neg) in enumerate(rounds):
+        lowers = []
+        uppers = []
+        for coeffs, const in pos:
+            value = -(const + sum(c * point[i] for i, c in enumerate(coeffs) if i != j))
+            lowers.append(value / coeffs[j])
+        for coeffs, const in neg:
+            value = -(const + sum(c * point[i] for i, c in enumerate(coeffs) if i != j))
+            uppers.append(value / coeffs[j])
+        if lowers and uppers:
+            lo, hi = max(lowers), min(uppers)
+            if lo > hi:
+                return None
+            point[j] = (lo + hi) / 2
+        elif lowers:
+            point[j] = max(lowers)
+        elif uppers:
+            point[j] = min(uppers)
+    return tuple(point)
+
+
+def ref_table_constraints(table, homogeneous):
+    out = [(vec, 0) for _, vec in table.rows]
+    target = 0 if homogeneous else -table.target_maslov
+    out.append((table.maslov_vector, target))
+    out.append((tuple(-m for m in table.maslov_vector), -target))
+    return out
+
+
+def cascade_reference_bounded(table):
+    """(bounded, ray): the cascade's verdict, then the 2n eliminations on the
+    recession cone with one coordinate fixed to +-1, first hit wins."""
+    n = len(table.basis.names)
+    rounds = ref_fm_cascade(ref_table_constraints(table, homogeneous=False), n)
+    if rounds is None or all(pos and neg for pos, neg in rounds):
+        return True, None
+    cone = ref_table_constraints(table, homogeneous=True)
+    for i in range(n):
+        for sign in (1, -1):
+            unit = tuple(int(k == i) * sign for k in range(n))
+            point = ref_fm_feasible_point(cone + [(unit, -1), (tuple(-u for u in unit), 1)], n)
+            if point is not None:
+                scale = math.lcm(*(x.denominator for x in point))
+                ints = [int(x * scale) for x in point]
+                g = math.gcd(*ints)
+                return False, tuple(v // g for v in ints)
+    return True, None
+
+
+def reference_classes(table):
+    """The classes in walk order, raising `UnboundedRegion` with
+    `cascade_reference_bounded`'s ray."""
+    n = len(table.basis.names)
+    rounds = ref_fm_cascade(ref_table_constraints(table, homogeneous=False), n)
+    if rounds is None:
+        return []
+    if not all(pos and neg for pos, neg in rounds):
+        raise UnboundedRegion(cascade_reference_bounded(table)[1])
+
+    def integer_round(constraints, k):
+        out = []
+        for coeffs, const in constraints:
+            scale = math.lcm(const.denominator, *(c.denominator for c in coeffs[: k + 1]))
+            ints = [int(c * scale) for c in coeffs[: k + 1]]
+            out.append((ints[k], tuple(ints[:k]), int(const * scale)))
+        return out
+
+    scaled = [(integer_round(pos, k), integer_round(neg, k)) for k, (pos, neg) in enumerate(rounds)]
+    rows = [vec for _, vec in table.rows]
+    found, prefix = [], []
+
+    def extend():
+        k = len(prefix)
+        if k == n:
+            x = tuple(prefix)
+            mu_x = sum(m * c for m, c in zip(table.maslov_vector, x))
+            if mu_x == table.target_maslov and all(
+                sum(r * c for r, c in zip(vec, x)) >= 0 for vec in rows
+            ):
+                found.append(DiscClass(x, table.basis.boundary_of(x)))
+            return
+        lowers, uppers = scaled[k]
+        lo = max(-((b + sum(c * x for c, x in zip(cs, prefix))) // a) for a, cs, b in lowers)
+        hi = min((b + sum(c * x for c, x in zip(cs, prefix))) // -a for a, cs, b in uppers)
+        for value in range(lo, hi + 1):
+            prefix.append(value)
+            extend()
+            prefix.pop()
+
+    extend()
+    return found
+
+
+def outcome(enumerate_classes, table):
+    """A table's class list, or the message of the error it raises."""
+    try:
+        return enumerate_classes(table)
+    except UnboundedRegion as exc:
+        return f"UnboundedRegion: {exc}"
+
+
+def test_classes_and_errors_match_the_fraction_reference():
+    rng = random.Random(6006)
+    tables = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        tables.append(random_table(rng, n=n, n_rows=rng.randint(n, n + 4)))
+    for symbols in ("T", "CC"):
+        base = product_table(symbols)[0]
+        for _ in range(10):
+            table = recoordinatise(base, rng, 2)[0]
+            rows = list(table.rows)
+            tables.append(ConstraintTable(table.basis, tuple(rows[1:]), table.maslov_vector))
+            tables.append(table)
+    seen = {"classes": 0, "empty": 0, "unbounded": 0}
+    for table in tables:
+        got = outcome(enumerate_candidate_classes, table)
+        assert got == outcome(reference_classes, table)
+        result = feasible_region_bounded(table)
+        assert (result.bounded, result.ray) == cascade_reference_bounded(table)
+        assert (result.bounded, result.ray) == reference_bounded(table)
+        kind = "unbounded" if isinstance(got, str) else "classes" if got else "empty"
+        seen[kind] += 1
+    assert min(seen.values()) > 30
+
+
+def test_five_variable_blowup_table_matches_the_fraction_reference():
+    # 5 variables and 8 rows, unbounded: unpruned, the region's cascade keeps
+    # 10 -> 18 -> 41 -> 95 -> 1231 constraints over its rounds, pruned
+    # 10 -> 18 -> 16 -> 10 -> 7, and the ray comes from the cone cascades
+    table = random_table(random.Random(5), n=5, n_rows=8)
+    assert outcome(enumerate_candidate_classes, table) == outcome(reference_classes, table)
+    result = feasible_region_bounded(table)
+    assert (result.bounded, result.ray) == cascade_reference_bounded(table)
+
+
+def round_interval(lowers, uppers, prefix):
+    """x_k's interval at `prefix` from rows `a x_k + cs . prefix + b >= 0`;
+    None for a missing end."""
+    ends = [
+        [Fraction(-(b + sum(c * x for c, x in zip(cs, prefix))), a) for a, cs, b in side]
+        for side in (lowers, uppers)
+    ]
+    return max(ends[0], default=None), min(ends[1], default=None)
+
+
+def ref_round_interval(pos, neg, prefix):
+    k = len(prefix)
+    return round_interval(
+        *([(coeffs[k], coeffs[:k], const) for coeffs, const in side] for side in (pos, neg)),
+        prefix,
+    )
+
+
+def test_pruned_cascade_has_the_projections_of_the_unpruned_one():
+    # Systems shaped like a ray search's: rows with entries in {-1, 0, 1},
+    # the Maslov equation and one coordinate fixed to +-1, each equation as
+    # two opposite rows, so one row is often reached by several combinations
+    # of different input rows and the origins it keeps decide which later
+    # combinations Chernikov's rule drops.  At prefixes drawn from the
+    # reference's projections, x_k's interval must be the same.
+    rng = random.Random(7)
+    for _ in range(250):
+        n = rng.randint(3, 5)
+        system = [
+            (tuple(rng.randint(-1, 1) for _ in range(n)), 0) for _ in range(rng.randint(n, n + 3))
+        ]
+        mu = tuple(rng.choice([-2, 0, 2]) for _ in range(n))
+        i, sign = rng.randrange(n), rng.choice([1, -1])
+        unit = tuple(sign * int(k == i) for k in range(n))
+        system += [(mu, 0), (tuple(-m for m in mu), 0), (unit, -1), (tuple(-u for u in unit), 1)]
+        rounds, ref = discs._fm_cascade(system, n), ref_fm_cascade(system, n)
+        assert (rounds is None) == (ref is None)
+        if ref is None:
+            continue
+        for _ in range(8):
+            prefix = []
+            for k in range(n):
+                lo, hi = ref_round_interval(*ref[k], prefix)
+                assert round_interval(*rounds[k], prefix) == (lo, hi)
+                ends = [x for x in (lo, hi) if x is not None]
+                if lo is not None and hi is not None:
+                    ends.append((lo + hi) / 2)
+                prefix.append(rng.choice(ends) if ends else Fraction(rng.randint(-2, 2)))
+
+
+# 4 variables, entries in {-1, 0, 1}, all bounded.  Keeping for a row
+# reached twice anything but the origins its derivations share (the smaller
+# origin set, the larger, the first, the last or their union) loses a row
+# the projection needs on at least one of these, and the region is called
+# unbounded or its classes come out wrong.
+SHARED_ORIGIN_TABLES = [
+    (
+        ((-1, 1, -1, -1), (-1, -1, 0, 1), (-1, -1, 1, 1), (1, -1, -1, -1), (1, 1, 1, -1)),
+        (-2, -2, 2, 0),
+        [(-1, 0, 0, -1), (0, -1, 0, -1)],
+    ),
+    (
+        ((0, 0, 0, -1), (0, -1, 1, 0), (0, 0, 1, -1), (1, -1, 0, 1),
+         (0, -1, -1, -1), (0, 0, 1, 1), (-1, -1, 0, 1), (0, 1, 1, 0)),
+        (0, 0, 2, -2),
+        [(-1, -1, 1, 0), (0, -1, 1, 0), (1, -1, 1, 0)],
+    ),
+    (
+        ((0, 0, 0, 1), (1, 1, -1, 0), (1, 1, -1, 1), (0, 1, -1, -1), (-1, -1, 1, 1), (0, 0, 1, -1)),
+        (0, -2, 0, -2),
+        [],
+    ),
+    (
+        ((1, 0, 1, 0), (1, 1, -1, 0), (1, 0, -1, 0), (-1, 0, 1, 1),
+         (-1, 1, 1, -1), (1, -1, -1, 0), (1, -1, -1, -1)),
+        (0, 2, 0, 2),
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, maslov, expected", SHARED_ORIGIN_TABLES)
+def test_rows_reached_twice_keep_the_origins_their_derivations_share(rows, maslov, expected):
+    table = ConstraintTable(plain_basis(4), tuple((f"r{i}", v) for i, v in enumerate(rows)), maslov)
+    got = [c.coefficients for c in enumerate_candidate_classes(table)]
+    assert got == expected == box_scan_oracle(table, (-3, 3))
+    assert feasible_region_bounded(table).bounded
+
+
+# ---------------------------------------------------------------------------
 # validation and serialization
 
 
@@ -510,6 +838,17 @@ def test_odd_maslov_warns_but_does_not_reject():
         ConstraintTable(
             basis=plain_basis(1), rows=(), maslov_vector=(1,), target_maslov=2
         )
+
+
+def test_integral_target_is_stored_as_int_and_a_fractional_one_rejected():
+    rows = (("a", (1, 0)), ("b", (0, 1)))
+    for target in (2.0, Fraction(2), 2):
+        table = ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=target)
+        assert type(table.target_maslov) is int
+        got = [c.coefficients for c in enumerate_candidate_classes(table)]
+        assert got == [(0, 1), (1, 0)]
+    with pytest.raises(ValueError, match="must be an integer"):
+        ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=Fraction(5, 2))
 
 
 def test_table_json_roundtrip():

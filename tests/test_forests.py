@@ -577,3 +577,10 @@ def test_deep_word_builds_without_recursion():
         key = "(" + key + ",())"  # "((" sorts before "()"
     assert canonical_form(tree) == key
     assert is_isomorphic(tree, tree)
+    assert is_ample(tree)
+    assert tree.vertex_count == 1500 + 1501
+    unary = RootedTree((LEAF,))
+    for _ in range(1500):
+        unary = RootedTree((LEAF, unary))
+    assert not is_ample(unary)  # the one unary vertex is the deepest
+    assert unary.vertex_count == 2 * 1500 + 2
