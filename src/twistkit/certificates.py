@@ -19,7 +19,9 @@ Both checks produce explicit, re-checkable witnesses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, InconclusiveCertificate, NonGenericHom, UnsupportedRing
 from .groebner import (
@@ -49,7 +51,10 @@ class IdealMembershipResult:
 
     contains_one: bool
     method: str  # "gcd" (univariate) or "groebner"
-    generators: tuple[LaurentPoly, ...]  # reduced description of the ideal
+    # reduced description of the ideal: the gcd (univariate), or the reduced
+    # bases of its variable-disjoint blocks in block order, each in its own
+    # ring with the auxiliary variable last (see `_localized_blocks`)
+    generators: tuple[LaurentPoly, ...]
     cofactors: tuple[LaurentPoly, ...] | None = None  # witness: sum c_i g_i = 1
 
     def __bool__(self):
@@ -71,15 +76,93 @@ def _fresh_name(base: str, taken) -> str:
     return f"{base}{i}"
 
 
+class _Block(NamedTuple):
+    """One block of a localized ideal: generators sharing no variable with
+    the other blocks' generators."""
+
+    indices: tuple[int, ...]  # positions of the block's generators
+    variables: tuple[str, ...]  # its ring variables; the auxiliary one follows in `basis`
+    basis: list[LaurentPoly]  # reduced, in the ring of `variables` plus the auxiliary one
+    cofactors: list[list[LaurentPoly]] | None  # per basis element; the relation's comes last
+
+
+def _localized_blocks(polys, with_cofactors=False) -> list[_Block]:
+    """Reduced Groebner bases of the Laurent ideal generated by `polys`
+    (nonzero, without monomial factors), one per block of generators.
+
+    Generators that share a variable are joined (union-find over their
+    supports); blocks come in the order of their first generator.  Each block
+    is localized on its own: its generators are restricted to the block's
+    variables, and an auxiliary variable w_j, ordered last, enters through
+    the relation w_j * prod(block variables) - 1.  Over a field the Laurent
+    quotient by the whole ideal is the tensor product of the block
+    quotients, so 1 lies in the ideal iff it lies in some block, and the
+    quotient dimension is the product of the block dimensions once every
+    ring variable appears in some generator.
+
+    A single block keeps every ring variable and the auxiliary name "w";
+    the blocks of a split are named "w1", "w2", ..., each fresh against the
+    ring's variables.
+    """
+    ring = polys[0].ring
+    variables = polys[0].variables
+    supports = [{k for exps in p.terms for k, e in enumerate(exps) if e} for p in polys]
+    parent = list(range(len(polys)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}  # variable index -> first generator using it
+    for i, support in enumerate(supports):
+        for k in support:
+            parent[find(i)] = find(owner.setdefault(k, i))
+    groups: dict[int, list[int]] = {}
+    for i in range(len(polys)):
+        groups.setdefault(find(i), []).append(i)
+
+    if len(groups) == 1:
+        parts = [(range(len(polys)), range(len(variables)), _fresh_name("w", variables))]
+    else:
+        parts = []
+        for j, indices in enumerate(groups.values(), start=1):
+            ks = sorted(set().union(*(supports[i] for i in indices)))
+            parts.append((indices, ks, _fresh_name(f"w{j}", variables)))
+    blocks = []
+    for indices, ks, aux in parts:
+        ext_vars = tuple(variables[k] for k in ks) + (aux,)
+        ext_gens = [
+            LaurentPoly(
+                ring,
+                ext_vars,
+                {tuple(exps[k] for k in ks) + (0,): c for exps, c in polys[i].terms.items()},
+            )
+            for i in indices
+        ]
+        relation = LaurentPoly(
+            ring,
+            ext_vars,
+            {(1,) * len(ext_vars): ring.one, (0,) * len(ext_vars): ring.neg(ring.one)},
+        )
+        result = groebner_basis(ext_gens + [relation], with_cofactors=with_cofactors)
+        basis, cofactors = result if with_cofactors else (result, None)
+        blocks.append(_Block(tuple(indices), ext_vars[:-1], basis, cofactors))
+    return blocks
+
+
 def ideal_contains_one(gens) -> IdealMembershipResult:
     """Decide whether 1 lies in the Laurent ideal generated by `gens`.
 
     Univariate: monomial factors are stripped and a gcd is computed; the
-    ideal is the whole ring iff the gcd is constant.  Multivariate: a
-    Buchberger basis is computed after inverting the variables through one
-    auxiliary generator (degrevlex, auxiliary last).  When 1 is in the
-    ideal a cofactor certificate over the original generators is returned
-    and re-verified before reporting.
+    ideal is the whole ring iff the gcd is constant.  Multivariate: the
+    generators are split into blocks in disjoint variables, and each block
+    gets a Buchberger basis after inverting its variables through its own
+    auxiliary generator (degrevlex, auxiliary last); 1 is in the ideal iff
+    it is in some block.  When 1 is in the ideal that block's cofactor
+    certificate, padded with zeros, is returned over the original
+    generators and re-verified before reporting.
     """
     gens = list(gens)
     if not gens:
@@ -114,38 +197,29 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
             cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs)
         return IdealMembershipResult(unit, "gcd", (gcd,), cofactors)
 
-    aux = _fresh_name("w", variables)
-    ext_vars = variables + (aux,)
-    lift = RingHom(
-        ring,
-        ext_vars,
-        {v: LaurentPoly.var(ring, ext_vars, v) for v in variables},
-    )
-    ext_gens = [lift.apply(g) for g in stripped]
-    relation = LaurentPoly(
-        ring,
-        ext_vars,
-        {
-            tuple([1] * len(variables) + [1]): ring.one,
-            (0,) * len(ext_vars): ring.neg(ring.one),
-        },
-    )
-    basis, cofs = groebner_basis(ext_gens + [relation], with_cofactors=True)
-    one_in = contains_constant(basis)
-    cofactors = None
-    if one_in:
-        idx = 0  # the constant element is the whole reduced basis
-        drop_aux = RingHom(
-            ring,
-            variables,
-            {
-                **{v: LaurentPoly.var(ring, variables, v) for v in variables},
-                aux: LaurentPoly.monomial(ring, variables, (-1,) * len(variables)),
-            },
-        )
-        back = [drop_aux.apply(c) for c in cofs[idx][:-1]]  # relation cofactor vanishes
-        cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back)
-    return IdealMembershipResult(one_in, "groebner", tuple(basis), cofactors)
+    blocks = _localized_blocks(stripped, with_cofactors=True)
+    basis = tuple(g for block in blocks for g in block.basis)
+    for block in blocks:
+        if contains_constant(block.basis):
+            aux = block.basis[0].variables[-1]
+            drop_aux = RingHom(
+                ring,
+                variables,
+                {
+                    **{v: LaurentPoly.var(ring, variables, v) for v in block.variables},
+                    aux: LaurentPoly.monomial(
+                        ring, variables, [-1 if v in block.variables else 0 for v in variables]
+                    ),
+                },
+            )
+            back = [LaurentPoly.zero(ring, variables)] * len(stripped)
+            # zip drops the relation's cofactor, which comes last: drop_aux
+            # sends the relation to zero
+            for i, c in zip(block.indices, block.cofactors[0]):
+                back[i] = drop_aux.apply(c)
+            cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back)
+            return IdealMembershipResult(True, "groebner", basis, cofactors)
+    return IdealMembershipResult(False, "groebner", basis)
 
 
 def _assemble_cofactors(gens, nonzero_indices, shifts, cofs):
@@ -186,8 +260,9 @@ def regular_sequence_check(u_img: LaurentPoly) -> RegularityResult:
 
     Criterion: no derivative vanishes identically, and the ideal they
     generate has a finite-dimensional quotient in the Laurent ring (computed
-    by a Groebner basis after inverting the variables).  Rational
-    coefficients only.
+    by a Groebner basis per variable-disjoint block after inverting the
+    block's variables; the dimension is the product over the blocks).
+    Rational coefficients only.
     """
     if u_img.ring is not RATIONAL:
         raise UnsupportedRing("regularity certificates require Rational coefficients")
@@ -196,24 +271,15 @@ def regular_sequence_check(u_img: LaurentPoly) -> RegularityResult:
     zero_dirs = tuple(v for v, p in zip(variables, vs) if p.is_zero)
     if zero_dirs:
         return RegularityResult(False, None, zero_dirs)
-    stripped = [_strip_units(v)[0] for v in vs]
-    aux = _fresh_name("w", variables)
-    ext_vars = variables + (aux,)
-    lift = RingHom(
-        RATIONAL,
-        ext_vars,
-        {v: LaurentPoly.var(RATIONAL, ext_vars, v) for v in variables},
-    )
-    relation = LaurentPoly(
-        RATIONAL,
-        ext_vars,
-        {tuple([1] * len(variables) + [1]): 1, (0,) * len(ext_vars): -1},
-    )
-    basis = groebner_basis([lift.apply(p) for p in stripped] + [relation])
-    monomials = standard_monomials(basis)
-    if monomials is None:
+    blocks = _localized_blocks([_strip_units(v)[0] for v in vs])
+    monomials = [standard_monomials(block.basis) for block in blocks]
+    if [] in monomials:  # some block contains 1
+        return RegularityResult(True, 0, ())
+    # infinite if a block is, or if some variable is in no generator (it
+    # stays free; only a split leaves one out of every block)
+    if None in monomials or sum(len(b.variables) for b in blocks) < len(variables):
         return RegularityResult(False, None, ())
-    return RegularityResult(True, len(monomials), ())
+    return RegularityResult(True, math.prod(map(len, monomials)), ())
 
 
 def validate_regularity_hom(potential: Potential, hom: RingHom):

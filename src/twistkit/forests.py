@@ -45,6 +45,8 @@ class RootedTree:
     The single-vertex tree stands for the plain circle factor.  Equality,
     hashing and repr see `children` only; `canonical_key` (the string of
     `canonical_form`) and `leaf_count` are derived from it on construction.
+    Equality, hash and repr are those a dataclass generates, computed over an
+    explicit stack, so that depth is unbounded.
     """
 
     children: tuple["RootedTree", ...] = ()
@@ -75,6 +77,68 @@ class RootedTree:
 
     def __str__(self) -> str:
         return print_tree(self)
+
+    def __repr__(self) -> str:
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            kids = item.children
+            out.append(f"{type(item).__qualname__}(children=(")
+            stack.append(",))" if len(kids) == 1 else "))")
+            for k, child in enumerate(reversed(kids)):
+                if k:
+                    stack.append(", ")
+                stack.append(child)
+        return "".join(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # hash((children,)), each child's hash taken bottom-up and passed
+        # into the tuple hash through _Hashed; shared subtrees count once
+        hashes = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in hashes:
+                stack.pop()
+                continue
+            todo = [c for c in node.children if id(c) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            kids = hash(tuple(_Hashed(hashes[id(c)]) for c in node.children))
+            hashes[id(node)] = hash((_Hashed(kids),))
+        return hashes[id(self)]
+
+
+class _Hashed:
+    """Hashes to a given value, so a tuple of these hashes like a tuple of
+    the objects whose hashes they carry."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 LEAF = RootedTree()
@@ -407,19 +471,25 @@ class _Parser:
         return TwistWord(tuple(steps))
 
     def tree(self) -> RootedTree:
-        self._skip_ws()
-        if self.try_eat("L") or self.try_eat("point"):
-            return LEAF
-        if self.try_eat("("):
-            children = [self.tree()]
-            while True:
+        open_children: list[list[RootedTree]] = []  # one list per open "("
+        while True:
+            self._skip_ws()
+            if self.try_eat("("):
+                open_children.append([])
+                continue
+            if not (self.try_eat("L") or self.try_eat("point")):
+                self.error({"L", "point", "("})
+            node = LEAF
+            while open_children:
+                open_children[-1].append(node)
                 self._skip_ws()
-                if self.try_eat(")"):
-                    return RootedTree(tuple(children))
-                if self.peek() in ("", "*"):
-                    self.error({")", "L", "point", "("})
-                children.append(self.tree())
-        self.error({"L", "point", "("})
+                if not self.try_eat(")"):
+                    if self.peek() in ("", "*"):
+                        self.error({")", "L", "point", "("})
+                    break
+                node = RootedTree(tuple(open_children.pop()))
+            else:
+                return node
 
     def forest(self) -> RootedForest:
         trees = [self.factor()]

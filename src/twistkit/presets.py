@@ -3,10 +3,12 @@
 The `theta_s2xs2` preset is the two-dimensional twist torus inside the
 product of two spheres of area 2: five holomorphic cycles give the
 intersection rows, the Maslov row has target 2, and the five candidate
-classes all carry a unique disc, so the potential is their plain sum.  The
-germ presets are the product-torus germ (four covectors), the twist-torus
-germ (three covectors), and the germ of the displaceable nearby torus (one
-covector, with an area offset parameter).
+classes all carry a unique disc, so the potential is their plain sum.
+`product_bundle` builds the product tori theta^a x C^b from the theta table
+and the table of the equator circle C in one sphere.  The germ presets are
+the product-torus germ (four covectors), the twist-torus germ (three
+covectors), and the germ of the displaceable nearby torus (one covector,
+with an area offset parameter).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import CertificateReport, certify_nondisplaceable
-from .discs import ConstraintTable, HomologyBasis, enumerate_candidate_classes
+from .discs import ConstraintTable, DiscClass, HomologyBasis, enumerate_candidate_classes
 from .germs import Germ
 from .laurent import GF2, RATIONAL, CoefficientRing, RingHom
 from .pearl import Potential
@@ -90,6 +92,11 @@ class PotentialPreset:
     regularity_hom: RingHom
     collapse_hom: RingHom
 
+    @property
+    def classes(self) -> tuple[DiscClass, ...]:
+        """The disc classes whose monomials make up the potential."""
+        return tuple(cls for cls, _ in self.potential.provenance)
+
     def certify(self, **kwargs) -> CertificateReport:
         return certify_nondisplaceable(
             self.potential,
@@ -107,6 +114,80 @@ def theta_bundle() -> PotentialPreset:
         h0_hom=theta_h0_hom(),
         regularity_hom=theta_regularity_hom(),
         collapse_hom=theta_maslov_collapse_hom(),
+    )
+
+
+def circle_constraint_table() -> ConstraintTable:
+    """The equator C of a sphere of area 2: disc D (a hemisphere) and the
+    sphere S, intersection rows against the two poles, plus the Maslov row.
+    Its candidate classes are the two hemispheres, D and S - D."""
+    return ConstraintTable(
+        basis=HomologyBasis(
+            names=("D", "S"), boundary_matrix=((1, 0),), n_torus_rank=1, ring_names=("R", "S")
+        ),
+        rows=(("0", (1, 1)), ("inf", (0, 1))),
+        maslov_vector=(2, 4),
+        target_maslov=2,
+    )
+
+
+def product_bundle(a: int, b: int) -> PotentialPreset:
+    """The product torus theta^a x C^b in (S2 x S2)^a x (S2)^b.
+
+    Factor i (theta factors first) contributes its table as one diagonal
+    block: its generator, ring and row names get the suffix _i, and its
+    rows, boundary rows and candidate classes are padded with zeros outside
+    the block.  The product's candidate classes are exactly the padded
+    factor classes, each carrying one disc, so the potential is their sum.
+    The H0 homomorphism is the identity; the regularity homomorphism sends
+    the carrying generators to z1, z2, ... in order and the sphere
+    generators to 1; the collapse sends each generator to t^(Maslov index
+    / 2), as `theta_maslov_collapse_hom` does for theta.
+    """
+    if a < 0 or b < 0 or a + b == 0:
+        raise ValueError(f"theta^{a} x C^{b} needs nonnegative counts and one factor")
+    theta, circle = (
+        (t, enumerate_candidate_classes(t))
+        for t in (theta_constraint_table(), circle_constraint_table())
+    )
+    factors = [theta] * a + [circle] * b
+    width = sum(len(t.basis.names) for t, _ in factors)
+    names, ring_names, boundary, rows, maslov, classes = [], [], [], [], [], []
+    for i, (t, factor_classes) in enumerate(factors, start=1):
+        before = len(names)
+        after = width - before - len(t.basis.names)
+
+        def pad(vec):
+            return (0,) * before + tuple(vec) + (0,) * after
+
+        names += [f"{name}_{i}" for name in t.basis.names]
+        ring_names += [f"{name}_{i}" for name in t.basis.ring_names]
+        boundary += [pad(row) for row in t.basis.boundary_matrix]
+        rows += [(f"{label}_{i}", pad(vec)) for label, vec in t.rows]
+        maslov += t.maslov_vector
+        classes += [pad(c.coefficients) for c in factor_classes]
+    basis = HomologyBasis(
+        names=tuple(names),
+        boundary_matrix=tuple(boundary),
+        n_torus_rank=len(boundary),
+        ring_names=tuple(ring_names),
+    )
+    carriers = basis.boundary_indices
+    return PotentialPreset(
+        name=f"theta^{a} x C^{b}",
+        table=ConstraintTable(basis, tuple(rows), tuple(maslov), 2),
+        potential=Potential(
+            GF2, basis, [(DiscClass(c, basis.boundary_of(c)), 1) for c in classes]
+        ),
+        h0_hom=RingHom.identity(GF2, basis.ring_names),
+        regularity_hom=RingHom.from_monomials(
+            RATIONAL,
+            tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
+            {name: tuple(int(j == c) for c in carriers) for j, name in enumerate(ring_names)},
+        ),
+        collapse_hom=RingHom.from_monomials(
+            GF2, ("t",), {name: (m // 2,) for name, m in zip(ring_names, maslov)}
+        ),
     )
 
 

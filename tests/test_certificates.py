@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from twistkit import certificates
 from twistkit.certificates import (
+    IdealMembershipResult,
+    RegularityResult,
     certify_nondisplaceable,
     ideal_contains_one,
     regular_sequence_check,
@@ -14,19 +17,19 @@ from twistkit.certificates import (
     search_h0_hom,
     validate_regularity_hom,
 )
-from twistkit.discs import DiscClass, HomologyBasis, enumerate_candidate_classes
+from twistkit.discs import DiscClass, HomologyBasis
 from twistkit.errors import (
     CapExceeded,
     InconclusiveCertificate,
     NonGenericHom,
     UnsupportedRing,
 )
-from twistkit.groebner import groebner_basis, standard_monomials
+from twistkit.groebner import contains_constant, groebner_basis, standard_monomials
 from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
 from twistkit.pearl import Potential
 from twistkit.presets import (
+    product_bundle,
     theta_bundle,
-    theta_constraint_table,
     theta_h0_hom,
     theta_maslov_collapse_hom,
     theta_potential,
@@ -275,6 +278,9 @@ def test_maslov_collapse_fails_the_h0_check():
     )
     assert report.h0.contains_one  # 1 lands in the image ideal
     assert report.token == "inconclusive"
+    bundle = product_bundle(2, 0)  # the same collapse on each factor
+    report = certify_nondisplaceable(bundle.potential, h0_hom=bundle.collapse_hom)
+    assert report.h0.contains_one and report.token == "inconclusive"
     with pytest.raises(InconclusiveCertificate):
         certify_nondisplaceable(
             theta_potential(), h0_hom=theta_maslov_collapse_hom(), strict=True
@@ -348,56 +354,30 @@ def test_product_torus_in_three_spheres_is_certified():
     assert report.regularity.quotient_dimension == 8  # z_k = +-1
 
 
-def certify_product(factors):
-    """Certify a product torus with the identity H0 hom and the regularity hom
-    that sends each carrying generator to its own variable and each sphere
-    generator to 1.  A factor is (ring names, number of carrying generators,
-    disc classes), carrying generators first.  The product's generators get
-    the factor's index as a suffix, its boundary matrix is block-diagonal and
-    each factor class is padded with zeros outside its block."""
-    ring_names, carriers, padded = [], [], []
-    width = sum(len(names) for names, _, _ in factors)
-    for index, (names, n_carrying, classes) in enumerate(factors, start=1):
-        offset = len(ring_names)
-        ring_names += [f"{name}_{index}" for name in names]
-        carriers += range(offset, offset + n_carrying)
-        padded += [
-            (0,) * offset + tuple(c) + (0,) * (width - offset - len(names)) for c in classes
-        ]
-    basis = HomologyBasis(
-        names=tuple(f"D_{name}" for name in ring_names),
-        boundary_matrix=tuple(tuple(int(j == c) for j in range(width)) for c in carriers),
-        n_torus_rank=len(carriers),
-        ring_names=tuple(ring_names),
-    )
-    pot = Potential(GF2, basis, [(DiscClass(c, basis.boundary_of(c)), 1) for c in padded])
-    zs = tuple(f"z{k + 1}" for k in range(len(carriers)))
-    hom = RingHom.from_monomials(
-        RATIONAL,
-        zs,
-        {name: tuple(int(j == c) for c in carriers) for j, name in enumerate(ring_names)},
-    )
-    return certify_nondisplaceable(pot, regularity_hom=hom)
-
-
 def test_theta_squared_times_circle_is_certified_by_the_identity_hom():
     # theta^2 x C in (S2 x S2)^2 x S2: seven generators, ten disc classes;
-    # the identity-hom membership test runs a Buchberger basis in six
-    # variables plus the localization variable
-    theta = (
-        ("R", "T", "S1", "S2"),
-        2,
-        [c.coefficients for c in enumerate_candidate_classes(theta_constraint_table())],
-    )
-    circle = (("R", "S"), 1, [(1, 0), (-1, 1)])
+    # the identity-hom membership test splits into one block per factor
     dims = []
-    for factors in ([theta], [circle], [theta, theta, circle]):
-        report = certify_product(factors)
+    for a, b in ((1, 0), (0, 1), (2, 1)):
+        report = product_bundle(a, b).certify()
         assert report.token == "certified"
         assert report.h0.hom_is_identity
         dims.append(report.regularity.quotient_dimension)
     theta_dim, circle_dim, product_dim = dims
     assert product_dim == theta_dim**2 * circle_dim
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_theta_powers_certify_with_quotient_dimension_two_to_the_k(k):
+    # one block of four variables per factor; localizing theta^4 as one
+    # ideal took 107 s, with 252 elements in its reduced basis
+    start = time.perf_counter()
+    report = product_bundle(k, 0).certify()
+    elapsed = time.perf_counter() - start
+    assert report.token == "certified"
+    assert report.regularity.quotient_dimension == 2**k
+    assert len(report.h0.ideal_generators) == 6 * k
+    assert elapsed < 1.0
 
 
 def test_hom_search_finds_a_proper_collapse():
@@ -425,3 +405,217 @@ def test_report_serialization_is_self_consistent():
     assert data["regularity"]["quotient_dimension"] == 2
     text = report.to_text()
     assert text[-1] == "verdict: non-displaceability certified"
+
+
+# ---------------------------------------------------------------------------
+# block-split localization against the unsplit reference
+
+
+def localize_whole(polys):
+    """The stripped generators lifted next to the auxiliary variable w, with
+    the relation w * prod(all variables) - 1; returns the lifted generators
+    and the name of w."""
+    ring, variables = polys[0].ring, polys[0].variables
+    aux = certificates._fresh_name("w", variables)
+    ext = variables + (aux,)
+    lift = RingHom(ring, ext, {v: LaurentPoly.var(ring, ext, v) for v in variables})
+    relation = LaurentPoly(
+        ring, ext, {(1,) * len(ext): ring.one, (0,) * len(ext): ring.neg(ring.one)}
+    )
+    return [lift.apply(p) for p in polys] + [relation], aux
+
+
+def unsplit_contains_one(gens):
+    """Reference for multivariate `ideal_contains_one`: the whole ideal is
+    localized through one auxiliary variable."""
+    ring, variables = gens[0].ring, gens[0].variables
+    nonzero = [i for i, g in enumerate(gens) if not g.is_zero]
+    stripped, shifts = zip(*(certificates._strip_units(gens[i]) for i in nonzero))
+    lifted, aux = localize_whole(stripped)
+    basis, cofs = groebner_basis(lifted, with_cofactors=True)
+    if not contains_constant(basis):
+        return IdealMembershipResult(False, "groebner", tuple(basis))
+    drop_aux = RingHom(
+        ring,
+        variables,
+        {
+            **{v: LaurentPoly.var(ring, variables, v) for v in variables},
+            aux: LaurentPoly.monomial(ring, variables, (-1,) * len(variables)),
+        },
+    )
+    back = [drop_aux.apply(c) for c in cofs[0][:-1]]
+    cofactors = certificates._assemble_cofactors(gens, nonzero, shifts, back)
+    return IdealMembershipResult(True, "groebner", tuple(basis), cofactors)
+
+
+def unsplit_regularity(u_img):
+    """Reference for `regular_sequence_check`: one localization of the whole
+    critical ideal."""
+    vs = [u_img.log_derivative(v) for v in u_img.variables]
+    zero_dirs = tuple(v for v, p in zip(u_img.variables, vs) if p.is_zero)
+    if zero_dirs:
+        return RegularityResult(False, None, zero_dirs)
+    lifted, _ = localize_whole([certificates._strip_units(p)[0] for p in vs])
+    monomials = standard_monomials(groebner_basis(lifted))
+    if monomials is None:
+        return RegularityResult(False, None, ())
+    return RegularityResult(True, len(monomials), ())
+
+
+def block_count(gens):
+    """Components of the variable-sharing graph of the stripped nonzero
+    generators, counted without `_localized_blocks`."""
+    blocks = []  # variable sets; a constant generator is a block of its own
+    for g in gens:
+        if g.is_zero:
+            continue
+        support = certificates._strip_units(g)[0].terms
+        used = {k for exps in support for k, e in enumerate(exps) if e}
+        touching = [b for b in blocks if b & used]
+        blocks = [b for b in blocks if not b & used] + [used.union(*touching)]
+    return len(blocks)
+
+
+def assert_cofactors_combine_to_one(result, gens):
+    ring, variables = gens[0].ring, gens[0].variables
+    total = LaurentPoly.zero(ring, variables)
+    for c, g in zip(result.cofactors, gens):
+        total = total + c * g
+    assert total == LaurentPoly.one(ring, variables)
+
+
+def test_products_match_the_unsplit_localization(monkeypatch):
+    for a in range(4):
+        for b in range(4 - a):
+            if a + b == 0:
+                continue
+            bundle = product_bundle(a, b)
+            split = bundle.certify()
+            with monkeypatch.context() as m:
+                m.setattr(certificates, "ideal_contains_one", unsplit_contains_one)
+                m.setattr(certificates, "regular_sequence_check", unsplit_regularity)
+                whole = bundle.certify()
+            assert split.verdict == whole.verdict == "non-displaceability certified"
+            assert split.h0.contains_one is whole.h0.contains_one is False
+            assert split.regularity == whole.regularity
+            assert split.regularity.quotient_dimension == 2 ** (a + b)
+            if a + b == 1:
+                assert split == whole  # one block: every byte, generators included
+            else:  # the blocks' bases, with auxiliary variables w1, w2, ...
+                assert split.h0.ideal_generators != whole.h0.ideal_generators
+
+
+def random_block_poly(rng, ring, nvars, used, max_terms=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(-2, 2) if k in used else 0 for k in range(nvars))
+        terms[exps] = 1 if ring is GF2 else Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return terms
+
+
+def random_split(rng, nvars):
+    """Disjoint variable blocks covering all but at most one variable."""
+    order = list(range(nvars))
+    rng.shuffle(order)
+    if rng.random() < 0.2:
+        order.pop()  # a variable no generator uses
+    cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, min(2, len(order) - 1))))
+    return [set(order[i:j]) for i, j in zip([0] + cuts, cuts + [len(order)])]
+
+
+def test_disjoint_sums_of_random_ideals_match_the_unsplit_localization():
+    rng = random.Random(7007)
+    variables = ("x", "y", "z", "u")
+    seen = {"split": 0, "single": 0, "unit": 0, "proper": 0}
+    for _ in range(120):
+        ring = GF2 if rng.random() < 0.5 else RATIONAL
+        gens = [
+            LaurentPoly(ring, variables, random_block_poly(rng, ring, 4, block))
+            for block in random_split(rng, 4)
+            for _ in range(rng.randint(1, 2))
+        ]
+        rng.shuffle(gens)
+        split = ideal_contains_one(gens)
+        whole = unsplit_contains_one(gens)
+        assert split.contains_one == whole.contains_one
+        if split.contains_one:
+            assert_cofactors_combine_to_one(split, gens)
+        if block_count(gens) == 1:
+            assert split == whole
+            seen["single"] += 1
+        else:
+            seen["split"] += 1
+        seen["unit" if split.contains_one else "proper"] += 1
+    assert min(seen.values()) > 15, seen
+
+
+def test_disjoint_sums_of_random_potentials_match_the_unsplit_regularity():
+    rng = random.Random(7008)
+    variables = ("x", "y", "z")
+    seen = {"split": 0, "finite": 0, "infinite": 0}
+    for _ in range(100):
+        terms = {}
+        for block in random_split(rng, 3):
+            part = random_block_poly(rng, RATIONAL, 3, block, max_terms=4)
+            if rng.random() < 0.5:
+                # f(m) for a monomial m: the block's critical locus is a
+                # union of level sets of m, positive-dimensional when the
+                # block has two variables
+                m = [rng.choice((-1, 1)) if k in block else 0 for k in range(3)]
+                part = {tuple(e * mk for mk in m): Fraction(rng.choice((-2, -1, 1, 2)))
+                        for e in rng.sample(range(-2, 3), 3)}
+            terms.update(part)
+        u = LaurentPoly(RATIONAL, variables, terms)
+        result = regular_sequence_check(u)
+        assert result == unsplit_regularity(u)
+        vs = [u.log_derivative(v) for v in variables]
+        if not result.zero_directions and block_count(vs) > 1:
+            seen["split"] += 1
+            seen["finite" if result.regular else "infinite"] += 1
+    assert min(seen.values()) > 5, seen
+
+
+def test_monomial_generator_is_a_constant_block():
+    v = ("x", "y", "z")
+    gens = [
+        LaurentPoly(GF2, v, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1}),  # x + y + 1
+        LaurentPoly(GF2, v, {(0, 0, 2): 1}),  # z^2, a unit
+    ]
+    result = ideal_contains_one(gens)
+    assert result.contains_one and unsplit_contains_one(gens).contains_one
+    assert result.generators[-1] == LaurentPoly.one(GF2, ("w2",))
+    assert {g.variables for g in result.generators} == {("x", "y", "w1"), ("w2",)}
+    assert result.cofactors == (
+        LaurentPoly.zero(GF2, v),
+        LaurentPoly(GF2, v, {(0, 0, -2): 1}),
+    )
+
+
+def test_auxiliary_names_are_fresh_per_block():
+    v = ("w1", "x")
+    gens = [
+        LaurentPoly(GF2, v, {(2, 0): 1, (1, 0): 1, (0, 0): 1}),  # w1^2 + w1 + 1
+        LaurentPoly(GF2, v, {(0, 2): 1, (0, 1): 1, (0, 0): 1}),  # x^2 + x + 1
+    ]
+    result = ideal_contains_one(gens)
+    assert not result.contains_one
+    assert {g.variables for g in result.generators} == {("w1", "w10"), ("x", "w2")}
+
+
+def test_unused_variable_leaves_the_quotient_infinite():
+    # u = z (x + x^-1 + 2) + y + y^-1: the blocks {x} and {y} are finite
+    # (x = -1, y = +-1), but z is in no stripped derivative and stays free
+    u = LaurentPoly(
+        RATIONAL,
+        ("x", "y", "z"),
+        {(1, 0, 1): 1, (-1, 0, 1): 1, (0, 0, 1): 2, (0, 1, 0): 1, (0, -1, 0): 1},
+    )
+    assert block_count([u.log_derivative(v) for v in u.variables]) == 2
+    assert regular_sequence_check(u) == unsplit_regularity(u) == RegularityResult(False, None, ())
+
+
+def test_unit_block_beside_an_infinite_block_gives_dimension_zero():
+    # x*y + (x*y)^-1 has a curve of critical points, and v_z = z is a unit
+    u = LaurentPoly(RATIONAL, ("x", "y", "z"), {(1, 1, 0): 1, (-1, -1, 0): 1, (0, 0, 1): 1})
+    assert block_count([u.log_derivative(v) for v in u.variables]) == 2
+    assert regular_sequence_check(u) == unsplit_regularity(u) == RegularityResult(True, 0, ())

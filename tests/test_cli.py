@@ -141,14 +141,17 @@ def test_trees_count_checks_size_before_cap():
 
 
 def test_deep_twist_word_is_compared(capsys):
-    word = "twist(1" + "".join(f";1@{j}" for j in range(2, 601)) + ")"  # each on the last leaf
-    assert main(["iso", word, word]) == 0
-    assert capsys.readouterr().out == "isomorphic: true\n"
+    word = "twist(1" + "".join(f";1@{j}" for j in range(2, 1501)) + ")"  # each on the last leaf
+    literal = "(L " * 1500 + "L" + ")" * 1500  # the same tree, deeper than the recursion limit
+    for left, right in ((word, word), (word, literal), (literal, "L")):
+        assert main(["iso", left, right]) == 0
+    assert capsys.readouterr().out == "isomorphic: true\n" * 2 + "isomorphic: false\n"
 
 
-def test_input_nested_beyond_the_recursion_limit_is_an_input_error(capsys):
-    deep = "(L " * 1500 + "L" + ")" * 1500
-    assert main(["iso", deep, "L"]) == 2
+def test_input_nested_beyond_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["classes", "--in", str(path)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
     assert "recursion limit" in out

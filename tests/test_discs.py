@@ -16,7 +16,7 @@ from twistkit.discs import (
 )
 from twistkit import discs
 from twistkit.errors import CapExceeded, UnboundedRegion
-from twistkit.presets import theta_constraint_table
+from twistkit.presets import product_bundle, theta_constraint_table
 
 THETA_CLASSES = {
     (1, 0, 0, 0),
@@ -25,6 +25,7 @@ THETA_CLASSES = {
     (-1, 0, 0, 1),
     (-1, 1, 0, 1),
 }
+C_CLASSES = {(1, 0), (-1, 1)}  # the two hemispheres of the circle factor
 
 
 def plain_basis(n, names=None):
@@ -283,41 +284,23 @@ def test_witness_ray_lies_in_the_recession_cone():
 # ---------------------------------------------------------------------------
 # the unbounded-box path (no `bounds`) against independent oracles
 
-C_CLASSES = {(1, 0), (-1, 1)}
+def product(symbols):
+    """The table of a product of theta (T) and circle (C) factors, theta
+    first, and its padded factor classes."""
+    bundle = product_bundle(symbols.count("T"), symbols.count("C"))
+    return bundle.table, {c.coefficients for c in bundle.classes}
 
 
-def clifford_table():
-    """The Clifford circle in S2: disc D and sphere S."""
-    return ConstraintTable(
-        basis=HomologyBasis(names=("D", "S"), boundary_matrix=((1, 0),), n_torus_rank=1),
-        rows=(("0", (1, 1)), ("inf", (0, 1))),
-        maslov_vector=(2, 4),
-        target_maslov=2,
-    )
-
-
-FACTORS = {"T": (theta_constraint_table, THETA_CLASSES), "C": (clifford_table, C_CLASSES)}
-
-
-def product_table(symbols):
-    """Block-diagonal table of a product of theta (T) and Clifford (C)
-    factors, with the factor classes padded by zeros."""
-    tables = [FACTORS[s][0]() for s in symbols]
-    width = sum(len(t.basis.names) for t in tables)
-    names, boundary, rows, mu, classes = [], [], [], [], set()
-    offset = 0
-    for i, (s, t) in enumerate(zip(symbols, tables)):
-        size = len(t.basis.names)
-        pad = lambda v: (0,) * offset + tuple(v) + (0,) * (width - offset - size)
-        names += [f"{name}_{i}" for name in t.basis.names]
-        boundary += [pad(row) for row in t.basis.boundary_matrix]
-        rows += [(f"{label}_{i}", pad(vec)) for label, vec in t.rows]
-        mu += t.maslov_vector
-        classes |= {pad(c) for c in FACTORS[s][1]}
-        offset += size
-    basis = HomologyBasis(names=tuple(names), boundary_matrix=tuple(boundary),
-                          n_torus_rank=len(boundary))
-    return ConstraintTable(basis, tuple(rows), tuple(mu), 2), classes
+def test_product_classes_are_the_padded_factor_classes():
+    table, classes = product("TC")
+    assert classes == {c + (0, 0) for c in THETA_CLASSES} | {(0,) * 4 + c for c in C_CLASSES}
+    assert table.basis.ring_names == ("R_1", "T_1", "S1_1", "S2_1", "R_2", "S_2")
+    assert table.basis.boundary_matrix == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                                           (0, 0, 0, 0, 1, 0))
+    assert [vec for _, vec in table.rows[-2:]] == [(0,) * 4 + (1, 1), (0,) * 4 + (0, 1)]
+    assert table.maslov_vector == (2, 0, 4, 4, 2, 4)
+    with pytest.raises(ValueError):
+        product_bundle(0, 0)
 
 
 def recoordinatise(table, rng, steps):
@@ -385,7 +368,7 @@ def vertex_box(table):
 def test_recoordinatised_products_map_back_to_the_known_classes():
     rng = random.Random(3031)
     for symbols, steps, count in (("T", 2, 12), ("CC", 2, 10), ("TC", 1, 6)):
-        base, expected = product_table(symbols)
+        base, expected = product(symbols)
         for _ in range(count):
             table, m = recoordinatise(base, rng, steps)
             n = len(m)
@@ -423,7 +406,7 @@ def test_theta_cubed_and_theta_squared_circle_without_bounds():
     # theta^3 has 12 variables: its projection box holds 46656 points, of
     # which 15 are classes
     for symbols, count in (("TTT", 15), ("TTC", 12)):
-        table, expected = product_table(symbols)
+        table, expected = product(symbols)
         got = [c.coefficients for c in enumerate_candidate_classes(table)]
         assert got == sorted(expected)
         assert len(got) == count
@@ -701,7 +684,7 @@ def test_classes_and_errors_match_the_fraction_reference():
         n = rng.randint(1, 4)
         tables.append(random_table(rng, n=n, n_rows=rng.randint(n, n + 4)))
     for symbols in ("T", "CC"):
-        base = product_table(symbols)[0]
+        base = product(symbols)[0]
         for _ in range(10):
             table = recoordinatise(base, rng, 2)[0]
             rows = list(table.rows)

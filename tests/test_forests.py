@@ -236,6 +236,8 @@ def test_parse_errors_carry_offsets():
     assert err.value.offset == 0
     with pytest.raises(ParseError):
         parse_forest("(L L) & L")
+    with pytest.raises(ParseError, match=r"'\*' at offset 5 \(expected \(, \), L, point\)"):
+        parse_forest("((L) * L)")  # a factor break inside an open tree
     with pytest.raises(InvalidLeafIndex):
         parse_forest("twist(1;2@5)")
 
@@ -584,3 +586,45 @@ def test_deep_word_builds_without_recursion():
         unary = RootedTree((LEAF, unary))
     assert not is_ample(unary)  # the one unary vertex is the deepest
     assert unary.vertex_count == 2 * 1500 + 2
+
+
+@dataclasses.dataclass(frozen=True)
+class GeneratedTree:
+    """What the dataclass decorator generates for a tree: recursive equality,
+    hash and repr over `children`."""
+
+    children: tuple = ()
+
+
+def generated(tree):
+    return GeneratedTree(tuple(generated(c) for c in tree.children))
+
+
+def test_eq_hash_and_repr_match_the_generated_ones():
+    rng = random.Random(4242)
+    trees = [t for n in range(1, 7) for t in enumerate_ample_trees(n)]
+    trees += [word_to_tree(random_word(rng, 6)) for _ in range(40)]
+    trees += [RootedTree((LEAF,)), RootedTree((RootedTree((LEAF,)),))]
+    mirrors = [generated(t) for t in trees]
+    for tree, mirror in zip(trees, mirrors):
+        assert hash(tree) == hash(mirror) == hash((tree.children,))
+        assert repr(tree) == repr(mirror).replace("GeneratedTree(", "RootedTree(")
+    for (a, ma), (b, mb) in itertools.product(zip(trees, mirrors), repeat=2):
+        assert (a == b) is (ma == mb)
+    assert RootedTree().__eq__(GeneratedTree()) is NotImplemented
+
+
+def test_deep_tree_repr_hash_equality_and_literal():
+    steps = ((1, 1),) + tuple((1, j) for j in range(2, 1501))  # each on the last leaf
+    tree = word_to_tree(TwistWord(steps))
+    twin = word_to_tree(TwistWord(steps))
+    literal = "(L " * 1500 + "L" + ")" * 1500
+    parsed = parse_forest(literal).trees[0]
+    leaf = "RootedTree(children=())"
+    assert repr(tree) == f"RootedTree(children=({leaf}, " * 1500 + leaf + "))" * 1500
+    assert tree == twin == parsed and twin is not tree
+    assert hash(tree) == hash(twin) == hash(parsed) == hash((tree.children,))
+    assert len({tree, twin, parsed}) == 1
+    other = word_to_tree(TwistWord(steps[:-1] + ((2, 1500),)))
+    assert tree != other and other.leaf_count == tree.leaf_count + 1
+    assert RootedForest((tree, LEAF)) == RootedForest((LEAF, parsed))
