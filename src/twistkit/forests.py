@@ -12,6 +12,9 @@ and its leaf count, both built once from the children's stored values, so
 neither is ever recomputed by walking the tree.  The ample trees with n
 leaves are built level by level: one tree per multiset of smaller ample
 trees whose leaf counts form a partition of n into at least two parts.
+Each partition's trees are built in bulk: their children tuples are joined
+by itertools, and a private constructor sets the three slots directly,
+skipping `__init__` and `__post_init__` (every leaf count on level n is n).
 
 Text grammar (whitespace insignificant)::
 
@@ -23,6 +26,7 @@ Text grammar (whitespace insignificant)::
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -36,6 +40,12 @@ DEFAULT_ENUMERATION_CAP = 16
 _key_of = operator.attrgetter("canonical_key")
 _leaves_of = operator.attrgetter("leaf_count")
 _concat = functools.partial(sum, start=())
+_consume = functools.partial(collections.deque, maxlen=0)
+
+
+def _joined_key(children) -> str:
+    """The canonical key of a tree with these children."""
+    return "(" + ",".join(sorted(map(_key_of, children))) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +56,8 @@ class RootedTree:
     hashing and repr see `children` only; `canonical_key` (the string of
     `canonical_form`) and `leaf_count` are derived from it on construction.
     Equality, hash and repr are those a dataclass generates, computed over an
-    explicit stack, so that depth is unbounded.
+    explicit stack, and pickling and copying go through a flat list of child
+    counts, so that depth is unbounded.
     """
 
     children: tuple["RootedTree", ...] = ()
@@ -56,7 +67,7 @@ class RootedTree:
     def __post_init__(self):
         kids = self.children
         if kids:
-            key = "(" + ",".join(sorted(map(_key_of, kids))) + ")"
+            key = _joined_key(kids)
             leaves = sum(map(_leaves_of, kids))
         else:
             key, leaves = "()", 1
@@ -127,6 +138,15 @@ class RootedTree:
             hashes[id(node)] = hash((_Hashed(kids),))
         return hashes[id(self)]
 
+    def __reduce__(self):
+        # each vertex's child count in pre-order; see _unflatten
+        counts, stack = [], [self]
+        while stack:
+            kids = stack.pop().children
+            counts.append(len(kids))
+            stack.extend(reversed(kids))
+        return _unflatten, (counts,)
+
 
 class _Hashed:
     """Hashes to a given value, so a tuple of these hashes like a tuple of
@@ -141,7 +161,38 @@ class _Hashed:
         return self.value
 
 
+_set_slots = tuple(
+    getattr(RootedTree, name).__set__ for name in ("children", "canonical_key", "leaf_count")
+)
+
+
+def _new_trees(children, keys, leaf_counts) -> tuple[RootedTree, ...]:
+    """One tree per entry of `children`, made without `__init__` and
+    `__post_init__`: each of the three slots is set directly, in one C-level
+    pass over its values, so the caller vouches that `keys` and
+    `leaf_counts` are those the children give."""
+    trees = tuple(map(object.__new__, itertools.repeat(RootedTree, len(children))))
+    for set_slot, values in zip(_set_slots, (children, keys, leaf_counts)):
+        _consume(map(set_slot, trees, values))
+    return trees
+
+
 LEAF = RootedTree()
+
+
+def _unflatten(child_counts) -> RootedTree:
+    """The tree `RootedTree.__reduce__` flattened to its pre-order child
+    counts, rebuilt bottom-up: read backwards, each vertex comes right after
+    its subtrees, whose roots are then on top of the stack, leftmost last."""
+    stack = []
+    for count in reversed(child_counts):
+        if not count:
+            stack.append(LEAF)
+            continue
+        kids = tuple(stack[:-count - 1:-1])
+        del stack[-count:]
+        stack += _new_trees((kids,), (_joined_key(kids),), (sum(map(_leaves_of, kids)),))
+    return stack[0]
 
 
 def bush(leaves: int) -> RootedTree:
@@ -317,7 +368,13 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
     partition with at least two parts, a part size s taken m times
     contributes a multiset of m trees from level s; the children tuple holds
     the part sizes in ascending order, each as a non-decreasing run in level
-    s's order, so every tree is built exactly once.
+    s's order, so every tree is built exactly once.  Each partition's trees
+    are built in bulk: their children tuples come straight from itertools (a
+    single part size's combinations as they are, two part sizes' products
+    joined by `operator.add`), and `_new_trees` makes them with their keys
+    and leaf count n.  The level is sorted by key once, at the end.  Only
+    one partition's children list is alive at a time, so the build's peak
+    memory stays that of the per-tree build it replaced.
     """
     if n == 1:
         return (LEAF,)
@@ -326,7 +383,13 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
         if parts == ((n, 1),):
             continue
         runs = [itertools.combinations_with_replacement(_ample_trees(s), m) for s, m in parts]
-        level.extend(map(RootedTree, map(_concat, itertools.product(*runs))))
+        if len(runs) == 1:
+            children = list(runs[0])
+        elif len(runs) == 2:
+            children = list(itertools.starmap(operator.add, itertools.product(*runs)))
+        else:
+            children = list(map(_concat, itertools.product(*runs)))
+        level += _new_trees(children, map(_joined_key, children), itertools.repeat(n))
     level.sort(key=_key_of)
     return tuple(level)
 

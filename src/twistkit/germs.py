@@ -5,16 +5,18 @@ torus the displacement energy of nearby deformations takes that shape on a
 dense open set.  Symplectic invariance makes germs comparable only up to an
 integral unimodular change of the deformation coordinates, so equivalence is
 decided by searching for a matrix A with |det A| = 1 matching the covector
-sets (and equal constants).
+sets (and equal constants).  The search tries ordered n-tuples of covectors
+and stops at `PERMUTATION_BUDGET` of them with `CapExceeded`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch
 from .matrices import (
     as_int_matrix,
     mat_det,
@@ -41,6 +43,9 @@ class _UndefinedAtOrigin:
 
 
 UNDEFINED_AT_ORIGIN = _UndefinedAtOrigin()
+
+# the most ordered n-tuples of covectors one equivalence search may try
+PERMUTATION_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,14 @@ def germ_equivalent(g1: Germ, g2: Germ):
     `itertools.permutations` order as the image of S, so the first witness
     found is the same on every run.  A candidate A with A^T S = T has
     |det T| = |det A| |det S|, so a tuple whose |det| differs from |det S|
-    cannot give a unimodular A and is skipped before A is formed; the |det|
-    is computed once per unordered subset.
+    cannot give a unimodular A and is skipped before A is formed.
+
+    The |det| of every n-subset of each side is computed once, in integers,
+    before the search.  A unimodular A maps the n-subsets of one set one to
+    one onto those of the other and keeps each |det|, so if the two sorted
+    |det| multisets differ the germs are not equivalent and nothing is
+    searched.  Before any of this, `CapExceeded` is raised if the search
+    could try more than `PERMUTATION_BUDGET` ordered n-tuples.
     """
     if g1.dim != g2.dim:
         raise DimensionMismatch(f"germ dimensions differ: {g1.dim} vs {g2.dim}")
@@ -147,8 +158,8 @@ def germ_equivalent(g1: Germ, g2: Germ):
         )
     if g1.constant != g2.constant:
         return NotEquivalent(f"constants differ: {g1.constant} != {g2.constant}")
-    rank1 = mat_rank(g1.sorted_covectors())
-    rank2 = mat_rank(g2.sorted_covectors())
+    sources, targets = g1.sorted_covectors(), g2.sorted_covectors()
+    rank1, rank2 = mat_rank(sources), mat_rank(targets)
     if rank1 != rank2:
         return NotEquivalent(f"covector ranks differ: {rank1} != {rank2}")
     if rank1 < n:
@@ -156,24 +167,28 @@ def germ_equivalent(g1: Germ, g2: Germ):
             f"covectors span a proper subspace (rank {rank1} < dim {n}); "
             "equivalence is not decided"
         )
+    tuples = math.perm(len(targets), n)
+    if tuples > PERMUTATION_BUDGET:
+        raise CapExceeded(
+            f"germs: {tuples} ordered {n}-tuples of covectors exceed "
+            f"the permutation budget of {PERMUTATION_BUDGET}"
+        )
 
-    basis_subset = _spanning_subset(g1.sorted_covectors(), n)
-    s_cols = transpose([g1.sorted_covectors()[i] for i in basis_subset])
-    s_inv = mat_inv(s_cols)
-    s_abs_det = abs(mat_det(s_cols))
-    targets = g2.sorted_covectors()
+    source_dets, abs_dets = _subset_abs_dets(sources, n), _subset_abs_dets(targets, n)
+    if sorted(source_dets.values()) != sorted(abs_dets.values()):
+        return NotEquivalent("no unimodular transform maps one covector set onto the other")
+    # the first n-subset, in combinations order, that spans
+    basis_subset = next(subset for subset, det in source_dets.items() if det)
+    s_abs_det = source_dets[basis_subset]
+    s_inv = mat_inv(transpose([sources[i] for i in basis_subset]))
     cov_set2 = g2.covectors
-    abs_dets = {}  # |det| of each target subset, keyed by its sorted indices
     for choice in itertools.permutations(range(len(targets)), n):
-        subset = tuple(sorted(choice))
-        if subset not in abs_dets:
-            abs_dets[subset] = abs(mat_det([targets[i] for i in subset]))
-        if abs_dets[subset] != s_abs_det:
+        if abs_dets[tuple(sorted(choice))] != s_abs_det:
             continue
         t_cols = transpose([targets[i] for i in choice])
-        a_t = mat_mul(t_cols, s_inv)
-        ints = as_int_matrix(a_t)
-        if ints is None or abs(mat_det(ints)) != 1:
+        # |det A| = |det T| / |det S| = 1, so an integral A is unimodular
+        ints = as_int_matrix(mat_mul(t_cols, s_inv))
+        if ints is None:
             continue
         image = frozenset(tuple(int(x) for x in mat_vec(ints, cov)) for cov in g1.covectors)
         if image == cov_set2:
@@ -181,11 +196,33 @@ def germ_equivalent(g1: Germ, g2: Germ):
     return NotEquivalent("no unimodular transform maps one covector set onto the other")
 
 
-def _spanning_subset(covectors, n):
-    for combo in itertools.combinations(range(len(covectors)), n):
-        if mat_rank([covectors[i] for i in combo]) == n:
-            return combo
-    raise AssertionError("rank was checked before")
+def _subset_abs_dets(covectors, n) -> dict[tuple[int, ...], int]:
+    """|det| of every n-subset of the covectors, keyed by its indices in
+    `itertools.combinations` order."""
+    return {
+        subset: _abs_det([covectors[i] for i in subset])
+        for subset in itertools.combinations(range(len(covectors)), n)
+    }
+
+
+def _abs_det(rows) -> int:
+    """|det| of a square integer matrix, by Bareiss's fraction-free
+    elimination: every division is exact, so all entries stay integers."""
+    a = [list(row) for row in rows]
+    size, previous = len(a), 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * row_k[j]) // previous
+        previous = pivot
+    return abs(a[-1][-1]) if a else 1
 
 
 # ---------------------------------------------------------------------------

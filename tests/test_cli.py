@@ -200,6 +200,18 @@ def test_germ_command_on_files(tmp_path):
     assert payload["equivalent"] is True
 
 
+def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):
+    # 1001 covectors in dimension 2: 1001 * 1000 ordered pairs, over 10^6
+    data = {"dim": 2, "constant": "1", "covectors": [[1, k] for k in range(1001)]}
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["germ", str(path), str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "error: CapExceeded: germs: 1001000 ordered 2-tuples of covectors exceed "
+        "the permutation budget of 1000000\n"
+    )
+
+
 def test_single_covector_germ_comparison_is_indeterminate():
     # theta_s0 has one covector: its covectors do not span, so equivalence
     # is reported as undecided rather than guessed

@@ -506,6 +506,50 @@ def recursive_print(tree):
     return "(" + " ".join(recursive_print(c) for c in tree.children) + ")"
 
 
+def size_partitions(n, smallest=1):
+    """Partitions of n into parts >= smallest as ((size, multiplicity), ...)."""
+    if n == 0:
+        yield ()
+        return
+    for size in range(smallest, n + 1):
+        for m in range(1, n // size + 1):
+            for rest in size_partitions(n - size * m, size + 1):
+                yield ((size, m),) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def per_tree_ample_trees(n):
+    """The level-by-level build before levels were built in bulk: one public
+    `RootedTree(children)` call per tree, then a sort by the stored key."""
+    if n == 1:
+        return (LEAF,)
+    level = []
+    for parts in size_partitions(n):
+        if parts == ((n, 1),):
+            continue
+        runs = [itertools.combinations_with_replacement(per_tree_ample_trees(s), m)
+                for s, m in parts]
+        level.extend(RootedTree(sum(kids, ())) for kids in itertools.product(*runs))
+    level.sort(key=lambda t: t.canonical_key)
+    return tuple(level)
+
+
+def test_bulk_levels_match_the_per_tree_build():
+    for n in range(1, 13):
+        got = enumerate_ample_trees(n)
+        want = per_tree_ample_trees(n)
+        assert [print_tree(t) for t in got] == [print_tree(t) for t in want]
+        assert [t.canonical_key for t in got] == [t.canonical_key for t in want]
+        assert [t.leaf_count for t in got] == [n] * len(want)
+        for tree in got:
+            rebuilt = RootedTree(tree.children)
+            assert tree == rebuilt
+            assert tree.canonical_key == rebuilt.canonical_key
+            assert tree.leaf_count == rebuilt.leaf_count
+            if n <= 10:  # hash and repr walk the whole tree: seconds on the top levels
+                assert hash(tree) == hash(rebuilt) and repr(tree) == repr(rebuilt)
+
+
 def test_enumeration_matches_reference_dfs():
     for n in range(1, 12):
         got = enumerate_ample_trees(n)
@@ -567,6 +611,24 @@ def test_pickle_and_deepcopy_keep_the_stored_fields():
         assert twin == tree and twin is not tree
         assert twin.canonical_key == tree.canonical_key == recursive_canonical(tree)
         assert twin.leaf_count == tree.leaf_count == 7
+
+
+def test_deep_tree_pickles_and_deepcopies():
+    steps = ((1, 1),) + tuple((1, j) for j in range(2, 1501))  # each on the last leaf
+    tree = word_to_tree(TwistWord(steps))
+    twins = [pickle.loads(pickle.dumps(tree, protocol=p))
+             for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    twins += [copy.deepcopy(tree), copy.copy(tree)]
+    for twin in twins:
+        assert twin == tree and twin is not tree
+        assert print_tree(twin) == print_tree(tree)
+        assert twin.canonical_key == tree.canonical_key
+        assert twin.leaf_count == tree.leaf_count == 1501
+    wide = RootedTree((bush(3), word_to_tree(TwistWord(((2, 1), (1, 3)))), LEAF))
+    for twin in (pickle.loads(pickle.dumps(wide)), copy.deepcopy(wide)):
+        assert print_tree(twin) == print_tree(wide) == "((L L L) (L L (L L)) L)"
+        assert twin.canonical_key == recursive_canonical(wide)
+    assert copy.deepcopy(LEAF) == LEAF
 
 
 def test_deep_word_builds_without_recursion():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistkit.errors import DimensionMismatch
+from twistkit import germs
+from twistkit.errors import CapExceeded, DimensionMismatch
 from twistkit.germs import (
     UNDEFINED_AT_ORIGIN,
     Germ,
@@ -91,6 +92,76 @@ def unpruned_equivalent(g1, g2):
         if image == g2.covectors:
             return UnimodularWitness(transpose(ints))
     return NotEquivalent("no unimodular transform")
+
+
+def sign_flipped(rng, germ):
+    """The germ with one covector negated: every n-subset keeps its |det|,
+    so the |det| multisets agree and only the full search decides."""
+    covs = sorted(germ.covectors)
+    i = rng.randrange(len(covs))
+    covs[i] = tuple(-x for x in covs[i])
+    return Germ(germ.dim, germ.constant, frozenset(covs))
+
+
+def abs_det_multiset(germ):
+    covs = germ.sorted_covectors()
+    return sorted(abs(mat_det(s)) for s in itertools.combinations(covs, germ.dim))
+
+
+def spanning_subset(covectors, n):
+    for combo in itertools.combinations(range(len(covectors)), n):
+        if mat_rank([covectors[i] for i in combo]) == n:
+            return combo
+    raise AssertionError("rank was checked before")
+
+
+def per_tuple_equivalent(g1, g2):
+    """The search before the |det| multisets were compared: Fraction
+    determinants of each target subset, taken as the permutations reach it."""
+    if g1.dim != g2.dim:
+        raise DimensionMismatch(f"germ dimensions differ: {g1.dim} vs {g2.dim}")
+    n = g1.dim
+    if len(g1.covectors) != len(g2.covectors):
+        return NotEquivalent(
+            f"covector counts {len(g1.covectors)} != {len(g2.covectors)}"
+        )
+    if g1.constant != g2.constant:
+        return NotEquivalent(f"constants differ: {g1.constant} != {g2.constant}")
+    rank1 = mat_rank(g1.sorted_covectors())
+    rank2 = mat_rank(g2.sorted_covectors())
+    if rank1 != rank2:
+        return NotEquivalent(f"covector ranks differ: {rank1} != {rank2}")
+    if rank1 < n:
+        return Indeterminate(
+            f"covectors span a proper subspace (rank {rank1} < dim {n}); "
+            "equivalence is not decided"
+        )
+    basis_subset = spanning_subset(g1.sorted_covectors(), n)
+    s_cols = transpose([g1.sorted_covectors()[i] for i in basis_subset])
+    s_inv = mat_inv(s_cols)
+    s_abs_det = abs(mat_det(s_cols))
+    targets = g2.sorted_covectors()
+    abs_dets = {}
+    for choice in itertools.permutations(range(len(targets)), n):
+        subset = tuple(sorted(choice))
+        if subset not in abs_dets:
+            abs_dets[subset] = abs(mat_det([targets[i] for i in subset]))
+        if abs_dets[subset] != s_abs_det:
+            continue
+        t_cols = transpose([targets[i] for i in choice])
+        ints = as_int_matrix(mat_mul(t_cols, s_inv))
+        if ints is None or abs(mat_det(ints)) != 1:
+            continue
+        image = frozenset(tuple(int(x) for x in mat_vec(ints, cov)) for cov in g1.covectors)
+        if image == g2.covectors:
+            return UnimodularWitness(transpose(ints))
+    return NotEquivalent("no unimodular transform maps one covector set onto the other")
+
+
+def outcome_record(outcome):
+    if isinstance(outcome, UnimodularWitness):
+        return ("witness", outcome.matrix)
+    return (type(outcome).__name__, outcome.reason)
 
 
 def apply_matrix(matrix, xi):
@@ -232,8 +303,10 @@ def test_pruned_search_matches_unpruned_reference():
     rng = random.Random(2718)
     witnesses = rejections = 0
     for _ in range(60):
-        n = rng.choice((2, 3))
-        germ = random_germ(rng, n=n, count=rng.randint(n + 1, n + 3))
+        n = rng.choice((2, 3, 4))
+        # the reference forms a candidate for every ordered tuple: at most
+        # 6 * 5 * 4 * 3 in dimension 4
+        germ = random_germ(rng, n=n, count=rng.randint(n + 1, min(n + 3, 6)))
         moved = transform_germ(germ, random_unimodular(rng, n=n))
         for other in (moved, near_twin(rng, moved)):
             outcome = germ_equivalent(germ, other)
@@ -245,6 +318,82 @@ def test_pruned_search_matches_unpruned_reference():
             elif isinstance(expected, NotEquivalent):
                 rejections += 1
     assert witnesses >= 60 and rejections >= 40
+
+
+def test_outcomes_match_the_per_tuple_search():
+    rng = random.Random(1414)
+    seen = dict.fromkeys(("witness", "unequal dets", "equal dets, no witness", "ranks",
+                          "indeterminate", "constants"), 0)
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        germ = random_germ(rng, n=n, count=rng.randint(n + 1, n + 3))
+        moved = transform_germ(germ, random_unimodular(rng, n=n))
+        # the last coordinate dropped: rank n - 1, or a lower count
+        flat = Germ(n, germ.constant, frozenset(c[:-1] + (0,) for c in germ.covectors
+                                                 if any(c[:-1])))
+        pairs = [
+            (germ, moved),
+            (germ, near_twin(rng, moved)),
+            (germ, sign_flipped(rng, moved)),
+            (germ, Germ(n, germ.constant + 1, moved.covectors)),
+            (germ, flat),
+            (flat, transform_germ(flat, random_unimodular(rng, n=n))),
+        ]
+        for g1, g2 in pairs:
+            got, want = germ_equivalent(g1, g2), per_tuple_equivalent(g1, g2)
+            assert outcome_record(got) == outcome_record(want)
+            reason = getattr(got, "reason", "")
+            if isinstance(got, UnimodularWitness):
+                seen["witness"] += 1
+            elif isinstance(got, Indeterminate):
+                seen["indeterminate"] += 1
+            elif "constants" in reason or "ranks" in reason:
+                seen["constants" if "constants" in reason else "ranks"] += 1
+            elif reason.startswith("no unimodular"):
+                equal = abs_det_multiset(g1) == abs_det_multiset(g2)
+                seen["equal dets, no witness" if equal else "unequal dets"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_unequal_det_multisets_are_rejected_without_a_search(monkeypatch):
+    g1 = Germ(2, 1, frozenset({(1, 0), (0, 1), (1, 1)}))  # |det|s 1, 1, 1
+    g2 = Germ(2, 1, frozenset({(1, 0), (0, 1), (1, 2)}))  # |det|s 1, 1, 2
+
+    def no_candidates(*args):
+        raise AssertionError("a candidate matrix was formed")
+
+    monkeypatch.setattr(germs, "mat_mul", no_candidates)
+    outcome = germ_equivalent(g1, g2)
+    assert outcome == NotEquivalent(
+        "no unimodular transform maps one covector set onto the other"
+    )
+
+
+def test_integer_abs_det_matches_the_fraction_determinant():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        assert germs._abs_det(rows) == abs(mat_det(rows))
+    assert germs._abs_det([[0, 1], [1, 0]]) == 1  # zero first pivot
+    assert germs._abs_det([[1, 2], [2, 4]]) == 0
+
+
+def test_permutation_budget(monkeypatch):
+    germ = theta_germ()  # three covectors in dimension 2: 3 * 2 ordered pairs
+    monkeypatch.setattr(germs, "PERMUTATION_BUDGET", 6)
+    assert isinstance(germ_equivalent(germ, germ), UnimodularWitness)
+    monkeypatch.setattr(germs, "PERMUTATION_BUDGET", 5)
+
+    def no_table(*args):
+        raise AssertionError("the |det| table was built")
+
+    monkeypatch.setattr(germs, "_subset_abs_dets", no_table)
+    with pytest.raises(CapExceeded, match="^germs: 6 ordered 2-tuples .* budget of 5$"):
+        germ_equivalent(germ, germ)
+    # the cheap checks still answer first
+    assert not germ_equivalent(germ, Germ(2, 0, germ.covectors))
+    assert isinstance(germ_equivalent(theta_s0_germ(0), theta_s0_germ(0)), Indeterminate)
 
 
 def test_unimodular_witness_validation():
