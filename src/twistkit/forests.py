@@ -57,12 +57,15 @@ class RootedTree:
     `canonical_form`) and `leaf_count` are derived from it on construction.
     Equality, hash and repr are those a dataclass generates, computed over an
     explicit stack, and pickling and copying go through a flat list of child
-    counts, so that depth is unbounded.
+    counts, so that depth is unbounded.  Each vertex keeps its hash once it
+    is first asked for, so a hash walks only the vertices not hashed before.
     """
 
     children: tuple["RootedTree", ...] = ()
     canonical_key: str = field(init=False, compare=False, repr=False)
     leaf_count: int = field(init=False, compare=False, repr=False)
+    # hash((children,)), filled by the first __hash__; unset until then
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         kids = self.children
@@ -120,23 +123,24 @@ class RootedTree:
         return True
 
     def __hash__(self):
-        # hash((children,)), each child's hash taken bottom-up and passed
-        # into the tuple hash through _Hashed; shared subtrees count once
-        hashes = {}
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # hash((children,)), filled bottom-up over the vertices not hashed
+        # yet: once a vertex's children all hold theirs, its tuple hash only
+        # reads them back
         stack = [self]
         while stack:
             node = stack[-1]
-            if id(node) in hashes:
-                stack.pop()
-                continue
-            todo = [c for c in node.children if id(c) not in hashes]
+            todo = [c for c in node.children if _hash_of(c) is None]
             if todo:
                 stack += todo
                 continue
             stack.pop()
-            kids = hash(tuple(_Hashed(hashes[id(c)]) for c in node.children))
-            hashes[id(node)] = hash((_Hashed(kids),))
-        return hashes[id(self)]
+            if _hash_of(node) is None:  # a shared subtree is pushed once per parent
+                _set_hash(node, hash((node.children,)))
+        return self._hash
 
     def __reduce__(self):
         # each vertex's child count in pre-order; see _unflatten
@@ -148,29 +152,23 @@ class RootedTree:
         return _unflatten, (counts,)
 
 
-class _Hashed:
-    """Hashes to a given value, so a tuple of these hashes like a tuple of
-    the objects whose hashes they carry."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
 _set_slots = tuple(
     getattr(RootedTree, name).__set__ for name in ("children", "canonical_key", "leaf_count")
 )
+_set_hash = RootedTree._hash.__set__
+
+
+def _hash_of(tree):
+    """The tree's stored hash, or None while it is unset."""
+    return getattr(tree, "_hash", None)
 
 
 def _new_trees(children, keys, leaf_counts) -> tuple[RootedTree, ...]:
     """One tree per entry of `children`, made without `__init__` and
     `__post_init__`: each of the three slots is set directly, in one C-level
     pass over its values, so the caller vouches that `keys` and
-    `leaf_counts` are those the children give."""
+    `leaf_counts` are those the children give.  The hash slot stays unset
+    until the first `__hash__`."""
     trees = tuple(map(object.__new__, itertools.repeat(RootedTree, len(children))))
     for set_slot, values in zip(_set_slots, (children, keys, leaf_counts)):
         _consume(map(set_slot, trees, values))

@@ -20,7 +20,6 @@ from .errors import CapExceeded, DimensionMismatch
 from .matrices import (
     as_int_matrix,
     mat_det,
-    mat_inv,
     mat_mul,
     mat_rank,
     mat_vec,
@@ -140,7 +139,10 @@ def germ_equivalent(g1: Germ, g2: Germ):
     `itertools.permutations` order as the image of S, so the first witness
     found is the same on every run.  A candidate A with A^T S = T has
     |det T| = |det A| |det S|, so a tuple whose |det| differs from |det S|
-    cannot give a unimodular A and is skipped before A is formed.
+    cannot give a unimodular A and is skipped before A is formed.  A is
+    T S^-1 = T adj(S) / det S, with the integer adjugate of S formed once:
+    a candidate is integral iff det S divides every entry of T adj(S), and
+    the whole search stays in integers.
 
     The |det| of every n-subset of each side is computed once, in integers,
     before the search.  A unimodular A maps the n-subsets of one set one to
@@ -180,17 +182,19 @@ def germ_equivalent(g1: Germ, g2: Germ):
     # the first n-subset, in combinations order, that spans
     basis_subset = next(subset for subset, det in source_dets.items() if det)
     s_abs_det = source_dets[basis_subset]
-    s_inv = mat_inv(transpose([sources[i] for i in basis_subset]))
+    s_cols = transpose([sources[i] for i in basis_subset])
+    s_det, s_adj = _det(s_cols), _adjugate(s_cols)
     cov_set2 = g2.covectors
     for choice in itertools.permutations(range(len(targets)), n):
         if abs_dets[tuple(sorted(choice))] != s_abs_det:
             continue
         t_cols = transpose([targets[i] for i in choice])
         # |det A| = |det T| / |det S| = 1, so an integral A is unimodular
-        ints = as_int_matrix(mat_mul(t_cols, s_inv))
-        if ints is None:
+        scaled = mat_mul(t_cols, s_adj)
+        if any(x % s_det for row in scaled for x in row):
             continue
-        image = frozenset(tuple(int(x) for x in mat_vec(ints, cov)) for cov in g1.covectors)
+        ints = tuple(tuple(x // s_det for x in row) for row in scaled)
+        image = frozenset(mat_vec(ints, cov) for cov in g1.covectors)
         if image == cov_set2:
             return UnimodularWitness(transpose(ints))
     return NotEquivalent("no unimodular transform maps one covector set onto the other")
@@ -206,23 +210,41 @@ def _subset_abs_dets(covectors, n) -> dict[tuple[int, ...], int]:
 
 
 def _abs_det(rows) -> int:
-    """|det| of a square integer matrix, by Bareiss's fraction-free
+    return abs(_det(rows))
+
+
+def _det(rows) -> int:
+    """det of a square integer matrix, by Bareiss's fraction-free
     elimination: every division is exact, so all entries stay integers."""
     a = [list(row) for row in rows]
-    size, previous = len(a), 1
+    size, previous, sign = len(a), 1, 1
     for k in range(size - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, size) if a[i][k]), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
+            sign = -sign
         pivot, row_k = a[k][k], a[k]
         for row in a[k + 1:]:
             factor = row[k]
             for j in range(k + 1, size):
                 row[j] = (row[j] * pivot - factor * row_k[j]) // previous
         previous = pivot
-    return abs(a[-1][-1]) if a else 1
+    return sign * a[-1][-1] if a else 1
+
+
+def _adjugate(rows) -> tuple[tuple[int, ...], ...]:
+    """adj(M) of a square integer matrix: entry (i, j) is the (j, i)
+    cofactor, so M adj(M) = det(M) I."""
+    size = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != j])
+            for j in range(size)
+        )
+        for i in range(size)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ basis order, whose leading monomial divides its leading term.  Inside the
 loop polynomials and cofactor vectors are plain `{exponents: coefficient}`
 dicts reduced in place, each basis element's leading monomial is kept, and
 the grevlex key of each exponent tuple is computed once per call; the
-results become LaurentPoly values only at the end.  `normal_form` is the
-same reduction behind a LaurentPoly interface.
+results become LaurentPoly values only at the end, through the trusted
+`LaurentPoly._new`: every dict is built here from validated inputs, with
+int exponent tuples and nonzero coefficients of the ring.  `normal_form` is
+the same reduction behind a LaurentPoly interface.
 """
 
 from __future__ import annotations
@@ -167,8 +169,8 @@ def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
     work_cofs = None if cof is None else [dict(c.terms) for c in cof]
     remainder = w.reduce(dict(poly.terms), divisors, work_cofs)
     if cof is not None:
-        cof[:] = [LaurentPoly(ring, variables, c) for c in work_cofs]
-    return LaurentPoly(ring, variables, remainder), cof
+        cof[:] = [LaurentPoly._new(ring, variables, c) for c in work_cofs]
+    return LaurentPoly._new(ring, variables, remainder), cof
 
 
 def groebner_basis(gens, with_cofactors=False):
@@ -251,10 +253,10 @@ def groebner_basis(gens, with_cofactors=False):
             push(k, new)
 
     reduced = _autoreduce(w, basis)
-    out = [LaurentPoly(ring, variables, poly) for _, _, poly, _ in reduced]
+    out = [LaurentPoly._new(ring, variables, poly) for _, _, poly, _ in reduced]
     if not with_cofactors:
         return out
-    return out, [[LaurentPoly(ring, variables, c) for c in cofs] for _, _, _, cofs in reduced]
+    return out, [[LaurentPoly._new(ring, variables, c) for c in cofs] for _, _, _, cofs in reduced]
 
 
 def _autoreduce(w, basis):

@@ -9,8 +9,13 @@ regularity certificates.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import NonUnitImage, UnsupportedRing, VariableMismatch
+
+# Fractions are immutable, so every rational zero and one can be the same object
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 class CoefficientRing:
@@ -22,6 +27,7 @@ class CoefficientRing:
         if tag in CoefficientRing._by_tag:
             raise ValueError(f"duplicate ring tag {tag}")
         self.tag = tag
+        self.zero, self.one = (_Q_ZERO, _Q_ONE) if tag == "Rational" else (0, 1)
         CoefficientRing._by_tag[tag] = self
 
     @classmethod
@@ -38,24 +44,17 @@ class CoefficientRing:
     def is_field(self) -> bool:
         return self.tag in ("GF2", "Rational")
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.tag == "Rational" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.tag == "Rational" else 1
-
     def coerce(self, value):
-        if isinstance(value, Fraction) and self.tag != "Rational":
-            if value.denominator != 1:
+        """`value` as an element of this ring; a non-integral value is not an
+        element of Int or GF2 and raises `UnsupportedRing`."""
+        if self.tag == "Rational":
+            return Fraction(value)
+        if not isinstance(value, int):
+            exact = Fraction(value)
+            if exact.denominator != 1:
                 raise UnsupportedRing(f"{value} is not an element of {self.tag}")
-            value = value.numerator
-        if self.tag == "GF2":
-            return int(value) % 2
-        if self.tag == "Int":
-            return int(value)
-        return Fraction(value)
+            value = exact.numerator
+        return value % 2 if self.tag == "GF2" else int(value)
 
     def parse(self, text: str):
         return self.coerce(Fraction(text))
@@ -98,6 +97,16 @@ INT = CoefficientRing("Int")
 RATIONAL = CoefficientRing("Rational")
 
 
+def _exponent(e) -> int:
+    """An exponent as an int; a non-integral one is rejected, not truncated."""
+    if type(e) is int:
+        return e
+    value = int(e)
+    if value != e:
+        raise ValueError(f"exponent {e!r} is not an integer")
+    return value
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial: a map from integer exponent vectors to
     nonzero coefficients, over a fixed ordered variable tuple."""
@@ -108,7 +117,7 @@ class LaurentPoly:
         variables = tuple(variables)
         clean: dict[tuple[int, ...], object] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != len(variables):
                 raise VariableMismatch(
                     f"exponent vector {exps} does not match variables {variables}"
@@ -126,6 +135,22 @@ class LaurentPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _new(ring: CoefficientRing, variables: tuple, terms: dict) -> "LaurentPoly":
+        """The polynomial with exactly these terms, made without validation.
+
+        Only twistkit's own arithmetic calls this, on terms it built itself:
+        `variables` is a tuple, every exponent vector a tuple of ints of its
+        length, every coefficient a nonzero element of `ring`, and `terms` is
+        not touched again by the caller.
+        """
+        poly = _new_object(LaurentPoly)
+        _set_ring(poly, ring)
+        _set_variables(poly, variables)
+        _set_terms(poly, terms)
+        _set_hash(poly, None)
+        return poly
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly is immutable")
@@ -213,11 +238,11 @@ class LaurentPoly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = c
-        return LaurentPoly(ring, self.variables, terms)
+        return LaurentPoly._new(ring, self.variables, terms)
 
     def __neg__(self):
         ring = self.ring
-        return LaurentPoly(
+        return LaurentPoly._new(
             ring, self.variables, {e: ring.neg(c) for e, c in self.terms.items()}
         )
 
@@ -234,13 +259,13 @@ class LaurentPoly:
         acc: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 c = ring.add(acc.get(exps, ring.zero), ring.mul(c1, c2))
                 if c == ring.zero:
                     acc.pop(exps, None)
                 else:
                     acc[exps] = c
-        return LaurentPoly(ring, self.variables, acc)
+        return LaurentPoly._new(ring, self.variables, acc)
 
     def scale(self, coeff):
         ring = self.ring
@@ -299,7 +324,7 @@ class LaurentPoly:
             new = list(exps)
             new[idx] -= 1
             terms[tuple(new)] = ring.int_multiple(exps[idx], coeff)
-        return LaurentPoly(ring, self.variables, terms)
+        return LaurentPoly._new(ring, self.variables, terms)
 
     def log_derivative(self, name: str) -> "LaurentPoly":
         """x·d/dx for the named variable: each term is multiplied by its
@@ -311,7 +336,7 @@ class LaurentPoly:
             c = ring.int_multiple(exps[idx], coeff)
             if c != ring.zero:
                 terms[exps] = c
-        return LaurentPoly(ring, self.variables, terms)
+        return LaurentPoly._new(ring, self.variables, terms)
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -384,6 +409,12 @@ class LaurentPoly:
         return f"LaurentPoly({self.ring}, {self.variables}, {str(self)!r})"
 
 
+_new_object = object.__new__
+_set_ring, _set_variables, _set_terms, _set_hash = (
+    getattr(LaurentPoly, name).__set__ for name in LaurentPoly.__slots__
+)
+
+
 class RingHom:
     """A ring homomorphism determined by unit-monomial images of generators.
 
@@ -450,22 +481,42 @@ class RingHom:
         )
 
     def apply(self, poly: LaurentPoly) -> LaurentPoly:
+        """The image of `poly`, its terms accumulated into one dict in the
+        order the source terms come: a term whose image monomial is new goes
+        at the end, one that cancels is dropped (and goes at the end again if
+        a later term brings it back)."""
         missing = [v for v in poly.variables if v not in self.images]
         if missing:
             raise VariableMismatch(f"no image given for generators {missing}")
         ring = self.ring
-        result = LaurentPoly.zero(ring, self.variables)
+        size = len(self.variables)
+        one, zero = ring.one, ring.zero
+        # each source variable's index, the nonzero (index, exponent) pairs
+        # of its image and the image's coefficient
+        images = []
+        for k, name in enumerate(poly.variables):
+            img_exps, img_coeff = self.images[name].single_term()
+            images.append((k, [(i, ie) for i, ie in enumerate(img_exps) if ie], img_coeff))
+        acc: dict[tuple[int, ...], object] = {}
         for exps, coeff in poly.terms.items():
-            out_exps = [0] * len(self.variables)
+            out_exps = [0] * size
             out_coeff = ring.coerce(self._transport(poly.ring, coeff))
-            for name, e in zip(poly.variables, exps):
-                img_exps, img_coeff = self.images[name].single_term()
-                for i, ie in enumerate(img_exps):
+            for k, img_exps, img_coeff in images:
+                e = exps[k]
+                if not e:
+                    continue
+                for i, ie in img_exps:
                     out_exps[i] += ie * e
-                factor = img_coeff if e >= 0 else ring.inv(img_coeff)
-                out_coeff = ring.mul(out_coeff, ring.coerce(factor ** abs(e)))
-            result = result + LaurentPoly.monomial(ring, self.variables, out_exps, out_coeff)
-        return result
+                if img_coeff != one:
+                    factor = img_coeff if e > 0 else ring.inv(img_coeff)
+                    out_coeff = ring.mul(out_coeff, ring.coerce(factor ** abs(e)))
+            out = tuple(out_exps)
+            c = ring.add(acc.get(out, zero), out_coeff)
+            if c == zero:
+                acc.pop(out, None)
+            else:
+                acc[out] = c
+        return LaurentPoly._new(ring, self.variables, acc)
 
     def describe(self) -> str:
         parts = []

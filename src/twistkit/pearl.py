@@ -41,10 +41,20 @@ class Potential:
         self.poly = self.poly_over(ring)
 
     def poly_over(self, ring: CoefficientRing) -> LaurentPoly:
-        total = LaurentPoly.zero(ring, self.variables)
+        """The potential over `ring`: the classes' monomials summed in
+        provenance order into one dict (a cancelled monomial is dropped, and
+        goes at the end if a later class brings it back).  Class coefficients
+        are int tuples of the basis length, so the sum needs no validation."""
+        zero = ring.zero
+        terms: dict[tuple[int, ...], object] = {}
         for cls, sign in self.provenance:
-            total = total + LaurentPoly.monomial(ring, self.variables, cls.coefficients, sign)
-        return total
+            exps = cls.coefficients
+            c = ring.add(terms.get(exps, zero), ring.coerce(sign))
+            if c == zero:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = c
+        return LaurentPoly._new(ring, self.variables, terms)
 
     @property
     def r_names(self) -> tuple[str, ...]:

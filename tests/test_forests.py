@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from twistkit.errors import CapExceeded, InvalidLeafIndex, ParseError
 from twistkit.forests import (
+    _hash_of,
     LEAF,
     ProductSpec,
     RootedForest,
@@ -534,6 +535,37 @@ def per_tree_ample_trees(n):
     return tuple(level)
 
 
+class _Hashed:
+    """Hashes to a given value, so a tuple of these hashes like a tuple of
+    the objects whose hashes they carry."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def walked_hash(tree):
+    """`RootedTree.__hash__` before hashes were kept: hash((children,)) over
+    the whole tree, bottom-up, without reading any stored hash."""
+    hashes = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in hashes:
+            stack.pop()
+            continue
+        todo = [c for c in node.children if id(c) not in hashes]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        kids = hash(tuple(_Hashed(hashes[id(c)]) for c in node.children))
+        hashes[id(node)] = hash((_Hashed(kids),))
+    return hashes[id(tree)]
+
+
 def test_bulk_levels_match_the_per_tree_build():
     for n in range(1, 13):
         got = enumerate_ample_trees(n)
@@ -546,8 +578,9 @@ def test_bulk_levels_match_the_per_tree_build():
             assert tree == rebuilt
             assert tree.canonical_key == rebuilt.canonical_key
             assert tree.leaf_count == rebuilt.leaf_count
-            if n <= 10:  # hash and repr walk the whole tree: seconds on the top levels
-                assert hash(tree) == hash(rebuilt) and repr(tree) == repr(rebuilt)
+            assert hash(tree) == walked_hash(tree) == hash(rebuilt)
+            if n <= 10:  # repr walks the whole tree: seconds on the top levels
+                assert repr(tree) == repr(rebuilt)
 
 
 def test_enumeration_matches_reference_dfs():
@@ -690,3 +723,19 @@ def test_deep_tree_repr_hash_equality_and_literal():
     other = word_to_tree(TwistWord(steps[:-1] + ((2, 1500),)))
     assert tree != other and other.leaf_count == tree.leaf_count + 1
     assert RootedForest((tree, LEAF)) == RootedForest((LEAF, parsed))
+
+
+def test_kept_hashes_match_the_walked_hash():
+    rng = random.Random(99)
+    steps = ((1, 1),) + tuple((1, j) for j in range(2, 1501))  # each on the last leaf
+    deep = word_to_tree(TwistWord(steps))
+    trees = [deep, pickle.loads(pickle.dumps(deep)), copy.deepcopy(deep)]
+    trees += [word_to_tree(random_word(rng, max_steps=8, max_k=3)) for _ in range(200)]
+    trees += [shuffled(t, rng) for t in enumerate_ample_trees(8)]
+    shared = bush(3)
+    trees += [RootedTree((shared, shared, RootedTree((shared, LEAF))))]
+    for tree in trees:
+        assert tree is LEAF or _hash_of(tree) is None  # new trees, pickled ones too
+        want = walked_hash(tree)
+        assert hash(tree) == want and _hash_of(tree) == want
+        assert hash(tree) == want  # read back from the slot

@@ -379,6 +379,43 @@ def test_integer_abs_det_matches_the_fraction_determinant():
     assert germs._abs_det([[1, 2], [2, 4]]) == 0
 
 
+def test_signed_det_and_adjugate_match_the_fraction_inverse():
+    rng = random.Random(78)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = tuple(tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)) for _ in range(n))
+        det = germs._det(rows)
+        assert det == mat_det(rows)
+        adj = germs._adjugate(rows)
+        assert all(type(x) is int for row in adj for x in row)
+        if det:
+            assert adj == tuple(tuple(det * x for x in row) for row in mat_inv(rows))
+    assert germs._det([[0, 1], [1, 0]]) == -1  # a row swap flips the sign
+
+
+def test_candidates_are_formed_in_integers(monkeypatch):
+    """Every candidate product has int entries only, and the outcomes are
+    those of the search that formed T S^-1 in Fractions."""
+    products = []
+
+    def int_mat_mul(a, b):
+        product = mat_mul(a, b)
+        assert all(type(x) is int for row in product for x in row)
+        products.append(product)
+        return product
+
+    monkeypatch.setattr(germs, "mat_mul", int_mat_mul)
+    rng = random.Random(1618)
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        germ = random_germ(rng, n=n, count=rng.randint(n + 1, n + 2))
+        moved = transform_germ(germ, random_unimodular(rng, n=n))
+        for other in (moved, sign_flipped(rng, moved)):
+            got, want = germ_equivalent(germ, other), per_tuple_equivalent(germ, other)
+            assert outcome_record(got) == outcome_record(want)
+    assert len(products) >= 30
+
+
 def test_permutation_budget(monkeypatch):
     germ = theta_germ()  # three covectors in dimension 2: 3 * 2 ordered pairs
     monkeypatch.setattr(germs, "PERMUTATION_BUDGET", 6)

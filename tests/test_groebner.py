@@ -283,6 +283,28 @@ def test_basis_and_cofactors_match_the_reference_loop():
         assert [str(b) for b in groebner_basis(gens)] == [str(b) for b in ref_basis]
 
 
+def test_bases_cofactors_and_remainders_revalidate():
+    """Results are built without the public constructor's validation; each
+    must be what that constructor makes of it, term order included."""
+    rng = random.Random(404)
+
+    def check(p):
+        want = Fraction if p.ring is RATIONAL else int
+        for exps, coeff in p.terms.items():
+            assert len(exps) == len(p.variables) and all(type(e) is int for e in exps)
+            assert type(coeff) is want and coeff != 0
+        again = LaurentPoly(p.ring, p.variables, p.terms)
+        assert list(again.terms.items()) == list(p.terms.items())
+
+    for gens in random_ideals()[:80]:
+        basis, cofs = groebner_basis(gens, with_cofactors=True)
+        cof = [LaurentPoly.zero(gens[0].ring, gens[0].variables) for _ in gens]
+        extra = random_poly(rng, gens[0].ring, gens[0].variables)
+        remainder, cof = normal_form(extra, basis, cof, cofs)
+        for p in [*basis, *(c for v in cofs for c in v), remainder, *cof]:
+            check(p)
+
+
 def test_unit_ideal_detection():
     v = ("x",)
     basis = groebner_basis([poly(GF2, v, {(0,): 1, (1,): 1}), poly(GF2, v, {(1,): 1})])

@@ -225,3 +225,178 @@ def test_ring_registry():
     assert CoefficientRing.from_tag("Rational") is RATIONAL
     with pytest.raises(UnsupportedRing):
         CoefficientRing.from_tag("Z7")
+
+
+# ---------------------------------------------------------------------------
+# the public constructor validates
+
+
+def test_non_integral_exponents_are_rejected():
+    for exps in ((1.5,), (Fraction(3, 2),), ("1",)):
+        with pytest.raises(ValueError):
+            LaurentPoly(GF2, ("x",), {exps: 1})
+    p = LaurentPoly(INT, ("x", "y"), {(2.0, Fraction(-1)): 3})
+    assert p.terms == {(2, -1): 3}
+    assert all(type(e) is int for e in next(iter(p.terms)))
+
+
+def test_non_integral_coefficients_are_rejected_over_int_and_gf2():
+    for ring in (INT, GF2):
+        for coeff in (1.5, 0.5, Fraction(3, 2)):
+            with pytest.raises(UnsupportedRing):
+                LaurentPoly(ring, ("x",), {(1,): coeff})
+    assert LaurentPoly(INT, ("x",), {(1,): 4.0}).terms == {(1,): 4}
+    assert LaurentPoly(GF2, ("x",), {(1,): Fraction(3)}).terms == {(1,): 1}
+    assert LaurentPoly(RATIONAL, ("x",), {(1,): 0.5}).terms == {(1,): Fraction(1, 2)}
+
+
+def test_ring_constants_are_shared():
+    assert RATIONAL.zero is RATIONAL.zero and RATIONAL.one is RATIONAL.one
+    assert (RATIONAL.zero, RATIONAL.one) == (Fraction(0), Fraction(1))
+    assert type(RATIONAL.one) is Fraction
+    assert (GF2.zero, GF2.one, INT.zero, INT.one) == (0, 1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# polynomials the layer builds for itself (LaurentPoly._new)
+
+COEFF_TYPE = {"GF2": int, "Int": int, "Rational": Fraction}
+
+
+def assert_revalidates(p):
+    """A trusted result is exactly what the public constructor makes of it:
+    int exponent tuples of the right length, nonzero coefficients of the
+    ring's type, and the same terms in the same order."""
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert all(type(e) is int for e in exps)
+        assert type(coeff) is COEFF_TYPE[p.ring.tag] and coeff != 0
+    again = LaurentPoly(p.ring, p.variables, p.terms)
+    assert again.terms == p.terms and list(again.terms) == list(p.terms)
+
+
+def term_by_term_apply(hom, poly):
+    """`RingHom.apply` as it was: one image monomial per source term, added
+    to the running result through the public `+`."""
+    missing = [v for v in poly.variables if v not in hom.images]
+    if missing:
+        raise VariableMismatch(f"no image given for generators {missing}")
+    ring = hom.ring
+    result = LaurentPoly.zero(ring, hom.variables)
+    for exps, coeff in poly.terms.items():
+        out_exps = [0] * len(hom.variables)
+        out_coeff = ring.coerce(hom._transport(poly.ring, coeff))
+        for name, e in zip(poly.variables, exps):
+            img_exps, img_coeff = hom.images[name].single_term()
+            for i, ie in enumerate(img_exps):
+                out_exps[i] += ie * e
+            factor = img_coeff if e >= 0 else ring.inv(img_coeff)
+            out_coeff = ring.mul(out_coeff, ring.coerce(factor ** abs(e)))
+        result = result + LaurentPoly.monomial(ring, hom.variables, out_exps, out_coeff)
+    return result
+
+
+SOURCE = ("x", "y", "z")
+TARGET = ("s", "t")
+UNITS = {"GF2": (1,), "Int": (1, -1), "Rational": (1, -1, 2, Fraction(-1, 3))}
+COEFFS = {"GF2": (1,), "Int": (1, -1, 2, -3), "Rational": (1, -1, Fraction(1, 2), 3)}
+# (source ring, target ring): Int polynomials transport into Rational homs
+RING_PAIRS = ((GF2, GF2), (INT, INT), (RATIONAL, RATIONAL), (INT, RATIONAL))
+
+
+@st.composite
+def hom_cases(draw):
+    """A monomial hom from 3 generators to 2 and a source polynomial; small
+    exponents make image monomials collide, cancel and come back."""
+    source_ring, ring = draw(st.sampled_from(RING_PAIRS))
+    small = st.integers(min_value=-2, max_value=2)
+    exponents = {name: (draw(small), draw(small)) for name in SOURCE}
+    coeffs = {name: draw(st.sampled_from(UNITS[ring.tag])) for name in SOURCE}
+    hom = RingHom.from_monomials(ring, TARGET, exponents, coeffs)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        exps = tuple(draw(small) for _ in SOURCE)
+        terms[exps] = draw(st.sampled_from(COEFFS[source_ring.tag]))
+    return hom, LaurentPoly(source_ring, SOURCE, terms)
+
+
+def assert_same_as_term_by_term(hom, poly):
+    got, want = hom.apply(poly), term_by_term_apply(hom, poly)
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert_revalidates(got)
+
+
+@given(hom_cases())
+def test_hom_apply_matches_the_term_by_term_sum(case):
+    assert_same_as_term_by_term(*case)
+
+
+def test_hom_apply_matches_the_term_by_term_sum_seeded():
+    rng = random.Random(909)
+    collisions = 0
+    for _ in range(400):
+        source_ring, ring = rng.choice(RING_PAIRS)
+        hom = RingHom.from_monomials(
+            ring,
+            TARGET,
+            {name: (rng.randint(-1, 1), rng.randint(-1, 1)) for name in SOURCE},
+            {name: rng.choice(UNITS[ring.tag]) for name in SOURCE},
+        )
+        poly = LaurentPoly(source_ring, SOURCE, {
+            tuple(rng.randint(-2, 2) for _ in SOURCE): rng.choice(COEFFS[source_ring.tag])
+            for _ in range(rng.randint(0, 10))
+        })
+        assert_same_as_term_by_term(hom, poly)
+        collisions += len(hom.apply(poly).terms) < len(poly.terms)
+    assert collisions >= 100
+
+
+def test_hom_apply_keeps_the_order_of_a_cancelled_and_returning_term():
+    # x and y both go to t and cancel, z goes to s, w brings t back last
+    hom = RingHom.from_monomials(
+        RATIONAL, TARGET, {"x": (0, 1), "y": (0, 1), "z": (1, 0), "w": (0, 1)},
+        {"y": -1},
+    )
+    poly = LaurentPoly(RATIONAL, ("x", "y", "z", "w"), {
+        (1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 5,
+    })
+    got = hom.apply(poly)
+    assert list(got.terms.items()) == [((1, 0), 1), ((0, 1), 5)]
+    assert list(got.terms.items()) == list(term_by_term_apply(hom, poly).terms.items())
+    # negative exponents invert the image coefficient: (2s)^-2 = s^-2 / 4
+    doubling = RingHom.from_monomials(RATIONAL, ("s",), {"x": (1,)}, {"x": 2})
+    inverse_square = LaurentPoly(RATIONAL, ("x",), {(-2,): 3})
+    assert doubling.apply(inverse_square).terms == {(-2,): Fraction(3, 4)}
+    assert_same_as_term_by_term(doubling, inverse_square)
+
+
+def test_hom_apply_transports_only_int_into_rational():
+    hom = RingHom.identity(RATIONAL, ("x",))
+    image = hom.apply(LaurentPoly(INT, ("x",), {(1,): 3}))
+    assert image.terms == {(1,): Fraction(3)} and type(image.terms[(1,)]) is Fraction
+    with pytest.raises(UnsupportedRing):
+        hom.apply(LaurentPoly(GF2, ("x",), {(1,): 1}))
+    # with no terms there is nothing to transport
+    assert hom.apply(LaurentPoly.zero(GF2, ("x",))).is_zero
+
+
+def ring_polys(ring, variables=("x", "y")):
+    small = st.integers(min_value=-2, max_value=2)
+    keys = st.tuples(*[small for _ in variables])
+    return st.dictionaries(keys, st.sampled_from(COEFFS[ring.tag]), max_size=5).map(
+        lambda terms: LaurentPoly(ring, variables, terms)
+    )
+
+
+@given(st.sampled_from((GF2, INT, RATIONAL)).flatmap(
+    lambda ring: st.tuples(ring_polys(ring), ring_polys(ring))))
+def test_arithmetic_results_revalidate(pair):
+    a, b = pair
+    results = [a + b, a - b, -a, a * b, a.log_derivative("x"), b.log_derivative("y")]
+    if a.ring is not GF2:
+        results += [a.partial_derivative("x"), b.partial_derivative("y")]
+    for p in results:
+        assert_revalidates(p)
+    assert (a - a).is_zero and (a + b) - b == a
+    assert a * b == mul_reference(a, b)

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistkit.discs import DiscClass, HomologyBasis
 from twistkit.errors import VariableMismatch
-from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
+from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
 from twistkit.pearl import (
     PearlElement,
     Potential,
@@ -332,3 +334,54 @@ def test_potential_json_accepts_bare_term_lists():
 def test_module_level_toric_differential_helper():
     pot = theta_potential()
     assert toric_differential(pot) == pot.toric_differential()
+
+
+def class_by_class_poly(potential, ring):
+    """`Potential.poly_over` as it was: one monomial per class, added to the
+    running total through the public `+`."""
+    total = LaurentPoly.zero(ring, potential.variables)
+    for cls, sign in potential.provenance:
+        total = total + LaurentPoly.monomial(ring, potential.variables, cls.coefficients, sign)
+    return total
+
+
+def assert_poly_over_matches(potential):
+    for ring in (GF2, INT, RATIONAL):
+        got, want = potential.poly_over(ring), class_by_class_poly(potential, ring)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        for exps, coeff in got.terms.items():
+            assert all(type(e) is int for e in exps) and coeff != 0
+            assert type(coeff) is (Fraction if ring is RATIONAL else int)
+        again = LaurentPoly(ring, got.variables, got.terms)
+        assert list(again.terms.items()) == list(got.terms.items())
+
+
+@given(st.lists(st.tuples(st.sampled_from(((1, 0, 0), (0, 1, -1), (-1, 0, 2), (1, 1, 1))),
+                          st.sampled_from((1, -1, 2, -3))), min_size=0, max_size=8))
+def test_poly_over_matches_the_class_by_class_sum(pairs):
+    basis = plain_basis(3)
+    provenance = [(DiscClass(c, basis.boundary_of(c)), sign) for c, sign in pairs]
+    assert_poly_over_matches(Potential(GF2, basis, provenance))
+
+
+def test_poly_over_matches_the_class_by_class_sum_seeded():
+    rng = random.Random(5150)
+    for _ in range(200):
+        basis = plain_basis(3)
+        provenance = []
+        for _ in range(rng.randint(1, 10)):
+            coeffs = tuple(rng.randint(-1, 1) for _ in range(3))
+            provenance.append((DiscClass(coeffs, basis.boundary_of(coeffs)),
+                               rng.choice((1, -1, 2, -2, 3))))
+        assert_poly_over_matches(Potential(GF2, basis, provenance))
+    assert_poly_over_matches(theta_potential())
+
+
+def test_poly_over_puts_a_cancelled_and_returning_class_last():
+    basis = plain_basis(2)
+    a, b = DiscClass((1, 0), (1, 0)), DiscClass((0, 1), (0, 1))
+    pot = Potential(RATIONAL, basis, [(a, 1), (b, 2), (a, -1), (a, 3)])
+    assert list(pot.poly.terms.items()) == [((0, 1), 2), ((1, 0), 3)]
+    assert list(pot.poly_over(GF2).terms.items()) == [((1, 0), 1)]  # b's 2 is 0 mod 2
+    assert_poly_over_matches(pot)
