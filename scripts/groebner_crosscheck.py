@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Cross-check twistkit's reduced Groebner bases against sympy.
 
-For seeded random ideals over GF(2) and Q in two or three variables, the
-reduced grevlex basis from `twistkit.groebner.groebner_basis` must equal the
-one from `sympy.groebner(..., order='grevlex')`.  Both sides are compared as
+For seeded random ideals over GF(2) and Q in one, two or three variables,
+the reduced grevlex basis from `twistkit.groebner.groebner_basis` must equal
+the one from `sympy.groebner(..., order='grevlex')`.  In one variable that
+basis is the monic gcd that `univariate_gcd` returns.  Both sides are compared as
 monic sympy `Poly` objects over the same domain, since expression strings
 differ over GF(2) (sympy prints its coefficients in symmetric form).  Prints
 each mismatch and exits 1 if there is one.  A development check: it needs
@@ -27,8 +28,8 @@ DOMAINS = {GF2: sympy.GF(2), RATIONAL: sympy.QQ}
 
 def random_ideal(rng):
     ring = rng.choice((GF2, RATIONAL))
-    variables = ("x", "y", "z")[: rng.randint(2, 3)]
-    max_deg = 3 if len(variables) == 2 else 2
+    variables = ("x", "y", "z")[: rng.randint(1, 3)]
+    max_deg = (6, 3, 2)[len(variables) - 1]
     gens = []
     for _ in range(rng.randint(2, 3)):
         terms = {}

@@ -9,7 +9,8 @@ Four pieces fit together:
   drives a prefix-pruned lattice enumeration;
 * `pearl` / `certificates`: group-ring Laurent algebra, the quadratic pearl
   differential, and Groebner/gcd certificates that degree zero survives
-  while positive degrees vanish (non-displaceability);
+  while positive degrees vanish (non-displaceability); one Buchberger core
+  computes both, the gcd being the one-variable reduced basis;
 * `germs`: displacement-energy germs as min-of-covectors formulas and their
   GL(n, Z) classification.
 """

@@ -20,6 +20,7 @@ from .certificates import certify_nondisplaceable
 from .discs import enumerate_candidate_classes, table_from_json
 from .errors import TwistKitError
 from .forests import (
+    DEFAULT_ENUMERATION_CAP,
     canonical_form,
     check_enumeration_size,
     count_ample_trees,
@@ -77,7 +78,7 @@ def _load_json(path: str) -> dict:
 
 def _cmd_trees(config: RunConfig):
     n = config.params["n"]
-    cap = config.params.get("cap", 16)
+    cap = config.params.get("cap", DEFAULT_ENUMERATION_CAP)
     if config.params.get("count_only", False):
         check_enumeration_size(n, cap)
         count = count_ample_trees(n)
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="enumerate ample rooted trees with n leaves")
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--count", action="store_true", help="emit the count only")
     common(p)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapExceeded, UnboundedRegion
@@ -52,12 +52,15 @@ class HomologyBasis:
     correspond to generators.  Surface classes (absolute generators) have zero
     columns; the square submatrix on the boundary-carrying generators must be
     unimodular.  `ring_names` names the multiplicative group-ring generators.
+    `boundary_indices`, the column indices of the generators with nonzero
+    boundary in order, is derived from the matrix once, at construction.
     """
 
     names: tuple[str, ...]
     boundary_matrix: tuple[tuple[int, ...], ...]
     n_torus_rank: int
     ring_names: tuple[str, ...] = ()
+    boundary_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -71,7 +74,8 @@ class HomologyBasis:
         for row in matrix:
             if len(row) != len(names):
                 raise ValueError("boundary matrix width must match generator count")
-        carriers = self.boundary_indices
+        carriers = tuple(j for j in range(len(names)) if any(row[j] for row in matrix))
+        object.__setattr__(self, "boundary_indices", carriers)
         if len(carriers) != self.n_torus_rank:
             raise ValueError(
                 f"{len(carriers)} generators carry boundary; expected {self.n_torus_rank}"
@@ -86,15 +90,6 @@ class HomologyBasis:
             if len(ring_names) != len(names):
                 raise ValueError("ring_names must match generator count")
             object.__setattr__(self, "ring_names", ring_names)
-
-    @property
-    def boundary_indices(self) -> tuple[int, ...]:
-        """Column indices of generators with nonzero boundary, in order."""
-        return tuple(
-            j
-            for j in range(len(self.names))
-            if any(row[j] != 0 for row in self.boundary_matrix)
-        )
 
     @property
     def surface_indices(self) -> tuple[int, ...]:

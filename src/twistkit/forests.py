@@ -78,10 +78,6 @@ class RootedTree:
         object.__setattr__(self, "leaf_count", leaves)
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def vertex_count(self) -> int:
         count, stack = 0, [self]
         while stack:

@@ -20,6 +20,10 @@ results become LaurentPoly values only at the end, through the trusted
 `LaurentPoly._new`: every dict is built here from validated inputs, with
 int exponent tuples and nonzero coefficients of the ring.  `normal_form` is
 the same reduction behind a LaurentPoly interface.
+
+In one variable the reduced basis of a nonzero ideal is its monic gcd
+(Becker and Weispfenning, Groebner Bases, 1993), so `univariate_gcd` and
+`univariate_extended_gcd` are this same loop, the latter with cofactors.
 """
 
 from __future__ import annotations
@@ -332,65 +336,26 @@ def standard_monomials(basis):
 
 
 # ---------------------------------------------------------------------------
-# univariate tools (dense, over a field)
+# one variable
 
 
-def _to_dense(poly: LaurentPoly):
-    _require_polynomial(poly)
-    if len(poly.variables) != 1:
-        raise VariableMismatch("univariate helper got a multivariate polynomial")
-    if poly.is_zero:
-        return []
-    deg = max(e[0] for e in poly.terms)
-    ring = poly.ring
-    dense = [ring.zero] * (deg + 1)
-    for (e,), c in poly.terms.items():
-        dense[e] = c
-    return dense
-
-
-def _from_dense(dense, ring, variables):
-    return LaurentPoly(ring, variables, {(i,): c for i, c in enumerate(dense)})
-
-
-def _dense_trim(p, zero):
-    while p and p[-1] == zero:
-        p.pop()
-    return p
-
-
-def _dense_divmod(a, b, ring):
-    a = _dense_trim(list(a), ring.zero)
-    b = _dense_trim(list(b), ring.zero)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [ring.zero] * max(0, len(a) - len(b) + 1)
-    inv = ring.inv(b[-1])
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = ring.mul(a[-1], inv)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = ring.add(a[shift + i], ring.neg(ring.mul(factor, c)))
-        _dense_trim(a, ring.zero)
-    return q, a
+def _univariate_basis(polys, with_cofactors):
+    """Reduced Groebner basis of the ideal of one-variable `polys`: [monic
+    gcd], or [] for the zero ideal.  `groebner_basis` skips zero inputs and
+    gives them zero cofactors."""
+    polys = list(polys)
+    for p in polys:
+        if len(p.variables) != 1:
+            raise VariableMismatch("univariate helper got a multivariate polynomial")
+    if not polys:
+        return ([], []) if with_cofactors else []
+    return groebner_basis(polys, with_cofactors=with_cofactors)
 
 
 def univariate_gcd(polys, ring, variables) -> LaurentPoly:
     """Monic gcd of univariate polynomials over a field (zero inputs skipped)."""
-    dense_list = [d for d in (_to_dense(p) for p in polys) if d]
-    if not dense_list:
-        return LaurentPoly.zero(ring, variables)
-    g = dense_list[0]
-    for nxt in dense_list[1:]:
-        a, b = g, nxt
-        while b:
-            _, r = _dense_divmod(a, b, ring)
-            a, b = b, r
-        g = a
-    inv = ring.inv(g[-1])
-    g = [ring.mul(c, inv) for c in g]
-    return _from_dense(g, ring, variables)
+    basis = _univariate_basis(polys, with_cofactors=False)
+    return basis[0] if basis else LaurentPoly.zero(ring, variables)
 
 
 def univariate_extended_gcd(polys, ring, variables):
@@ -398,56 +363,8 @@ def univariate_extended_gcd(polys, ring, variables):
 
     Zero inputs get zero cofactors.
     """
-    zero = LaurentPoly.zero(ring, variables)
-    one = LaurentPoly.one(ring, variables)
-    gcd_poly = None
-    cofactors = []
-    for idx, p in enumerate(polys):
-        if p.is_zero:
-            cofactors.append(zero)
-            continue
-        if gcd_poly is None:
-            gcd_poly, cofactors = p, [zero] * idx + [one]
-            continue
-        g, u, v = _ext_gcd_pair(gcd_poly, p, ring, variables)
-        cofactors = [c * u for c in cofactors] + [v]
-        gcd_poly = g
-    if gcd_poly is None:
+    basis, cofactors = _univariate_basis(polys, with_cofactors=True)
+    if not basis:
+        zero = LaurentPoly.zero(ring, variables)
         return zero, [zero] * len(polys)
-    _, lc = leading_term(gcd_poly)
-    inv = ring.inv(lc)
-    gcd_poly = gcd_poly.scale(inv)
-    cofactors = [c.scale(inv) for c in cofactors]
-    return gcd_poly, cofactors
-
-
-def _ext_gcd_pair(a_poly, b_poly, ring, variables):
-    a, b = _to_dense(a_poly), _to_dense(b_poly)
-    u0, u1 = [ring.one], []
-    v0, v1 = [], [ring.one]
-
-    def dense_sub_mul(x, q, y):
-        # x - q*y; dense lists
-        prod = [ring.zero] * (len(q) + len(y) - 1) if q and y else []
-        for i, qc in enumerate(q):
-            if qc == ring.zero:
-                continue
-            for j, yc in enumerate(y):
-                prod[i + j] = ring.add(prod[i + j], ring.mul(qc, yc))
-        out = [ring.zero] * max(len(x), len(prod))
-        for i, c in enumerate(x):
-            out[i] = c
-        for i, c in enumerate(prod):
-            out[i] = ring.add(out[i], ring.neg(c))
-        return _dense_trim(out, ring.zero)
-
-    while _dense_trim(list(b), ring.zero):
-        q, r = _dense_divmod(a, b, ring)
-        a, b = b, r
-        u0, u1 = u1, dense_sub_mul(u0, q, u1)
-        v0, v1 = v1, dense_sub_mul(v0, q, v1)
-    return (
-        _from_dense(a, ring, variables),
-        _from_dense(u0, ring, variables),
-        _from_dense(v0, ring, variables),
-    )
+    return basis[0], cofactors[0]

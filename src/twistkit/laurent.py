@@ -190,10 +190,6 @@ class LaurentPoly:
         return not self.terms
 
     @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    @property
     def is_unit_monomial(self) -> bool:
         if len(self.terms) != 1:
             return False
@@ -203,10 +199,6 @@ class LaurentPoly:
     def single_term(self):
         ((exps, coeff),) = self.terms.items()
         return exps, coeff
-
-    def constant_value(self):
-        """The coefficient of the constant monomial (zero if absent)."""
-        return self.terms.get((0,) * len(self.variables), self.ring.zero)
 
     def min_exponents(self):
         """Componentwise minimum exponent over all terms (zero vector if empty)."""
@@ -338,7 +330,7 @@ class LaurentPoly:
                 terms[exps] = c
         return LaurentPoly._new(ring, self.variables, terms)
 
-    # -- evaluation / substitution ------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: dict):
         """Exact value at a point (Int/Rational); Laurent terms need nonzero
@@ -352,9 +344,6 @@ class LaurentPoly:
                 value *= Fraction(point[name]) ** e
             total += value
         return total
-
-    def substitute(self, hom: "RingHom") -> "LaurentPoly":
-        return hom.apply(self)
 
     # -- comparisons / printing ---------------------------------------------
 

@@ -38,6 +38,10 @@ class Potential:
             if sign == 0:
                 raise ValueError("disc-class multiplicities must be nonzero")
         self.variables = basis.ring_names
+        # names of the boundary-carrying generators, in torus-factor order
+        self.r_names: tuple[str, ...] = tuple(
+            self.variables[j] for j in basis.boundary_indices
+        )
         self.poly = self.poly_over(ring)
 
     def poly_over(self, ring: CoefficientRing) -> LaurentPoly:
@@ -55,11 +59,6 @@ class Potential:
             else:
                 terms[exps] = c
         return LaurentPoly._new(ring, self.variables, terms)
-
-    @property
-    def r_names(self) -> tuple[str, ...]:
-        """Names of the boundary-carrying generators, in torus-factor order."""
-        return tuple(self.variables[j] for j in self.basis.boundary_indices)
 
     def toric_differential(self) -> tuple[LaurentPoly, ...]:
         """(R_1 dU/dR_1, ..., R_n dU/dR_n), exponents reduced into the ring."""
@@ -143,13 +142,6 @@ class PearlElement:
         comps = dict(self.components)
         for subset, poly in other.components.items():
             comps[subset] = comps[subset] + poly if subset in comps else poly
-        return PearlElement(self.ring, self.variables, self.n, comps)
-
-    def __sub__(self, other):
-        self._check(other)
-        comps = dict(self.components)
-        for subset, poly in other.components.items():
-            comps[subset] = comps[subset] - poly if subset in comps else -poly
         return PearlElement(self.ring, self.variables, self.n, comps)
 
     def scaled_by(self, poly: LaurentPoly) -> "PearlElement":

@@ -854,3 +854,11 @@ def test_default_ring_names_split_carriers_and_surfaces():
     assert basis.ring_names == ("S1", "R1", "S2")
     assert basis.boundary_indices == (1,)
     assert basis.surface_indices == (0, 2)
+    # the carriers are stored at construction, outside repr, == and hash
+    assert repr(basis) == (
+        "HomologyBasis(names=('X', 'Y', 'Z'), boundary_matrix=((0, 1, 0),), "
+        "n_torus_rank=1, ring_names=('S1', 'R1', 'S2'))"
+    )
+    again = HomologyBasis(("X", "Y", "Z"), ((0, 1, 0),), 1)
+    assert again == basis and hash(again) == hash(basis)
+    assert "boundary_indices" in vars(basis)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistkit.errors import UnsupportedRing
+from twistkit.errors import UnsupportedRing, VariableMismatch
 from twistkit.groebner import (
     contains_constant,
     grevlex_key,
@@ -147,6 +147,72 @@ def reference_groebner_basis(gens, with_cofactors=False):
     if not with_cofactors:
         return [r for r, _ in out]
     return [r for r, _ in out], [c for _, c in out]
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense Euclid gcd that the one-variable Groebner basis
+# replaced; the monic gcd of a nonzero one-variable ideal is its reduced basis
+
+
+def _ref_dense_trim(p, zero):
+    while p and p[-1] == zero:
+        p.pop()
+    return p
+
+
+def _ref_to_dense(p):
+    if p.is_zero:
+        return []
+    dense = [p.ring.zero] * (max(e for (e,) in p.terms) + 1)
+    for (e,), c in p.terms.items():
+        dense[e] = c
+    return dense
+
+
+def _ref_dense_remainder(a, b, ring):
+    a = _ref_dense_trim(list(a), ring.zero)
+    inv = ring.inv(b[-1])
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        factor = ring.mul(a[-1], inv)
+        for i, c in enumerate(b):
+            a[shift + i] = ring.add(a[shift + i], ring.neg(ring.mul(factor, c)))
+        _ref_dense_trim(a, ring.zero)
+    return a
+
+
+def reference_univariate_gcd(polys, ring, variables):
+    dense_list = [d for d in (_ref_to_dense(p) for p in polys) if d]
+    if not dense_list:
+        return LaurentPoly.zero(ring, variables)
+    g = dense_list[0]
+    for nxt in dense_list[1:]:
+        a, b = g, nxt
+        while b:
+            a, b = b, _ref_dense_remainder(a, b, ring)
+        g = a
+    inv = ring.inv(g[-1])
+    return LaurentPoly(ring, variables, {(i,): ring.mul(c, inv) for i, c in enumerate(g)})
+
+
+def univariate_inputs():
+    """400 seeded lists of one to four one-variable polynomials of degree at
+    most 10, half over GF2 and half over Q; zero polynomials occur, and about
+    half the lists share a random factor of degree at most 3."""
+    rng = random.Random(1993)
+    v = ("t",)
+    out = []
+    for trial in range(400):
+        ring = GF2 if trial % 2 else RATIONAL
+        common = random_poly(rng, ring, v, max_terms=3, max_deg=3)
+        if trial % 4 < 2 or common.is_zero:
+            common = LaurentPoly.one(ring, v)
+        polys = [
+            common * random_poly(rng, ring, v, max_terms=4, max_deg=7)
+            for _ in range(rng.randint(1, 4))
+        ]
+        out.append((ring, v, polys))
+    return out
 
 
 def random_ideals():
@@ -356,6 +422,9 @@ def test_normal_form_skips_zero_divisors():
 def test_groebner_requires_a_field():
     with pytest.raises(UnsupportedRing):
         groebner_basis([poly(INT, ("x",), {(1,): 2})])
+    for gcd in (univariate_gcd, univariate_extended_gcd):
+        with pytest.raises(UnsupportedRing):
+            gcd([poly(INT, ("x",), {(1,): 2})], INT, ("x",))
 
 
 def test_groebner_rejects_laurent_inputs():
@@ -373,6 +442,30 @@ def test_univariate_gcd_examples():
     c = poly(RATIONAL, v, {(2,): 2, (0,): -2})  # 2(R^2 - 1)
     d = poly(RATIONAL, v, {(1,): 3, (0,): 3})  # 3(R + 1)
     assert univariate_gcd([c, d], RATIONAL, v) == poly(RATIONAL, v, {(1,): 1, (0,): 1})
+    # no inputs, or only zero ones: the zero ideal
+    zero = LaurentPoly.zero(GF2, v)
+    assert univariate_gcd([], GF2, v) == zero
+    assert univariate_extended_gcd([zero, zero], GF2, v) == (zero, [zero, zero])
+    with pytest.raises(VariableMismatch, match="multivariate"):
+        univariate_gcd([poly(GF2, ("x", "y"), {(1, 0): 1})], GF2, ("x", "y"))
+
+
+def test_univariate_gcd_matches_the_euclid_reference():
+    inputs = univariate_inputs()
+    assert any(p.is_zero for _, _, polys in inputs for p in polys)
+    nontrivial = 0
+    for ring, v, polys in inputs:
+        want = str(reference_univariate_gcd(polys, ring, v))
+        g = univariate_gcd(polys, ring, v)
+        g_ext, cofs = univariate_extended_gcd(polys, ring, v)
+        assert str(g) == str(g_ext) == want
+        assert len(cofs) == len(polys)
+        total = LaurentPoly.zero(ring, v)
+        for c, p in zip(cofs, polys):
+            total = total + c * p
+        assert total == g
+        nontrivial += want not in ("0", "1")
+    assert nontrivial >= 100
 
 
 def test_extended_gcd_identity():
@@ -390,12 +483,5 @@ def test_extended_gcd_identity():
             for p in polys:
                 if p.is_zero:
                     continue
-                _, r = divmod_check(p, g, ring, v)
+                r, _ = normal_form(p, [g])
                 assert r.is_zero
-
-
-def divmod_check(p, g, ring, v):
-    from twistkit.groebner import _dense_divmod, _from_dense, _to_dense
-
-    q, r = _dense_divmod(_to_dense(p), _to_dense(g), ring)
-    return _from_dense(q, ring, v), _from_dense(r, ring, v)
