@@ -6,9 +6,13 @@ the reduced grevlex basis from `twistkit.groebner.groebner_basis` must equal
 the one from `sympy.groebner(..., order='grevlex')`.  In one variable that
 basis is the monic gcd that `univariate_gcd` returns.  Both sides are compared as
 monic sympy `Poly` objects over the same domain, since expression strings
-differ over GF(2) (sympy prints its coefficients in symmetric form).  Prints
-each mismatch and exits 1 if there is one.  A development check: it needs
-sympy, which the package itself never imports.
+differ over GF(2) (sympy prints its coefficients in symmetric form).
+
+Over Q, whose generators have denominators, the cofactors are checked too,
+without sympy: `groebner_basis(gens, with_cofactors=True)` must return the
+same basis, and basis_i == sum_j cofactors_ij * gens_j in LaurentPoly
+arithmetic.  Prints each mismatch and exits 1 if there is one.  A
+development check: it needs sympy, which the package itself never imports.
 
     PYTHONPATH=src python3 scripts/groebner_crosscheck.py --ideals 400 --seed 1
 """
@@ -46,6 +50,23 @@ def to_sympy(poly, symbols, domain):
     return sympy.Poly.from_dict(terms, *symbols, domain=domain)
 
 
+def cofactor_failures(gens, basis):
+    """Why the cofactor run disagrees with `basis` or with its own identity
+    basis_i == sum_j cofactors_ij * gens_j; empty if it does not."""
+    ring, variables = gens[0].ring, gens[0].variables
+    tracked, cofactors = groebner_basis(gens, with_cofactors=True)
+    if tracked != basis:
+        return [f"basis with cofactors {list(map(str, tracked))} differs"]
+    failures = []
+    for element, vector in zip(tracked, cofactors):
+        total = LaurentPoly.zero(ring, variables)
+        for c, g in zip(vector, gens):
+            total = total + c * g
+        if total != element:
+            failures.append(f"sum of cofactors times generators is {total}, not {element}")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ideals", type=int, default=400, help="number of random ideals")
@@ -53,7 +74,7 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    mismatches = compared = 0
+    mismatches = compared = cofactor_checked = cofactor_mismatches = 0
     while compared < args.ideals:
         gens = random_ideal(rng)
         if all(g.is_zero for g in gens):
@@ -62,7 +83,16 @@ def main():
         ring, variables = gens[0].ring, gens[0].variables
         domain = DOMAINS[ring]
         symbols = sympy.symbols(variables)
-        ours = [to_sympy(b, symbols, domain).monic() for b in groebner_basis(gens)]
+        basis = groebner_basis(gens)
+        if ring is RATIONAL:
+            cofactor_checked += 1
+            failures = cofactor_failures(gens, basis)
+            if failures:
+                cofactor_mismatches += 1
+                print(f"cofactor mismatch over {ring} for ({', '.join(map(str, gens))}):")
+                for failure in failures:
+                    print(f"  {failure}")
+        ours = [to_sympy(b, symbols, domain).monic() for b in basis]
         theirs = [
             sympy.Poly(p, *symbols, domain=domain).monic()
             for p in sympy.groebner(
@@ -76,7 +106,8 @@ def main():
             print(f"  twistkit: {[p.as_expr() for p in ours]}")
             print(f"  sympy:    {[p.as_expr() for p in theirs]}")
     print(f"{compared} ideals compared, {mismatches} mismatches")
-    return 1 if mismatches else 0
+    print(f"{cofactor_checked} ideals over Q cofactor-checked, {cofactor_mismatches} mismatches")
+    return 1 if mismatches or cofactor_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .groebner import (
     groebner_basis,
     standard_monomials,
     univariate_extended_gcd,
-    univariate_gcd,
 )
 from .laurent import RATIONAL, LaurentPoly, RingHom
 from .pearl import Potential
@@ -155,8 +154,9 @@ def _localized_blocks(polys, with_cofactors=False) -> list[_Block]:
 def ideal_contains_one(gens) -> IdealMembershipResult:
     """Decide whether 1 lies in the Laurent ideal generated by `gens`.
 
-    Univariate: monomial factors are stripped and a gcd is computed; the
-    ideal is the whole ring iff the gcd is constant.  Multivariate: the
+    Univariate: monomial factors are stripped and an extended gcd is
+    computed, whose cofactor identity is re-checked; the ideal is the whole
+    ring iff the gcd is constant.  Multivariate: the
     generators are split into blocks in disjoint variables, and each block
     gets a Buchberger basis after inverting its variables through its own
     auxiliary generator (degrevlex, auxiliary last); 1 is in the ideal iff
@@ -184,15 +184,19 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
         shifts.append(shift)
 
     if len(variables) == 1:
-        gcd = univariate_gcd(stripped, ring, variables)
+        gcd, cofs = univariate_extended_gcd(stripped, ring, variables)
+        # the gcd must be the combination its cofactors claim, recomputed
+        # here in LaurentPoly arithmetic
+        total = LaurentPoly.zero(ring, variables)
+        for c, s in zip(cofs, stripped):
+            total = total + c * s
+        if total != gcd:
+            raise InconclusiveCertificate(
+                f"cofactor certificate failed: sum c_i g_i = {total} disagrees with the gcd {gcd}"
+            )
         unit = gcd.is_unit_monomial and gcd.single_term()[0] == (0,)
         cofactors = None
         if unit:
-            gcd_full, cofs = univariate_extended_gcd(stripped, ring, variables)
-            if gcd_full != gcd:
-                raise InconclusiveCertificate(
-                    f"extended gcd {gcd_full} disagrees with gcd {gcd}"
-                )
             # map cofactors back to the original (unstripped) generators
             cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs)
         return IdealMembershipResult(unit, "gcd", (gcd,), cofactors)

@@ -309,16 +309,20 @@ def _integral_ray(point) -> tuple[int, ...]:
 def _recession_ray(table: ConstraintTable):
     """A witness ray of an unbounded region, or None: the first point of the
     recession cone {rows.y >= 0, mu.y = 0} with y_i = +1, then y_i = -1, for
-    i = 0, 1, ..., made integral and primitive."""
+    i = 0, 1, ..., made integral and primitive.
+
+    y_i = sign is substituted into the cone rows, and the point is searched
+    for on the other n - 1 coordinates.  The back-substitution intervals
+    depend only on the polyhedron, so the point is the one the search over
+    all n coordinates with the two pinning rows y_i = sign would give."""
     n = len(table.basis.names)
     cone = _table_constraints(table, homogeneous=True)
     for i in range(n):
         for sign in (1, -1):
-            unit = tuple(int(k == i) * sign for k in range(n))
-            fixed = cone + [(unit, -1), (tuple(-u for u in unit), 1)]
-            point = _fm_feasible_point(fixed, n)
+            fixed = [(co[:i] + co[i + 1 :], const + co[i] * sign) for co, const in cone]
+            point = _fm_feasible_point(fixed, n - 1)
             if point is not None:
-                return _integral_ray(point)
+                return _integral_ray(point[:i] + (sign,) + point[i:])
     return None
 
 

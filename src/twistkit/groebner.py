@@ -12,14 +12,36 @@ a set of the pending pairs that the chain criterion consults (the heap-based
 queue of Gebauer and Moeller, without the sugar strategy, which would change
 the cofactors).  Coprime leading monomials and the chain criterion skip a
 pair; a surviving S-polynomial is reduced by the first basis element, in
-basis order, whose leading monomial divides its leading term.  Inside the
-loop polynomials and cofactor vectors are plain `{exponents: coefficient}`
-dicts reduced in place, each basis element's leading monomial is kept, and
-the grevlex key of each exponent tuple is computed once per call; the
-results become LaurentPoly values only at the end, through the trusted
-`LaurentPoly._new`: every dict is built here from validated inputs, with
-int exponent tuples and nonzero coefficients of the ring.  `normal_form` is
-the same reduction behind a LaurentPoly interface.
+basis order, whose leading monomial divides its leading term.
+
+Inside the loop every coefficient is an int, over both rings.  Over Q a
+generator enters with its denominators cleared and its content removed, and
+each working polynomial is a nonzero integer multiple of the rational one it
+stands for, so reduction is fraction-free, as in Bareiss's elimination: a
+step is `work <- a*work - b*x^u*divisor`, with `a = |lc|/g`, `b = +-coeff/g`
+and g the gcd of the divisor's leading coefficient lc and the coefficient
+being cancelled, and it scales the remainder accumulated so far by a too.
+Cofactor vectors are int vectors over a positive int `den`, with
+`den*poly == sum_j cofs_j*H_j`, where H_j is generator j with its
+denominators cleared; two vectors combine over the lcm of their dens.  Each
+new basis element is divided by its content, with a positive leading
+coefficient.  Over GF(2) every coefficient is 1 and nothing is scaled.
+`Fraction` appears twice: denominators are cleared on the way in, and on the
+way out the autoreduced basis is made monic with one `Fraction(c, lc)` per
+coefficient and cofactors become `Fraction(v*D_j, den*lc)`, with D_j the
+denominator cleared from generator j.  Every integer polynomial is a scalar
+multiple of the one a loop in rationals would hold, so the two cancel the
+same terms in the same order: bases and cofactors are the same rational
+values, in the same term order.
+
+Polynomials and cofactor vectors are plain `{exponents: int}` dicts reduced
+in place, each basis element's leading monomial is kept, and the grevlex key
+of each exponent tuple is computed once per call; the results become
+LaurentPoly values only at the end, through the trusted `LaurentPoly._new`:
+every dict is built here from validated inputs, with int exponent tuples and
+nonzero coefficients of the ring.  `normal_form` is the same reduction
+behind a LaurentPoly interface: it clears the denominators of its inputs and
+divides its results by the scale the reduction accumulated.
 
 In one variable the reduced basis of a nonzero ideal is its monic gcd
 (Becker and Weispfenning, Groebner Bases, 1993), so `univariate_gcd` and
@@ -30,6 +52,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import UnsupportedRing, VariableMismatch
@@ -74,20 +98,44 @@ class _Keys(dict):
 
 
 class _Working:
-    """Dict-term arithmetic for one computation over one coefficient ring.
+    """Integer dict-term arithmetic for one computation over GF2 or Q.
 
-    A polynomial is a `{exps: coeff}` dict of nonzero coefficients.  A
-    divisor is a tuple `(lm, lc, poly, cofs)`: leading monomial, leading
-    coefficient, polynomial and cofactor vector (a list of dicts, or None).
+    A polynomial is a `{exps: coeff}` dict of nonzero ints.  An element is a
+    tuple `(lm, lc, poly, cofs, den)`: leading monomial, leading coefficient,
+    polynomial, cofactor vector (a list of dicts, or None) and the positive
+    int the cofactors are over.  Over GF2, lc and den are 1.
     """
 
     def __init__(self, ring):
-        self.ring = ring
         self.gf2 = ring is GF2
         self.keys = _Keys()
 
     def lead(self, poly):
         return max(poly, key=self.keys.__getitem__)
+
+    def clear(self, terms):
+        """(d, d * terms) for the least d > 0 that makes every coefficient an int."""
+        if self.gf2:
+            return 1, dict(terms)
+        d = lcm(*[c.denominator for c in terms.values()])
+        return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+    def clear_vector(self, vector, scale):
+        """(ints, den): int dicts and a den > 0 with ints / den == scale * vector."""
+        if self.gf2:
+            return [dict(v.terms) for v in vector], 1
+        den = lcm(*[c.denominator for v in vector for c in v.terms.values()])
+        ints = [
+            {e: c.numerator * scale * (den // c.denominator) for e, c in v.terms.items()}
+            for v in vector
+        ]
+        return ints, den
+
+    def rational(self, poly, div, mul=1):
+        """The ring's coefficients of mul * poly / div (div and mul are 1 over GF2)."""
+        if self.gf2:
+            return poly
+        return {e: Fraction(c * mul, div) for e, c in poly.items()}
 
     def sub_shifted(self, dst, src, shift, q):
         """dst -= q * x^shift * src, in place."""
@@ -111,45 +159,81 @@ class _Working:
                 else:
                     del dst[m]
 
-    def s_combination(self, a, ua, b, ub):
-        """x^ua * a - x^ub * b, as a new dict."""
-        out = {tuple(map(add, e, ua)): c for e, c in a.items()}
-        self.sub_shifted(out, b, ub, self.ring.one)
+    def combination(self, a, p, up, b, q, uq):
+        """a * x^up * p - b * x^uq * q, as a new dict."""
+        out = {tuple(map(add, e, up)): c * a for e, c in p.items()}
+        self.sub_shifted(out, q, uq, b)
         return out
 
-    def monic(self, poly, cofs):
-        """Scale `poly` (and its cofactor vector) by the inverse of its
-        leading coefficient, in place."""
-        lc = poly[self.lead(poly)]
-        if lc == 1:
-            return
-        inv = self.ring.inv(lc)
-        for part in [poly] + (cofs or []):
-            for e in part:
-                part[e] *= inv
+    def element(self, poly, cofs, den):
+        """The element of `poly` (consumed) with cofactors `cofs` over `den`.
+        Over Q the polynomial is divided by its content, signed so that its
+        leading coefficient is positive, and the cofactors and den by what
+        they have in common."""
+        lm = self.lead(poly)
+        if self.gf2:
+            return lm, 1, poly, cofs, den
+        content = gcd(*poly.values())
+        if poly[lm] < 0:
+            content = -content
+        if content != 1:
+            for e in poly:
+                poly[e] //= content
+        if cofs is not None:
+            if content < 0:
+                for c in cofs:
+                    for e in c:
+                        c[e] = -c[e]
+            den *= abs(content)
+            g = gcd(den, *[v for c in cofs for v in c.values()])
+            if g != 1:
+                den //= g
+                for c in cofs:
+                    for e in c:
+                        c[e] //= g
+        return lm, poly[lm], poly, cofs, den
 
-    def reduce(self, work, divisors, cofs):
-        """Full remainder of `work` modulo `divisors`, reducing each leading
-        term by the first divisor whose leading monomial divides it.  `work`
-        is consumed; each step subtracts the same multiple of the divisor's
-        cofactor vector from `cofs`."""
-        ring = self.ring
+    def reduce(self, work, divisors, cofs, den):
+        """Full remainder of `work` modulo the elements `divisors`, reducing
+        each leading term by the first divisor whose leading monomial
+        divides it.  `work` is consumed; its cofactor vector `cofs` over
+        `den` takes the same steps.  Returns (remainder, den, scale): the
+        remainder is `scale` times the remainder in rationals, and the
+        cofactors over the returned den are scaled alike."""
+        lead, sub_shifted = self.lead, self.sub_shifted
         remainder = {}
+        scale = 1
         while work:
-            exps = self.lead(work)
+            exps = lead(work)
             coeff = work[exps]
-            for lm, lc, poly, dcofs in divisors:
+            for lm, lc, poly, dcofs, dden in divisors:
                 if all(map(le, lm, exps)):
                     shift = tuple(map(sub, exps, lm))
-                    q = coeff if lc == 1 else ring.mul(coeff, ring.inv(lc))
-                    self.sub_shifted(work, poly, shift, q)
+                    a = 1
+                    if lc != 1:  # never over GF2
+                        g = gcd(coeff, lc)
+                        a, coeff = lc // g, coeff // g
+                        if a < 0:
+                            a, coeff = -a, -coeff
+                        if a != 1:
+                            scale *= a
+                            for part in (work, remainder):
+                                for e in part:
+                                    part[e] *= a
+                    sub_shifted(work, poly, shift, coeff)
                     if cofs is not None:
+                        common = den if den == dden else lcm(den, dden)
+                        a *= common // den
+                        den = common
                         for c, dc in zip(cofs, dcofs):
-                            self.sub_shifted(c, dc, shift, q)
+                            if a != 1:
+                                for e in c:
+                                    c[e] *= a
+                            sub_shifted(c, dc, shift, coeff * (common // dden))
                     break
             else:
                 remainder[exps] = work.pop(exps)
-        return remainder
+        return remainder, den, scale
 
 
 def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
@@ -160,6 +244,8 @@ def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
     Zero elements of `basis` divide nothing and are skipped.
     """
     ring, variables = poly.ring, poly.variables
+    if not ring.is_field:
+        raise UnsupportedRing("normal forms need a field (GF2 or Rational)")
     w = _Working(ring)
     divisors = []
     for j, g in enumerate(basis):
@@ -167,14 +253,17 @@ def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
             raise VariableMismatch("normal_form: basis element lives in another ring")
         if g.is_zero:
             continue
-        lm = w.lead(g.terms)
-        dcofs = None if cof is None else [dict(c.terms) for c in basis_cofs[j]]
-        divisors.append((lm, g.terms[lm], g.terms, dcofs))
-    work_cofs = None if cof is None else [dict(c.terms) for c in cof]
-    remainder = w.reduce(dict(poly.terms), divisors, work_cofs)
+        d, terms = w.clear(g.terms)
+        lm = w.lead(terms)
+        dcofs, dden = (None, 1) if cof is None else w.clear_vector(basis_cofs[j], d)
+        divisors.append((lm, terms[lm], terms, dcofs, dden))
+    d, work = w.clear(poly.terms)
+    work_cofs, den = (None, 1) if cof is None else w.clear_vector(cof, d)
+    remainder, den, scale = w.reduce(work, divisors, work_cofs, den)
     if cof is not None:
-        cof[:] = [LaurentPoly._new(ring, variables, c) for c in work_cofs]
-    return LaurentPoly._new(ring, variables, remainder), cof
+        cof[:] = [LaurentPoly._new(ring, variables, w.rational(c, den * d * scale))
+                  for c in work_cofs]
+    return LaurentPoly._new(ring, variables, w.rational(remainder, d * scale)), cof
 
 
 def groebner_basis(gens, with_cofactors=False):
@@ -198,16 +287,17 @@ def groebner_basis(gens, with_cofactors=False):
     w = _Working(ring)
     keys = w.keys
     one = (0,) * len(variables)
-    basis = []  # divisors (lm, 1, poly, cofs), every poly monic
+    cleared = []  # D_j: gens[j] times D_j has int coefficients
+    basis = []
     for i, g in enumerate(gens):
-        if g.is_zero:
+        d, poly = w.clear(g.terms)
+        cleared.append(d)
+        if not poly:
             continue
-        poly = dict(g.terms)
         cofs = None
         if with_cofactors:
-            cofs = [{one: ring.one} if j == i else {} for j in range(len(gens))]
-        w.monic(poly, cofs)
-        basis.append((w.lead(poly), ring.one, poly, cofs))
+            cofs = [{one: 1} if j == i else {} for j in range(len(gens))]
+        basis.append(w.element(poly, cofs, 1))
 
     lms = [b[0] for b in basis]
     pending = set()
@@ -215,9 +305,9 @@ def groebner_basis(gens, with_cofactors=False):
 
     def push(i, j):
         # (key, i, j) is unique, so the lcm riding along is never compared
-        lcm = _exps_lcm(lms[i], lms[j])
+        lcm_ij = _exps_lcm(lms[i], lms[j])
         pending.add((i, j))
-        heapq.heappush(queue, (keys[lcm], i, j, lcm))
+        heapq.heappush(queue, (keys[lcm_ij], i, j, lcm_ij))
 
     for j in range(len(basis)):
         for i in range(j):
@@ -237,33 +327,42 @@ def groebner_basis(gens, with_cofactors=False):
             for k, lm_k in enumerate(lms)
         ):
             continue  # chain criterion
-        _, _, f, cf = basis[i]
-        _, _, g, cg = basis[j]
+        _, lc_f, f, cf, den_f = basis[i]
+        _, lc_g, g, cg, den_g = basis[j]
         uf, ug = _exps_sub(lcm_ij, lm_i), _exps_sub(lcm_ij, lm_j)
-        s = w.s_combination(f, uf, g, ug)
+        common = gcd(lc_f, lc_g)
+        a, b = lc_g // common, lc_f // common
+        s = w.combination(a, f, uf, b, g, ug)
         if not s:
             continue
-        cofs = None
+        cofs, den = None, 1
         if with_cofactors:
-            cofs = [w.s_combination(a, uf, b, ug) for a, b in zip(cf, cg)]
-        r = w.reduce(s, basis, cofs)
+            den = lcm(den_f, den_g)
+            a, b = a * (den // den_f), b * (den // den_g)
+            cofs = [w.combination(a, x, uf, b, y, ug) for x, y in zip(cf, cg)]
+        r, den, _ = w.reduce(s, basis, cofs, den)
         if not r:
             continue
-        w.monic(r, cofs)
-        basis.append((w.lead(r), ring.one, r, cofs))
+        basis.append(w.element(r, cofs, den))
         lms.append(basis[-1][0])
         new = len(basis) - 1
         for k in range(new):
             push(k, new)
 
     reduced = _autoreduce(w, basis)
-    out = [LaurentPoly._new(ring, variables, poly) for _, _, poly, _ in reduced]
+    out = [LaurentPoly._new(ring, variables, w.rational(poly, lc)) for _, lc, poly, _, _ in reduced]
     if not with_cofactors:
         return out
-    return out, [[LaurentPoly._new(ring, variables, c) for c in cofs] for _, _, _, cofs in reduced]
+    return out, [
+        [LaurentPoly._new(ring, variables, w.rational(c, den * lc, d)) for c, d in zip(cofs, cleared)]
+        for _, lc, _, cofs, den in reduced
+    ]
 
 
 def _autoreduce(w, basis):
+    """The reduced basis of the Groebner basis `basis`, as elements in
+    descending order of leading monomial, each reduced by the others but
+    not yet monic."""
     keys = w.keys
     # drop elements whose leading monomial another element's divides
     order = sorted(range(len(basis)), key=lambda i: keys[basis[i][0]])
@@ -274,12 +373,12 @@ def _autoreduce(w, basis):
         minimal.append(basis[i])
 
     reduced = []
-    for i, (lm, lc, poly, cofs) in enumerate(minimal):
+    for i, (lm, _, poly, cofs, den) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         work_cofs = None if cofs is None else [dict(c) for c in cofs]
-        r = w.reduce(dict(poly), others, work_cofs)
-        w.monic(r, work_cofs)
-        reduced.append((w.lead(r), lc, r, work_cofs))
+        # no other leading monomial divides lm, so lm stays the leading one
+        r, den, _ = w.reduce(dict(poly), others, work_cofs, den)
+        reduced.append((lm, r[lm], r, work_cofs, den))
     reduced.sort(key=lambda b: keys[b[0]], reverse=True)
     return reduced
 

@@ -93,6 +93,22 @@ class PearlElement:
                 comps[subset] = comps[subset] + poly if subset in comps else poly
         self.components = {k: v for k, v in comps.items() if not v.is_zero}
 
+    @staticmethod
+    def _new(ring, variables: tuple, n: int, components: dict) -> "PearlElement":
+        """The element with exactly these components, made without validation.
+
+        Only this module's own arithmetic calls this, on components it built
+        from validated elements: strictly increasing index tuples below `n`,
+        and LaurentPoly coefficients over `ring` and `variables`.  Zero
+        coefficients are dropped here.
+        """
+        element = object.__new__(PearlElement)
+        element.ring = ring
+        element.variables = variables
+        element.n = n
+        element.components = {k: v for k, v in components.items() if not v.is_zero}
+        return element
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -142,10 +158,10 @@ class PearlElement:
         comps = dict(self.components)
         for subset, poly in other.components.items():
             comps[subset] = comps[subset] + poly if subset in comps else poly
-        return PearlElement(self.ring, self.variables, self.n, comps)
+        return PearlElement._new(self.ring, self.variables, self.n, comps)
 
     def scaled_by(self, poly: LaurentPoly) -> "PearlElement":
-        return PearlElement(
+        return PearlElement._new(
             self.ring,
             self.variables,
             self.n,
@@ -163,7 +179,7 @@ class PearlElement:
             rest = subset[:pos] + subset[pos + 1 :]
             signed = poly if pos % 2 == 0 else -poly
             comps[rest] = comps[rest] + signed if rest in comps else signed
-        return PearlElement(self.ring, self.variables, self.n, comps)
+        return PearlElement._new(self.ring, self.variables, self.n, comps)
 
     @property
     def is_zero(self) -> bool:
@@ -227,7 +243,7 @@ def pearl_d2_from_vs(alpha: PearlElement, vs) -> PearlElement:
     vs = tuple(vs)
     if len(vs) != alpha.n:
         raise VariableMismatch(f"need {alpha.n} toric differentials, got {len(vs)}")
-    result = PearlElement.zero(alpha.ring, alpha.variables, alpha.n)
+    result = PearlElement._new(alpha.ring, alpha.variables, alpha.n, {})
     for k, v in enumerate(vs):
         result = result + alpha.contract(k).scaled_by(v)
     return result

@@ -90,6 +90,23 @@ def test_extended_gcd_disagreeing_with_gcd_raises_inconclusive(monkeypatch):
         ideal_contains_one(gens)
 
 
+def test_tampered_cofactor_of_a_proper_one_variable_ideal_raises_inconclusive(monkeypatch):
+    # the gcd route re-checks sum c_i g_i == gcd for proper ideals as well
+    gens = [univ(RATIONAL, {0: 2, 1: 3, 2: 1}), univ(RATIONAL, {0: -3, 1: -2, 2: 1})]
+    result = ideal_contains_one(gens)  # (R + 1)(R + 2) and (R + 1)(R - 3)
+    assert not result.contains_one
+    assert result.generators == (univ(RATIONAL, {0: 1, 1: 1}),)
+    real = certificates.univariate_extended_gcd
+
+    def tampered(polys, ring, variables):
+        gcd, cofactors = real(polys, ring, variables)
+        return gcd, [cofactors[0] + LaurentPoly.one(ring, variables), *cofactors[1:]]
+
+    monkeypatch.setattr(certificates, "univariate_extended_gcd", tampered)
+    with pytest.raises(InconclusiveCertificate, match="cofactor certificate failed"):
+        ideal_contains_one(gens)
+
+
 def test_one_generates_everything():
     one = LaurentPoly.one(RATIONAL, ("x", "y"))
     result = ideal_contains_one([one])

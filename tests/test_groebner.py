@@ -233,6 +233,42 @@ def random_ideals():
     return out
 
 
+def rational_ideals():
+    """300 seeded ideals over Q in one to three variables, with two or three
+    generators: coefficients of either sign with denominators up to 6, so
+    leading coefficients are often negative or non-integral; some ideals
+    have a zero generator, and some a generator that is a rational multiple
+    of another."""
+    rng = random.Random(1968)
+    out = []
+    while len(out) < 300:
+        variables = ("x", "y", "z")[: rng.randint(1, 3)]
+        max_deg = (5, 3, 2)[len(variables) - 1]
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.randint(0, max_deg) for _ in variables)
+                terms[exps] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+            gens.append(LaurentPoly(RATIONAL, variables, terms))
+        roll = rng.random()
+        if roll < 0.3:
+            multiple = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+            gens.insert(rng.randint(0, len(gens)), gens[0].scale(multiple))
+        elif roll < 0.45:
+            gens.insert(rng.randint(0, len(gens)), LaurentPoly.zero(RATIONAL, variables))
+        elif len(gens) < 3:
+            gens.append(random_poly(rng, RATIONAL, variables, max_terms=3, max_deg=max_deg))
+        out.append(gens)
+    return out
+
+
+def _items(p):
+    """A polynomial's terms in dict order, every coefficient a Fraction."""
+    assert all(type(c) is Fraction for c in p.terms.values())
+    return list(p.terms.items())
+
+
 def test_grevlex_order_basics():
     # degree first, then smaller exponent on the last differing variable wins
     assert grevlex_key((2, 0)) > grevlex_key((1, 0))
@@ -349,6 +385,41 @@ def test_basis_and_cofactors_match_the_reference_loop():
         assert [str(b) for b in groebner_basis(gens)] == [str(b) for b in ref_basis]
 
 
+def test_integer_core_matches_the_rational_reference():
+    """Over Q the core reduces integer multiples of the reference loop's
+    rational polynomials; bases, cofactors and normal forms must be the same
+    Fractions in the same term order."""
+    ideals = rational_ideals()
+    leads = [_ref_lead(g)[1] for gens in ideals for g in gens if not g.is_zero]
+    assert sum(c < 0 for c in leads) > 100 and sum(c.denominator > 1 for c in leads) > 100
+    assert sum(any(g.is_zero for g in gens) for gens in ideals) > 20
+    rng = random.Random(1993)
+    for gens in ideals:
+        v = gens[0].variables
+        ref_basis, ref_cofs = reference_groebner_basis(gens, with_cofactors=True)
+        basis, cofs = groebner_basis(gens, with_cofactors=True)
+        assert [_items(b) for b in basis] == [_items(b) for b in ref_basis]
+        assert [[_items(c) for c in vec] for vec in cofs] == [
+            [_items(c) for c in vec] for vec in ref_cofs
+        ]
+        assert [_items(b) for b in groebner_basis(gens)] == [_items(b) for b in ref_basis]
+        # normal forms with cofactors modulo the basis, and without modulo
+        # the generators themselves, whose leading coefficients are not 1
+        extra = LaurentPoly(RATIONAL, v, {
+            tuple(rng.randint(0, 4) for _ in v): Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+            for _ in range(4)
+        })
+        start = [LaurentPoly.constant(RATIONAL, v, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                 for _ in gens]
+        r, cof = normal_form(extra, basis, list(start), cofs)
+        ref_r, ref_cof = _ref_normal_form(extra, ref_basis, list(start), ref_cofs)
+        assert _items(r) == _items(ref_r)
+        assert [_items(c) for c in cof] == [_items(c) for c in ref_cof]
+        r, _ = normal_form(extra, gens)
+        ref_r, _ = _ref_normal_form(extra, [g for g in gens if not g.is_zero])
+        assert _items(r) == _items(ref_r)
+
+
 def test_bases_cofactors_and_remainders_revalidate():
     """Results are built without the public constructor's validation; each
     must be what that constructor makes of it, term order included."""
@@ -422,6 +493,8 @@ def test_normal_form_skips_zero_divisors():
 def test_groebner_requires_a_field():
     with pytest.raises(UnsupportedRing):
         groebner_basis([poly(INT, ("x",), {(1,): 2})])
+    with pytest.raises(UnsupportedRing):
+        normal_form(poly(INT, ("x",), {(2,): 3}), [poly(INT, ("x",), {(1,): 1})])
     for gcd in (univariate_gcd, univariate_extended_gcd):
         with pytest.raises(UnsupportedRing):
             gcd([poly(INT, ("x",), {(1,): 2})], INT, ("x",))

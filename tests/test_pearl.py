@@ -189,6 +189,33 @@ def test_d2_squared_is_zero_randomized_rational():
         assert pearl_d2(pearl_d2(alpha, pot), pot).is_zero
 
 
+def test_arithmetic_results_revalidate():
+    """Sums, scalings, contractions and d2 build their results without the
+    public constructor's checks; each must be what that constructor makes of
+    its components, in the same order, with cancelled components dropped."""
+    rng = random.Random(102)
+    for ring in (GF2, RATIONAL):
+        for _ in range(30):
+            pot = random_potential(rng, ring=ring, n=rng.randint(1, 3), extra=rng.randint(0, 1))
+            alpha, beta = random_element(rng, pot), random_element(rng, pot)
+            minus_one = LaurentPoly.constant(ring, pot.variables, -1)
+            results = [
+                alpha + beta,
+                alpha + alpha.scaled_by(minus_one),  # zero over both rings
+                alpha.scaled_by(pot.toric_differential()[0]),
+                alpha.contract(0),
+                pearl_d2(alpha, pot),
+            ]
+            assert results[1].is_zero
+            for result in results:
+                again = PearlElement(result.ring, result.variables, result.n, result.components)
+                assert list(again.components.items()) == list(result.components.items())
+                assert (again.ring, again.variables, again.n) == (
+                    result.ring, result.variables, result.n
+                )
+                assert type(result.variables) is tuple and type(result.n) is int
+
+
 def test_d2_agrees_with_per_disc_contributions():
     # summing the one-disc operators (monomial times boundary contraction)
     # over the provenance rebuilds the differential
