@@ -23,7 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CapExceeded, InconclusiveCertificate, NonGenericHom, UnsupportedRing
+from .errors import (
+    CapExceeded,
+    InconclusiveCertificate,
+    NonGenericHom,
+    UnsupportedRing,
+    VariableMismatch,
+)
 from .groebner import (
     contains_constant,
     groebner_basis,
@@ -63,7 +69,8 @@ class IdealMembershipResult:
 def _strip_units(poly: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
     """Divide by the largest monomial factor; returns (polynomial part, shift)."""
     shift = poly.min_exponents()
-    return poly.times_monomial(tuple(-s for s in shift)), shift
+    terms = {tuple(e - s for e, s in zip(exps, shift)): c for exps, c in poly.terms.items()}
+    return LaurentPoly._new(poly.ring, poly.variables, terms), shift
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -132,15 +139,17 @@ def _localized_blocks(polys, with_cofactors=False) -> list[_Block]:
     blocks = []
     for indices, ks, aux in parts:
         ext_vars = tuple(variables[k] for k in ks) + (aux,)
+        # the restriction to the block's variables is injective on each
+        # generator's terms: its other exponents are all zero
         ext_gens = [
-            LaurentPoly(
+            LaurentPoly._new(
                 ring,
                 ext_vars,
                 {tuple(exps[k] for k in ks) + (0,): c for exps, c in polys[i].terms.items()},
             )
             for i in indices
         ]
-        relation = LaurentPoly(
+        relation = LaurentPoly._new(
             ring,
             ext_vars,
             {(1,) * len(ext_vars): ring.one, (0,) * len(ext_vars): ring.neg(ring.one)},
@@ -173,6 +182,8 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
         raise UnsupportedRing(
             "ideal membership needs a field; use GF2 or Rational coefficients"
         )
+    if any(g.ring is not ring or g.variables != variables for g in gens):
+        raise VariableMismatch("generators live in different rings")
     nonzero_indices = [i for i, g in enumerate(gens) if not g.is_zero]
     if not nonzero_indices:
         return IdealMembershipResult(False, "gcd" if len(variables) == 1 else "groebner", ())

@@ -127,6 +127,9 @@ def _cmd_classes(config: RunConfig):
     table, file_bounds, source = _resolve_table(config)
     bounds = config.params.get("bounds") or file_bounds
     classes = enumerate_candidate_classes(table, bounds=bounds)
+    monomials = [
+        str(LaurentPoly.monomial(GF2, table.basis.ring_names, c.coefficients)) for c in classes
+    ]
     payload = {
         "source": source,
         "basis": list(table.basis.names),
@@ -137,17 +140,14 @@ def _cmd_classes(config: RunConfig):
             {
                 "coefficients": list(c.coefficients),
                 "boundary": list(c.boundary_class),
-                "monomial": str(
-                    LaurentPoly.monomial(GF2, table.basis.ring_names, c.coefficients)
-                ),
+                "monomial": mono,
             }
-            for c in classes
+            for c, mono in zip(classes, monomials)
         ],
     }
     lines = [f"candidate classes (target Maslov {table.target_maslov}):"]
     lines.append("  basis: " + " ".join(table.basis.names))
-    for c in classes:
-        mono = LaurentPoly.monomial(GF2, table.basis.ring_names, c.coefficients)
+    for c, mono in zip(classes, monomials):
         lines.append(f"  {c.coefficients}  boundary {c.boundary_class}  ~ {mono}")
     lines.append(f"{len(classes)} class(es)")
     return payload, lines, str(len(classes))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapExceeded, UnboundedRegion
-from .matrices import mat_det
+from .matrices import as_int, mat, mat_det
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class HomologyBasis:
     def __post_init__(self):
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
-        matrix = tuple(tuple(int(x) for x in row) for row in self.boundary_matrix)
+        matrix = mat(self.boundary_matrix)
         object.__setattr__(self, "boundary_matrix", matrix)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
@@ -127,9 +127,9 @@ class ConstraintTable:
 
     def __post_init__(self):
         n = len(self.basis.names)
-        rows = tuple((str(label), tuple(int(x) for x in vec)) for label, vec in self.rows)
+        rows = tuple((str(label), tuple(map(as_int, vec))) for label, vec in self.rows)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "maslov_vector", tuple(int(x) for x in self.maslov_vector))
+        object.__setattr__(self, "maslov_vector", tuple(map(as_int, self.maslov_vector)))
         target = Fraction(self.target_maslov)
         if target.denominator != 1:
             raise ValueError(f"target Maslov index must be an integer, got {self.target_maslov!r}")
@@ -151,8 +151,8 @@ class DiscClass:
     boundary_class: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(x) for x in self.coefficients))
-        object.__setattr__(self, "boundary_class", tuple(int(x) for x in self.boundary_class))
+        object.__setattr__(self, "coefficients", tuple(map(as_int, self.coefficients)))
+        object.__setattr__(self, "boundary_class", tuple(map(as_int, self.boundary_class)))
 
 
 @dataclass(frozen=True)
@@ -464,14 +464,14 @@ def table_from_json(data: dict) -> tuple[ConstraintTable, list | None]:
     basis = HomologyBasis(
         names=tuple(data["basis"]),
         boundary_matrix=tuple(tuple(row) for row in data["boundary"]),
-        n_torus_rank=int(data.get("n_torus_rank", len(data["boundary"]))),
+        n_torus_rank=as_int(data.get("n_torus_rank", len(data["boundary"]))),
         ring_names=tuple(data.get("ring_names", ())),
     )
     table = ConstraintTable(
         basis=basis,
         rows=tuple((row["label"], tuple(row["v"])) for row in data["rows"]),
         maslov_vector=tuple(data["maslov"]),
-        target_maslov=int(data.get("target", 2)),
+        target_maslov=data.get("target", 2),
     )
     bounds = data.get("bounds")
     if bounds is not None:

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 from .errors import CapExceeded, DimensionMismatch
 from .matrices import (
+    adjugate,
+    as_int,
     as_int_matrix,
     mat_det,
     mat_mul,
@@ -57,8 +59,9 @@ class Germ:
     note: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_int(self.dim))
         object.__setattr__(self, "constant", Fraction(self.constant))
-        covs = frozenset(tuple(int(x) for x in c) for c in self.covectors)
+        covs = frozenset(tuple(map(as_int, c)) for c in self.covectors)
         object.__setattr__(self, "covectors", covs)
         if not covs:
             raise ValueError("a germ needs at least one covector")
@@ -124,9 +127,7 @@ def transform_germ(germ: Germ, witness: UnimodularWitness) -> Germ:
     """The germ precomposed with the witness matrix: covectors move by the
     transpose, so values satisfy value(g, A xi) = value(transform(g, A), xi)."""
     at = transpose(witness.matrix)
-    new_covs = frozenset(
-        tuple(int(x) for x in mat_vec(at, cov)) for cov in germ.covectors
-    )
+    new_covs = frozenset(mat_vec(at, cov) for cov in germ.covectors)
     return Germ(germ.dim, germ.constant, new_covs, germ.note)
 
 
@@ -183,7 +184,7 @@ def germ_equivalent(g1: Germ, g2: Germ):
     basis_subset = next(subset for subset, det in source_dets.items() if det)
     s_abs_det = source_dets[basis_subset]
     s_cols = transpose([sources[i] for i in basis_subset])
-    s_det, s_adj = _det(s_cols), _adjugate(s_cols)
+    s_det, s_adj = mat_det(s_cols), adjugate(s_cols)
     cov_set2 = g2.covectors
     for choice in itertools.permutations(range(len(targets)), n):
         if abs_dets[tuple(sorted(choice))] != s_abs_det:
@@ -204,47 +205,9 @@ def _subset_abs_dets(covectors, n) -> dict[tuple[int, ...], int]:
     """|det| of every n-subset of the covectors, keyed by its indices in
     `itertools.combinations` order."""
     return {
-        subset: _abs_det([covectors[i] for i in subset])
+        subset: abs(mat_det([covectors[i] for i in subset]))
         for subset in itertools.combinations(range(len(covectors)), n)
     }
-
-
-def _abs_det(rows) -> int:
-    return abs(_det(rows))
-
-
-def _det(rows) -> int:
-    """det of a square integer matrix, by Bareiss's fraction-free
-    elimination: every division is exact, so all entries stay integers."""
-    a = [list(row) for row in rows]
-    size, previous, sign = len(a), 1, 1
-    for k in range(size - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            factor = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - factor * row_k[j]) // previous
-        previous = pivot
-    return sign * a[-1][-1] if a else 1
-
-
-def _adjugate(rows) -> tuple[tuple[int, ...], ...]:
-    """adj(M) of a square integer matrix: entry (i, j) is the (j, i)
-    cofactor, so M adj(M) = det(M) I."""
-    size = len(rows)
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != j])
-            for j in range(size)
-        )
-        for i in range(size)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +225,7 @@ def germ_to_json(germ: Germ) -> dict:
 
 def germ_from_json(data: dict) -> Germ:
     return Germ(
-        dim=int(data["dim"]),
+        dim=data["dim"],
         constant=Fraction(str(data["constant"])),
         covectors=frozenset(tuple(c) for c in data["covectors"]),
         note=data.get("note"),

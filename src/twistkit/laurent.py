@@ -12,6 +12,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import NonUnitImage, UnsupportedRing, VariableMismatch
+from .matrices import as_int
 
 # Fractions are immutable, so every rational zero and one can be the same object
 _Q_ZERO = Fraction(0)
@@ -97,16 +98,6 @@ INT = CoefficientRing("Int")
 RATIONAL = CoefficientRing("Rational")
 
 
-def _exponent(e) -> int:
-    """An exponent as an int; a non-integral one is rejected, not truncated."""
-    if type(e) is int:
-        return e
-    value = int(e)
-    if value != e:
-        raise ValueError(f"exponent {e!r} is not an integer")
-    return value
-
-
 class LaurentPoly:
     """Immutable Laurent polynomial: a map from integer exponent vectors to
     nonzero coefficients, over a fixed ordered variable tuple."""
@@ -117,7 +108,7 @@ class LaurentPoly:
         variables = tuple(variables)
         clean: dict[tuple[int, ...], object] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(map(_exponent, exps))
+            exps = tuple(map(as_int, exps))
             if len(exps) != len(variables):
                 raise VariableMismatch(
                     f"exponent vector {exps} does not match variables {variables}"

@@ -1,17 +1,38 @@
-"""Small exact linear algebra over the rationals (tuples of tuples, Fraction entries)."""
+"""Small exact linear algebra on integer matrices (tuples of tuples of ints).
+
+The determinant, rank and adjugate use Bareiss's fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968): after k pivot steps every entry is a
+(k+1)x(k+1) minor of the input, so each division by the previous pivot is
+exact and every entry stays an integer.  Entries pass through `as_int`, so a
+non-integral entry raises `ValueError` instead of being truncated.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
+def as_int(x) -> int:
+    """`x` as an int; a non-integral value (1.5, Fraction(5, 2)) raises
+    `ValueError`, while integral ones (2.0, Fraction(2)) are accepted."""
+    if type(x) is int:
+        return x
+    try:
+        value = int(x)
+    except OverflowError:  # an infinite float
+        value = None
+    if value != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return value
+
+
 def mat(rows):
-    """Normalize to a tuple-of-tuples of Fractions."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Normalize to a tuple of tuples of ints; non-integral entries raise."""
+    return tuple(tuple(map(as_int, row)) for row in rows)
 
 
 def identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(a):
@@ -27,86 +48,79 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_det(rows) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    a = [list(row) for row in mat(rows)]
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in a):
+def mat_det(rows) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    a = [list(map(as_int, row)) for row in rows]
+    size, previous, sign = len(a), 1, 1
+    if any(len(row) != size for row in a):
         raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
-
-
-def mat_inv(rows):
-    """Exact inverse, or None if singular."""
-    a = [list(row) for row in mat(rows)]
-    n = len(a)
-    aug = [row + list(identity(n)[i]) for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    for k in range(size - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * row_k[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1] if a else 1
 
 
 def mat_rank(rows) -> int:
-    a = [list(row) for row in mat(rows)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+    """Rank of an integer matrix, by Bareiss elimination: a column with no
+    pivot in the remaining rows is skipped, and the entries stay minors of
+    the input, so the divisions stay exact."""
+    a = [list(map(as_int, row)) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = Fraction(1) / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        p, row_k = a[rank][col], a[rank]
+        for row in a[rank + 1:]:
+            factor = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (row[j] * p - factor * row_k[j]) // previous
+        previous = p
         rank += 1
         if rank == len(a):
             break
     return rank
 
 
+def adjugate(rows) -> tuple[tuple[int, ...], ...]:
+    """adj(M) of a square integer matrix: entry (i, j) is the (j, i)
+    cofactor, so M adj(M) = det(M) I."""
+    a = mat(rows)
+    size = len(a)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * mat_det([row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j])
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+
+
+def mat_inv(rows):
+    """Exact inverse adj(M) / det(M) in Fractions, or None if singular."""
+    det = mat_det(rows)
+    if not det:
+        return None
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adjugate(rows))
+
+
 def as_int_matrix(rows):
     """Return the matrix as tuples of ints, or None if any entry is non-integral."""
-    out = []
-    for row in rows:
-        int_row = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                return None
-            int_row.append(f.numerator)
-        out.append(tuple(int_row))
-    return tuple(out)
+    try:
+        return mat(rows)
+    except ValueError:
+        return None
 
 
 def is_unimodular(rows) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from .discs import DiscClass, HomologyBasis
 from .errors import VariableMismatch
 from .laurent import CoefficientRing, LaurentPoly, RingHom, poly_to_json
+from .matrices import as_int
 
 
 class Potential:
@@ -30,7 +31,7 @@ class Potential:
         self.ring = ring
         self.basis = basis
         self.provenance: tuple[tuple[DiscClass, int], ...] = tuple(
-            (cls, int(sign)) for cls, sign in provenance
+            (cls, as_int(sign)) for cls, sign in provenance
         )
         for cls, sign in self.provenance:
             if len(cls.coefficients) != len(basis.names):
@@ -289,17 +290,17 @@ def potential_from_json(data: dict) -> Potential:
     basis = HomologyBasis(
         names=tuple(data["basis"]),
         boundary_matrix=tuple(tuple(row) for row in data["boundary"]),
-        n_torus_rank=int(data.get("n_torus_rank", len(data["boundary"]))),
+        n_torus_rank=as_int(data.get("n_torus_rank", len(data["boundary"]))),
         ring_names=tuple(data.get("ring_names", ())),
     )
     ring = CoefficientRing.from_tag(data.get("ring", "GF2"))
     entries = []
     if "classes" in data:
         entries = [
-            (tuple(e["coefficients"]), int(e.get("sign", 1))) for e in data["classes"]
+            (tuple(e["coefficients"]), e.get("sign", 1)) for e in data["classes"]
         ]
     elif "terms" in data:
-        entries = [(tuple(exps), int(coeff)) for exps, coeff in data["terms"]]
+        entries = [(tuple(exps), coeff) for exps, coeff in data["terms"]]
     else:
         raise KeyError("potential file needs a 'classes' or 'terms' entry")
     provenance = [

@@ -23,6 +23,7 @@ from twistkit.errors import (
     InconclusiveCertificate,
     NonGenericHom,
     UnsupportedRing,
+    VariableMismatch,
 )
 from twistkit.groebner import contains_constant, groebner_basis, standard_monomials
 from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
@@ -127,6 +128,15 @@ def test_zero_and_empty_ideals_are_proper():
 def test_integer_coefficients_are_rejected():
     with pytest.raises(UnsupportedRing):
         ideal_contains_one([univ(INT, {0: 1, 1: 1})])
+
+
+def test_generators_in_different_rings_are_rejected():
+    variables = ("x", "y")
+    gf2 = LaurentPoly(GF2, variables, {(1, 0): 1, (0, 1): 1})  # a proper ideal
+    for other in (LaurentPoly(RATIONAL, variables, {(1, 0): 3, (0, 1): 3}),
+                  LaurentPoly(GF2, ("x", "z"), {(1, 0): 1, (0, 1): 1})):
+        with pytest.raises(VariableMismatch):
+            ideal_contains_one([gf2, other])
 
 
 def test_multivariate_membership_direct_on_the_twist_torus():
@@ -564,6 +574,38 @@ def test_disjoint_sums_of_random_ideals_match_the_unsplit_localization():
             seen["split"] += 1
         seen["unit" if split.contains_one else "proper"] += 1
     assert min(seen.values()) > 15, seen
+
+
+def test_trusted_block_generators_and_stripped_polys_revalidate(monkeypatch):
+    """`_strip_units` and `_localized_blocks` build their polynomials
+    without validation; each must equal, term order and coefficient types
+    included, what the validating constructor makes of the same terms."""
+    inputs = []
+
+    def recording(polys, **kwargs):
+        inputs.extend(polys)
+        return groebner_basis(polys, **kwargs)
+
+    def items(p):
+        return [(exps, c, type(c)) for exps, c in p.terms.items()]
+
+    monkeypatch.setattr(certificates, "groebner_basis", recording)
+    rng = random.Random(7009)
+    variables = ("x", "y", "z", "u")
+    for _ in range(60):
+        ring = GF2 if rng.random() < 0.5 else RATIONAL
+        gens = [
+            LaurentPoly(ring, variables, random_block_poly(rng, ring, 4, block))
+            for block in random_split(rng, 4)
+            for _ in range(rng.randint(1, 2))
+        ]
+        for g in gens:
+            stripped, shift = certificates._strip_units(g)
+            assert items(stripped) == items(g.times_monomial(tuple(-s for s in shift)))
+        ideal_contains_one(gens)
+    assert len(inputs) > 200
+    for p in inputs:
+        assert items(p) == items(LaurentPoly(p.ring, p.variables, p.terms))
 
 
 def test_disjoint_sums_of_random_potentials_match_the_unsplit_regularity():

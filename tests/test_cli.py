@@ -200,6 +200,21 @@ def test_germ_command_on_files(tmp_path):
     assert payload["equivalent"] is True
 
 
+def test_non_integral_file_entries_exit_two(tmp_path, capsys):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps({"dim": 2, "constant": "1", "covectors": [[0.5, 1], [1, 0]]}),
+                    encoding="utf-8")
+    assert main(["germ", str(path), "theta"]) == 2
+    assert capsys.readouterr().out == "error: ValueError: 0.5 is not an integer\n"
+    data = table_to_json(theta_constraint_table())
+    for key, value in (("maslov", [2, 0, 4.5, 4]), ("boundary", [[1.7, 0, 0, 0], [0, 1, 0, 0]])):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**data, key: value}), encoding="utf-8")
+        code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
+        assert code == 2
+        assert rendered.startswith("error: ValueError: ") and "is not an integer" in rendered
+
+
 def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):
     # 1001 covectors in dimension 2: 1001 * 1000 ordered pairs, over 10^6
     data = {"dim": 2, "constant": "1", "covectors": [[1, k] for k in range(1001)]}

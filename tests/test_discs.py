@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -821,6 +822,34 @@ def test_odd_maslov_warns_but_does_not_reject():
         ConstraintTable(
             basis=plain_basis(1), rows=(), maslov_vector=(1,), target_maslov=2
         )
+
+
+def test_non_integral_fields_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="1.7 is not an integer"):
+        HomologyBasis(names=("A", "B"), boundary_matrix=((1.7, 0), (0, 1)), n_torus_rank=2)
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        ConstraintTable(plain_basis(2), (("a", (1.5, 0)),), (2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 2.5 is rejected, not read as an even 2
+        with pytest.raises(ValueError, match="2.5 is not an integer"):
+            ConstraintTable(plain_basis(2), (), (2.5, 2))
+    for coefficients, boundary in (((0.5, 1), (0, 1)), ((0, 1), (Fraction(1, 2), 1))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            DiscClass(coefficients, boundary)
+    # integral values of other types are stored as ints
+    basis = HomologyBasis(("A", "B"), ((1.0, 0), (0, Fraction(1))), 2)
+    table = ConstraintTable(basis, (("a", (Fraction(1), 0.0)),), (2.0, Fraction(2)))
+    found = DiscClass((1.0, Fraction(-1)), (2.0, 0))
+    for values in (*basis.boundary_matrix, table.rows[0][1], table.maslov_vector,
+                   found.coefficients, found.boundary_class):
+        assert all(type(x) is int for x in values)
+
+
+def test_non_integral_table_file_fields_are_rejected():
+    data = table_to_json(theta_constraint_table())
+    for key, value in (("target", 2.5), ("n_torus_rank", 2.5), ("maslov", [2, 2, 2.5, 2])):
+        with pytest.raises(ValueError):
+            table_from_json({**data, key: value})
 
 
 def test_integral_target_is_stored_as_int_and_a_fractional_one_rejected():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from gauss_reference import gauss_det, gauss_inv, gauss_rank, integral
 
 from twistkit import germs
 from twistkit.errors import CapExceeded, DimensionMismatch
@@ -18,15 +19,7 @@ from twistkit.germs import (
     germ_value,
     transform_germ,
 )
-from twistkit.matrices import (
-    as_int_matrix,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_rank,
-    mat_vec,
-    transpose,
-)
+from twistkit.matrices import mat_mul, mat_vec, transpose
 from twistkit.presets import clifford_germ, theta_germ, theta_s0_germ
 
 
@@ -75,18 +68,18 @@ def unpruned_equivalent(g1, g2):
     if len(g1.covectors) != len(g2.covectors) or g1.constant != g2.constant:
         return NotEquivalent("counts or constants differ")
     covs1, covs2 = g1.sorted_covectors(), g2.sorted_covectors()
-    if mat_rank(covs1) != mat_rank(covs2):
+    if gauss_rank(covs1) != gauss_rank(covs2):
         return NotEquivalent("ranks differ")
-    if mat_rank(covs1) < n:
+    if gauss_rank(covs1) < n:
         return Indeterminate("rank deficient")
     basis = next(
         combo for combo in itertools.combinations(range(len(covs1)), n)
-        if mat_rank([covs1[i] for i in combo]) == n
+        if gauss_rank([covs1[i] for i in combo]) == n
     )
-    s_inv = mat_inv(transpose([covs1[i] for i in basis]))
+    s_inv = gauss_inv(transpose([covs1[i] for i in basis]))
     for choice in itertools.permutations(range(len(covs2)), n):
-        ints = as_int_matrix(mat_mul(transpose([covs2[i] for i in choice]), s_inv))
-        if ints is None or abs(mat_det(ints)) != 1:
+        ints = integral(mat_mul(transpose([covs2[i] for i in choice]), s_inv))
+        if ints is None or abs(gauss_det(ints)) != 1:
             continue
         image = frozenset(tuple(int(x) for x in mat_vec(ints, c)) for c in g1.covectors)
         if image == g2.covectors:
@@ -105,12 +98,12 @@ def sign_flipped(rng, germ):
 
 def abs_det_multiset(germ):
     covs = germ.sorted_covectors()
-    return sorted(abs(mat_det(s)) for s in itertools.combinations(covs, germ.dim))
+    return sorted(abs(gauss_det(s)) for s in itertools.combinations(covs, germ.dim))
 
 
 def spanning_subset(covectors, n):
     for combo in itertools.combinations(range(len(covectors)), n):
-        if mat_rank([covectors[i] for i in combo]) == n:
+        if gauss_rank([covectors[i] for i in combo]) == n:
             return combo
     raise AssertionError("rank was checked before")
 
@@ -127,8 +120,8 @@ def per_tuple_equivalent(g1, g2):
         )
     if g1.constant != g2.constant:
         return NotEquivalent(f"constants differ: {g1.constant} != {g2.constant}")
-    rank1 = mat_rank(g1.sorted_covectors())
-    rank2 = mat_rank(g2.sorted_covectors())
+    rank1 = gauss_rank(g1.sorted_covectors())
+    rank2 = gauss_rank(g2.sorted_covectors())
     if rank1 != rank2:
         return NotEquivalent(f"covector ranks differ: {rank1} != {rank2}")
     if rank1 < n:
@@ -138,19 +131,19 @@ def per_tuple_equivalent(g1, g2):
         )
     basis_subset = spanning_subset(g1.sorted_covectors(), n)
     s_cols = transpose([g1.sorted_covectors()[i] for i in basis_subset])
-    s_inv = mat_inv(s_cols)
-    s_abs_det = abs(mat_det(s_cols))
+    s_inv = gauss_inv(s_cols)
+    s_abs_det = abs(gauss_det(s_cols))
     targets = g2.sorted_covectors()
     abs_dets = {}
     for choice in itertools.permutations(range(len(targets)), n):
         subset = tuple(sorted(choice))
         if subset not in abs_dets:
-            abs_dets[subset] = abs(mat_det([targets[i] for i in subset]))
+            abs_dets[subset] = abs(gauss_det([targets[i] for i in subset]))
         if abs_dets[subset] != s_abs_det:
             continue
         t_cols = transpose([targets[i] for i in choice])
-        ints = as_int_matrix(mat_mul(t_cols, s_inv))
-        if ints is None or abs(mat_det(ints)) != 1:
+        ints = integral(mat_mul(t_cols, s_inv))
+        if ints is None or abs(gauss_det(ints)) != 1:
             continue
         image = frozenset(tuple(int(x) for x in mat_vec(ints, cov)) for cov in g1.covectors)
         if image == g2.covectors:
@@ -270,8 +263,9 @@ def test_reflexive_symmetric_transitive():
         moved = transform_germ(g, a)
         w1 = germ_equivalent(g, moved)
         assert isinstance(w1, UnimodularWitness)
-        inverse = mat_inv(w1.matrix)
-        UnimodularWitness(tuple(tuple(int(x) for x in row) for row in inverse))
+        inverse = integral(gauss_inv(w1.matrix))
+        assert inverse is not None
+        UnimodularWitness(inverse)
         back = germ_equivalent(moved, g)
         assert isinstance(back, UnimodularWitness)
         # transitive through a second transform
@@ -369,30 +363,6 @@ def test_unequal_det_multisets_are_rejected_without_a_search(monkeypatch):
     )
 
 
-def test_integer_abs_det_matches_the_fraction_determinant():
-    rng = random.Random(77)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
-        assert germs._abs_det(rows) == abs(mat_det(rows))
-    assert germs._abs_det([[0, 1], [1, 0]]) == 1  # zero first pivot
-    assert germs._abs_det([[1, 2], [2, 4]]) == 0
-
-
-def test_signed_det_and_adjugate_match_the_fraction_inverse():
-    rng = random.Random(78)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        rows = tuple(tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)) for _ in range(n))
-        det = germs._det(rows)
-        assert det == mat_det(rows)
-        adj = germs._adjugate(rows)
-        assert all(type(x) is int for row in adj for x in row)
-        if det:
-            assert adj == tuple(tuple(det * x for x in row) for row in mat_inv(rows))
-    assert germs._det([[0, 1], [1, 0]]) == -1  # a row swap flips the sign
-
-
 def test_candidates_are_formed_in_integers(monkeypatch):
     """Every candidate product has int entries only, and the outcomes are
     those of the search that formed T S^-1 in Fractions."""
@@ -431,6 +401,19 @@ def test_permutation_budget(monkeypatch):
     # the cheap checks still answer first
     assert not germ_equivalent(germ, Germ(2, 0, germ.covectors))
     assert isinstance(germ_equivalent(theta_s0_germ(0), theta_s0_germ(0)), Indeterminate)
+
+
+def test_non_integral_germ_fields_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="0.5 is not an integer"):
+        Germ(2, 1, frozenset({(0.5, 1), (1, 0)}))
+    with pytest.raises(ValueError, match="is not an integer"):
+        Germ(2, 1, frozenset({(Fraction(3, 2), 1), (1, 0)}))
+    with pytest.raises(ValueError, match="2.5 is not an integer"):
+        germ_from_json({"dim": 2.5, "constant": "1", "covectors": [[1, 0], [0, 1]]})
+    germ = Germ(2.0, 1, frozenset({(1.0, Fraction(0)), (0, 1)}))
+    assert germ == Germ(2, 1, frozenset({(1, 0), (0, 1)}))
+    assert type(germ.dim) is int
+    assert all(type(x) is int for c in germ.covectors for x in c)
 
 
 def test_unimodular_witness_validation():
