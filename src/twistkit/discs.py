@@ -11,11 +11,13 @@ terms of x_0..x_{k-1} (Schrijver, Theory of Linear and Integer Programming,
 1986, section 12.2).  That cascade decides emptiness, decides boundedness (a
 nonempty region is bounded iff every coordinate has both bounds), and drives
 a prefix-pruned enumeration: x_0 over its integer interval, then each x_k
-over the integers of its interval at the chosen prefix.  A recession-cone
-ray is searched for only to report an unbounded region.  An explicit search
-box may be supplied instead, and is then scanned whole.  Either way the
-enumerator examines at most `LATTICE_BUDGET` lattice points and raises
-`CapExceeded` rather than more.
+over the integers of its interval at the chosen prefix.  The ray reported
+for an unbounded region is read from the same rounds with their constants
+dropped, which describe the recession cone, so each public call runs one
+cascade and no search for a ray.  An explicit search box may be supplied
+instead, and is then scanned whole.  Either way the enumerator examines at
+most `LATTICE_BUDGET` lattice points and raises `CapExceeded` rather than
+more.
 
 Constraints are primitive integer rows: a row and its constant are divided
 by the gcd of all their entries, which leaves the half-space unchanged and
@@ -27,8 +29,9 @@ keeps the input rows both derivations share (Chernikov, 1965; Imbert,
 The rows dropped are implied by those kept, so every projection, every
 conditional interval and hence every class list and ray are those of the
 unpruned cascade, while the rows stay few where unpruned elimination can
-grow doubly exponentially.  Only the back-substitution of a feasible point
-(for the ray) uses `fractions.Fraction`.
+grow doubly exponentially.  The cascade, the walk and the ray are integer
+arithmetic; `fractions.Fraction` appears only in `ConstraintTable`'s check
+that the target Maslov index is an integer.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ class HomologyBasis:
             ring_names = tuple(self.ring_names)
             if len(ring_names) != len(names):
                 raise ValueError("ring_names must match generator count")
+            if len(set(ring_names)) != len(ring_names):
+                raise ValueError("ring names must be distinct")
             object.__setattr__(self, "ring_names", ring_names)
 
     @property
@@ -259,71 +264,53 @@ def _fm_cascade(constraints, nvars):
     return rounds
 
 
-def _fm_feasible_point(constraints, nvars):
-    """A rational point satisfying all constraints, or None: the cascade,
-    then back-substitution at the midpoint of each conditional interval."""
-    rounds = _fm_cascade(constraints, nvars)
-    if rounds is None:
-        return None
-    point = []
-    for lowers, uppers in rounds:
-        # a x_k + s >= 0 bounds x_k by -s / a
-        lows, highs = (
-            [Fraction(-(b + sum(c * x for c, x in zip(cs, point))), a) for a, cs, b in side]
-            for side in (lowers, uppers)
-        )
-        if lows and highs:
-            lo, hi = max(lows), min(highs)
-            if lo > hi:
-                return None
-            point.append((lo + hi) / 2)
-        elif lows:
-            point.append(max(lows))
-        elif highs:
-            point.append(min(highs))
-        else:
-            point.append(Fraction(0))
-    return tuple(point)
-
-
-def _table_constraints(table: ConstraintTable, homogeneous: bool):
+def _table_constraints(table: ConstraintTable):
     """Inequalities (rows . x >= 0) plus the Maslov equation as two
-    inequalities; `homogeneous` drops the Maslov target (recession cone)."""
+    inequalities."""
     out = [(vec, 0) for _, vec in table.rows]
-    target = 0 if homogeneous else -table.target_maslov
-    out.append((table.maslov_vector, target))
-    out.append((tuple(-m for m in table.maslov_vector), -target))
+    out.append((table.maslov_vector, -table.target_maslov))
+    out.append((tuple(-m for m in table.maslov_vector), table.target_maslov))
     return out
 
 
-def _integral_ray(point) -> tuple[int, ...]:
-    denominators = [Fraction(x).denominator for x in point]
-    scale = math.lcm(*denominators) if denominators else 1
-    ints = [int(Fraction(x) * scale) for x in point]
-    g = math.gcd(*(abs(v) for v in ints))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+def _cone_ray(rounds) -> tuple[int, ...]:
+    """The primitive witness ray of a nonempty region whose cascade `rounds`
+    has a round without both bounds.
 
-
-def _recession_ray(table: ConstraintTable):
-    """A witness ray of an unbounded region, or None: the first point of the
-    recession cone {rows.y >= 0, mu.y = 0} with y_i = +1, then y_i = -1, for
-    i = 0, 1, ..., made integral and primitive.
-
-    y_i = sign is substituted into the cone rows, and the point is searched
-    for on the other n - 1 coordinates.  The back-substitution intervals
-    depend only on the polyhedron, so the point is the one the search over
-    all n coordinates with the two pinning rows y_i = sign would give."""
-    n = len(table.basis.names)
-    cone = _table_constraints(table, homogeneous=True)
-    for i in range(n):
-        for sign in (1, -1):
-            fixed = [(co[:i] + co[i + 1 :], const + co[i] * sign) for co, const in cone]
-            point = _fm_feasible_point(fixed, n - 1)
-            if point is not None:
-                return _integral_ray(point[:i] + (sign,) + point[i:])
-    return None
+    With their constants dropped, rounds 0..j cut out the recession cone of
+    the region's projection to x_0..x_j: Chernikov's rule keeps the
+    projection exact, and for a nonempty polyhedron the recession cone of a
+    projection is the projection of the recession cone (Schrijver, 1986,
+    sections 8.2 and 12.2).  Let round k be the first without both bounds.
+    Rounds 0..k-1 bound their projection, so the cone has y_0..y_{k-1} = 0;
+    y_k is +1 if round k has no upper bound and -1 otherwise, and each later
+    y_j is the midpoint of its interval at the prefix, or its one end, or 0.
+    That is the ray a search of the cone for a point with y_i = +1, then -1,
+    for i = 0, 1, ..., back-substituting the same way, finds first: the
+    interval ends depend on the cone, not on the cascade that gives them.
+    A value num/den scales the prefix by den and appends num, which the
+    cone's closure under positive scaling allows, so the ray is found in
+    integers."""
+    k = next(k for k, (lowers, uppers) in enumerate(rounds) if not (lowers and uppers))
+    ray = [0] * k + [-1 if rounds[k][1] else 1]
+    for lowers, uppers in rounds[k + 1 :]:
+        # a y_j + s >= 0 bounds y_j by -s / a = -s * (den // a) / den
+        den = math.lcm(*(a for a, _, _ in lowers), *(-a for a, _, _ in uppers))
+        lows, highs = (
+            [-sum(c * y for c, y in zip(cs, ray)) * (den // a) for a, cs, _ in side]
+            for side in (lowers, uppers)
+        )
+        if lows and highs:
+            num, den = max(lows) + min(highs), 2 * den
+        elif lows or highs:
+            num = max(lows) if lows else min(highs)
+        else:
+            num = 0
+        g = math.gcd(num, den)
+        ray = [y * (den // g) for y in ray]
+        ray.append(num // g)
+    g = math.gcd(*ray)
+    return tuple(y // g for y in ray)
 
 
 def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
@@ -331,16 +318,14 @@ def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
     Fourier-Motzkin cascade.
 
     An empty region is bounded.  A nonempty one is bounded iff every round
-    of the cascade has both a lower and an upper bound on its coordinate.
-    Only when some round lacks one is a witness ray searched for
-    (`_recession_ray`).
+    of the cascade has both a lower and an upper bound on its coordinate;
+    otherwise the witness ray is read from the same rounds (`_cone_ray`),
+    with no further elimination.
     """
-    n = len(table.basis.names)
-    rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
+    rounds = _fm_cascade(_table_constraints(table), len(table.basis.names))
     if rounds is None or all(lowers and uppers for lowers, uppers in rounds):
         return BoundednessResult(True)
-    ray = _recession_ray(table)
-    return BoundednessResult(ray is None, ray)
+    return BoundednessResult(False, _cone_ray(rounds))
 
 
 def _normalize_bounds(bounds, n):
@@ -376,12 +361,13 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
 
     Without explicit bounds the region must be bounded; otherwise
     `UnboundedRegion` carries the ray `feasible_region_bounded` reports.  One
-    Fourier-Motzkin cascade gives emptiness, boundedness and the enumeration:
-    x_0 runs over its integer interval, then each x_k over the integers of
-    its conditional interval at the current prefix, so only prefixes that
-    extend to a rational solution are visited.  With bounds, the given box
-    is scanned.  Either way `CapExceeded` is raised rather than examine more
-    than `LATTICE_BUDGET` lattice points.
+    Fourier-Motzkin cascade gives emptiness, boundedness, that ray (read from
+    its rounds, with no search) and the enumeration: x_0 runs over its
+    integer interval, then each x_k over the integers of its conditional
+    interval at the current prefix, so only prefixes that extend to a
+    rational solution are visited.  With bounds, the given box is scanned
+    and no cascade runs.  Either way `CapExceeded` is raised rather than
+    examine more than `LATTICE_BUDGET` lattice points.
     """
     n = len(table.basis.names)
     boxes = _normalize_bounds(bounds, n)
@@ -408,11 +394,11 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
         found.sort(key=lambda d: d.coefficients)
         return found
 
-    rounds = _fm_cascade(_table_constraints(table, homogeneous=False), n)
+    rounds = _fm_cascade(_table_constraints(table), n)
     if rounds is None:
         return []
     if not all(lowers and uppers for lowers, uppers in rounds):
-        raise UnboundedRegion(_recession_ray(table))
+        raise UnboundedRegion(_cone_ray(rounds))
     found = []
     prefix = []
     visited = 0

@@ -390,6 +390,22 @@ def contains_constant(basis) -> bool:
     }
 
 
+def _pure_power_degrees(lms, nvars):
+    """For each variable the least degree of a leading monomial in `lms`
+    that is a pure power of it; None if some variable has none."""
+    degrees = []
+    for i in range(nvars):
+        pure = [
+            lm[i]
+            for lm in lms
+            if lm[i] > 0 and all(e == 0 for j, e in enumerate(lm) if j != i)
+        ]
+        if not pure:
+            return None
+        degrees.append(min(pure))
+    return degrees
+
+
 def is_zero_dimensional(basis) -> bool:
     """True iff the quotient by the ideal is finite-dimensional: for every
     variable some leading monomial is a pure power of it (or the ideal is
@@ -399,15 +415,8 @@ def is_zero_dimensional(basis) -> bool:
         return False
     if contains_constant(basis):
         return True
-    nvars = len(basis[0].variables)
-    for i in range(nvars):
-        if not any(
-            all(e == 0 for j, e in enumerate(leading_term(g)[0]) if j != i)
-            and leading_term(g)[0][i] > 0
-            for g in basis
-        ):
-            return False
-    return True
+    lms = [leading_term(g)[0] for g in basis]
+    return _pure_power_degrees(lms, len(basis[0].variables)) is not None
 
 
 def standard_monomials(basis):
@@ -415,23 +424,14 @@ def standard_monomials(basis):
     zero-dimensional ideal; None if the quotient is infinite-dimensional."""
     if contains_constant(basis):
         return []
-    if not is_zero_dimensional(basis):
+    if not basis:
         return None
-    nvars = len(basis[0].variables)
     lms = [leading_term(g)[0] for g in basis]
-    degrees = []
-    for i in range(nvars):
-        pure = [
-            lm[i]
-            for lm in lms
-            if lm[i] > 0 and all(e == 0 for j, e in enumerate(lm) if j != i)
-        ]
-        degrees.append(min(pure))
-    out = []
-    for exps in itertools.product(*(range(d) for d in degrees)):
-        if not any(_divides(lm, exps) for lm in lms):
-            out.append(exps)
-    return sorted(out)
+    degrees = _pure_power_degrees(lms, len(basis[0].variables))
+    if degrees is None:
+        return None
+    box = itertools.product(*(range(d) for d in degrees))
+    return sorted(exps for exps in box if not any(_divides(lm, exps) for lm in lms))
 
 
 # ---------------------------------------------------------------------------

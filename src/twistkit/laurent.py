@@ -406,6 +406,8 @@ class RingHom:
     def __init__(self, ring: CoefficientRing, variables, images: dict):
         self.ring = ring
         self.variables = tuple(variables)
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"target variables must be distinct, got {self.variables}")
         self.images: dict[str, LaurentPoly] = {}
         for name, poly in images.items():
             if not isinstance(poly, LaurentPoly):
@@ -523,7 +525,12 @@ def poly_to_json(poly: LaurentPoly) -> dict:
 def poly_from_json(data: dict) -> LaurentPoly:
     ring = CoefficientRing.from_tag(data["ring"])
     variables = tuple(data["variables"])
-    terms = {tuple(exps): ring.parse(str(coeff)) for exps, coeff in data["terms"]}
+    # a repeated exponent vector sums its coefficients, and the constructor
+    # drops a sum that cancels
+    terms = {}
+    for exps, coeff in data["terms"]:
+        exps, coeff = tuple(exps), ring.parse(str(coeff))
+        terms[exps] = ring.add(terms[exps], coeff) if exps in terms else coeff
     return LaurentPoly(ring, variables, terms)
 
 

@@ -290,6 +290,23 @@ def test_certify_from_potential_file(tmp_path):
     assert payload["token"] == "certified"
 
 
+def test_duplicate_names_in_a_potential_file_exit_two(tmp_path, capsys):
+    from twistkit.laurent import hom_to_json
+    from twistkit.presets import theta_h0_hom
+
+    data = potential_to_json(theta_potential())
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps({**data, "ring_names": ["R", "R", "S1", "S2"]}), encoding="utf-8")
+    assert main(["certify", "--in", str(path)]) == 2
+    assert capsys.readouterr().out == "error: ValueError: ring names must be distinct\n"
+    h0 = {**hom_to_json(theta_h0_hom()), "variables": ["t", "t"]}
+    h0["images"] = {name: [[e, 0], c] for name, ([e], c) in h0["images"].items()}
+    path.write_text(json.dumps({**data, "homs": {"h0": h0}}), encoding="utf-8")
+    code, rendered = run(RunConfig(command="certify", params={"infile": str(path)}))
+    assert code == 2
+    assert rendered == "error: ValueError: target variables must be distinct, got ('t', 't')"
+
+
 def test_unbounded_problem_is_an_input_error(tmp_path):
     data = {
         "basis": ["A", "B"],

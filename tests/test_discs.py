@@ -264,6 +264,27 @@ def test_bounded_simplex_cone():
     assert enumerate_candidate_classes(table) == []
 
 
+def test_each_public_call_runs_one_cascade(monkeypatch):
+    # the witness ray is read from the region's own rounds: no call runs a
+    # further elimination, whether the region is bounded, unbounded or empty
+    calls = []
+    cascade = discs._fm_cascade
+    monkeypatch.setattr(discs, "_fm_cascade", lambda *args: calls.append(args) or cascade(*args))
+    unbounded = ConstraintTable(plain_basis(3), (), (2, 0, 0))
+    empty = ConstraintTable(plain_basis(2), (("r", (-1, 0)),), (2, 0))
+    for table, bounded in ((theta_constraint_table(), True), (unbounded, False), (empty, True)):
+        calls.clear()
+        assert feasible_region_bounded(table).bounded is bounded
+        assert len(calls) == 1
+        calls.clear()
+        if bounded:
+            enumerate_candidate_classes(table)
+        else:
+            with pytest.raises(UnboundedRegion):
+                enumerate_candidate_classes(table)
+        assert len(calls) == 1
+
+
 def test_witness_ray_lies_in_the_recession_cone():
     rng = random.Random(99)
     seen_unbounded = 0
@@ -713,6 +734,41 @@ def test_five_variable_blowup_table_matches_the_fraction_reference():
     assert (result.bounded, result.ray) == cascade_reference_bounded(table)
 
 
+def without_surface_generator(table, j):
+    """The table sliced by x_j = 0 for a surface generator j: its boundary
+    column is zero, so the other generators keep a valid basis."""
+    keep = lambda v: v[:j] + v[j + 1 :]
+    basis = HomologyBasis(keep(table.basis.names),
+                          tuple(keep(row) for row in table.basis.boundary_matrix),
+                          table.basis.n_torus_rank)
+    rows = tuple((label, keep(vec)) for label, vec in table.rows)
+    return ConstraintTable(basis, rows, keep(table.maslov_vector), table.target_maslov)
+
+
+def test_rays_of_five_and_six_variable_products_match_the_cone_cascades():
+    # re-coordinatised TC and CCC tables (6 variables) and their slices by a
+    # surface coordinate (5 variables), with one to three rows dropped: the
+    # ray read from the region's rounds is the first one the 2n cascades on
+    # the recession cone with a coordinate fixed to +-1 find
+    rng = random.Random(1313)
+    unbounded = {5: 0, 6: 0}
+    for symbols in ("TC", "CCC"):
+        base = product(symbols)[0]
+        for index in range(40):
+            table = recoordinatise(base, rng, rng.randint(1, 2))[0]
+            if index % 2:
+                table = without_surface_generator(table, rng.choice(table.basis.surface_indices))
+            rows = list(table.rows)
+            for _ in range(rng.randint(1, 3)):
+                del rows[rng.randrange(len(rows))]
+            table = ConstraintTable(table.basis, tuple(rows), table.maslov_vector)
+            result = feasible_region_bounded(table)
+            assert (result.bounded, result.ray) == cascade_reference_bounded(table)
+            assert outcome(enumerate_candidate_classes, table) == outcome(reference_classes, table)
+            unbounded[len(table.basis.names)] += not result.bounded
+    assert min(unbounded.values()) > 20
+
+
 def round_interval(lowers, uppers, prefix):
     """x_k's interval at `prefix` from rows `a x_k + cs . prefix + b >= 0`;
     None for a missing end."""
@@ -815,6 +871,13 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         # carrier count disagrees with rank
         HomologyBasis(names=("A", "B"), boundary_matrix=((1, 1),), n_torus_rank=1)
+
+
+def test_duplicate_ring_names_are_rejected():
+    # ("R", "R") would print a potential as `R + R` and take the second
+    # toric differential on the first variable
+    with pytest.raises(ValueError, match="ring names must be distinct"):
+        HomologyBasis(("A", "B"), ((1, 0), (0, 1)), 2, ring_names=("R", "R"))
 
 
 def test_odd_maslov_warns_but_does_not_reject():

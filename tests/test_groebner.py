@@ -442,6 +442,22 @@ def test_bases_cofactors_and_remainders_revalidate():
             check(p)
 
 
+def test_zero_dimension_tests_take_each_leading_monomial_once(monkeypatch):
+    from twistkit import groebner
+
+    v = ("x", "y")
+    basis = groebner_basis([poly(RATIONAL, v, {(2, 0): 1, (0, 1): -1}),
+                            poly(RATIONAL, v, {(3, 0): 1, (0, 0): -1})])
+    calls = []
+    lead = groebner.leading_term
+    monkeypatch.setattr(groebner, "leading_term", lambda p: calls.append(p) or lead(p))
+    assert len(standard_monomials(basis)) == 3
+    assert len(calls) == len(basis)
+    calls.clear()
+    assert is_zero_dimensional(basis)
+    assert len(calls) == len(basis)
+
+
 def test_unit_ideal_detection():
     v = ("x",)
     basis = groebner_basis([poly(GF2, v, {(0,): 1, (1,): 1}), poly(GF2, v, {(1,): 1})])

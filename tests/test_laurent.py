@@ -157,6 +157,16 @@ def test_hom_rejects_non_unit_images():
         RingHom(INT, v, {"R": LaurentPoly(INT, v, {(1,): 2})})
 
 
+def test_hom_rejects_duplicate_target_variables():
+    # ("t", "t") would map R + T to t + t
+    with pytest.raises(ValueError, match="target variables must be distinct"):
+        RingHom.from_monomials(GF2, ("t", "t"), {"R": (1, 0), "T": (0, 1)})
+    data = {"ring": "GF2", "variables": ["t", "t"],
+            "images": {"R": [[1, 0], "1"], "T": [[0, 1], "1"]}}
+    with pytest.raises(ValueError, match="target variables must be distinct"):
+        hom_from_json(data)
+
+
 def test_hom_needs_every_generator():
     phi = RingHom.from_monomials(GF2, ("t",), {"R": (1,)})
     with pytest.raises(VariableMismatch):
@@ -218,6 +228,16 @@ def test_json_roundtrip():
     back = hom_from_json(hom_to_json(phi))
     assert back.images == phi.images
     assert back.variables == phi.variables
+
+
+def test_poly_from_json_sums_repeated_exponents():
+    data = {"ring": "Rational", "variables": ["x"], "terms": [[[1], "1"], [[1], "1"]]}
+    assert poly_from_json(data) == rational(("x",), {(1,): 2})
+    # a sum that cancels leaves no term
+    data["terms"] = [[[1], "1"], [[0], "3"], [[1], "-1"]]
+    assert poly_from_json(data).terms == {(0,): 3}
+    data = {"ring": "GF2", "variables": ["x"], "terms": [[[1], "1"], [[1], "1"]]}
+    assert poly_from_json(data).is_zero
 
 
 def test_ring_registry():
