@@ -11,8 +11,13 @@ differ over GF(2) (sympy prints its coefficients in symmetric form).
 Over Q, whose generators have denominators, the cofactors are checked too,
 without sympy: `groebner_basis(gens, with_cofactors=True)` must return the
 same basis, and basis_i == sum_j cofactors_ij * gens_j in LaurentPoly
-arithmetic.  Prints each mismatch and exits 1 if there is one.  A
-development check: it needs sympy, which the package itself never imports.
+arithmetic.
+
+Every ideal is then recomputed with its variables renamed, with and without
+cofactors.  `groebner_basis` memoizes by variable position, so these runs
+are memo hits, and their terms must be those of the first runs, in the same
+order.  Prints each mismatch and exits 1 if there is one.  A development
+check: it needs sympy, which the package itself never imports.
 
     PYTHONPATH=src python3 scripts/groebner_crosscheck.py --ideals 400 --seed 1
 """
@@ -28,6 +33,7 @@ from twistkit.groebner import groebner_basis
 from twistkit.laurent import GF2, RATIONAL, LaurentPoly
 
 DOMAINS = {GF2: sympy.GF(2), RATIONAL: sympy.QQ}
+RENAMED = ("u", "v", "w")
 
 
 def random_ideal(rng):
@@ -67,6 +73,26 @@ def cofactor_failures(gens, basis):
     return failures
 
 
+def renamed_failures(gens):
+    """Why the bases and cofactors of `gens` with renamed variables differ
+    from those of `gens` in anything but the names; empty if they do not."""
+    names = RENAMED[: len(gens[0].variables)]
+    renamed = [LaurentPoly(g.ring, names, g.terms) for g in gens]
+    failures = []
+    for with_cofactors in (False, True):
+        first = groebner_basis(gens, with_cofactors=with_cofactors)
+        again = groebner_basis(renamed, with_cofactors=with_cofactors)
+        if with_cofactors:  # compare the cofactors after the basis
+            first = [*first[0], *(c for vector in first[1] for c in vector)]
+            again = [*again[0], *(c for vector in again[1] for c in vector)]
+        if [list(p.terms.items()) for p in first] != [list(q.terms.items()) for q in again] or any(
+            q.variables != names for q in again
+        ):
+            failures.append(f"renamed to {names}, with_cofactors={with_cofactors}: "
+                            f"{list(map(str, again))} differs")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ideals", type=int, default=400, help="number of random ideals")
@@ -74,7 +100,7 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    mismatches = compared = cofactor_checked = cofactor_mismatches = 0
+    mismatches = compared = cofactor_checked = cofactor_mismatches = renamed_mismatches = 0
     while compared < args.ideals:
         gens = random_ideal(rng)
         if all(g.is_zero for g in gens):
@@ -92,6 +118,12 @@ def main():
                 print(f"cofactor mismatch over {ring} for ({', '.join(map(str, gens))}):")
                 for failure in failures:
                     print(f"  {failure}")
+        failures = renamed_failures(gens)
+        if failures:
+            renamed_mismatches += 1
+            print(f"renamed mismatch over {ring} for ({', '.join(map(str, gens))}):")
+            for failure in failures:
+                print(f"  {failure}")
         ours = [to_sympy(b, symbols, domain).monic() for b in basis]
         theirs = [
             sympy.Poly(p, *symbols, domain=domain).monic()
@@ -107,7 +139,8 @@ def main():
             print(f"  sympy:    {[p.as_expr() for p in theirs]}")
     print(f"{compared} ideals compared, {mismatches} mismatches")
     print(f"{cofactor_checked} ideals over Q cofactor-checked, {cofactor_mismatches} mismatches")
-    return 1 if mismatches or cofactor_mismatches else 0
+    print(f"{compared} ideals recomputed under renamed variables, {renamed_mismatches} mismatches")
+    return 1 if mismatches or cofactor_mismatches or renamed_mismatches else 0
 
 
 if __name__ == "__main__":

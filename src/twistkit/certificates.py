@@ -88,11 +88,11 @@ class _Block(NamedTuple):
 
     indices: tuple[int, ...]  # positions of the block's generators
     variables: tuple[str, ...]  # its ring variables; the auxiliary one follows in `basis`
+    generators: list[LaurentPoly]  # restricted, then the relation, in the ring of `basis`
     basis: list[LaurentPoly]  # reduced, in the ring of `variables` plus the auxiliary one
-    cofactors: list[list[LaurentPoly]] | None  # per basis element; the relation's comes last
 
 
-def _localized_blocks(polys, with_cofactors=False) -> list[_Block]:
+def _localized_blocks(polys) -> list[_Block]:
     """Reduced Groebner bases of the Laurent ideal generated by `polys`
     (nonzero, without monomial factors), one per block of generators.
 
@@ -154,9 +154,8 @@ def _localized_blocks(polys, with_cofactors=False) -> list[_Block]:
             ext_vars,
             {(1,) * len(ext_vars): ring.one, (0,) * len(ext_vars): ring.neg(ring.one)},
         )
-        result = groebner_basis(ext_gens + [relation], with_cofactors=with_cofactors)
-        basis, cofactors = result if with_cofactors else (result, None)
-        blocks.append(_Block(tuple(indices), ext_vars[:-1], basis, cofactors))
+        ext_gens.append(relation)
+        blocks.append(_Block(tuple(indices), ext_vars[:-1], ext_gens, groebner_basis(ext_gens)))
     return blocks
 
 
@@ -212,10 +211,13 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
             cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs)
         return IdealMembershipResult(unit, "gcd", (gcd,), cofactors)
 
-    blocks = _localized_blocks(stripped, with_cofactors=True)
+    blocks = _localized_blocks(stripped)
     basis = tuple(g for block in blocks for g in block.basis)
     for block in blocks:
         if contains_constant(block.basis):
+            # only this block's certificate is needed: its basis again, with
+            # cofactors, is [1] with the cofactors of 1
+            _, (block_cofactors,) = groebner_basis(block.generators, with_cofactors=True)
             aux = block.basis[0].variables[-1]
             drop_aux = RingHom(
                 ring,
@@ -230,7 +232,7 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
             back = [LaurentPoly.zero(ring, variables)] * len(stripped)
             # zip drops the relation's cofactor, which comes last: drop_aux
             # sends the relation to zero
-            for i, c in zip(block.indices, block.cofactors[0]):
+            for i, c in zip(block.indices, block_cofactors):
                 back[i] = drop_aux.apply(c)
             cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back)
             return IdealMembershipResult(True, "groebner", basis, cofactors)

@@ -30,8 +30,9 @@ The rows dropped are implied by those kept, so every projection, every
 conditional interval and hence every class list and ray are those of the
 unpruned cascade, while the rows stay few where unpruned elimination can
 grow doubly exponentially.  The cascade, the walk and the ray are integer
-arithmetic; `fractions.Fraction` appears only in `ConstraintTable`'s check
-that the target Maslov index is an integer.
+arithmetic, and every integer field of a table passes through
+`matrices.as_int`, the target Maslov index included, so no `Fraction` is
+needed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import CapExceeded, UnboundedRegion
 from .matrices import as_int, mat, mat_det
@@ -135,10 +135,13 @@ class ConstraintTable:
         rows = tuple((str(label), tuple(map(as_int, vec))) for label, vec in self.rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "maslov_vector", tuple(map(as_int, self.maslov_vector)))
-        target = Fraction(self.target_maslov)
-        if target.denominator != 1:
-            raise ValueError(f"target Maslov index must be an integer, got {self.target_maslov!r}")
-        object.__setattr__(self, "target_maslov", int(target))
+        try:
+            target = as_int(self.target_maslov)
+        except ValueError:
+            raise ValueError(
+                f"target Maslov index must be an integer, got {self.target_maslov!r}"
+            ) from None
+        object.__setattr__(self, "target_maslov", target)
         for label, vec in rows:
             if len(vec) != n:
                 raise ValueError(f"row {label!r} has length {len(vec)}, expected {n}")

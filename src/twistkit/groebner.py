@@ -12,7 +12,9 @@ a set of the pending pairs that the chain criterion consults (the heap-based
 queue of Gebauer and Moeller, without the sugar strategy, which would change
 the cofactors).  Coprime leading monomials and the chain criterion skip a
 pair; a surviving S-polynomial is reduced by the first basis element, in
-basis order, whose leading monomial divides its leading term.
+basis order, whose leading monomial divides its leading term.  The loop
+ends at the first constant element, and never starts when a generator is
+constant: every later S-polynomial would reduce to zero.
 
 Inside the loop every coefficient is an int, over both rings.  Over Q a
 generator enters with its denominators cleared and its content removed, and
@@ -43,6 +45,17 @@ nonzero coefficients of the ring.  `normal_form` is the same reduction
 behind a LaurentPoly interface: it clears the denominators of its inputs and
 divides its results by the scale the reduction accumulated.
 
+`groebner_basis` memoizes by position.  The loop and grevlex read exponent
+tuples and coefficients, never a variable's name, so the same terms in other
+variables (a second theta factor, say) give the same basis and cofactors,
+term for term.  After the ring, variable and exponent checks, which run on
+every call, the key is the ring, the number of variables, the cofactor flag
+and each generator's `terms.items()` in order (the output's term order
+follows the input's).  The memo, an `lru_cache` of `BASIS_MEMO_SIZE`
+entries, stores item tuples; each call builds fresh LaurentPoly values in
+its own variables from them, so a caller that mutates one cannot change a
+later hit.
+
 In one variable the reduced basis of a nonzero ideal is its monic gcd
 (Becker and Weispfenning, Groebner Bases, 1993), so `univariate_gcd` and
 `univariate_extended_gcd` are this same loop, the latter with cofactors.
@@ -50,6 +63,7 @@ In one variable the reduced basis of a nonzero ideal is its monic gcd
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from fractions import Fraction
@@ -284,13 +298,37 @@ def groebner_basis(gens, with_cofactors=False):
             raise VariableMismatch("generators live in different rings")
         _require_polynomial(g)
 
+    basis, cofactors = _reduced_basis(
+        ring, len(variables), with_cofactors, tuple(tuple(g.terms.items()) for g in gens)
+    )
+
+    def poly(items):
+        return LaurentPoly._new(ring, variables, dict(items))
+
+    out = [poly(b) for b in basis]
+    if not with_cofactors:
+        return out
+    return out, [[poly(c) for c in vector] for vector in cofactors]
+
+
+# The memo holds whole bases and cofactor vectors, so it is bounded for long
+# sessions (`search_h0_hom` alone may try thousands of ideals); a pass of the
+# dense random benchmark makes about 70 distinct calls, well under the bound.
+BASIS_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=BASIS_MEMO_SIZE)
+def _reduced_basis(ring, nvars, with_cofactors, gens):
+    """The Buchberger loop on generators given as `(exponents, coefficient)`
+    item tuples in `nvars` variables.  Returns (basis, cofactors) as nested
+    tuples of such items, cofactors None unless tracked."""
     w = _Working(ring)
     keys = w.keys
-    one = (0,) * len(variables)
+    one = (0,) * nvars
     cleared = []  # D_j: gens[j] times D_j has int coefficients
     basis = []
     for i, g in enumerate(gens):
-        d, poly = w.clear(g.terms)
+        d, poly = w.clear(dict(g))
         cleared.append(d)
         if not poly:
             continue
@@ -309,9 +347,12 @@ def groebner_basis(gens, with_cofactors=False):
         pending.add((i, j))
         heapq.heappush(queue, (keys[lcm_ij], i, j, lcm_ij))
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
+    # once a constant is in the basis every S-polynomial reduces to zero, and
+    # `_autoreduce` keeps that element alone, with its cofactors
+    if one not in lms:
+        for j in range(len(basis)):
+            for i in range(j):
+                push(i, j)
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)
         pending.discard((i, j))
@@ -345,18 +386,20 @@ def groebner_basis(gens, with_cofactors=False):
             continue
         basis.append(w.element(r, cofs, den))
         lms.append(basis[-1][0])
+        if lms[-1] == one:
+            break  # the ideal is the whole ring; see above
         new = len(basis) - 1
         for k in range(new):
             push(k, new)
 
     reduced = _autoreduce(w, basis)
-    out = [LaurentPoly._new(ring, variables, w.rational(poly, lc)) for _, lc, poly, _, _ in reduced]
+    out = tuple(tuple(w.rational(poly, lc).items()) for _, lc, poly, _, _ in reduced)
     if not with_cofactors:
-        return out
-    return out, [
-        [LaurentPoly._new(ring, variables, w.rational(c, den * lc, d)) for c, d in zip(cofs, cleared)]
+        return out, None
+    return out, tuple(
+        tuple(tuple(w.rational(c, den * lc, d).items()) for c, d in zip(cofs, cleared))
         for _, lc, _, cofs, den in reduced
-    ]
+    )
 
 
 def _autoreduce(w, basis):

@@ -678,3 +678,51 @@ def test_unit_block_beside_an_infinite_block_gives_dimension_zero():
     u = LaurentPoly(RATIONAL, ("x", "y", "z"), {(1, 1, 0): 1, (-1, -1, 0): 1, (0, 0, 1): 1})
     assert block_count([u.log_derivative(v) for v in u.variables]) == 2
     assert regular_sequence_check(u) == unsplit_regularity(u) == RegularityResult(True, 0, ())
+
+
+def test_theta_cube_runs_the_core_once_per_distinct_block(monkeypatch, core_runs):
+    # the three theta factors give the same block up to variable names, in
+    # the H0 check (over GF2) and in the regularity check (over Q)
+    calls = []
+
+    def counting(polys, **kwargs):
+        calls.append(polys)
+        return groebner_basis(polys, **kwargs)
+
+    monkeypatch.setattr(certificates, "groebner_basis", counting)
+    report = product_bundle(3, 0).certify()
+    assert report.token == "certified"
+    assert len(calls) == 6
+    assert len(core_runs) == 2
+    product_bundle(3, 0).certify()
+    assert len(calls) == 12 and len(core_runs) == 2
+
+
+def test_h0_blocks_track_cofactors_only_for_the_unit_block(monkeypatch):
+    flags = []
+
+    def recording(polys, with_cofactors=False):
+        flags.append((len(polys), with_cofactors))
+        return groebner_basis(polys, with_cofactors=with_cofactors)
+
+    monkeypatch.setattr(certificates, "groebner_basis", recording)
+    v = ("x", "y", "z", "u")
+    proper = [
+        LaurentPoly(GF2, v, {(2, 0, 0, 0): 1, (1, 0, 0, 0): 1, (0, 0, 0, 0): 1}),
+        LaurentPoly(GF2, v, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (0, 0, 0, 0): 1}),
+    ]
+    assert not ideal_contains_one(proper).contains_one
+    assert flags == [(2, False), (2, False)]
+    flags.clear()
+    # blocks {x, y}, proper, and {z, u}, where z + 1 and z + u + 1 force the
+    # unit u to vanish
+    unit = [
+        LaurentPoly(GF2, v, {(1, 1, 0, 0): 1, (0, 0, 0, 0): 1}),
+        LaurentPoly(GF2, v, {(0, 0, 1, 0): 1, (0, 0, 0, 0): 1}),
+        LaurentPoly(GF2, v, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (0, 0, 0, 0): 1}),
+    ]
+    result = ideal_contains_one(unit)
+    assert result.contains_one
+    assert flags == [(2, False), (3, False), (3, True)]
+    assert_cofactors_combine_to_one(result, unit)
+    assert result.cofactors[0].is_zero

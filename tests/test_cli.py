@@ -322,6 +322,17 @@ def test_unbounded_problem_is_an_input_error(tmp_path):
     assert "UnboundedRegion" in rendered
 
 
+def test_string_target_in_problem_file_exits_two(tmp_path, capsys):
+    data = table_to_json(theta_constraint_table())
+    for target in ("2", "4/2"):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**data, "target": target}), encoding="utf-8")
+        assert main(["classes", "--in", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            f"error: ValueError: target Maslov index must be an integer, got {target!r}\n"
+        )
+
+
 def test_missing_preset_and_file_are_input_errors():
     code, rendered = run(RunConfig(command="classes", params={"preset": "nope"}))
     assert code == 2

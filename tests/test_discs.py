@@ -926,6 +926,20 @@ def test_integral_target_is_stored_as_int_and_a_fractional_one_rejected():
         ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=Fraction(5, 2))
 
 
+def test_target_is_checked_like_every_other_integer_field():
+    # strings are refused here as in the rows and the Maslov vector, even
+    # when they spell an integer
+    rows = (("a", (1, 0)), ("b", (0, 1)))
+    for target in ("2", "4/2", 2.5):
+        with pytest.raises(ValueError, match="target Maslov index must be an integer"):
+            ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=target)
+        with pytest.raises(ValueError):
+            ConstraintTable(plain_basis(2), (("a", (target, 0)),), (2, 2))
+    for target in (2.0, Fraction(2)):
+        table = ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=target)
+        assert table.target_maslov == 2 and type(table.target_maslov) is int
+
+
 def test_table_json_roundtrip():
     table = theta_constraint_table()
     data = table_to_json(table)

@@ -574,3 +574,116 @@ def test_extended_gcd_identity():
                     continue
                 r, _ = normal_form(p, [g])
                 assert r.is_zero
+
+
+# ---------------------------------------------------------------------------
+# the positional memo
+
+
+def memo_ideals():
+    """120 seeded ideals over GF2 and Q in one to three variables, with two
+    or three generators, at least one of them nonzero."""
+    rng = random.Random(4242)
+    out = []
+    while len(out) < 120:
+        ring = GF2 if len(out) % 2 else RATIONAL
+        variables = ("x", "y", "z")[: rng.randint(1, 3)]
+        max_deg = (5, 3, 2)[len(variables) - 1]
+        gens = [
+            random_poly(rng, ring, variables, max_terms=4, max_deg=max_deg)
+            for _ in range(rng.randint(2, 3))
+        ]
+        if any(not g.is_zero for g in gens):
+            out.append(gens)
+    return out
+
+
+def _flat(result, with_cofactors):
+    """Variables and terms, in order, of a basis and its cofactors."""
+    basis, cofs = result if with_cofactors else (result, [])
+    return (
+        [(p.variables, list(p.terms.items())) for p in basis],
+        [[(c.variables, list(c.terms.items())) for c in vec] for vec in cofs],
+    )
+
+
+def test_memo_hits_equal_fresh_computations_under_renamed_variables():
+    from twistkit import groebner
+
+    memo = groebner._reduced_basis
+    ideals = memo_ideals()
+    assert {len(gens[0].variables) for gens in ideals} == {1, 2, 3}
+    for gens in ideals:
+        names = ("a", "b", "c")[: len(gens[0].variables)]
+        renamed = [LaurentPoly(g.ring, names, g.terms) for g in gens]
+        assert [list(r.terms.items()) for r in renamed] == [list(g.terms.items()) for g in gens]
+        for with_cofactors in (False, True):
+            memo.cache_clear()
+            fresh = groebner_basis(renamed, with_cofactors=with_cofactors)
+            memo.cache_clear()
+            groebner_basis(gens, with_cofactors=with_cofactors)
+            hits = memo.cache_info().hits
+            hit = groebner_basis(renamed, with_cofactors=with_cofactors)
+            assert memo.cache_info().hits == hits + 1
+            assert _flat(hit, with_cofactors) == _flat(fresh, with_cofactors)
+            flat_basis, flat_cofs = _flat(hit, with_cofactors)
+            assert {vs for vs, _ in flat_basis + [c for vec in flat_cofs for c in vec]} <= {names}
+
+
+def test_mutating_a_returned_basis_does_not_poison_the_memo():
+    v = ("x", "y")
+    gens = [poly(RATIONAL, v, {(2, 0): 1, (0, 1): -1}), poly(RATIONAL, v, {(1, 1): 3, (0, 0): 1})]
+    basis, cofs = groebner_basis(gens, with_cofactors=True)
+    want = _flat((basis, cofs), True)
+    basis[0].terms[(9, 9)] = Fraction(5)
+    basis[-1].terms.clear()
+    for c in cofs[0]:
+        c.terms.clear()
+    assert _flat(groebner_basis(gens, with_cofactors=True), True) == want
+    assert _flat(groebner_basis(gens), False)[0] == want[0]
+
+
+def test_invalid_inputs_raise_on_every_call_with_a_memoized_key():
+    v, w = ("x", "y"), ("a", "b")
+    p = poly(GF2, v, {(1, 0): 1, (0, 1): 1})
+    q = poly(GF2, v, {(2, 0): 1, (0, 0): 1})
+    groebner_basis([p, q])  # the key of each bad call below is this one's
+    for _ in range(2):
+        with pytest.raises(VariableMismatch):
+            groebner_basis([p, poly(GF2, w, q.terms)])
+        with pytest.raises(VariableMismatch):
+            groebner_basis([p, poly(RATIONAL, v, q.terms)])
+        with pytest.raises(UnsupportedRing):
+            groebner_basis([poly(INT, v, p.terms), poly(INT, v, q.terms)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            groebner_basis([poly(GF2, ("x",), {(-1,): 1})])
+
+
+def test_core_stops_at_the_first_constant(monkeypatch):
+    """Once 1 is in the basis no pair is reduced: a constant generator skips
+    the pair loop, and the autoreduction alone calls `reduce`.  Bases and
+    cofactors stay the reference loop's, which reduces every pair."""
+    from twistkit import groebner
+
+    reductions = []
+    reduce = groebner._Working.reduce
+    monkeypatch.setattr(groebner._Working, "reduce",
+                        lambda self, *args: reductions.append(1) or reduce(self, *args))
+    rng = random.Random(31)
+    v = ("x", "y")
+    units = 0  # ideals that reach 1 inside the loop
+    for trial in range(80):
+        ring = GF2 if trial % 2 else RATIONAL
+        gens = [random_poly(rng, ring, v, max_terms=3, max_deg=2) for _ in range(3)]
+        if trial % 4 < 2:
+            gens.insert(rng.randint(0, 3), LaurentPoly.constant(ring, v, ring.one))
+        groebner._reduced_basis.cache_clear()
+        reductions.clear()
+        basis, cofs = groebner_basis(gens, with_cofactors=True)
+        if trial % 4 < 2:
+            assert len(reductions) == 1
+        ref_basis, ref_cofs = reference_groebner_basis(gens, with_cofactors=True)
+        assert [str(b) for b in basis] == [str(b) for b in ref_basis]
+        assert [[str(c) for c in vec] for vec in cofs] == [[str(c) for c in vec] for vec in ref_cofs]
+        units += trial % 4 >= 2 and contains_constant(basis)
+    assert units > 5
