@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="enumerate candidate disc classes")
     p.add_argument("--preset", default=None)
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--bounds", default=None, help="a,b: scan box [a,b] in every coordinate")
+    p.add_argument("--bounds", default=None, help="a,b: only the box [a,b] in every coordinate")
     common(p)
 
     p = sub.add_parser("pearl", help="potential, toric differentials, degree-one images")

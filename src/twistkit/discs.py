@@ -14,10 +14,10 @@ a prefix-pruned enumeration: x_0 over its integer interval, then each x_k
 over the integers of its interval at the chosen prefix.  The ray reported
 for an unbounded region is read from the same rounds with their constants
 dropped, which describe the recession cone, so each public call runs one
-cascade and no search for a ray.  An explicit search box may be supplied
-instead, and is then scanned whole.  Either way the enumerator examines at
-most `LATTICE_BUDGET` lattice points and raises `CapExceeded` rather than
-more.
+cascade and no search for a ray.  An explicit search box lo_k <= x_k <= hi_k
+is 2n more rows of the same cascade, so a boxed region is walked the same
+way.  The walk tries at most `LATTICE_BUDGET` values and raises
+`CapExceeded` rather than more.
 
 Constraints are primitive integer rows: a row and its constant are divided
 by the gcd of all their entries, which leaves the half-space unchanged and
@@ -37,7 +37,6 @@ needed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -175,9 +174,8 @@ class BoundednessResult:
 # ---------------------------------------------------------------------------
 # exact Fourier-Motzkin elimination (constraints are  coeffs . x + const >= 0)
 
-# Most lattice points the enumerator examines for one table: every value the
-# prefix walk tries for a coordinate counts as one, and a search box counts
-# all of its points, checked before the scan starts.
+# Most lattice points the enumerator examines for one table, boxed or not:
+# every value the prefix walk tries for a coordinate counts as one.
 LATTICE_BUDGET = 1_000_000
 
 
@@ -267,12 +265,16 @@ def _fm_cascade(constraints, nvars):
     return rounds
 
 
-def _table_constraints(table: ConstraintTable):
+def _table_constraints(table: ConstraintTable, boxes=None):
     """Inequalities (rows . x >= 0) plus the Maslov equation as two
-    inequalities."""
+    inequalities, and for each box (lo, hi) of `boxes` the rows
+    x_k - lo >= 0 and hi - x_k >= 0."""
     out = [(vec, 0) for _, vec in table.rows]
     out.append((table.maslov_vector, -table.target_maslov))
     out.append((tuple(-m for m in table.maslov_vector), table.target_maslov))
+    for k, (lo, hi) in enumerate(boxes or ()):
+        unit = tuple(int(i == k) for i in range(len(boxes)))
+        out += [(unit, -lo), (tuple(-u for u in unit), hi)]
     return out
 
 
@@ -316,6 +318,17 @@ def _cone_ray(rounds) -> tuple[int, ...]:
     return tuple(y // g for y in ray)
 
 
+def _region(table: ConstraintTable, boxes=None):
+    """(rounds, ray) of the table's region, cut to `boxes` if given, from one
+    cascade: rounds is None when the region is empty, and ray is None unless
+    the region is nonempty and some round lacks a lower or an upper bound,
+    in which case it is the witness ray `_cone_ray` reads from the rounds."""
+    rounds = _fm_cascade(_table_constraints(table, boxes), len(table.basis.names))
+    if rounds is None or all(lowers and uppers for lowers, uppers in rounds):
+        return rounds, None
+    return rounds, _cone_ray(rounds)
+
+
 def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
     """Exact boundedness test of the solution polyhedron, read from one
     Fourier-Motzkin cascade.
@@ -325,10 +338,8 @@ def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
     otherwise the witness ray is read from the same rounds (`_cone_ray`),
     with no further elimination.
     """
-    rounds = _fm_cascade(_table_constraints(table), len(table.basis.names))
-    if rounds is None or all(lowers and uppers for lowers, uppers in rounds):
-        return BoundednessResult(True)
-    return BoundednessResult(False, _cone_ray(rounds))
+    _, ray = _region(table)
+    return BoundednessResult(ray is None, ray)
 
 
 def _normalize_bounds(bounds, n):
@@ -360,20 +371,24 @@ def _normalize_bounds(bounds, n):
 
 def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[DiscClass]:
     """All integer classes with `rows . x >= 0` and `mu . x = target`, sorted
-    lexicographically.
+    lexicographically; `bounds`, one (lo, hi) pair of ints for every
+    coordinate or one pair per coordinate, adds the rows lo <= x_k <= hi.
 
-    Without explicit bounds the region must be bounded; otherwise
-    `UnboundedRegion` carries the ray `feasible_region_bounded` reports.  One
-    Fourier-Motzkin cascade gives emptiness, boundedness, that ray (read from
-    its rounds, with no search) and the enumeration: x_0 runs over its
-    integer interval, then each x_k over the integers of its conditional
-    interval at the current prefix, so only prefixes that extend to a
-    rational solution are visited.  With bounds, the given box is scanned
-    and no cascade runs.  Either way `CapExceeded` is raised rather than
-    examine more than `LATTICE_BUDGET` lattice points.
+    Without a box the region must be bounded; otherwise `UnboundedRegion`
+    carries the ray `feasible_region_bounded` reports.  One Fourier-Motzkin
+    cascade gives emptiness, boundedness, that ray (read from its rounds,
+    with no search) and the enumeration: x_0 runs over its integer interval,
+    then each x_k over the integers of its conditional interval at the
+    current prefix, so only prefixes that extend to a rational solution are
+    visited.  Boxed or not, `CapExceeded` is raised rather than try more than
+    `LATTICE_BUDGET` values.
     """
     n = len(table.basis.names)
-    boxes = _normalize_bounds(bounds, n)
+    rounds, ray = _region(table, _normalize_bounds(bounds, n))
+    if ray is not None:
+        raise UnboundedRegion(ray)
+    if rounds is None:
+        return []
     rows = [vec for _, vec in table.rows]
     mu = table.maslov_vector
 
@@ -382,29 +397,7 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
             sum(r * c for r, c in zip(vec, x)) >= 0 for vec in rows
         )
 
-    if boxes is not None:
-        size = math.prod(hi - lo + 1 for lo, hi in boxes)
-        if size > LATTICE_BUDGET:
-            raise CapExceeded(
-                f"discs: the search box holds {size} points, "
-                f"over the lattice budget of {LATTICE_BUDGET}"
-            )
-        found = [
-            DiscClass(x, table.basis.boundary_of(x))
-            for x in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes))
-            if accepts(x)
-        ]
-        found.sort(key=lambda d: d.coefficients)
-        return found
-
-    rounds = _fm_cascade(_table_constraints(table), n)
-    if rounds is None:
-        return []
-    if not all(lowers and uppers for lowers, uppers in rounds):
-        raise UnboundedRegion(_cone_ray(rounds))
-    found = []
-    prefix = []
-    visited = 0
+    found, prefix, visited = [], [], 0
 
     def extend():
         nonlocal visited
@@ -436,12 +429,28 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
 # JSON problem files
 
 
+def basis_to_json(basis: HomologyBasis) -> dict:
+    """The four keys of a homology basis in table and potential files."""
+    return {
+        "basis": list(basis.names),
+        "ring_names": list(basis.ring_names),
+        "n_torus_rank": basis.n_torus_rank,
+        "boundary": [list(row) for row in basis.boundary_matrix],
+    }
+
+
+def basis_from_json(data: dict) -> HomologyBasis:
+    return HomologyBasis(
+        names=tuple(data["basis"]),
+        boundary_matrix=tuple(tuple(row) for row in data["boundary"]),
+        n_torus_rank=as_int(data.get("n_torus_rank", len(data["boundary"]))),
+        ring_names=tuple(data.get("ring_names", ())),
+    )
+
+
 def table_to_json(table: ConstraintTable) -> dict:
     return {
-        "basis": list(table.basis.names),
-        "ring_names": list(table.basis.ring_names),
-        "n_torus_rank": table.basis.n_torus_rank,
-        "boundary": [list(row) for row in table.basis.boundary_matrix],
+        **basis_to_json(table.basis),
         "rows": [{"label": label, "v": list(vec)} for label, vec in table.rows],
         "maslov": list(table.maslov_vector),
         "target": table.target_maslov,
@@ -449,24 +458,13 @@ def table_to_json(table: ConstraintTable) -> dict:
 
 
 def table_from_json(data: dict) -> tuple[ConstraintTable, list | None]:
-    """Parse a problem file; returns (table, optional bounds)."""
-    basis = HomologyBasis(
-        names=tuple(data["basis"]),
-        boundary_matrix=tuple(tuple(row) for row in data["boundary"]),
-        n_torus_rank=as_int(data.get("n_torus_rank", len(data["boundary"]))),
-        ring_names=tuple(data.get("ring_names", ())),
-    )
+    """Parse a problem file; returns (table, its per-coordinate boxes or
+    None).  A malformed `bounds` entry raises ValueError."""
+    basis = basis_from_json(data)
     table = ConstraintTable(
         basis=basis,
         rows=tuple((row["label"], tuple(row["v"])) for row in data["rows"]),
         maslov_vector=tuple(data["maslov"]),
         target_maslov=data.get("target", 2),
     )
-    bounds = data.get("bounds")
-    if bounds is not None:
-        _normalize_bounds(bounds, len(basis.names))  # raises ValueError on a bad shape
-        if all(isinstance(b, int) for b in bounds):
-            bounds = tuple(bounds)
-        else:
-            bounds = [tuple(b) for b in bounds]
-    return table, bounds
+    return table, _normalize_bounds(data.get("bounds"), len(basis.names))

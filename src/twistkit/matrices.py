@@ -13,15 +13,16 @@ from fractions import Fraction
 
 
 def as_int(x) -> int:
-    """`x` as an int; a non-integral value (1.5, Fraction(5, 2)) raises
-    `ValueError`, while integral ones (2.0, Fraction(2)) are accepted."""
+    """`x` as an int; integral numbers (2.0, Fraction(2)) are accepted, and
+    anything else raises `ValueError`: a non-integral number (1.5,
+    Fraction(5, 2)), a string ("2", "4/2"), None, a boolean or a list."""
     if type(x) is int:
         return x
     try:
-        value = int(x)
-    except OverflowError:  # an infinite float
+        value = None if isinstance(x, bool) else int(x)
+    except (TypeError, ValueError, OverflowError):  # None, "4/2", an infinite float
         value = None
-    if value != x:
+    if value is None or value != x:
         raise ValueError(f"{x!r} is not an integer")
     return value
 

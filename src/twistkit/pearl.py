@@ -13,7 +13,7 @@ k-th dual degree-one generator (dual to the boundary of R_k).
 
 from __future__ import annotations
 
-from .discs import DiscClass, HomologyBasis
+from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
 from .errors import VariableMismatch
 from .laurent import CoefficientRing, LaurentPoly, RingHom, poly_to_json
 from .matrices import as_int
@@ -271,10 +271,7 @@ def disc_differential(disc: DiscClass, sign: int, basis: HomologyBasis, alpha: P
 def potential_to_json(potential: Potential) -> dict:
     return {
         "ring": potential.ring.tag,
-        "basis": list(potential.basis.names),
-        "ring_names": list(potential.basis.ring_names),
-        "n_torus_rank": potential.basis.n_torus_rank,
-        "boundary": [list(row) for row in potential.basis.boundary_matrix],
+        **basis_to_json(potential.basis),
         "classes": [
             {"coefficients": list(cls.coefficients), "sign": sign}
             for cls, sign in potential.provenance
@@ -287,12 +284,7 @@ def potential_from_json(data: dict) -> Potential:
     """Accepts either `classes` entries ({"coefficients": [...], "sign": n})
     or a bare `terms` list ([[exponent vector, coefficient], ...]); a class
     coefficient vector is the exponent vector of its group-ring monomial."""
-    basis = HomologyBasis(
-        names=tuple(data["basis"]),
-        boundary_matrix=tuple(tuple(row) for row in data["boundary"]),
-        n_torus_rank=as_int(data.get("n_torus_rank", len(data["boundary"]))),
-        ring_names=tuple(data.get("ring_names", ())),
-    )
+    basis = basis_from_json(data)
     ring = CoefficientRing.from_tag(data.get("ring", "GF2"))
     entries = []
     if "classes" in data:

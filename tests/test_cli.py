@@ -215,6 +215,30 @@ def test_non_integral_file_entries_exit_two(tmp_path, capsys):
         assert rendered.startswith("error: ValueError: ") and "is not an integer" in rendered
 
 
+def test_null_boolean_and_string_integer_fields_exit_two(tmp_path, capsys):
+    from twistkit.presets import theta_germ
+
+    table = table_to_json(theta_constraint_table())
+    potential = potential_to_json(theta_potential())
+    unsigned = [{**potential["classes"][0], "sign": None}] + potential["classes"][1:]
+    cases = [
+        ("classes", {**table, "maslov": [None] + table["maslov"][1:]}),
+        ("classes", {**table, "maslov": ["4/2"] + table["maslov"][1:]}),
+        ("classes", {**table, "target": None}),
+        ("classes", {**table, "target": True}),
+        ("certify", {**potential, "classes": unsigned}),
+        ("germ", {**germ_to_json(theta_germ()), "dim": None}),
+    ]
+    path = tmp_path / "input.json"
+    for command, data in cases:
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [command, str(path), "theta"] if command == "germ" else [command, "--in", str(path)]
+        assert main(argv) == 2, data
+        out = capsys.readouterr().out
+        assert out.startswith("error: ValueError: ") and out.count("\n") == 1, out
+        assert "integer" in out, out
+
+
 def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):
     # 1001 covectors in dimension 2: 1001 * 1000 ordered pairs, over 10^6
     data = {"dim": 2, "constant": "1", "covectors": [[1, k] for k in range(1001)]}
@@ -246,8 +270,8 @@ def test_classes_from_problem_file_with_bounds(tmp_path):
 
 
 def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
-    assert main(["classes", "--preset", "theta_s2xs2", "--bounds=-20,20"]) == 2
-    assert capsys.readouterr().out.startswith("error: CapExceeded: discs: ")
+    over = ("error: CapExceeded: discs: the prefix walk exceeds the lattice "
+            "budget of 1000000 points")
     # x_1 = 1 and 0 <= x_0 <= 10^9: bounded, but the walk alone is too long
     data = {"basis": ["X", "Y"], "boundary": [[1, 0], [0, 1]],
             "rows": [{"label": "lo", "v": [1, 0]}, {"label": "hi", "v": [-1, 10**9]}],
@@ -255,8 +279,14 @@ def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
-    assert code == 2
-    assert rendered.startswith("error: CapExceeded: discs: "), rendered
+    assert (code, rendered) == (2, over)
+    # the same interval as the file's box, which the walk meets the same way
+    data = {**data, "rows": data["rows"][:1], "bounds": [[0, 10**9], [0, 2]]}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["classes", "--in", str(path)]) == 2
+    assert capsys.readouterr().out == over + "\n"
+    # a box of 41^4 points is no refusal: the walk tries only what the region allows
+    assert main(["classes", "--preset", "theta_s2xs2", "--bounds=-20,20", "--expect", "5"]) == 0
 
 
 def test_malformed_bounds_in_problem_file_exit_two(tmp_path):

@@ -40,11 +40,12 @@ def plain_basis(n, names=None):
 
 
 def box_scan_oracle(table, box):
-    """Exhaustive scan of the box, filtering by the raw constraints."""
-    lo, hi = box
+    """Exhaustive scan of the box, one (lo, hi) pair for every coordinate or
+    one pair per coordinate, filtering by the raw constraints."""
     n = len(table.basis.names)
+    boxes = [box] * n if isinstance(box[0], int) else box
     hits = []
-    for x in itertools.product(range(lo, hi + 1), repeat=n):
+    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes)):
         if sum(m * c for m, c in zip(table.maslov_vector, x)) != table.target_maslov:
             continue
         if all(sum(r * c for r, c in zip(vec, x)) >= 0 for _, vec in table.rows):
@@ -187,6 +188,43 @@ def test_bounds_given_as_per_coordinate_pairs():
     assert got == THETA_CLASSES
 
 
+def test_box_walk_matches_box_scan_oracle_on_per_coordinate_boxes():
+    # the box is rows of the region's cascade: the walk must find exactly
+    # the box points the raw constraints accept, whether the region without
+    # the box is empty, bounded or unbounded, and with degenerate boxes
+    rng = random.Random(7707)
+    seen = {"empty": 0, "unbounded": 0, "degenerate": 0, "classes": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        table = random_table(rng, n=n, n_rows=rng.randint(0, n + 2))
+        if rng.random() < 0.3:
+            lo = rng.randint(-3, 1)
+            box = (lo, lo + rng.randint(0, 3))
+        else:
+            box = []
+            for _ in range(n):
+                lo = rng.randint(-3, 1)
+                box.append((lo, lo + rng.randint(0, 3)))
+        got = [c.coefficients for c in enumerate_candidate_classes(table, bounds=box)]
+        assert got == box_scan_oracle(table, box)
+        seen["empty"] += discs._region(table)[0] is None
+        seen["unbounded"] += not feasible_region_bounded(table).bounded
+        seen["degenerate"] += any(lo == hi for lo, hi in ([box] if isinstance(box, tuple) else box))
+        seen["classes"] += bool(got)
+    assert min(seen.values()) > 20, seen
+
+
+def test_wide_boxes_are_walked_not_scanned():
+    # 41^4 = 2825761 and 7^8 = 5764801 box points, each over the lattice
+    # budget, but the walk tries only values the region allows
+    theta = theta_constraint_table()
+    got = [c.coefficients for c in enumerate_candidate_classes(theta, bounds=(-20, 20))]
+    assert got == sorted(THETA_CLASSES)
+    table, expected = product("TT")
+    got = [c.coefficients for c in enumerate_candidate_classes(table, bounds=(-3, 3))]
+    assert got == sorted(expected) and len(got) == 10
+
+
 def huge_interval_table(width):
     """x_1 = 1 and 0 <= x_0 <= width: the walk tries width + 1 values of x_0
     and one value of x_1 after each."""
@@ -201,15 +239,20 @@ def huge_interval_table(width):
 def test_lattice_walk_and_box_scan_stop_at_the_budget(monkeypatch):
     with pytest.raises(CapExceeded, match="discs: .* budget of 1000000"):
         enumerate_candidate_classes(huge_interval_table(10**9))
-    with pytest.raises(CapExceeded, match="discs: .*2825761 points.* budget of 1000000"):
-        enumerate_candidate_classes(theta_constraint_table(), bounds=(-20, 20))
+    # a box is walked like the region it cuts, so the walk's count is its
+    # only budget: here the box alone bounds x_0 above
+    only_lower = ConstraintTable(plain_basis(2), (("lo", (1, 0)),), (0, 2))
+    with pytest.raises(CapExceeded, match="discs: the prefix walk exceeds .* budget of 1000000"):
+        enumerate_candidate_classes(only_lower, bounds=[(0, 10**9), (0, 2)])
     monkeypatch.setattr(discs, "LATTICE_BUDGET", 10)
     assert len(enumerate_candidate_classes(huge_interval_table(4))) == 5  # 10 points
     with pytest.raises(CapExceeded):
         enumerate_candidate_classes(huge_interval_table(5))
     assert len(enumerate_candidate_classes(huge_interval_table(9), bounds=[(0, 4), (0, 1)])) == 5
-    with pytest.raises(CapExceeded):
-        enumerate_candidate_classes(huge_interval_table(9), bounds=[(0, 4), (0, 2)])
+    # a 15-point box of which the walk tries 10 values: 5 of x_0, 1 of x_1 after each
+    assert len(enumerate_candidate_classes(huge_interval_table(9), bounds=[(0, 4), (0, 2)])) == 5
+    with pytest.raises(CapExceeded, match="prefix walk"):
+        enumerate_candidate_classes(huge_interval_table(9), bounds=[(0, 9), (0, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +309,8 @@ def test_bounded_simplex_cone():
 
 def test_each_public_call_runs_one_cascade(monkeypatch):
     # the witness ray is read from the region's own rounds: no call runs a
-    # further elimination, whether the region is bounded, unbounded or empty
+    # further elimination, whether the region is bounded, unbounded or empty;
+    # a boxed call runs the same one cascade, with the box as rows
     calls = []
     cascade = discs._fm_cascade
     monkeypatch.setattr(discs, "_fm_cascade", lambda *args: calls.append(args) or cascade(*args))
@@ -282,6 +326,9 @@ def test_each_public_call_runs_one_cascade(monkeypatch):
         else:
             with pytest.raises(UnboundedRegion):
                 enumerate_candidate_classes(table)
+        assert len(calls) == 1
+        calls.clear()
+        enumerate_candidate_classes(table, bounds=(-2, 2))
         assert len(calls) == 1
 
 
@@ -948,7 +995,10 @@ def test_table_json_roundtrip():
     assert back == table
     data["bounds"] = [-3, 3]
     _, bounds = table_from_json(data)
-    assert bounds == (-3, 3)
+    assert bounds == [(-3, 3)] * 4
+    data["bounds"] = [[-4, 2], [-2, 2], [0, 2], [0, 2]]
+    _, bounds = table_from_json(data)
+    assert bounds == [(-4, 2), (-2, 2), (0, 2), (0, 2)]
 
 
 def test_default_ring_names_split_carriers_and_surfaces():

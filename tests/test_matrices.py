@@ -98,10 +98,20 @@ def test_non_integral_entries_are_rejected():
         assert as_int_matrix(rows) is None
         assert not is_unimodular(rows)
     # integral values of other types are accepted, and come back as ints
-    rows = [[2.0, Fraction(3)], [0, True]]
+    rows = [[2.0, Fraction(3)], [0, 1.0]]
     assert mat(rows) == ((2, 3), (0, 1))
     assert all(type(x) is int for row in mat(rows) for x in row)
     assert mat_det(rows) == 2 and type(mat_det(rows)) is int
     assert mat_rank(rows) == 2
     assert is_unimodular([[1.0, 1], [0, Fraction(-1)]])
-    assert [as_int(x) for x in (3, -2.0, Fraction(4), False)] == [3, -2, 4, 0]
+    assert [as_int(x) for x in (3, -2.0, Fraction(4), 0.0)] == [3, -2, 4, 0]
+
+
+def test_non_numbers_are_rejected_like_non_integral_numbers():
+    # None, booleans, strings and containers raise the same ValueError as
+    # 1.5, not int()'s TypeError or its own message, and are never read as 1
+    for bad in (None, True, False, "2", "4/2", "x", [1], (2,), {}, complex(2), float("nan")):
+        with pytest.raises(ValueError, match=" is not an integer$"):
+            as_int(bad)
+        assert as_int_matrix([[1, bad]]) is None
+        assert not is_unimodular([[1, 0], [0, bad]])
