@@ -17,7 +17,12 @@ dropped, which describe the recession cone, so each public call runs one
 cascade and no search for a ray.  An explicit search box lo_k <= x_k <= hi_k
 is 2n more rows of the same cascade, so a boxed region is walked the same
 way.  The walk tries at most `LATTICE_BUDGET` values and raises
-`CapExceeded` rather than more.
+`CapExceeded` rather than more.  At each node a bound's prefix sum is one
+`sum(map(mul, ...))`, which runs in C; each point the walk reaches is
+re-checked against the table's rows and Maslov equation, and a class found
+is built from the walk's int tuple and its C-level boundary through the
+trusted `DiscClass._new`, without the `as_int` checks its inputs have
+already passed.
 
 Constraints are primitive integer rows: a row and its constant are divided
 by the gcd of all their entries, which leaves the half-space unchanged and
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import CapExceeded, UnboundedRegion
 from .matrices import as_int, mat, mat_det
@@ -114,10 +120,7 @@ class HomologyBasis:
         return tuple(out)
 
     def boundary_of(self, coefficients) -> tuple[int, ...]:
-        return tuple(
-            sum(row[j] * c for j, c in enumerate(coefficients))
-            for row in self.boundary_matrix
-        )
+        return tuple(sum(map(mul, row, coefficients)) for row in self.boundary_matrix)
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,15 @@ class DiscClass:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(map(as_int, self.coefficients)))
         object.__setattr__(self, "boundary_class", tuple(map(as_int, self.boundary_class)))
+
+    @classmethod
+    def _new(cls, coefficients, boundary_class):
+        """A class from int tuples the caller built itself, set without the
+        `as_int` checks of `__post_init__`."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "boundary_class", boundary_class)
+        return self
 
 
 @dataclass(frozen=True)
@@ -391,10 +403,11 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
         return []
     rows = [vec for _, vec in table.rows]
     mu = table.maslov_vector
+    boundary_of = table.basis.boundary_of
 
     def accepts(x):
-        return sum(m * c for m, c in zip(mu, x)) == table.target_maslov and all(
-            sum(r * c for r, c in zip(vec, x)) >= 0 for vec in rows
+        return sum(map(mul, mu, x)) == table.target_maslov and all(
+            sum(map(mul, vec, x)) >= 0 for vec in rows
         )
 
     found, prefix, visited = [], [], 0
@@ -404,13 +417,14 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
         k = len(prefix)
         if k == n:
             if accepts(prefix):
+                # the walk's values and the table's rows are ints already
                 x = tuple(prefix)
-                found.append(DiscClass(x, table.basis.boundary_of(x)))
+                found.append(DiscClass._new(x, boundary_of(x)))
             return
         lowers, uppers = rounds[k]
         # a x_k + s >= 0: x_k >= ceil(-s / a) if a > 0, x_k <= floor(s / -a) if a < 0
-        lo = max(-((b + sum(c * x for c, x in zip(cs, prefix))) // a) for a, cs, b in lowers)
-        hi = min((b + sum(c * x for c, x in zip(cs, prefix))) // -a for a, cs, b in uppers)
+        lo = max(-((b + sum(map(mul, cs, prefix))) // a) for a, cs, b in lowers)
+        hi = min((b + sum(map(mul, cs, prefix))) // -a for a, cs, b in uppers)
         visited += max(0, hi - lo + 1)
         if visited > LATTICE_BUDGET:
             raise CapExceeded(

@@ -269,6 +269,17 @@ def test_classes_from_problem_file_with_bounds(tmp_path):
     assert payload["count"] == 5
 
 
+def test_certify_over_the_pair_budget_exits_two(monkeypatch, capsys):
+    from twistkit import groebner
+
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 2)
+    groebner._reduced_basis.cache_clear()
+    assert main(["certify", "--preset", "theta_s2xs2"]) == 2
+    assert capsys.readouterr().out == (
+        "error: CapExceeded: groebner: the Buchberger loop exceeds the pair budget of 2 S-pairs\n"
+    )
+
+
 def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
     over = ("error: CapExceeded: discs: the prefix walk exceeds the lattice "
             "budget of 1000000 points")

@@ -155,6 +155,24 @@ def test_random_tables_match_box_scan_oracle():
         checked += 1
 
 
+def test_walk_classes_are_what_the_validating_constructor_makes():
+    """The walk builds its classes without `__post_init__`'s checks: each
+    must equal the class the public constructor makes of its coefficients
+    and their boundary, with int entries."""
+    rng = random.Random(77)
+    tables = [theta_constraint_table(), product_bundle(1, 1).table]
+    tables += [random_table(rng, n=rng.randint(1, 4)) for _ in range(30)]
+    found = 0
+    for table in tables:
+        for c in enumerate_candidate_classes(table, bounds=(-3, 3)):
+            assert all(type(v) is int for v in c.coefficients + c.boundary_class)
+            x = c.coefficients
+            boundary = tuple(sum(r * v for r, v in zip(row, x)) for row in table.basis.boundary_matrix)
+            assert c == DiscClass(list(x), list(boundary))
+            found += 1
+    assert found > 50
+
+
 def test_random_tables_are_row_order_and_box_insensitive():
     rng = random.Random(411)
     for _ in range(20):

@@ -1,9 +1,10 @@
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistkit.errors import UnsupportedRing, VariableMismatch
+from twistkit.errors import CapExceeded, UnsupportedRing, VariableMismatch
 from twistkit.groebner import (
     contains_constant,
     grevlex_key,
@@ -15,7 +16,7 @@ from twistkit.groebner import (
     univariate_extended_gcd,
     univariate_gcd,
 )
-from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly
+from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
 
 
 def poly(ring, variables, terms):
@@ -31,10 +32,12 @@ def random_poly(rng, ring, variables, max_terms=4, max_deg=3):
 
 
 # ---------------------------------------------------------------------------
-# reference: a plain Buchberger loop with the same pair order, criteria,
-# divisor choice and autoreduction as `groebner_basis`, but a min scan over
-# the pending pairs and LaurentPoly arithmetic at every step; the dict-term
-# core must reproduce its bases and cofactors byte for byte
+# reference: a plain Buchberger loop with the same pair order, divisor
+# choice and autoreduction as `groebner_basis`, but a min scan over the
+# pending pairs, the coprime and chain criteria tested when a pair is taken,
+# and LaurentPoly arithmetic at every step; the dict-term core must
+# reproduce its bases byte for byte, and its cofactors wherever it reduces
+# the same pairs
 
 
 def _ref_key(exps):
@@ -263,6 +266,14 @@ def rational_ideals():
     return out
 
 
+def _combination(vector, gens):
+    """sum_j vector_j * gens_j, in LaurentPoly arithmetic."""
+    total = LaurentPoly.zero(gens[0].ring, gens[0].variables)
+    for c, g in zip(vector, gens, strict=True):
+        total = total + c * g
+    return total
+
+
 def _items(p):
     """A polynomial's terms in dict order, every coefficient a Fraction."""
     assert all(type(c) is Fraction for c in p.terms.values())
@@ -379,16 +390,18 @@ def test_basis_and_cofactors_match_the_reference_loop():
     assert {gens[0].ring for gens in ideals} == {GF2, RATIONAL}
     for gens in ideals:
         basis, cofs = groebner_basis(gens, with_cofactors=True)
-        ref_basis, ref_cofs = reference_groebner_basis(gens, with_cofactors=True)
+        ref_basis, _ = reference_groebner_basis(gens, with_cofactors=True)
         assert [str(b) for b in basis] == [str(b) for b in ref_basis]
-        assert [[str(c) for c in v] for v in cofs] == [[str(c) for c in v] for v in ref_cofs]
+        # cofactors are not unique: each vector must satisfy its identity
+        assert [_combination(vec, gens) for vec in cofs] == basis
         assert [str(b) for b in groebner_basis(gens)] == [str(b) for b in ref_basis]
 
 
 def test_integer_core_matches_the_rational_reference():
     """Over Q the core reduces integer multiples of the reference loop's
-    rational polynomials; bases, cofactors and normal forms must be the same
-    Fractions in the same term order."""
+    rational polynomials; bases and normal forms must be the same Fractions
+    in the same term order, and cofactors, which are not unique, Fractions
+    that satisfy their identities exactly."""
     ideals = rational_ideals()
     leads = [_ref_lead(g)[1] for gens in ideals for g in gens if not g.is_zero]
     assert sum(c < 0 for c in leads) > 100 and sum(c.denominator > 1 for c in leads) > 100
@@ -399,9 +412,10 @@ def test_integer_core_matches_the_rational_reference():
         ref_basis, ref_cofs = reference_groebner_basis(gens, with_cofactors=True)
         basis, cofs = groebner_basis(gens, with_cofactors=True)
         assert [_items(b) for b in basis] == [_items(b) for b in ref_basis]
-        assert [[_items(c) for c in vec] for vec in cofs] == [
-            [_items(c) for c in vec] for vec in ref_cofs
-        ]
+        for b, vec in zip(basis, cofs):
+            for c in vec:
+                _items(c)  # every coefficient a Fraction
+            assert _combination(vec, gens) == b
         assert [_items(b) for b in groebner_basis(gens)] == [_items(b) for b in ref_basis]
         # normal forms with cofactors modulo the basis, and without modulo
         # the generators themselves, whose leading coefficients are not 1
@@ -412,9 +426,12 @@ def test_integer_core_matches_the_rational_reference():
         start = [LaurentPoly.constant(RATIONAL, v, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
                  for _ in gens]
         r, cof = normal_form(extra, basis, list(start), cofs)
-        ref_r, ref_cof = _ref_normal_form(extra, ref_basis, list(start), ref_cofs)
+        ref_r, _ = _ref_normal_form(extra, ref_basis, list(start), ref_cofs)
         assert _items(r) == _items(ref_r)
-        assert [_items(c) for c in cof] == [_items(c) for c in ref_cof]
+        # what the reduction took from `extra` it took from the cofactors' sum
+        for c in cof:
+            _items(c)
+        assert _combination(cof, gens) == _combination(start, gens) - extra + r
         r, _ = normal_form(extra, gens)
         ref_r, _ = _ref_normal_form(extra, [g for g in gens if not g.is_zero])
         assert _items(r) == _items(ref_r)
@@ -687,3 +704,71 @@ def test_core_stops_at_the_first_constant(monkeypatch):
         assert [[str(c) for c in vec] for vec in cofs] == [[str(c) for c in vec] for vec in ref_cofs]
         units += trial % 4 >= 2 and contains_constant(basis)
     assert units > 5
+
+
+# Gebauer and Moeller's criteria, and the pair budget
+
+# the unimodular matrix (seeded, 16 random row additions) that mixes the
+# coordinates of theta^2: ring variable i goes to the monomial with exponent
+# row MIXED[i], an automorphism of the Laurent ring, so the H0 ideal stays
+# proper; its variable-sharing split sees one block of 8 variables
+MIXED = (
+    (1, 0, 1, -1, 1, 0, -1, 1),
+    (0, 1, 1, 0, 1, 0, 0, 0),
+    (0, 0, 1, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, -1, -2, -1, 0),
+    (-1, 0, 0, 0, 1, 0, 0, 0),
+    (0, 1, 1, 0, 1, 1, 0, 0),
+    (-2, 0, 2, -1, 4, 2, 1, 1),
+    (-1, 0, 2, -1, 3, 0, 0, 1),
+)
+
+
+def test_mixed_theta_square_ideal_queues_few_pairs(monkeypatch):
+    """The H0 ideal of theta^2 in mixed coordinates is proper.  Its one
+    Buchberger run queued 2,165 pairs with the criteria applied when an
+    element enters the basis; testing the chain criterion only when a pair
+    was taken queued 78,210."""
+    from twistkit import groebner
+    from twistkit.certificates import ideal_contains_one
+    from twistkit.presets import product_bundle
+
+    pushes = []
+    heappush = heapq.heappush
+    monkeypatch.setattr(groebner.heapq, "heappush",
+                        lambda queue, item: pushes.append(1) or heappush(queue, item))
+    potential = product_bundle(2, 0).potential
+    names = potential.variables
+    mix = RingHom.from_monomials(GF2, names, dict(zip(names, MIXED)))
+    groebner._reduced_basis.cache_clear()
+    result = ideal_contains_one([mix.apply(v) for v in potential.toric_differential()])
+    assert not result.contains_one
+    assert len(result.generators) == 211  # the reduced basis, which is unique
+    assert 0 < len(pushes) <= 3000
+
+
+def test_pair_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
+    """x^2 - y and x^3 - 1 take three pairs from the queue: a budget of three
+    lets the loop finish, and a budget of two raises at the third pair.  A
+    raise leaves nothing in the memo, so it repeats, and a larger budget
+    then computes the basis."""
+    from twistkit import groebner
+
+    v = ("x", "y")
+    gens = [poly(RATIONAL, v, {(2, 0): 1, (0, 1): -1}), poly(RATIONAL, v, {(3, 0): 1, (0, 0): -1})]
+    groebner._reduced_basis.cache_clear()
+    want = groebner_basis(gens, with_cofactors=True)
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
+    groebner._reduced_basis.cache_clear()
+    assert groebner_basis(gens, with_cofactors=True) == want
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 2)
+    groebner._reduced_basis.cache_clear()
+    for _ in range(2):
+        with pytest.raises(
+            CapExceeded, match="^groebner: the Buchberger loop exceeds the pair budget of 2 S-pairs$"
+        ):
+            groebner_basis(gens, with_cofactors=True)
+        assert groebner._reduced_basis.cache_info().currsize == 0
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
+    assert groebner_basis(gens, with_cofactors=True) == want
+    assert groebner._reduced_basis.cache_info().currsize == 1
