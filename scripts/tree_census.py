@@ -4,9 +4,10 @@
 Prints the number of primitive twist-torus shapes per dimension together
 with the successive growth ratios (they approach a constant between 3 and 4).
 Up to the `--verify` size it also enumerates every tree, checks the count,
-and checks that each tree's stored canonical key and leaf count are those
-the public constructor derives from its children, since the enumerator
-builds its trees without that constructor.
+checks that the level is strictly increasing by canonical key (sorted, with
+no tree twice), and checks that each tree's stored canonical key and leaf
+count are those the public constructor derives from its children, since the
+enumerator builds its trees without that constructor.
 """
 
 import argparse
@@ -36,6 +37,11 @@ def main():
                 print(f"n = {n}: enumerated {len(trees)} trees, counted {count}",
                       file=sys.stderr)
                 sys.exit(1)
+            for left, right in zip(trees, trees[1:]):
+                if not left.canonical_key < right.canonical_key:
+                    print(f"n = {n}: key {left.canonical_key} is followed by "
+                          f"{right.canonical_key}", file=sys.stderr)
+                    sys.exit(1)
             for tree in trees:
                 rebuilt = RootedTree(tree.children)
                 if (tree.canonical_key, tree.leaf_count) != (rebuilt.canonical_key,

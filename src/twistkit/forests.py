@@ -10,11 +10,15 @@ abstract rooted trees, so children order is forgotten by canonical forms.
 Every `RootedTree` is a frozen, slotted value that stores its canonical key
 and its leaf count, both built once from the children's stored values, so
 neither is ever recomputed by walking the tree.  The ample trees with n
-leaves are built level by level: one tree per multiset of smaller ample
-trees whose leaf counts form a partition of n into at least two parts.
-Each partition's trees are built in bulk: their children tuples are joined
-by itertools, and a private constructor sets the three slots directly,
-skipping `__init__` and `__post_init__` (every leaf count on level n is n).
+leaves are built level by level, each from the levels below.  A tree with
+a leaf under its root is one step from a tree with n - 1 leaves: put a leaf
+in front of that tree's root children, or set a leaf beside the whole tree.
+The leaf comes first among the children and its key "()" sorts last, so
+the new key is a suffix edit of the old one.  The other trees take one
+multiset of smaller ample trees per partition of n into at least two parts
+>= 2, joined by itertools.  Each family is built in bulk: a private
+constructor sets the three slots directly, skipping `__init__` and
+`__post_init__` (every leaf count on level n is n).
 
 Text grammar (whitespace insignificant)::
 
@@ -358,22 +362,47 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
 
     The subtrees under the root of an ample tree with n >= 2 leaves are at
     least two smaller ample trees (the leaf, or a tree whose root then has
-    valency >= 3), and their leaf counts form a partition of n.  For each
-    partition with at least two parts, a part size s taken m times
-    contributes a multiset of m trees from level s; the children tuple holds
-    the part sizes in ascending order, each as a non-decreasing run in level
-    s's order, so every tree is built exactly once.  Each partition's trees
-    are built in bulk: their children tuples come straight from itertools (a
-    single part size's combinations as they are, two part sizes' products
-    joined by `operator.add`), and `_new_trees` makes them with their keys
-    and leaf count n.  The level is sorted by key once, at the end.  Only
-    one partition's children list is alive at a time, so the build's peak
-    memory stays that of the per-tree build it replaced.
+    valency >= 3).  The children tuple holds them by leaf count in ascending
+    order, each leaf count's trees as a non-decreasing run in that level's
+    order, so every tree is built exactly once, in one of three families:
+
+    (a) a leaf and at least two more subtrees under the root: without that
+        leaf the root is the root of a tree T' on level n - 1;
+    (b) a leaf and one more subtree, any tree S on level n - 1;
+    (c) no leaf under the root: for each partition of n into at least two
+        parts >= 2, a part size s taken m times contributes a multiset of m
+        trees from level s.
+
+    A leaf has the smallest leaf count, so it comes first among the
+    children, and its key "()" is the greatest key (every other key begins
+    with "(("), so it joins last.  So each tree of (a) and (b) is one step
+    from its tree on level n - 1, with no sort or join: (a) has children
+    (LEAF,) + T'.children and the key of T' with ",()" put before its last
+    ")", and (b) has children (LEAF, S) and key "(" + S's key + ",())".
+    Each family, and in (c) each partition, is built in bulk: its children
+    tuples come from one comprehension, `zip` or itertools (a single part
+    size's combinations as they are, two part sizes' products joined by
+    `operator.add`), and `_new_trees` makes them with their keys and leaf
+    count n.  The level is sorted by key once, at the end.  Only one
+    family's or partition's children list is alive at a time, none longer
+    than level n - 1, and keys are made one at a time as they are set, so
+    the build's peak memory stays that of the per-tree build it replaced.
     """
     if n == 1:
         return (LEAF,)
+    below = _ample_trees(n - 1)
     level = []
-    for parts in _partitions(n):
+    if n >= 3:
+        # (a) one more leaf in front of the root's children
+        level += _new_trees([(LEAF,) + tree.children for tree in below],
+                            (tree.canonical_key[:-1] + ",())" for tree in below),
+                            itertools.repeat(n))
+    # (b) a leaf beside one tree
+    level += _new_trees(list(zip(itertools.repeat(LEAF), below)),
+                        ("(" + tree.canonical_key + ",())" for tree in below),
+                        itertools.repeat(n))
+    # (c) no leaf under the root
+    for parts in _partitions(n, 2):
         if parts == ((n, 1),):
             continue
         runs = [itertools.combinations_with_replacement(_ample_trees(s), m) for s, m in parts]
@@ -388,7 +417,7 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
     return tuple(level)
 
 
-def _partitions(n: int, smallest: int = 1):
+def _partitions(n: int, smallest: int):
     """Partitions of n into parts >= smallest, each as ((size, multiplicity), ...)
     in ascending size."""
     if n == 0:

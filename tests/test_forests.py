@@ -583,6 +583,32 @@ def test_bulk_levels_match_the_per_tree_build():
                 assert repr(tree) == repr(rebuilt)
 
 
+def test_the_leaf_key_is_the_greatest():
+    # a tree with a leaf under its root is built from one on the level
+    # below by a suffix edit of its key, which needs "()" to join last
+    for n in range(2, 12):
+        assert all(t.canonical_key < "()" for t in enumerate_ample_trees(n))
+
+
+def test_root_leaf_trees_are_two_per_tree_below():
+    # each tree on level n - 1 gives one tree with a leaf in front of its
+    # root children and one with a leaf beside it, and nothing else has a
+    # leaf under the root
+    for n in range(3, 13):
+        with_leaf = sum(LEAF in t.children for t in enumerate_ample_trees(n))
+        assert with_leaf == 2 * count_ample_trees(n - 1)
+
+
+def test_level_13_matches_the_per_tree_build():
+    # 2.3 s alone on a 2-vCPU machine (1.5 s once the levels below are
+    # cached), most of it the per-tree build; repr and the per-tree rebuild
+    # would add seconds here, so only levels 1..12 check them
+    got = enumerate_ample_trees(13)
+    want = per_tree_ample_trees(13)
+    assert [t.canonical_key for t in got] == [t.canonical_key for t in want]
+    assert [print_tree(t) for t in got] == [print_tree(t) for t in want]
+
+
 def test_enumeration_matches_reference_dfs():
     for n in range(1, 12):
         got = enumerate_ample_trees(n)
