@@ -501,19 +501,6 @@ def _pure_power_degrees(lms, nvars):
     return degrees
 
 
-def is_zero_dimensional(basis) -> bool:
-    """True iff the quotient by the ideal is finite-dimensional: for every
-    variable some leading monomial is a pure power of it (or the ideal is
-    the whole ring).  The zero ideal's basis is empty and its quotient, the
-    whole polynomial ring, is infinite-dimensional."""
-    if not basis:
-        return False
-    if contains_constant(basis):
-        return True
-    lms = [leading_term(g)[0] for g in basis]
-    return _pure_power_degrees(lms, len(basis[0].variables)) is not None
-
-
 def standard_monomials(basis):
     """The monomials not divisible by any leading monomial, for a
     zero-dimensional ideal; None if the quotient is infinite-dimensional."""

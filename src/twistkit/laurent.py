@@ -98,6 +98,26 @@ INT = CoefficientRing("Int")
 RATIONAL = CoefficientRing("Rational")
 
 
+def _accumulate(ring: CoefficientRing, terms: dict, items) -> dict:
+    """Add the `(exponents, coefficient)` pairs of `items`, in order, into
+    `terms` and return it.  This is the one summing rule of the package: a
+    monomial already present gets the ring sum and is deleted if the sum is
+    zero; a new monomial goes at the end, unless its coefficient is zero.  So
+    a monomial that cancels and comes back goes at the end."""
+    add, zero = ring.add, ring.zero
+    for exps, c in items:
+        old = terms.get(exps)
+        if old is not None:
+            c = add(old, c)
+            if c == zero:
+                del terms[exps]
+                continue
+        elif c == zero:
+            continue
+        terms[exps] = c
+    return terms
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial: a map from integer exponent vectors to
     nonzero coefficients, over a fixed ordered variable tuple."""
@@ -106,25 +126,17 @@ class LaurentPoly:
 
     def __init__(self, ring: CoefficientRing, variables, terms=None):
         variables = tuple(variables)
-        clean: dict[tuple[int, ...], object] = {}
+        items = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(map(as_int, exps))
             if len(exps) != len(variables):
                 raise VariableMismatch(
                     f"exponent vector {exps} does not match variables {variables}"
                 )
-            c = ring.coerce(coeff)
-            if c == ring.zero:
-                continue
-            if exps in clean:
-                c = ring.add(clean[exps], c)
-                if c == ring.zero:
-                    del clean[exps]
-                    continue
-            clean[exps] = c
+            items.append((exps, ring.coerce(coeff)))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _accumulate(ring, {}, items))
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
@@ -213,15 +225,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        ring = self.ring
-        for exps, coeff in other.terms.items():
-            c = ring.add(terms.get(exps, ring.zero), coeff)
-            if c == ring.zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return LaurentPoly._new(ring, self.variables, terms)
+        terms = _accumulate(self.ring, dict(self.terms), other.terms.items())
+        return LaurentPoly._new(self.ring, self.variables, terms)
 
     def __neg__(self):
         ring = self.ring
@@ -239,16 +244,12 @@ class LaurentPoly:
             return NotImplemented
         self._check(other)
         ring = self.ring
-        acc: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                c = ring.add(acc.get(exps, ring.zero), ring.mul(c1, c2))
-                if c == ring.zero:
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = c
-        return LaurentPoly._new(ring, self.variables, acc)
+        products = (
+            (tuple(map(add, e1, e2)), ring.mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, products))
 
     def scale(self, coeff):
         ring = self.ring
@@ -463,23 +464,21 @@ class RingHom:
         )
 
     def apply(self, poly: LaurentPoly) -> LaurentPoly:
-        """The image of `poly`, its terms accumulated into one dict in the
-        order the source terms come: a term whose image monomial is new goes
-        at the end, one that cancels is dropped (and goes at the end again if
-        a later term brings it back)."""
+        """The image of `poly`: the images of its terms, in the order the
+        source terms come, summed by `_accumulate`."""
         missing = [v for v in poly.variables if v not in self.images]
         if missing:
             raise VariableMismatch(f"no image given for generators {missing}")
         ring = self.ring
         size = len(self.variables)
-        one, zero = ring.one, ring.zero
+        one = ring.one
         # each source variable's index, the nonzero (index, exponent) pairs
         # of its image and the image's coefficient
         images = []
         for k, name in enumerate(poly.variables):
             img_exps, img_coeff = self.images[name].single_term()
             images.append((k, [(i, ie) for i, ie in enumerate(img_exps) if ie], img_coeff))
-        acc: dict[tuple[int, ...], object] = {}
+        items = []
         for exps, coeff in poly.terms.items():
             out_exps = [0] * size
             out_coeff = ring.coerce(self._transport(poly.ring, coeff))
@@ -492,13 +491,8 @@ class RingHom:
                 if img_coeff != one:
                     factor = img_coeff if e > 0 else ring.inv(img_coeff)
                     out_coeff = ring.mul(out_coeff, ring.coerce(factor ** abs(e)))
-            out = tuple(out_exps)
-            c = ring.add(acc.get(out, zero), out_coeff)
-            if c == zero:
-                acc.pop(out, None)
-            else:
-                acc[out] = c
-        return LaurentPoly._new(ring, self.variables, acc)
+            items.append((tuple(out_exps), out_coeff))
+        return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, items))
 
     def describe(self) -> str:
         parts = []

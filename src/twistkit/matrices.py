@@ -1,10 +1,12 @@
 """Small exact linear algebra on integer matrices (tuples of tuples of ints).
 
-The determinant, rank and adjugate use Bareiss's fraction-free elimination
-(Bareiss, Math. Comp. 22, 1968): after k pivot steps every entry is a
-(k+1)x(k+1) minor of the input, so each division by the previous pivot is
-exact and every entry stays an integer.  Entries pass through `as_int`, so a
-non-integral entry raises `ValueError` instead of being truncated.
+The determinant and the rank come from one elimination, `_bareiss`:
+Bareiss's fraction-free elimination (Bareiss, Math. Comp. 22, 1968), after
+whose k pivot steps every entry is a (k+1)x(k+1) minor of the input, so each
+division by the previous pivot is exact and every entry stays an integer.
+The adjugate is made of determinants of minors.  Entries pass through
+`as_int`, so a non-integral entry raises `ValueError` instead of being
+truncated.
 """
 
 from __future__ import annotations
@@ -49,49 +51,48 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+def _bareiss(a):
+    """Bareiss elimination of the int rows `a`, in place.  Column by column,
+    the row at the current rank is the pivot row, swapped with the first
+    lower row that is nonzero in the column if its own entry is zero; a
+    column with no such row is skipped.  Returns the rank, the sign of the
+    row permutation and the last pivot, which for a square matrix of full
+    rank is the determinant times that sign."""
+    rank, previous, sign = 0, 1, 1
+    size, width = len(a), len(a[0]) if a else 0
+    for col in range(width):
+        if not a[rank][col]:
+            swap = next((r for r in range(rank + 1, size) if a[r][col]), None)
+            if swap is None:
+                continue
+            a[rank], a[swap] = a[swap], a[rank]
+            sign = -sign
+        pivot, row_k = a[rank][col], a[rank]
+        rank += 1
+        for row in a[rank:]:
+            factor = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * pivot - factor * row_k[j]) // previous
+        previous = pivot
+        if rank == size:
+            break
+    return rank, sign, previous
+
+
 def mat_det(rows) -> int:
     """Determinant of a square integer matrix, by Bareiss elimination."""
     a = [list(map(as_int, row)) for row in rows]
-    size, previous, sign = len(a), 1, 1
-    if any(len(row) != size for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("determinant needs a square matrix")
-    for k in range(size - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            factor = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - factor * row_k[j]) // previous
-        previous = pivot
-    return sign * a[-1][-1] if a else 1
+    rank, sign, pivot = _bareiss(a)
+    return sign * pivot if rank == len(a) else 0
 
 
 def mat_rank(rows) -> int:
     """Rank of an integer matrix, by Bareiss elimination: a column with no
     pivot in the remaining rows is skipped, and the entries stay minors of
     the input, so the divisions stay exact."""
-    a = [list(map(as_int, row)) for row in rows]
-    rank, previous = 0, 1
-    for col in range(len(a[0]) if a else 0):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        p, row_k = a[rank][col], a[rank]
-        for row in a[rank + 1:]:
-            factor = row[col]
-            for j in range(col + 1, len(row)):
-                row[j] = (row[j] * p - factor * row_k[j]) // previous
-        previous = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    return _bareiss([list(map(as_int, row)) for row in rows])[0]
 
 
 def adjugate(rows) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
 from .errors import VariableMismatch
-from .laurent import CoefficientRing, LaurentPoly, RingHom, poly_to_json
+from .laurent import CoefficientRing, LaurentPoly, RingHom, _accumulate, poly_to_json
 from .matrices import as_int
 
 
@@ -46,20 +46,11 @@ class Potential:
         self.poly = self.poly_over(ring)
 
     def poly_over(self, ring: CoefficientRing) -> LaurentPoly:
-        """The potential over `ring`: the classes' monomials summed in
-        provenance order into one dict (a cancelled monomial is dropped, and
-        goes at the end if a later class brings it back).  Class coefficients
-        are int tuples of the basis length, so the sum needs no validation."""
-        zero = ring.zero
-        terms: dict[tuple[int, ...], object] = {}
-        for cls, sign in self.provenance:
-            exps = cls.coefficients
-            c = ring.add(terms.get(exps, zero), ring.coerce(sign))
-            if c == zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return LaurentPoly._new(ring, self.variables, terms)
+        """The potential over `ring`: the classes' signed monomials, in
+        provenance order, summed by `_accumulate`.  Class coefficients are
+        int tuples of the basis length, so the sum needs no validation."""
+        signed = ((cls.coefficients, ring.coerce(sign)) for cls, sign in self.provenance)
+        return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, signed))
 
     def toric_differential(self) -> tuple[LaurentPoly, ...]:
         """(R_1 dU/dR_1, ..., R_n dU/dR_n), exponents reduced into the ring."""

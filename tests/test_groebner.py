@@ -9,7 +9,6 @@ from twistkit.groebner import (
     contains_constant,
     grevlex_key,
     groebner_basis,
-    is_zero_dimensional,
     leading_term,
     normal_form,
     standard_monomials,
@@ -313,7 +312,7 @@ def test_groebner_of_a_classic_pair():
     for g in (g1, g2):
         r, _ = normal_form(g, basis)
         assert r.is_zero
-    assert is_zero_dimensional(basis)
+    assert standard_monomials(basis) is not None
     assert len(standard_monomials(basis)) == 3
 
 
@@ -470,9 +469,6 @@ def test_zero_dimension_tests_take_each_leading_monomial_once(monkeypatch):
     monkeypatch.setattr(groebner, "leading_term", lambda p: calls.append(p) or lead(p))
     assert len(standard_monomials(basis)) == 3
     assert len(calls) == len(basis)
-    calls.clear()
-    assert is_zero_dimensional(basis)
-    assert len(calls) == len(basis)
 
 
 def test_unit_ideal_detection():
@@ -485,7 +481,6 @@ def test_unit_ideal_detection():
 def test_positive_dimensional_ideal_has_no_standard_basis():
     v = ("x", "y")
     basis = groebner_basis([poly(RATIONAL, v, {(1, 1): 1})])  # (xy)
-    assert not is_zero_dimensional(basis)
     assert standard_monomials(basis) is None
 
 
@@ -494,7 +489,6 @@ def test_zero_ideal_has_an_infinite_quotient():
     basis = groebner_basis([LaurentPoly.zero(GF2, v), LaurentPoly.zero(GF2, v)])
     assert basis == []
     assert not contains_constant(basis)
-    assert is_zero_dimensional(basis) is False
     assert standard_monomials(basis) is None
 
 

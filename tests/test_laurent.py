@@ -64,6 +64,9 @@ def test_difference_of_squares_over_rationals():
 def test_zero_coefficients_are_dropped():
     p = gf2({(1, 0, 0, 0): 2, (0, 0, 0, 0): 1})
     assert p.terms == {(0, 0, 0, 0): 1}
+    # 2 is zero only once coerced into GF2; the terms around it keep their order
+    p = gf2({(0, 0, 0, 1): 1, (1, 0, 0, 0): 2, (0, 0, 1, 0): 3})
+    assert list(p.terms.items()) == [((0, 0, 0, 1), 1), ((0, 0, 1, 0), 1)]
     q = rational(("x",), {(3,): Fraction(0)})
     assert q.is_zero
 
@@ -258,6 +261,13 @@ def test_non_integral_exponents_are_rejected():
     p = LaurentPoly(INT, ("x", "y"), {(2.0, Fraction(-1)): 3})
     assert p.terms == {(2, -1): 3}
     assert all(type(e) is int for e in next(iter(p.terms)))
+    # a term is checked exponent first, then coefficient, one term at a time
+    with pytest.raises(ValueError):
+        LaurentPoly(INT, ("x",), {(1.5,): 0.5})
+    with pytest.raises(VariableMismatch):
+        LaurentPoly(INT, ("x",), {(1, 2): 0.5})
+    with pytest.raises(UnsupportedRing):
+        LaurentPoly(INT, ("x",), {(1,): 0.5, (1.5,): 1})
 
 
 def test_non_integral_coefficients_are_rejected_over_int_and_gf2():
@@ -401,6 +411,34 @@ def test_hom_apply_transports_only_int_into_rational():
     assert hom.apply(LaurentPoly.zero(GF2, ("x",))).is_zero
 
 
+def add_by_loop(a, b):
+    """The terms of a + b from an independent copy of the summing rule: each
+    of b's terms is added to a's, a sum that cancels is popped, and a new or
+    returning monomial is set at the end."""
+    ring, terms = a.ring, dict(a.terms)
+    for exps, coeff in b.terms.items():
+        c = ring.add(terms.get(exps, ring.zero), coeff)
+        if c == ring.zero:
+            terms.pop(exps, None)
+        else:
+            terms[exps] = c
+    return terms
+
+
+def mul_by_loop(a, b):
+    """The terms of a * b by the same rule, the products in row order."""
+    ring, terms = a.ring, {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            c = ring.add(terms.get(exps, ring.zero), ring.mul(c1, c2))
+            if c == ring.zero:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = c
+    return terms
+
+
 def ring_polys(ring, variables=("x", "y")):
     small = st.integers(min_value=-2, max_value=2)
     keys = st.tuples(*[small for _ in variables])
@@ -420,3 +458,5 @@ def test_arithmetic_results_revalidate(pair):
         assert_revalidates(p)
     assert (a - a).is_zero and (a + b) - b == a
     assert a * b == mul_reference(a, b)
+    assert list((a + b).terms.items()) == list(add_by_loop(a, b).items())
+    assert list((a * b).terms.items()) == list(mul_by_loop(a, b).items())

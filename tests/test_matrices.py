@@ -15,6 +15,7 @@ from twistkit.matrices import (
     mat_inv,
     mat_mul,
     mat_rank,
+    transpose,
 )
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
@@ -29,6 +30,19 @@ def low_rank_matrix(rng, rows, cols, rank):
     return mat_mul(random_matrix(rng, rows, rank), random_matrix(rng, rank, cols))
 
 
+def zero_diagonal_matrix(rng, n, diagonal=ENTRIES[3:]):
+    """The rows of an upper triangular n x n matrix (n >= 2) with its
+    diagonal drawn from `diagonal`, each moved up by one and the first moved
+    last, with its top-right corner zeroed: the result has a zero diagonal.
+    While the triangle's diagonal is nonzero, every elimination step finds a
+    zero pivot and swaps in the last row."""
+    u = [[rng.choice(ENTRIES) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        u[i][i] = rng.choice(diagonal)
+    u[0][n - 1] = 0
+    return tuple(map(tuple, u[1:] + u[:1]))
+
+
 def test_det_matches_the_fraction_reference():
     rng = random.Random(77)
     for _ in range(400):
@@ -40,6 +54,12 @@ def test_det_matches_the_fraction_reference():
         det = mat_det(rows)
         assert type(det) is int
         assert det == gauss_det(rows)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        rows = zero_diagonal_matrix(rng, n)
+        assert all(rows[i][i] == 0 for i in range(n))
+        det = mat_det(rows)
+        assert det != 0 and det == gauss_det(rows)
     assert mat_det([[0, 1], [1, 0]]) == -1  # zero first pivot: a row swap flips the sign
     assert mat_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert mat_det([[1, 2], [2, 4]]) == 0
@@ -61,6 +81,12 @@ def test_rank_matches_the_fraction_reference():
         assert rank == gauss_rank(matrix)
         deficient += rank < min(rows, cols)
     assert deficient >= 150
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        matrix = zero_diagonal_matrix(rng, n, ENTRIES)
+        assert mat_rank(matrix) == gauss_rank(matrix)
+        assert mat_rank(matrix[:-1]) == gauss_rank(matrix[:-1])
+        assert mat_rank(transpose(matrix)) == gauss_rank(transpose(matrix))
     assert mat_rank([]) == 0
     assert mat_rank([[0, 0, 1], [0, 2, 0], [0, 4, 3]]) == 2  # zero first column
     assert mat_rank([[0, 1], [1, 0], [1, 1]]) == 2  # zero first pivot

@@ -412,3 +412,9 @@ def test_poly_over_puts_a_cancelled_and_returning_class_last():
     assert list(pot.poly.terms.items()) == [((0, 1), 2), ((1, 0), 3)]
     assert list(pot.poly_over(GF2).terms.items()) == [((1, 0), 1)]  # b's 2 is 0 mod 2
     assert_poly_over_matches(pot)
+    # a cancels and comes back last, while b's second class sums in place
+    c = DiscClass((1, 1), (1, 1))
+    pot = Potential(RATIONAL, basis, [(a, 1), (b, 1), (c, 1), (a, -1), (b, 2), (a, 5)])
+    assert list(pot.poly.terms.items()) == [((0, 1), 3), ((1, 1), 1), ((1, 0), 5)]
+    assert list(pot.poly_over(GF2).terms.items()) == [((0, 1), 1), ((1, 1), 1), ((1, 0), 1)]
+    assert_poly_over_matches(pot)
