@@ -163,8 +163,9 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
     """Decide whether 1 lies in the Laurent ideal generated by `gens`.
 
     Univariate: monomial factors are stripped and an extended gcd is
-    computed, whose cofactor identity is re-checked; the ideal is the whole
-    ring iff the gcd is constant.  Multivariate: the
+    computed; its cofactors, mapped back to the original generators, are
+    re-checked to combine to the gcd, and the ideal is the whole ring iff the
+    gcd is constant.  Multivariate: the
     generators are split into blocks in disjoint variables, and each block
     gets a Buchberger basis after inverting its variables through its own
     auxiliary generator (degrevlex, auxiliary last); 1 is in the ideal iff
@@ -195,21 +196,10 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
 
     if len(variables) == 1:
         gcd, cofs = univariate_extended_gcd(stripped, ring, variables)
-        # the gcd must be the combination its cofactors claim, recomputed
-        # here in LaurentPoly arithmetic
-        total = LaurentPoly.zero(ring, variables)
-        for c, s in zip(cofs, stripped):
-            total = total + c * s
-        if total != gcd:
-            raise InconclusiveCertificate(
-                f"cofactor certificate failed: sum c_i g_i = {total} disagrees with the gcd {gcd}"
-            )
-        unit = gcd.is_unit_monomial and gcd.single_term()[0] == (0,)
-        cofactors = None
-        if unit:
-            # map cofactors back to the original (unstripped) generators
-            cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs)
-        return IdealMembershipResult(unit, "gcd", (gcd,), cofactors)
+        # the gcd must be the combination its cofactors claim, proper or not
+        cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs, gcd)
+        unit = contains_constant([gcd])
+        return IdealMembershipResult(unit, "gcd", (gcd,), cofactors if unit else None)
 
     blocks = _localized_blocks(stripped)
     basis = tuple(g for block in blocks for g in block.basis)
@@ -234,14 +224,16 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
             # sends the relation to zero
             for i, c in zip(block.indices, block_cofactors):
                 back[i] = drop_aux.apply(c)
-            cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back)
+            one = LaurentPoly.one(ring, variables)
+            cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back, one)
             return IdealMembershipResult(True, "groebner", basis, cofactors)
     return IdealMembershipResult(False, "groebner", basis)
 
 
-def _assemble_cofactors(gens, nonzero_indices, shifts, cofs):
-    """Re-express cofactors over the original generators and verify the identity;
-    a failed identity raises `InconclusiveCertificate`."""
+def _assemble_cofactors(gens, nonzero_indices, shifts, cofs, target):
+    """Re-express cofactors of the unit-stripped generators over the original
+    generators, and verify once, in LaurentPoly arithmetic, that they combine
+    to `target`; a failed identity raises `InconclusiveCertificate`."""
     ring = gens[0].ring
     variables = gens[0].variables
     out = [LaurentPoly.zero(ring, variables)] * len(gens)
@@ -250,8 +242,10 @@ def _assemble_cofactors(gens, nonzero_indices, shifts, cofs):
     total = LaurentPoly.zero(ring, variables)
     for c, g in zip(out, gens):
         total = total + c * g
-    if total != LaurentPoly.one(ring, variables):
-        raise InconclusiveCertificate(f"cofactor certificate failed: sum c_i g_i = {total}")
+    if total != target:
+        raise InconclusiveCertificate(
+            f"cofactor certificate failed: sum c_i g_i = {total} disagrees with {target}"
+        )
     return tuple(out)
 
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import presets
 from .certificates import certify_nondisplaceable
@@ -108,19 +108,25 @@ def _cmd_iso(config: RunConfig):
     return payload, lines, "isomorphic" if result else "not-isomorphic"
 
 
-def _resolve_table(config: RunConfig):
+def _preset_or_file(config: RunConfig, known: dict):
+    """`(preset value, None, source)` for `--preset`, looked up in `known`
+    and called, or `(None, file JSON, source)` for `--in`."""
     preset = config.params.get("preset")
     path = config.params.get("infile")
     if preset:
-        if preset not in presets.CONSTRAINT_PRESETS:
-            raise TwistKitError(
-                f"unknown preset {preset!r}; known: {sorted(presets.CONSTRAINT_PRESETS)}"
-            )
-        return presets.CONSTRAINT_PRESETS[preset](), None, f"preset:{preset}"
+        if preset not in known:
+            raise TwistKitError(f"unknown preset {preset!r}; known: {sorted(known)}")
+        return known[preset](), None, f"preset:{preset}"
     if path:
-        table, bounds = table_from_json(_load_json(path))
-        return table, bounds, f"file:{path}"
+        return None, _load_json(path), f"file:{path}"
     raise TwistKitError("need --preset or --in")
+
+
+def _resolve_table(config: RunConfig):
+    table, data, source = _preset_or_file(config, presets.CONSTRAINT_PRESETS)
+    if data is None:
+        return table, None, source
+    return (*table_from_json(data), source)
 
 
 def _cmd_classes(config: RunConfig):
@@ -154,23 +160,14 @@ def _cmd_classes(config: RunConfig):
 
 
 def _resolve_bundle(config: RunConfig):
-    preset = config.params.get("preset")
-    path = config.params.get("infile")
-    if preset:
-        if preset not in presets.POTENTIAL_PRESETS:
-            raise TwistKitError(
-                f"unknown preset {preset!r}; known: {sorted(presets.POTENTIAL_PRESETS)}"
-            )
-        bundle = presets.POTENTIAL_PRESETS[preset]()
-        return bundle.potential, bundle.h0_hom, bundle.regularity_hom, f"preset:{preset}"
-    if path:
-        data = _load_json(path)
-        potential = potential_from_json(data)
-        homs = data.get("homs", {})
-        h0 = hom_from_json(homs["h0"]) if "h0" in homs else None
-        reg = hom_from_json(homs["regularity"]) if "regularity" in homs else None
-        return potential, h0, reg, f"file:{path}"
-    raise TwistKitError("need --preset or --in")
+    bundle, data, source = _preset_or_file(config, presets.POTENTIAL_PRESETS)
+    if data is None:
+        return bundle.potential, bundle.h0_hom, bundle.regularity_hom, source
+    potential = potential_from_json(data)
+    homs = data.get("homs", {})
+    h0 = hom_from_json(homs["h0"]) if "h0" in homs else None
+    reg = hom_from_json(homs["regularity"]) if "regularity" in homs else None
+    return potential, h0, reg, source
 
 
 def _cmd_pearl(config: RunConfig):
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trees", help="enumerate ample rooted trees with n leaves")
     p.add_argument("n", type=int)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--count", action="store_true", help="emit the count only")
+    p.add_argument("--count", dest="count_only", action="store_true", help="emit the count only")
     common(p)
 
     p = sub.add_parser("iso", help="decide forest isomorphism of two expressions")
@@ -335,27 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {}
-    if args.command == "trees":
-        params = {"n": args.n, "cap": args.cap, "count_only": args.count}
-    elif args.command in ("iso", "germ"):
-        params = {"left": args.left, "right": args.right}
-    elif args.command in ("classes", "pearl", "certify"):
-        params = {"preset": args.preset, "infile": args.infile}
-        if args.command == "classes" and args.bounds:
-            try:
-                lo, hi = (int(x) for x in args.bounds.split(","))
-            except ValueError:
-                raise TwistKitError(f"--bounds wants 'a,b', got {args.bounds!r}") from None
-            params["bounds"] = (lo, hi)
-    return RunConfig(
-        command=args.command,
-        params=params,
-        format=args.format,
-        seed=args.seed,
-        expect=args.expect,
-        out=args.out,
-    )
+    """The config of parsed arguments: each `RunConfig` field from its dest,
+    every other dest a param."""
+    names = {f.name for f in fields(RunConfig)}
+    settings = {k: v for k, v in vars(args).items() if k in names}
+    params = {k: v for k, v in vars(args).items() if k not in names}
+    if params.get("bounds"):
+        try:
+            lo, hi = (int(x) for x in params["bounds"].split(","))
+        except ValueError:
+            raise TwistKitError(f"--bounds wants 'a,b', got {params['bounds']!r}") from None
+        params["bounds"] = (lo, hi)
+    return RunConfig(params=params, **settings)
 
 
 def main(argv=None) -> int:

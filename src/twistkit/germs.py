@@ -7,6 +7,11 @@ integral unimodular change of the deformation coordinates, so equivalence is
 decided by searching for a matrix A with |det A| = 1 matching the covector
 sets (and equal constants).  The search tries ordered n-tuples of covectors
 and stops at `PERMUTATION_BUDGET` of them with `CapExceeded`.
+
+`germ_equivalent` returns a `UnimodularWitness`, or one of the two
+no-witness outcomes, both false and carrying a `reason`: `NotEquivalent`
+(no unimodular matrix matches the germs) and `Indeterminate` (the
+covectors do not span, so nothing is decided).
 """
 
 from __future__ import annotations
@@ -96,19 +101,21 @@ class UnimodularWitness:
 
 
 @dataclass(frozen=True)
-class NotEquivalent:
+class _NoWitness:
+    """An outcome without a witness matrix: false, with the reason why."""
+
     reason: str
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class Indeterminate:
-    reason: str
+class NotEquivalent(_NoWitness):
+    """No unimodular matrix matches the two germs."""
 
-    def __bool__(self):
-        return False
+
+class Indeterminate(_NoWitness):
+    """The covectors do not span, so equivalence is not decided."""
 
 
 def germ_value(germ: Germ, xi):

@@ -469,10 +469,14 @@ def _autoreduce(w, basis):
 
     reduced = []
     for i, (lm, _, poly, cofs, den) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
         work_cofs = None if cofs is None else [dict(c) for c in cofs]
-        # no other leading monomial divides lm, so lm stays the leading one
-        r, den, _ = w.reduce(dict(poly), others, work_cofs, den)
+        # no other leading monomial divides lm, so lm stays the leading one.
+        # Only the elements before i can divide a term: every term met while
+        # reducing is at most lm, a leading monomial that divides a term is
+        # at most that term, and `minimal` ascends, so a later element's
+        # leading monomial exceeds every term and the first divisor among
+        # all the others is always among the earlier ones
+        r, den, _ = w.reduce(dict(poly), minimal[:i], work_cofs, den)
         reduced.append((lm, r[lm], r, work_cofs, den))
     reduced.sort(key=lambda b: keys[b[0]], reverse=True)
     return reduced

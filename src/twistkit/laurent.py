@@ -4,6 +4,11 @@ Group rings of free abelian groups are realized as Laurent polynomial rings:
 an element is a finite sum of monomials with integer exponent vectors.  GF(2)
 is the default scalar ring for pearl computations; the rationals are used for
 regularity certificates.  All arithmetic is exact.
+
+A `CoefficientRing` has the operations `add`, `mul`, `neg`, `coerce`,
+`is_unit` and `inv`; an integer multiple n·a is `mul(n, a)`, and a scaling
+is a multiplication by the constant monomial.  Coefficients print with
+`str`, in reports and in JSON alike.
 """
 
 from __future__ import annotations
@@ -60,9 +65,6 @@ class CoefficientRing:
     def parse(self, text: str):
         return self.coerce(Fraction(text))
 
-    def format(self, value) -> str:
-        return str(value)
-
     def add(self, a, b):
         return (a + b) % 2 if self.tag == "GF2" else a + b
 
@@ -71,10 +73,6 @@ class CoefficientRing:
 
     def neg(self, a):
         return a if self.tag == "GF2" else -a
-
-    def int_multiple(self, n: int, a):
-        """n·a with the integer multiplier reduced into the ring (mod 2 for GF2)."""
-        return (n * a) % 2 if self.tag == "GF2" else n * a
 
     def is_unit(self, a) -> bool:
         if self.tag == "GF2":
@@ -122,7 +120,7 @@ class LaurentPoly:
     """Immutable Laurent polynomial: a map from integer exponent vectors to
     nonzero coefficients, over a fixed ordered variable tuple."""
 
-    __slots__ = ("ring", "variables", "terms", "_hash")
+    __slots__ = ("ring", "variables", "terms")
 
     def __init__(self, ring: CoefficientRing, variables, terms=None):
         variables = tuple(variables)
@@ -137,7 +135,6 @@ class LaurentPoly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", _accumulate(ring, {}, items))
-        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _new(ring: CoefficientRing, variables: tuple, terms: dict) -> "LaurentPoly":
@@ -152,7 +149,6 @@ class LaurentPoly:
         _set_ring(poly, ring)
         _set_variables(poly, variables)
         _set_terms(poly, terms)
-        _set_hash(poly, None)
         return poly
 
     def __setattr__(self, *_):
@@ -252,11 +248,7 @@ class LaurentPoly:
         return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, products))
 
     def scale(self, coeff):
-        ring = self.ring
-        c0 = ring.coerce(coeff)
-        return LaurentPoly(
-            ring, self.variables, {e: ring.mul(c, c0) for e, c in self.terms.items()}
-        )
+        return self.times_monomial((0,) * len(self.variables), coeff)
 
     def times_monomial(self, exps, coeff=None):
         ring = self.ring
@@ -307,7 +299,7 @@ class LaurentPoly:
                 continue
             new = list(exps)
             new[idx] -= 1
-            terms[tuple(new)] = ring.int_multiple(exps[idx], coeff)
+            terms[tuple(new)] = ring.mul(exps[idx], coeff)
         return LaurentPoly._new(ring, self.variables, terms)
 
     def log_derivative(self, name: str) -> "LaurentPoly":
@@ -317,7 +309,7 @@ class LaurentPoly:
         ring = self.ring
         terms = {}
         for exps, coeff in self.terms.items():
-            c = ring.int_multiple(exps[idx], coeff)
+            c = ring.mul(exps[idx], coeff)
             if c != ring.zero:
                 terms[exps] = c
         return LaurentPoly._new(ring, self.variables, terms)
@@ -348,10 +340,7 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((self.ring.tag, self.variables, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self.ring.tag, self.variables, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         """Terms in descending lexicographic exponent order (stable print order)."""
@@ -369,7 +358,7 @@ class LaurentPoly:
                 elif e != 0:
                     factors.append(f"{name}^{e}")
             body = "*".join(factors)
-            cstr = self.ring.format(coeff)
+            cstr = str(coeff)
             negative = cstr.startswith("-")
             if negative:
                 cstr = cstr[1:]
@@ -391,7 +380,7 @@ class LaurentPoly:
 
 
 _new_object = object.__new__
-_set_ring, _set_variables, _set_terms, _set_hash = (
+_set_ring, _set_variables, _set_terms = (
     getattr(LaurentPoly, name).__set__ for name in LaurentPoly.__slots__
 )
 
@@ -512,7 +501,7 @@ def poly_to_json(poly: LaurentPoly) -> dict:
     return {
         "ring": poly.ring.tag,
         "variables": list(poly.variables),
-        "terms": [[list(e), poly.ring.format(c)] for e, c in poly.sorted_terms()],
+        "terms": [[list(e), str(c)] for e, c in poly.sorted_terms()],
     }
 
 
@@ -533,7 +522,7 @@ def hom_to_json(hom: RingHom) -> dict:
         "ring": hom.ring.tag,
         "variables": list(hom.variables),
         "images": {
-            name: [list(poly.single_term()[0]), hom.ring.format(poly.single_term()[1])]
+            name: [list(poly.single_term()[0]), str(poly.single_term()[1])]
             for name, poly in hom.images.items()
         },
     }

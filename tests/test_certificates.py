@@ -29,6 +29,7 @@ from twistkit.groebner import contains_constant, groebner_basis, standard_monomi
 from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
 from twistkit.pearl import Potential
 from twistkit.presets import (
+    circle_constraint_table,
     product_bundle,
     theta_bundle,
     theta_h0_hom,
@@ -267,6 +268,18 @@ def test_regularity_hom_validation():
     )
     with pytest.raises(NonGenericHom):
         validate_regularity_hom(pot, surface_to_var)
+    no_image = RingHom.from_monomials(
+        RATIONAL, ("z1", "z2"), {"R": (1, 0), "T": (0, 1), "S1": (0, 0)}
+    )
+    with pytest.raises(NonGenericHom, match="no image for generator S2"):
+        validate_regularity_hom(pot, no_image)
+    unused = RingHom.from_monomials(
+        RATIONAL,
+        ("z1", "z2", "z3"),
+        {"R": (1, 0, 0), "T": (0, 1, 0), "S1": (0, 0, 0), "S2": (0, 0, 0)},
+    )
+    with pytest.raises(NonGenericHom, match=r"target variables \['z3'\] receive no carrying"):
+        validate_regularity_hom(pot, unused)
 
 
 def test_standard_monomials_of_the_critical_ideal():
@@ -415,6 +428,17 @@ def test_hom_search_finds_a_proper_collapse():
     assert not ideal_contains_one(images).contains_one
 
 
+def test_hom_search_needs_a_field_and_may_find_nothing():
+    theta = theta_potential()
+    with pytest.raises(UnsupportedRing, match="needs field coefficients"):
+        search_h0_hom(Potential(INT, theta.basis, theta.provenance))
+    # U = R: every collapse sends v[R] = R to a unit monomial, so every image
+    # ideal is the whole ring
+    circle = circle_constraint_table().basis
+    lone = Potential(GF2, circle, [(DiscClass((1, 0), (1,)), 1)])
+    assert search_h0_hom(lone) is None
+
+
 def test_hom_search_over_budget_raises_before_searching(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search started")
@@ -471,7 +495,8 @@ def unsplit_contains_one(gens):
         },
     )
     back = [drop_aux.apply(c) for c in cofs[0][:-1]]
-    cofactors = certificates._assemble_cofactors(gens, nonzero, shifts, back)
+    one = LaurentPoly.one(ring, variables)
+    cofactors = certificates._assemble_cofactors(gens, nonzero, shifts, back, one)
     return IdealMembershipResult(True, "groebner", tuple(basis), cofactors)
 
 

@@ -303,7 +303,8 @@ def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
 def test_malformed_bounds_in_problem_file_exit_two(tmp_path):
     data = table_to_json(theta_constraint_table())
     path = tmp_path / "problem.json"
-    for bounds in ([], [3], [-3, 3, 5], [[-3, 3], [0, 1]], [[-3, 3, 1]] * 4, "3", [-3, 3.5]):
+    for bounds in ([], [3], [-3, 3, 5], [[-3, 3], [0, 1]], [[-3, 3, 1]] * 4, "3", [-3, 3.5],
+                   [3, -3], [[-4, 2], [2, -2], [0, 2], [0, 2]]):
         path.write_text(json.dumps({**data, "bounds": bounds}), encoding="utf-8")
         code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
         assert code == 2, bounds
@@ -329,6 +330,15 @@ def test_certify_from_potential_file(tmp_path):
     code, payload = run_json("certify", {"infile": str(path)})
     assert code == 0
     assert payload["token"] == "certified"
+    # without homs: the identity H0 check only, and no regularity check
+    del data["homs"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, payload = run_json("certify", {"infile": str(path)})
+    assert (code, payload["token"], payload["regularity"]) == (0, "partial", None)
+    assert payload["h0"]["identity_hom"] is True
+    code, rendered = run(RunConfig(command="certify", params={"infile": str(path)}))
+    assert code == 0
+    assert "regularity check: not run (no homomorphism supplied)" in rendered.splitlines()
 
 
 def test_duplicate_names_in_a_potential_file_exit_two(tmp_path, capsys):
@@ -380,6 +390,34 @@ def test_missing_preset_and_file_are_input_errors():
     assert "nope" in rendered
     code, rendered = run(RunConfig(command="classes", params={}))
     assert code == 2
+    for command in ("pearl", "certify"):
+        code, rendered = run(RunConfig(command=command, params={"preset": "nope"}))
+        assert (code, rendered) == (
+            2, "error: TwistKitError: unknown preset 'nope'; known: ['theta_s2xs2']"
+        )
+        code, rendered = run(RunConfig(command=command, params={}))
+        assert (code, rendered) == (2, "error: TwistKitError: need --preset or --in")
+    code, rendered = run(RunConfig(command="germ", params={"left": "theta", "right": "nope"}))
+    assert (code, rendered) == (2, (
+        "error: TwistKitError: 'nope' is neither a germ preset "
+        "(['clifford_2', 'theta', 'theta_s0']) nor a file"
+    ))
+
+
+def test_main_maps_every_argument_to_the_config(capsys):
+    assert main(["trees", "5", "--count"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("12 ample tree(s) with 5 leaves\n", "")
+    assert main(["trees", "5", "--count", "--cap", "4"]) == 2
+    assert capsys.readouterr().out == (
+        "error: CapExceeded: 5 leaves exceeds the enumeration cap 4\n"
+    )
+    assert main(["classes", "--preset", "theta_s2xs2", "--bounds=0,1", "--expect", "1"]) == 0
+    assert capsys.readouterr().out.endswith("1 class(es)\n")
+    assert main(["classes", "--preset", "theta_s2xs2", "--bounds=x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TwistKitError: --bounds wants 'a,b', got 'x'\n"
 
 
 def test_parse_errors_exit_two():

@@ -936,6 +936,16 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         # carrier count disagrees with rank
         HomologyBasis(names=("A", "B"), boundary_matrix=((1, 1),), n_torus_rank=1)
+    with pytest.raises(ValueError, match="one row per torus rank"):
+        HomologyBasis(names=("A", "B"), boundary_matrix=((1, 0),), n_torus_rank=2)
+    with pytest.raises(ValueError, match="width must match generator count"):
+        HomologyBasis(names=("A", "B"), boundary_matrix=((1, 0, 0), (0, 1, 0)), n_torus_rank=2)
+    with pytest.raises(ValueError, match="ring_names must match generator count"):
+        HomologyBasis(("A", "B"), ((1, 0), (0, 1)), 2, ring_names=("R",))
+    with pytest.raises(ValueError, match="row 'a' has length 3, expected 2"):
+        ConstraintTable(plain_basis(2), (("a", (1, 0, 0)),), (2, 2))
+    with pytest.raises(ValueError, match="maslov vector length must match basis size"):
+        ConstraintTable(plain_basis(2), (), (2, 2, 2))
 
 
 def test_duplicate_ring_names_are_rejected():

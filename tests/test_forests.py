@@ -241,6 +241,18 @@ def test_parse_errors_carry_offsets():
         parse_forest("((L) * L)")  # a factor break inside an open tree
     with pytest.raises(InvalidLeafIndex):
         parse_forest("twist(1;2@5)")
+    # twist words parse on their own too
+    for text, offset, expected in (
+        ("twist(;1@1)", 6, "integer"),
+        ("twist(1;1@)", 10, "integer"),
+        ("tw", 0, "L, point, twist"),
+        ("", 0, "L, point, twist"),
+        ("L L", 2, "end of input"),
+        ("point x", 6, "end of input"),
+    ):
+        with pytest.raises(ParseError, match=rf"offset {offset} \(expected {expected}\)") as err:
+            parse_word(text)
+        assert err.value.offset == offset
 
 
 def test_print_parse_roundtrip_known():
@@ -279,6 +291,10 @@ def test_product_spec_needs_a_factor():
 
 def test_canonical_form_of_bush():
     assert canonical_form(bush(2)) == "((),())"
+    with pytest.raises(ValueError, match="at least one leaf"):
+        bush(0)
+    with pytest.raises(ValueError, match="at least one tree"):
+        RootedForest(())
 
 
 def test_canonical_form_forgets_planarity():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -414,6 +417,27 @@ def test_non_integral_germ_fields_are_rejected_not_truncated():
     assert germ == Germ(2, 1, frozenset({(1, 0), (0, 1)}))
     assert type(germ.dim) is int
     assert all(type(x) is int for c in germ.covectors for x in c)
+
+
+def test_germ_needs_covectors_of_its_dimension():
+    with pytest.raises(ValueError, match="at least one covector"):
+        Germ(2, 1, frozenset())
+    with pytest.raises(DimensionMismatch, match="has length 3, expected 2"):
+        Germ(2, 1, frozenset({(1, 0), (0, 1, 0)}))
+
+
+def test_no_witness_outcomes_are_false_frozen_and_distinct():
+    for cls in (NotEquivalent, Indeterminate):
+        outcome = cls("why")
+        assert not outcome and outcome.reason == "why"
+        assert repr(outcome) == f"{cls.__name__}(reason='why')"
+        assert outcome == cls("why") and hash(outcome) == hash(cls("why"))
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+        assert copy.deepcopy(outcome) == outcome
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.reason = "other"
+    # equality stays class-strict: the same reason under the other outcome differs
+    assert NotEquivalent("why") != Indeterminate("why")
 
 
 def test_unimodular_witness_validation():

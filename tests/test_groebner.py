@@ -530,6 +530,12 @@ def test_groebner_requires_a_field():
 def test_groebner_rejects_laurent_inputs():
     with pytest.raises(ValueError):
         groebner_basis([poly(GF2, ("x",), {(-1,): 1})])
+    with pytest.raises(ValueError, match="at least one generator"):
+        groebner_basis([])
+    x = poly(RATIONAL, ("x",), {(1,): 1})
+    for other in (poly(GF2, ("x",), {(1,): 1}), poly(RATIONAL, ("y",), {(1,): 1})):
+        with pytest.raises(VariableMismatch, match="basis element lives in another ring"):
+            normal_form(x, [other])
 
 
 def test_univariate_gcd_examples():

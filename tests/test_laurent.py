@@ -108,6 +108,9 @@ def test_pow_and_negative_pow():
     assert m**-1 == LaurentPoly.monomial(RATIONAL, v, (-2,), Fraction(1, 3))
     with pytest.raises(UnsupportedRing):
         p**-1
+    for ring, non_unit in ((INT, 2), (GF2, 0), (RATIONAL, Fraction(0))):
+        with pytest.raises(UnsupportedRing, match="is not a unit"):
+            ring.inv(non_unit)
 
 
 def test_variable_mismatch():
@@ -158,6 +161,11 @@ def test_hom_rejects_non_unit_images():
         RingHom(GF2, v, {"R": LaurentPoly(GF2, v, {(1,): 1, (0,): 1})})
     with pytest.raises(NonUnitImage):
         RingHom(INT, v, {"R": LaurentPoly(INT, v, {(1,): 2})})
+    with pytest.raises(NonUnitImage, match="must be a LaurentPoly"):
+        RingHom(GF2, v, {"R": 1})
+    for image in (LaurentPoly(RATIONAL, v, {(1,): 1}), LaurentPoly(GF2, ("s",), {(1,): 1})):
+        with pytest.raises(VariableMismatch, match="wrong target ring"):
+            RingHom(GF2, v, {"R": image})
 
 
 def test_hom_rejects_duplicate_target_variables():
@@ -214,6 +222,28 @@ def test_evaluation():
     p = rational(v, {(2, -1): Fraction(3), (0, 0): Fraction(1, 2)})
     value = p.evaluate({"x": Fraction(2), "y": Fraction(1, 3)})
     assert value == Fraction(3) * 4 * 3 + Fraction(1, 2)
+    with pytest.raises(UnsupportedRing, match="Int/Rational only"):
+        LaurentPoly(GF2, v, {(1, 0): 1}).evaluate({"x": 1, "y": 1})
+
+
+def test_equal_polynomials_hash_equal():
+    """The hash is recomputed on each call from the ring, the variables and
+    the terms, so equal values built in different ways hash alike."""
+    v = ("x", "y")
+    for ring, c in ((GF2, 1), (INT, -3), (RATIONAL, Fraction(3, 2))):
+        x, y = (LaurentPoly.var(ring, v, name) for name in v)
+        built = LaurentPoly(ring, v, {(1, 0): c, (0, 1): 1})
+        same = [
+            LaurentPoly(ring, v, {(0, 1): 1, (1, 0): c}),  # other term order
+            x.scale(c) + y,  # through the arithmetic's unvalidated build
+            y + x * LaurentPoly.constant(ring, v, c),
+        ]
+        for other in same:
+            assert other == built and hash(other) == hash(built)
+        assert len({built, *same}) == 1
+        assert hash(built) == hash((ring.tag, v, frozenset(built.terms.items())))
+        assert len({built, built + LaurentPoly.one(ring, v)}) == 2
+    assert LaurentPoly.__slots__ == ("ring", "variables", "terms")
 
 
 def test_string_rendering():

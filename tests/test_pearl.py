@@ -291,6 +291,26 @@ def test_d2_requires_matching_rings():
     alpha = PearlElement.generator(RATIONAL, V, 2, 0)
     with pytest.raises(VariableMismatch):
         pearl_d2(alpha, pot)
+    with pytest.raises(VariableMismatch, match="rank does not match the torus rank"):
+        pearl_d2(PearlElement.generator(GF2, V, 3, 0), pot)
+    with pytest.raises(VariableMismatch, match="need 2 toric differentials, got 1"):
+        pearl_d2_from_vs(PearlElement.generator(GF2, V, 2, 0), pot.toric_differential()[:1])
+
+
+def test_element_validation():
+    one = LaurentPoly.one(GF2, V)
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        PearlElement(GF2, V, 2, {(1, 0): one})
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        PearlElement(GF2, V, 2, {(1, 1): one})
+    with pytest.raises(ValueError, match="out of range"):
+        PearlElement(GF2, V, 2, {(0, 2): one})
+    with pytest.raises(ValueError, match="out of range"):
+        PearlElement(GF2, V, 2, {(-1,): one})
+    with pytest.raises(VariableMismatch, match="wrong ring"):
+        PearlElement(GF2, V, 2, {(0,): LaurentPoly.one(RATIONAL, V)})
+    with pytest.raises(VariableMismatch, match="different modules"):
+        PearlElement.generator(GF2, V, 2, 0) + PearlElement.generator(GF2, V, 3, 0)
 
 
 def test_wedge_normalization_signs():
