@@ -18,11 +18,11 @@ Both checks produce explicit, re-checkable witnesses.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
+from ._value import Value
 from .errors import (
     CapExceeded,
     InconclusiveCertificate,
@@ -50,17 +50,20 @@ REGULARITY_CRITERION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class IdealMembershipResult:
-    """Outcome of the `1 in (gens)` test in a Laurent ring over a field."""
+class IdealMembershipResult(Value):
+    """Outcome of the `1 in (gens)` test in a Laurent ring over a field.
 
-    contains_one: bool
-    method: str  # "gcd" (univariate) or "groebner"
-    # reduced description of the ideal: the gcd (univariate), or the reduced
-    # bases of its variable-disjoint blocks in block order, each in its own
-    # ring with the auxiliary variable last (see `_localized_blocks`)
-    generators: tuple[LaurentPoly, ...]
-    cofactors: tuple[LaurentPoly, ...] | None = None  # witness: sum c_i g_i = 1
+    `method` is "gcd" (univariate) or "groebner".  `generators` is the
+    reduced description of the ideal: the gcd (univariate), or the reduced
+    bases of its variable-disjoint blocks in block order, each in its own
+    ring with the auxiliary variable last (see `_localized_blocks`).
+    `cofactors`, when 1 is in the ideal, is the witness: sum c_i g_i = 1.
+    """
+
+    __slots__ = _fields = ("contains_one", "method", "generators", "cofactors")
+
+    def __init__(self, contains_one, method, generators, cofactors=None):
+        self._init(contains_one, method, generators, cofactors)
 
     def __bool__(self):
         return self.contains_one
@@ -82,14 +85,13 @@ def _fresh_name(base: str, taken) -> str:
     return f"{base}{i}"
 
 
-class _Block(NamedTuple):
-    """One block of a localized ideal: generators sharing no variable with
-    the other blocks' generators."""
-
-    indices: tuple[int, ...]  # positions of the block's generators
-    variables: tuple[str, ...]  # its ring variables; the auxiliary one follows in `basis`
-    generators: list[LaurentPoly]  # restricted, then the relation, in the ring of `basis`
-    basis: list[LaurentPoly]  # reduced, in the ring of `variables` plus the auxiliary one
+# One block of a localized ideal: generators sharing no variable with the
+# other blocks' generators.  `indices` are the positions of the block's
+# generators; `variables` its ring variables, the auxiliary one following in
+# `basis`; `generators` the restricted ones, then the relation, in the ring
+# of `basis`; `basis` the reduced basis, in the ring of `variables` plus the
+# auxiliary one.
+_Block = collections.namedtuple("_Block", ("indices", "variables", "generators", "basis"))
 
 
 def _localized_blocks(polys) -> list[_Block]:
@@ -253,14 +255,14 @@ def _assemble_cofactors(gens, nonzero_indices, shifts, cofs, target):
 # regularity
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(Value):
     """Outcome of the Koszul regularity certificate for a Laurent potential."""
 
-    regular: bool
-    quotient_dimension: int | None
-    zero_directions: tuple[str, ...]
-    note: str = REGULARITY_CRITERION_NOTE
+    __slots__ = _fields = ("regular", "quotient_dimension", "zero_directions", "note")
+
+    def __init__(self, regular, quotient_dimension, zero_directions,
+                 note=REGULARITY_CRITERION_NOTE):
+        self._init(regular, quotient_dimension, zero_directions, note)
 
     def __bool__(self):
         return self.regular
@@ -339,40 +341,43 @@ def regularity_via_hom(potential: Potential, hom: RingHom) -> RegularityResult:
 # certification pipeline
 
 
-@dataclass(frozen=True)
-class H0Evidence:
-    hom_description: str
-    hom_is_identity: bool
-    contains_one: bool
-    ideal_generators: tuple[str, ...]
-    method: str
+class H0Evidence(Value):
+    __slots__ = _fields = (
+        "hom_description", "hom_is_identity", "contains_one", "ideal_generators", "method"
+    )
+
+    def __init__(self, hom_description, hom_is_identity, contains_one, ideal_generators,
+                 method):
+        self._init(hom_description, hom_is_identity, contains_one, ideal_generators, method)
 
     @property
     def passed(self) -> bool:
         return not self.contains_one
 
 
-@dataclass(frozen=True)
-class RegularityEvidence:
-    hom_description: str
-    regular: bool
-    quotient_dimension: int | None
-    zero_directions: tuple[str, ...]
-    note: str
+class RegularityEvidence(Value):
+    __slots__ = _fields = (
+        "hom_description", "regular", "quotient_dimension", "zero_directions", "note"
+    )
+
+    def __init__(self, hom_description, regular, quotient_dimension, zero_directions, note):
+        self._init(hom_description, regular, quotient_dimension, zero_directions, note)
 
     @property
     def passed(self) -> bool:
         return self.regular
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    verdict: str
-    token: str  # certified | partial | inconclusive | not-certified
-    potential_str: str
-    toric_differentials: tuple[tuple[str, str], ...]
-    h0: H0Evidence
-    regularity: RegularityEvidence | None
+class CertificateReport(Value):
+    """`token` is one of certified, partial, inconclusive and not-certified;
+    `regularity` is None when no regularity homomorphism was supplied."""
+
+    __slots__ = _fields = (
+        "verdict", "token", "potential_str", "toric_differentials", "h0", "regularity"
+    )
+
+    def __init__(self, verdict, token, potential_str, toric_differentials, h0, regularity):
+        self._init(verdict, token, potential_str, toric_differentials, h0, regularity)
 
     def to_json_dict(self) -> dict:
         return {

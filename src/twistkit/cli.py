@@ -9,13 +9,12 @@ Exit codes: 0 success, 1 a result contradicting `--expect`, 2 input errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
 
 from . import presets
+from ._value import Value
 from .certificates import certify_nondisplaceable
 from .discs import enumerate_candidate_classes, table_from_json
 from .errors import TwistKitError
@@ -43,16 +42,19 @@ SCHEMA = "1"
 DEFAULT_SEED = 2010
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; reports are a function of this value."""
+class RunConfig(Value):
+    """Everything one invocation needs; reports are a function of this value.
 
-    command: str
-    params: dict = field(default_factory=dict)
-    format: str = "text"
-    seed: int = DEFAULT_SEED
-    expect: str | None = None
-    out: str | None = None
+    Unlike the other values it is mutable, and so unhashable."""
+
+    __slots__ = _fields = ("command", "params", "format", "seed", "expect", "out")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command, params=None, format="text", seed=DEFAULT_SEED, expect=None,
+                 out=None):
+        self._init(command, {} if params is None else params, format, seed, expect, out)
 
 
 def _color_enabled() -> bool:
@@ -110,9 +112,12 @@ def _cmd_iso(config: RunConfig):
 
 def _preset_or_file(config: RunConfig, known: dict):
     """`(preset value, None, source)` for `--preset`, looked up in `known`
-    and called, or `(None, file JSON, source)` for `--in`."""
+    and called, or `(None, file JSON, source)` for `--in`; exactly one of
+    the two must be given."""
     preset = config.params.get("preset")
     path = config.params.get("infile")
+    if preset and path:
+        raise TwistKitError("give --preset or --in, not both")
     if preset:
         if preset not in known:
             raise TwistKitError(f"unknown preset {preset!r}; known: {sorted(known)}")
@@ -284,6 +289,8 @@ def run(config: RunConfig) -> tuple[int, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a parse pays for it, not every import of the module
+
     parser = argparse.ArgumentParser(
         prog="twist-kit",
         description="exact computations for monotone Lagrangian twist tori",
@@ -334,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config of parsed arguments: each `RunConfig` field from its dest,
     every other dest a param."""
-    names = {f.name for f in fields(RunConfig)}
-    settings = {k: v for k, v in vars(args).items() if k in names}
-    params = {k: v for k, v in vars(args).items() if k not in names}
-    if params.get("bounds"):
+    settings = {k: v for k, v in vars(args).items() if k in RunConfig._fields}
+    params = {k: v for k, v in vars(args).items() if k not in RunConfig._fields}
+    if params.get("bounds") is not None:
         try:
             lo, hi = (int(x) for x in params["bounds"].split(","))
         except ValueError:

@@ -44,15 +44,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from operator import mul
 
+from ._value import Value
 from .errors import CapExceeded, UnboundedRegion
 from .matrices import as_int, mat, mat_det
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
+class HomologyBasis(Value):
     """Free generators of the relative second homology group, with the
     boundary map into the first homology of the torus.
 
@@ -64,17 +63,13 @@ class HomologyBasis:
     boundary in order, is derived from the matrix once, at construction.
     """
 
-    names: tuple[str, ...]
-    boundary_matrix: tuple[tuple[int, ...], ...]
-    n_torus_rank: int
-    ring_names: tuple[str, ...] = ()
-    boundary_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("names", "boundary_matrix", "n_torus_rank", "ring_names")
+    __slots__ = _fields + ("boundary_indices",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
-        matrix = mat(self.boundary_matrix)
-        object.__setattr__(self, "boundary_matrix", matrix)
+    def __init__(self, names, boundary_matrix, n_torus_rank, ring_names=()):
+        names = tuple(names)
+        matrix = mat(boundary_matrix)
+        self._init(names, matrix, n_torus_rank)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         if len(matrix) != self.n_torus_rank:
@@ -91,10 +86,10 @@ class HomologyBasis:
         sub = [[row[j] for j in carriers] for row in matrix]
         if self.n_torus_rank and abs(mat_det(sub)) != 1:
             raise ValueError("boundary submatrix on carrying generators must be unimodular")
-        if not self.ring_names:
+        if not ring_names:
             object.__setattr__(self, "ring_names", self._default_ring_names())
         else:
-            ring_names = tuple(self.ring_names)
+            ring_names = tuple(ring_names)
             if len(ring_names) != len(names):
                 raise ValueError("ring_names must match generator count")
             if len(set(ring_names)) != len(ring_names):
@@ -123,27 +118,22 @@ class HomologyBasis:
         return tuple(sum(map(mul, row, coefficients)) for row in self.boundary_matrix)
 
 
-@dataclass(frozen=True)
-class ConstraintTable:
+class ConstraintTable(Value):
     """Intersection rows plus the Maslov row defining candidate disc classes."""
 
-    basis: HomologyBasis
-    rows: tuple[tuple[str, tuple[int, ...]], ...]
-    maslov_vector: tuple[int, ...]
-    target_maslov: int = 2
+    __slots__ = _fields = ("basis", "rows", "maslov_vector", "target_maslov")
 
-    def __post_init__(self):
-        n = len(self.basis.names)
-        rows = tuple((str(label), tuple(map(as_int, vec))) for label, vec in self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "maslov_vector", tuple(map(as_int, self.maslov_vector)))
+    def __init__(self, basis, rows, maslov_vector, target_maslov=2):
+        n = len(basis.names)
+        rows = tuple((str(label), tuple(map(as_int, vec))) for label, vec in rows)
+        maslov_vector = tuple(map(as_int, maslov_vector))
         try:
-            target = as_int(self.target_maslov)
+            target = as_int(target_maslov)
         except ValueError:
             raise ValueError(
-                f"target Maslov index must be an integer, got {self.target_maslov!r}"
+                f"target Maslov index must be an integer, got {target_maslov!r}"
             ) from None
-        object.__setattr__(self, "target_maslov", target)
+        self._init(basis, rows, maslov_vector, target)
         for label, vec in rows:
             if len(vec) != n:
                 raise ValueError(f"row {label!r} has length {len(vec)}, expected {n}")
@@ -153,31 +143,29 @@ class ConstraintTable:
             warnings.warn("odd Maslov entries: the torus would be non-orientable", stacklevel=2)
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(Value):
     """An integer class satisfying all table constraints, with its boundary."""
 
-    coefficients: tuple[int, ...]
-    boundary_class: tuple[int, ...]
+    __slots__ = _fields = ("coefficients", "boundary_class")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(map(as_int, self.coefficients)))
-        object.__setattr__(self, "boundary_class", tuple(map(as_int, self.boundary_class)))
+    def __init__(self, coefficients, boundary_class):
+        self._init(tuple(map(as_int, coefficients)), tuple(map(as_int, boundary_class)))
 
     @classmethod
     def _new(cls, coefficients, boundary_class):
         """A class from int tuples the caller built itself, set without the
-        `as_int` checks of `__post_init__`."""
+        constructor's `as_int` checks."""
         self = object.__new__(cls)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "boundary_class", boundary_class)
         return self
 
 
-@dataclass(frozen=True)
-class BoundednessResult:
-    bounded: bool
-    ray: tuple[int, ...] | None = None
+class BoundednessResult(Value):
+    __slots__ = _fields = ("bounded", "ray")
+
+    def __init__(self, bounded, ray=None):
+        self._init(bounded, ray)
 
     def __bool__(self):
         return self.bounded

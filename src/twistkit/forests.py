@@ -17,8 +17,8 @@ The leaf comes first among the children and its key "()" sorts last, so
 the new key is a suffix edit of the old one.  The other trees take one
 multiset of smaller ample trees per partition of n into at least two parts
 >= 2, joined by itertools.  Each family is built in bulk: a private
-constructor sets the three slots directly, skipping `__init__` and
-`__post_init__` (every leaf count on level n is n).
+builder sets the three slots directly, skipping the public constructor
+(every leaf count on level n is n).
 
 Text grammar (whitespace insignificant)::
 
@@ -34,8 +34,8 @@ import collections
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .errors import CapExceeded, InvalidLeafIndex, ParseError
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -52,32 +52,30 @@ def _joined_key(children) -> str:
     return "(" + ",".join(sorted(map(_key_of, children))) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class RootedTree:
+class RootedTree(Value):
     """A finite rooted tree; an empty children tuple is a leaf.
 
     The single-vertex tree stands for the plain circle factor.  Equality,
     hashing and repr see `children` only; `canonical_key` (the string of
     `canonical_form`) and `leaf_count` are derived from it on construction.
-    Equality, hash and repr are those a dataclass generates, computed over an
-    explicit stack, and pickling and copying go through a flat list of child
-    counts, so that depth is unbounded.  Each vertex keeps its hash once it
-    is first asked for, so a hash walks only the vertices not hashed before.
+    Equality, hash and repr are those a frozen dataclass would generate,
+    computed over an explicit stack, and pickling and copying go through a
+    flat list of child counts, so that depth is unbounded.  Each vertex keeps
+    its hash once it is first asked for, so a hash walks only the vertices
+    not hashed before.
     """
 
-    children: tuple["RootedTree", ...] = ()
-    canonical_key: str = field(init=False, compare=False, repr=False)
-    leaf_count: int = field(init=False, compare=False, repr=False)
-    # hash((children,)), filled by the first __hash__; unset until then
-    _hash: int = field(init=False, compare=False, repr=False)
+    _fields = ("children",)
+    # _hash is hash((children,)), filled by the first __hash__; unset until then
+    __slots__ = ("children", "canonical_key", "leaf_count", "_hash")
 
-    def __post_init__(self):
-        kids = self.children
-        if kids:
-            key = _joined_key(kids)
-            leaves = sum(map(_leaves_of, kids))
+    def __init__(self, children=()):
+        if children:
+            key = _joined_key(children)
+            leaves = sum(map(_leaves_of, children))
         else:
             key, leaves = "()", 1
+        object.__setattr__(self, "children", children)
         object.__setattr__(self, "canonical_key", key)
         object.__setattr__(self, "leaf_count", leaves)
 
@@ -164,10 +162,10 @@ def _hash_of(tree):
 
 
 def _new_trees(children, keys, leaf_counts) -> tuple[RootedTree, ...]:
-    """One tree per entry of `children`, made without `__init__` and
-    `__post_init__`: each of the three slots is set directly, in one C-level
-    pass over its values, so the caller vouches that `keys` and
-    `leaf_counts` are those the children give.  The hash slot stays unset
+    """One tree per entry of `children`, made without the constructor: each
+    of the three slots is set directly, in one C-level pass over its
+    values, so the caller vouches that `keys` and `leaf_counts` are those
+    the children give.  The hash slot stays unset
     until the first `__hash__`."""
     trees = tuple(map(object.__new__, itertools.repeat(RootedTree, len(children))))
     for set_slot, values in zip(_set_slots, (children, keys, leaf_counts)):
@@ -200,8 +198,7 @@ def bush(leaves: int) -> RootedTree:
     return RootedTree((LEAF,) * leaves)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Value):
     """An iterated-twist recipe: steps (k_j, l_j), where step j glues a bush
     with k_j + 1 leaves onto leaf l_j (1-based, counted from the left).
 
@@ -209,11 +206,12 @@ class TwistWord:
     1 .. k_1 + ... + k_{j-1} + 1.  The empty word is the plain circle.
     """
 
-    steps: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps=()):
+        self._init(steps)
         leaves = 1
-        for j, (k, l) in enumerate(self.steps, start=1):
+        for j, (k, l) in enumerate(steps, start=1):
             if k < 1:
                 raise ValueError(f"twist multiplicity k_{j} = {k} must be >= 1")
             if j == 1 and l != 1:
@@ -229,14 +227,14 @@ class TwistWord:
         return 1 + sum(k for k, _ in self.steps)
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(Value):
     """A product of primitive twist tori, each given by a twist word."""
 
-    factors: tuple[TwistWord, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors):
+        self._init(factors)
+        if not factors:
             raise ValueError("a product needs at least one factor")
 
     def to_forest(self) -> "RootedForest":

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import CapExceeded, DimensionMismatch
 from .matrices import (
     adjugate,
@@ -54,20 +54,16 @@ UNDEFINED_AT_ORIGIN = _UndefinedAtOrigin()
 PERMUTATION_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(Value):
     """constant + min over covectors of their pairing with the deformation."""
 
-    dim: int
-    constant: Fraction
-    covectors: frozenset
-    note: str | None = None
+    __slots__ = _fields = ("dim", "constant", "covectors", "note")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", as_int(self.dim))
-        object.__setattr__(self, "constant", Fraction(self.constant))
-        covs = frozenset(tuple(map(as_int, c)) for c in self.covectors)
-        object.__setattr__(self, "covectors", covs)
+    def __init__(self, dim, constant, covectors, note=None):
+        dim = as_int(dim)
+        constant = Fraction(constant)
+        covs = frozenset(tuple(map(as_int, c)) for c in covectors)
+        self._init(dim, constant, covs, note)
         if not covs:
             raise ValueError("a germ needs at least one covector")
         for c in covs:
@@ -84,27 +80,28 @@ class Germ:
         return f"{self.constant} + min{{ <a, .> : a in {{{mins}}} }}"
 
 
-@dataclass(frozen=True)
-class UnimodularWitness:
+class UnimodularWitness(Value):
     """An integer matrix with determinant +-1 relating two germs: the
     transpose maps the first germ's covectors onto the second's."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self):
-        rows = as_int_matrix(self.matrix)
+    def __init__(self, matrix):
+        rows = as_int_matrix(matrix)
         if rows is None:
             raise ValueError("witness matrix must be integral")
-        object.__setattr__(self, "matrix", rows)
+        self._init(rows)
         if abs(mat_det(rows)) != 1:
             raise ValueError("witness matrix must be unimodular")
 
 
-@dataclass(frozen=True)
-class _NoWitness:
+class _NoWitness(Value):
     """An outcome without a witness matrix: false, with the reason why."""
 
-    reason: str
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason):
+        self._init(reason)
 
     def __bool__(self):
         return False
@@ -113,9 +110,13 @@ class _NoWitness:
 class NotEquivalent(_NoWitness):
     """No unimodular matrix matches the two germs."""
 
+    __slots__ = ()
+
 
 class Indeterminate(_NoWitness):
     """The covectors do not span, so equivalence is not decided."""
+
+    __slots__ = ()
 
 
 def germ_value(germ: Germ, xi):

@@ -46,6 +46,10 @@ class CoefficientRing:
     def __repr__(self):
         return self.tag
 
+    def __reduce__(self):
+        # rings are compared by identity: a copy or an unpickled ring is the one ring
+        return CoefficientRing.from_tag, (self.tag,)
+
     @property
     def is_field(self) -> bool:
         return self.tag in ("GF2", "Rational")
@@ -153,6 +157,10 @@ class LaurentPoly:
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        # unpickling a slotted instance would set its slots through __setattr__
+        return LaurentPoly, (self.ring, self.variables, self.terms)
 
     # -- constructors ------------------------------------------------------
 

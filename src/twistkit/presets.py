@@ -13,9 +13,9 @@ with an area offset parameter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .certificates import CertificateReport, certify_nondisplaceable
 from .discs import ConstraintTable, DiscClass, HomologyBasis, enumerate_candidate_classes
 from .germs import Germ
@@ -83,14 +83,13 @@ def theta_regularity_hom() -> RingHom:
     )
 
 
-@dataclass(frozen=True)
-class PotentialPreset:
-    name: str
-    table: ConstraintTable
-    potential: Potential
-    h0_hom: RingHom
-    regularity_hom: RingHom
-    collapse_hom: RingHom
+class PotentialPreset(Value):
+    __slots__ = _fields = (
+        "name", "table", "potential", "h0_hom", "regularity_hom", "collapse_hom"
+    )
+
+    def __init__(self, name, table, potential, h0_hom, regularity_hom, collapse_hom):
+        self._init(name, table, potential, h0_hom, regularity_hom, collapse_hom)
 
     @property
     def classes(self) -> tuple[DiscClass, ...]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from twistkit.cli import DEFAULT_SEED, RunConfig, main, run
 from twistkit.discs import enumerate_candidate_classes, table_to_json
@@ -420,6 +423,27 @@ def test_main_maps_every_argument_to_the_config(capsys):
     assert captured.err == "error: TwistKitError: --bounds wants 'a,b', got 'x'\n"
 
 
+def test_empty_bounds_is_an_input_error(capsys):
+    """`--bounds=` is a malformed box, not "no box"."""
+    assert main(["classes", "--preset", "theta_s2xs2", "--bounds="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TwistKitError: --bounds wants 'a,b', got ''\n"
+
+
+def test_preset_and_file_together_are_an_input_error(tmp_path, capsys):
+    """Both sources at once are refused before either is read, so a missing
+    file is not silently ignored."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(table_to_json(theta_constraint_table())), encoding="utf-8")
+    for command, path in (("classes", table), ("pearl", "/nonexistent.json"),
+                          ("certify", "/nonexistent.json")):
+        assert main([command, "--preset", "theta_s2xs2", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "error: TwistKitError: give --preset or --in, not both\n"
+        assert captured.err == ""
+
+
 def test_parse_errors_exit_two():
     code, rendered = run(RunConfig(command="iso", params={"left": "(L", "right": "L"}))
     assert code == 2
@@ -461,3 +485,19 @@ def test_default_seed_is_fixed():
     assert DEFAULT_SEED == 2010
     code, payload = run_json("trees", {"n": 3, "cap": 16, "count_only": True})
     assert payload["seed"] == DEFAULT_SEED
+
+
+def test_importing_the_cli_loads_no_dataclass_typing_or_argparse_machinery():
+    """`import twistkit.cli` in a bare interpreter (`-S`: no site packages,
+    so nothing is preloaded) leaves out the modules that cost start-up time
+    and that no computation needs; argparse comes in only with a parse."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import sys; before = set(sys.modules); import twistkit.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "twistkit.cli" in out
+    assert not {"dataclasses", "inspect", "argparse", "typing"} & set(out)

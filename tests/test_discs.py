@@ -156,7 +156,7 @@ def test_random_tables_match_box_scan_oracle():
 
 
 def test_walk_classes_are_what_the_validating_constructor_makes():
-    """The walk builds its classes without `__post_init__`'s checks: each
+    """The walk builds its classes without the constructor's checks: each
     must equal the class the public constructor makes of its coefficients
     and their boundary, with int entries."""
     rng = random.Random(77)
@@ -1045,4 +1045,4 @@ def test_default_ring_names_split_carriers_and_surfaces():
     )
     again = HomologyBasis(("X", "Y", "Z"), ((0, 1, 0),), 1)
     assert again == basis and hash(again) == hash(basis)
-    assert "boundary_indices" in vars(basis)
+    assert "boundary_indices" in HomologyBasis.__slots__  # a slot, not a property
