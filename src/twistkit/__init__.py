@@ -50,7 +50,6 @@ from .forests import (
     RootedForest,
     RootedTree,
     TwistWord,
-    ProductSpec,
     canonical_form,
     count_ample_trees,
     forest_canonical_form,

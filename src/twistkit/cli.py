@@ -264,9 +264,10 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Dispatch a config; returns (exit code, rendered report)."""
     try:
         payload, lines, token = _HANDLERS[config.command](config)
-    except TwistKitError as exc:
-        return 2, f"error: {type(exc).__name__}: {exc}"
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    # an input error: a bad file (a JSONDecodeError is a ValueError), or one of
+    # the wrong shape, such as a number where a list belongs (a TypeError) or
+    # a list where an object belongs (an AttributeError)
+    except (TwistKitError, OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}"
     except RecursionError:
         return 2, (

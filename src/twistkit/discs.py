@@ -48,7 +48,7 @@ from operator import mul
 
 from ._value import Value
 from .errors import CapExceeded, UnboundedRegion
-from .matrices import as_int, mat, mat_det
+from .matrices import as_int, as_names, mat, mat_det
 
 
 class HomologyBasis(Value):
@@ -95,11 +95,6 @@ class HomologyBasis(Value):
             if len(set(ring_names)) != len(ring_names):
                 raise ValueError("ring names must be distinct")
             object.__setattr__(self, "ring_names", ring_names)
-
-    @property
-    def surface_indices(self) -> tuple[int, ...]:
-        carriers = set(self.boundary_indices)
-        return tuple(j for j in range(len(self.names)) if j not in carriers)
 
     def _default_ring_names(self):
         out = []
@@ -443,10 +438,10 @@ def basis_to_json(basis: HomologyBasis) -> dict:
 
 def basis_from_json(data: dict) -> HomologyBasis:
     return HomologyBasis(
-        names=tuple(data["basis"]),
+        names=as_names(data["basis"]),
         boundary_matrix=tuple(tuple(row) for row in data["boundary"]),
         n_torus_rank=as_int(data.get("n_torus_rank", len(data["boundary"]))),
-        ring_names=tuple(data.get("ring_names", ())),
+        ring_names=as_names(data.get("ring_names", ())),
     )
 
 

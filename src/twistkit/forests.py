@@ -79,14 +79,6 @@ class RootedTree(Value):
         object.__setattr__(self, "canonical_key", key)
         object.__setattr__(self, "leaf_count", leaves)
 
-    @property
-    def vertex_count(self) -> int:
-        count, stack = 0, [self]
-        while stack:
-            count += 1
-            stack.extend(stack.pop().children)
-        return count
-
     def __str__(self) -> str:
         return print_tree(self)
 
@@ -225,20 +217,6 @@ class TwistWord(Value):
     @property
     def dimension(self) -> int:
         return 1 + sum(k for k, _ in self.steps)
-
-
-class ProductSpec(Value):
-    """A product of primitive twist tori, each given by a twist word."""
-
-    __slots__ = _fields = ("factors",)
-
-    def __init__(self, factors):
-        self._init(factors)
-        if not factors:
-            raise ValueError("a product needs at least one factor")
-
-    def to_forest(self) -> "RootedForest":
-        return RootedForest(tuple(word_to_tree(w) for w in self.factors))
 
 
 class RootedForest:

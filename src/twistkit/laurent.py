@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import NonUnitImage, UnsupportedRing, VariableMismatch
-from .matrices import as_int
+from .matrices import as_int, as_names
 
 # Fractions are immutable, so every rational zero and one can be the same object
 _Q_ZERO = Fraction(0)
@@ -255,9 +255,6 @@ class LaurentPoly:
         )
         return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, products))
 
-    def scale(self, coeff):
-        return self.times_monomial((0,) * len(self.variables), coeff)
-
     def times_monomial(self, exps, coeff=None):
         ring = self.ring
         exps = tuple(exps)
@@ -292,23 +289,6 @@ class LaurentPoly:
         return result
 
     # -- calculus ----------------------------------------------------------
-
-    def partial_derivative(self, name: str) -> "LaurentPoly":
-        """d/d(name); needs Int or Rational coefficients."""
-        if self.ring is GF2:
-            raise UnsupportedRing(
-                "partial derivative over GF2 is ill-defined; use log_derivative"
-            )
-        idx = self.variables.index(name)
-        ring = self.ring
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[idx] == 0:
-                continue
-            new = list(exps)
-            new[idx] -= 1
-            terms[tuple(new)] = ring.mul(exps[idx], coeff)
-        return LaurentPoly._new(ring, self.variables, terms)
 
     def log_derivative(self, name: str) -> "LaurentPoly":
         """x·d/dx for the named variable: each term is multiplied by its
@@ -515,14 +495,10 @@ def poly_to_json(poly: LaurentPoly) -> dict:
 
 def poly_from_json(data: dict) -> LaurentPoly:
     ring = CoefficientRing.from_tag(data["ring"])
-    variables = tuple(data["variables"])
-    # a repeated exponent vector sums its coefficients, and the constructor
-    # drops a sum that cancels
-    terms = {}
-    for exps, coeff in data["terms"]:
-        exps, coeff = tuple(exps), ring.parse(str(coeff))
-        terms[exps] = ring.add(terms[exps], coeff) if exps in terms else coeff
-    return LaurentPoly(ring, variables, terms)
+    variables = as_names(data["variables"])
+    # a repeated exponent vector is summed by the one summing rule
+    items = ((tuple(exps), ring.parse(str(coeff))) for exps, coeff in data["terms"])
+    return LaurentPoly(ring, variables, _accumulate(ring, {}, items))
 
 
 def hom_to_json(hom: RingHom) -> dict:
@@ -538,7 +514,7 @@ def hom_to_json(hom: RingHom) -> dict:
 
 def hom_from_json(data: dict) -> RingHom:
     ring = CoefficientRing.from_tag(data["ring"])
-    variables = tuple(data["variables"])
+    variables = as_names(data["variables"])
     images = {
         name: LaurentPoly.monomial(ring, variables, tuple(exps), ring.parse(str(coeff)))
         for name, (exps, coeff) in data["images"].items()

@@ -6,7 +6,8 @@ whose k pivot steps every entry is a (k+1)x(k+1) minor of the input, so each
 division by the previous pivot is exact and every entry stays an integer.
 The adjugate is made of determinants of minors.  Entries pass through
 `as_int`, so a non-integral entry raises `ValueError` instead of being
-truncated.
+truncated.  The JSON readers check their integer fields with `as_int` and
+their lists of names with `as_names`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ def as_int(x) -> int:
     if value is None or value != x:
         raise ValueError(f"{x!r} is not an integer")
     return value
+
+
+def as_names(x) -> tuple:
+    """`x`, a list of names, as a tuple; a string raises `ValueError` rather
+    than being read as one name per character."""
+    if isinstance(x, str):
+        raise ValueError(f"{x!r} is a string, not a list of names")
+    return tuple(x)
 
 
 def mat(rows):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
 from .errors import VariableMismatch
-from .laurent import CoefficientRing, LaurentPoly, RingHom, _accumulate, poly_to_json
+from .laurent import CoefficientRing, LaurentPoly, _accumulate, poly_to_json
 from .matrices import as_int
 
 
@@ -183,14 +183,6 @@ class PearlElement:
     def component(self, subset) -> LaurentPoly:
         return self.components.get(tuple(subset), LaurentPoly.zero(self.ring, self.variables))
 
-    def map_coefficients(self, hom: RingHom) -> "PearlElement":
-        return PearlElement(
-            hom.ring,
-            hom.variables,
-            self.n,
-            {subset: hom.apply(poly) for subset, poly in self.components.items()},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, PearlElement)
@@ -238,20 +230,6 @@ def pearl_d2_from_vs(alpha: PearlElement, vs) -> PearlElement:
     result = PearlElement._new(alpha.ring, alpha.variables, alpha.n, {})
     for k, v in enumerate(vs):
         result = result + alpha.contract(k).scaled_by(v)
-    return result
-
-
-def disc_differential(disc: DiscClass, sign: int, basis: HomologyBasis, alpha: PearlElement) -> PearlElement:
-    """Contribution of a single disc class to the differential: its monomial
-    times the contraction along its boundary (in carrying-generator coordinates)."""
-    ring = alpha.ring
-    monomial = LaurentPoly.monomial(ring, alpha.variables, disc.coefficients, sign)
-    result = PearlElement.zero(ring, alpha.variables, alpha.n)
-    for k, j in enumerate(basis.boundary_indices):
-        multiple = disc.coefficients[j]
-        if multiple == 0:
-            continue
-        result = result + alpha.contract(k).scaled_by(monomial.scale(multiple))
     return result
 
 

@@ -73,7 +73,7 @@ def test_wrong_gcd_cofactors_raise_inconclusive(monkeypatch):
 
     def doubled_cofactors(polys, ring, variables):
         gcd, cofactors = real(polys, ring, variables)
-        return gcd, [c.scale(Fraction(2)) for c in cofactors]
+        return gcd, [c.times_monomial((0,) * len(variables), Fraction(2)) for c in cofactors]
 
     monkeypatch.setattr(certificates, "univariate_extended_gcd", doubled_cofactors)
     gens = [univ(RATIONAL, {0: 1, 1: 1}), univ(RATIONAL, {0: -1, 1: 1})]

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from twistkit.cli import DEFAULT_SEED, RunConfig, main, run
 from twistkit.discs import enumerate_candidate_classes, table_to_json
 from twistkit.forests import canonical_form, enumerate_ample_trees
@@ -240,6 +242,51 @@ def test_null_boolean_and_string_integer_fields_exit_two(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.startswith("error: ValueError: ") and out.count("\n") == 1, out
         assert "integer" in out, out
+
+
+WRONG_SHAPES = {
+    "germ covectors not lists": ("germ", {"dim": 2, "constant": 1, "covectors": [1, 2]}),
+    "table not an object": ("classes", [1, 2]),
+    "table row vector a number": ("classes", {
+        **table_to_json(theta_constraint_table()), "rows": [{"label": "x", "v": 5}]}),
+    "class coefficients a number": ("pearl", {
+        **potential_to_json(theta_potential()), "classes": [{"coefficients": 5}]}),
+    "hom images a list": ("certify", {**potential_to_json(theta_potential()), "homs": {
+        "h0": {"ring": "GF2", "variables": ["t"], "images": [[[1], "1"]]}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_a_file_of_the_wrong_shape_is_an_input_error(case, tmp_path, capsys):
+    command, data = WRONG_SHAPES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = [command, str(path), "theta"] if command == "germ" else [command, "--in", str(path)]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+
+
+def test_a_string_for_a_list_of_names_is_an_input_error(tmp_path, capsys):
+    # "DS" would otherwise be read as the two names "D" and "S"
+    from twistkit.presets import circle_constraint_table
+
+    table = table_to_json(circle_constraint_table())
+    potential = potential_to_json(theta_potential())
+    h0 = {"ring": "GF2", "variables": "t",
+          "images": {name: [[1], "1"] for name in potential["ring_names"]}}
+    cases = [
+        ("classes", {**table, "basis": "DS"}, "'DS'"),
+        ("classes", {**table, "ring_names": "RS"}, "'RS'"),
+        ("certify", {**potential, "homs": {"h0": h0}}, "'t'"),
+    ]
+    path = tmp_path / "input.json"
+    for command, data, shown in cases:
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command, "--in", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            f"error: ValueError: {shown} is a string, not a list of names\n"
+        )
 
 
 def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):

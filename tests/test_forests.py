@@ -14,7 +14,6 @@ from twistkit.errors import CapExceeded, InvalidLeafIndex, ParseError
 from twistkit.forests import (
     _hash_of,
     LEAF,
-    ProductSpec,
     RootedForest,
     RootedTree,
     TwistWord,
@@ -123,6 +122,14 @@ def _partitions(n, max_part):
     for part in range(min(n, max_part), 0, -1):
         for rest in _partitions(n - part, part):
             yield (part,) + rest
+
+
+def vertex_count(tree):
+    count, stack = 0, [tree]
+    while stack:
+        count += 1
+        stack.extend(stack.pop().children)
+    return count
 
 
 def random_word(rng, max_steps=5, max_k=3):
@@ -272,17 +279,12 @@ def test_random_forest_roundtrip():
     rng = random.Random(19)
     for _ in range(100):
         words = [random_word(rng) for _ in range(rng.randint(1, 4))]
-        forest = ProductSpec(tuple(words)).to_forest()
+        forest = RootedForest(word_to_tree(w) for w in words)
         assert parse_forest(print_forest(forest)) == forest
         assert forest.dimension == sum(w.dimension for w in words)
         # the same product written as mixed word/tree factors
         text = " * ".join(print_word(w) for w in words)
         assert parse_forest(text) == forest
-
-
-def test_product_spec_needs_a_factor():
-    with pytest.raises(ValueError):
-        ProductSpec(())
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +719,12 @@ def test_deep_word_builds_without_recursion():
     assert canonical_form(tree) == key
     assert is_isomorphic(tree, tree)
     assert is_ample(tree)
-    assert tree.vertex_count == 1500 + 1501
+    assert vertex_count(tree) == 1500 + 1501
     unary = RootedTree((LEAF,))
     for _ in range(1500):
         unary = RootedTree((LEAF, unary))
     assert not is_ample(unary)  # the one unary vertex is the deepest
-    assert unary.vertex_count == 2 * 1500 + 2
+    assert vertex_count(unary) == 2 * 1500 + 2
 
 
 @dataclasses.dataclass(frozen=True)

@@ -60,9 +60,13 @@ def _ref_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _scale(p, c):
+    return p.times_monomial((0,) * len(p.variables), c)
+
+
 def _ref_monic(p, cof=None):
     inv = p.ring.inv(_ref_lead(p)[1])
-    return p.scale(inv), None if cof is None else [c.scale(inv) for c in cof]
+    return _scale(p, inv), None if cof is None else [_scale(c, inv) for c in cof]
 
 
 def _ref_normal_form(p, basis, cof=None, basis_cofs=None):
@@ -256,7 +260,7 @@ def rational_ideals():
         roll = rng.random()
         if roll < 0.3:
             multiple = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
-            gens.insert(rng.randint(0, len(gens)), gens[0].scale(multiple))
+            gens.insert(rng.randint(0, len(gens)), _scale(gens[0], multiple))
         elif roll < 0.45:
             gens.insert(rng.randint(0, len(gens)), LaurentPoly.zero(RATIONAL, variables))
         elif len(gens) < 3:

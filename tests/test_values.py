@@ -19,7 +19,7 @@ from twistkit.certificates import (
 )
 from twistkit.cli import RunConfig
 from twistkit.discs import BoundednessResult, ConstraintTable, DiscClass, HomologyBasis
-from twistkit.forests import LEAF, ProductSpec, RootedTree, TwistWord, bush
+from twistkit.forests import LEAF, RootedTree, TwistWord, bush
 from twistkit.germs import Germ, Indeterminate, NotEquivalent, UnimodularWitness, _NoWitness
 from twistkit.laurent import RATIONAL, LaurentPoly
 from twistkit.presets import PotentialPreset, theta_bundle
@@ -74,7 +74,6 @@ SAMPLES = [
         regularity=RegularityEvidence(**_regularity()))),
     (RootedTree, lambda: dict(children=(bush(2), LEAF))),
     (TwistWord, lambda: dict(steps=((1, 1), (2, 2)))),
-    (ProductSpec, lambda: dict(factors=(TwistWord(((1, 1),)), TwistWord(())))),
     (Germ, lambda: dict(dim=2, constant=Fraction(1, 2), covectors=frozenset({(1, 0)}),
                         note="one covector")),
     (UnimodularWitness, lambda: dict(matrix=((1, 1), (0, 1)))),
