@@ -258,11 +258,10 @@ def _assemble_cofactors(gens, nonzero_indices, shifts, cofs, target):
 class RegularityResult(Value):
     """Outcome of the Koszul regularity certificate for a Laurent potential."""
 
-    __slots__ = _fields = ("regular", "quotient_dimension", "zero_directions", "note")
+    __slots__ = _fields = ("regular", "quotient_dimension", "zero_directions")
 
-    def __init__(self, regular, quotient_dimension, zero_directions,
-                 note=REGULARITY_CRITERION_NOTE):
-        self._init(regular, quotient_dimension, zero_directions, note)
+    def __init__(self, regular, quotient_dimension, zero_directions):
+        self._init(regular, quotient_dimension, zero_directions)
 
     def __bool__(self):
         return self.regular
@@ -357,11 +356,11 @@ class H0Evidence(Value):
 
 class RegularityEvidence(Value):
     __slots__ = _fields = (
-        "hom_description", "regular", "quotient_dimension", "zero_directions", "note"
+        "hom_description", "regular", "quotient_dimension", "zero_directions"
     )
 
-    def __init__(self, hom_description, regular, quotient_dimension, zero_directions, note):
-        self._init(hom_description, regular, quotient_dimension, zero_directions, note)
+    def __init__(self, hom_description, regular, quotient_dimension, zero_directions):
+        self._init(hom_description, regular, quotient_dimension, zero_directions)
 
     @property
     def passed(self) -> bool:
@@ -400,7 +399,7 @@ class CertificateReport(Value):
                 "regular": self.regularity.regular,
                 "quotient_dimension": self.regularity.quotient_dimension,
                 "zero_directions": list(self.regularity.zero_directions),
-                "note": self.regularity.note,
+                "note": REGULARITY_CRITERION_NOTE,
                 "passed": self.regularity.passed,
             },
         }
@@ -436,14 +435,13 @@ def certify_nondisplaceable(
     potential: Potential,
     h0_hom: RingHom | None = None,
     regularity_hom: RingHom | None = None,
-    strict: bool = False,
 ) -> CertificateReport:
     """Run both certificate halves and assemble the verdict.
 
     Without an explicit `h0_hom` the identity homomorphism is used, which
     decides degree-zero survival exactly; a user-supplied homomorphism is
     honored as the evidence route, so its failure is inconclusive rather
-    than a disproof.  `strict` raises when the verdict is not "certified".
+    than a disproof.
     """
     vs = potential.toric_differential()
     hom = h0_hom or RingHom.identity(potential.ring, potential.variables)
@@ -465,7 +463,6 @@ def certify_nondisplaceable(
             regular=result.regular,
             quotient_dimension=result.quotient_dimension,
             zero_directions=result.zero_directions,
-            note=result.note,
         )
 
     if h0.passed and regularity is not None and regularity.passed:
@@ -490,7 +487,7 @@ def certify_nondisplaceable(
             "inconclusive",
         )
 
-    report = CertificateReport(
+    return CertificateReport(
         verdict=verdict,
         token=token,
         potential_str=str(potential.poly),
@@ -500,14 +497,11 @@ def certify_nondisplaceable(
         h0=h0,
         regularity=regularity,
     )
-    if strict and token != "certified":
-        raise InconclusiveCertificate(verdict)
-    return report
 
 
-def search_h0_hom(potential: Potential, target_var: str = "t", exponent_bound: int = 2):
+def search_h0_hom(potential: Potential, exponent_bound: int = 2):
     """Brute-force search for a univariate collapse witnessing a proper
-    ideal: every generator is sent to a power of one variable with exponent
+    ideal: every generator is sent to a power of one variable t with exponent
     in [-bound, bound].  Returns the first homomorphism found, or None.
     Raises `CapExceeded`, before trying any, when the (2 bound + 1)^n
     candidates number more than `HOM_SEARCH_BUDGET`."""
@@ -525,7 +519,7 @@ def search_h0_hom(potential: Potential, target_var: str = "t", exponent_bound: i
     span = range(-exponent_bound, exponent_bound + 1)
     for exponents in itertools.product(span, repeat=len(names)):
         hom = RingHom.from_monomials(
-            ring, (target_var,), {name: (e,) for name, e in zip(names, exponents)}
+            ring, ("t",), {name: (e,) for name, e in zip(names, exponents)}
         )
         membership = ideal_contains_one([hom.apply(v) for v in vs])
         if not membership.contains_one:

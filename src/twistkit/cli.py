@@ -43,14 +43,9 @@ DEFAULT_SEED = 2010
 
 
 class RunConfig(Value):
-    """Everything one invocation needs; reports are a function of this value.
-
-    Unlike the other values it is mutable, and so unhashable."""
+    """Everything one invocation needs; reports are a function of this value."""
 
     __slots__ = _fields = ("command", "params", "format", "seed", "expect", "out")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, command, params=None, format="text", seed=DEFAULT_SEED, expect=None,
                  out=None):
@@ -170,6 +165,8 @@ def _resolve_bundle(config: RunConfig):
         return bundle.potential, bundle.h0_hom, bundle.regularity_hom, source
     potential = potential_from_json(data)
     homs = data.get("homs", {})
+    if not isinstance(homs, dict):
+        raise ValueError(f'"homs" must be an object, got {type(homs).__name__}')
     h0 = hom_from_json(homs["h0"]) if "h0" in homs else None
     reg = hom_from_json(homs["regularity"]) if "regularity" in homs else None
     return potential, h0, reg, source

@@ -147,17 +147,6 @@ class _Working:
         d = lcm(*[c.denominator for c in terms.values()])
         return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
 
-    def clear_vector(self, vector, scale):
-        """(ints, den): int dicts and a den > 0 with ints / den == scale * vector."""
-        if self.gf2:
-            return [dict(v.terms) for v in vector], 1
-        den = lcm(*[c.denominator for v in vector for c in v.terms.values()])
-        ints = [
-            {e: c.numerator * scale * (den // c.denominator) for e, c in v.terms.items()}
-            for v in vector
-        ]
-        return ints, den
-
     def rational(self, poly, div, mul=1):
         """The ring's coefficients of mul * poly / div (div and mul are 1 over GF2)."""
         if self.gf2:
@@ -263,11 +252,9 @@ class _Working:
         return remainder, den, scale
 
 
-def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
-    """Full remainder of `poly` modulo `basis`; optionally tracks cofactors.
+def normal_form(poly: LaurentPoly, basis):
+    """Full remainder of `poly` modulo `basis`, as `(remainder, None)`.
 
-    If cofactors are tracked, the invariant `tracked_total = sum(cof_i * gen_i)`
-    is preserved, where the generators are those the basis cofactors refer to.
     Zero elements of `basis` divide nothing and are skipped.
     """
     ring, variables = poly.ring, poly.variables
@@ -275,22 +262,17 @@ def normal_form(poly: LaurentPoly, basis, cof=None, basis_cofs=None):
         raise UnsupportedRing("normal forms need a field (GF2 or Rational)")
     w = _Working(ring)
     divisors = []
-    for j, g in enumerate(basis):
+    for g in basis:
         if g.ring is not ring or g.variables != variables:
             raise VariableMismatch("normal_form: basis element lives in another ring")
         if g.is_zero:
             continue
-        d, terms = w.clear(g.terms)
+        _, terms = w.clear(g.terms)
         lm = w.lead(terms)
-        dcofs, dden = (None, 1) if cof is None else w.clear_vector(basis_cofs[j], d)
-        divisors.append((lm, terms[lm], terms, dcofs, dden))
+        divisors.append((lm, terms[lm], terms, None, 1))
     d, work = w.clear(poly.terms)
-    work_cofs, den = (None, 1) if cof is None else w.clear_vector(cof, d)
-    remainder, den, scale = w.reduce(work, divisors, work_cofs, den)
-    if cof is not None:
-        cof[:] = [LaurentPoly._new(ring, variables, w.rational(c, den * d * scale))
-                  for c in work_cofs]
-    return LaurentPoly._new(ring, variables, w.rational(remainder, d * scale)), cof
+    remainder, _, scale = w.reduce(work, divisors, None, 1)
+    return LaurentPoly._new(ring, variables, w.rational(remainder, d * scale)), None
 
 
 def groebner_basis(gens, with_cofactors=False):

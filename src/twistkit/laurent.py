@@ -184,10 +184,10 @@ class LaurentPoly:
         return cls(ring, variables, {tuple(exps): coeff})
 
     @classmethod
-    def var(cls, ring, variables, name, power=1):
+    def var(cls, ring, variables, name):
         variables = tuple(variables)
         exps = [0] * len(variables)
-        exps[variables.index(name)] = power
+        exps[variables.index(name)] = 1
         return cls.monomial(ring, variables, exps)
 
     # -- structure ---------------------------------------------------------
@@ -401,13 +401,11 @@ class RingHom:
             self.images[name] = poly
 
     @classmethod
-    def from_monomials(cls, ring, variables, exponents: dict, coeffs: dict = None):
-        """Build from {generator: exponent vector}; optional unit coefficients."""
+    def from_monomials(cls, ring, variables, exponents: dict):
+        """Build from {generator: exponent vector}, each image with coefficient 1."""
         variables = tuple(variables)
-        coeffs = coeffs or {}
         images = {
-            name: LaurentPoly.monomial(ring, variables, exps, coeffs.get(name, ring.one))
-            for name, exps in exponents.items()
+            name: LaurentPoly.monomial(ring, variables, exps) for name, exps in exponents.items()
         }
         return cls(ring, variables, images)
 

@@ -19,7 +19,7 @@ from ._value import Value
 from .certificates import CertificateReport, certify_nondisplaceable
 from .discs import ConstraintTable, DiscClass, HomologyBasis, enumerate_candidate_classes
 from .germs import Germ
-from .laurent import GF2, RATIONAL, CoefficientRing, RingHom
+from .laurent import GF2, RATIONAL, RingHom
 from .pearl import Potential
 
 THETA_RING_NAMES = ("R", "T", "S1", "S2")
@@ -53,11 +53,29 @@ def theta_constraint_table() -> ConstraintTable:
     )
 
 
-def theta_potential(ring: CoefficientRing = GF2) -> Potential:
+def theta_potential() -> Potential:
     """Potential of the twist torus: each of the five candidate classes is
     represented by exactly one disc (multiplicity one)."""
     classes = enumerate_candidate_classes(theta_constraint_table())
-    return Potential(ring, theta_basis(), [(cls, 1) for cls in classes])
+    return Potential(GF2, theta_basis(), [(cls, 1) for cls in classes])
+
+
+def _regularity_hom(basis: HomologyBasis) -> RingHom:
+    """Carrying generators to independent rational variables z1, z2, ... in
+    order, surface generators to 1 (the generic-monomial shape for
+    regularity)."""
+    carriers = basis.boundary_indices
+    return RingHom.from_monomials(
+        RATIONAL,
+        tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
+        {name: tuple(int(j == c) for c in carriers) for j, name in enumerate(basis.ring_names)},
+    )
+
+
+def _collapse_hom(table: ConstraintTable) -> RingHom:
+    """Each generator to t^(Maslov index / 2)."""
+    pairs = zip(table.basis.ring_names, table.maslov_vector)
+    return RingHom.from_monomials(GF2, ("t",), {name: (m // 2,) for name, m in pairs})
 
 
 def theta_h0_hom() -> RingHom:
@@ -70,17 +88,12 @@ def theta_h0_hom() -> RingHom:
 def theta_maslov_collapse_hom() -> RingHom:
     """Collapse by half the Maslov index; too coarse: the image ideal
     becomes the whole ring, so this homomorphism certifies nothing."""
-    return RingHom.from_monomials(
-        GF2, ("t",), {"R": (1,), "T": (0,), "S1": (2,), "S2": (2,)}
-    )
+    return _collapse_hom(theta_constraint_table())
 
 
 def theta_regularity_hom() -> RingHom:
-    """Carrying generators to independent rational variables, surface
-    generators to 1 (the generic-monomial shape for regularity)."""
-    return RingHom.from_monomials(
-        RATIONAL, ("z1", "z2"), {"R": (1, 0), "T": (0, 1), "S1": (0, 0), "S2": (0, 0)}
-    )
+    """R -> z1, T -> z2, S1 and S2 -> 1."""
+    return _regularity_hom(theta_basis())
 
 
 class PotentialPreset(Value):
@@ -96,23 +109,21 @@ class PotentialPreset(Value):
         """The disc classes whose monomials make up the potential."""
         return tuple(cls for cls, _ in self.potential.provenance)
 
-    def certify(self, **kwargs) -> CertificateReport:
+    def certify(self) -> CertificateReport:
         return certify_nondisplaceable(
-            self.potential,
-            h0_hom=self.h0_hom,
-            regularity_hom=self.regularity_hom,
-            **kwargs,
+            self.potential, h0_hom=self.h0_hom, regularity_hom=self.regularity_hom
         )
 
 
 def theta_bundle() -> PotentialPreset:
+    table = theta_constraint_table()
     return PotentialPreset(
         name="theta_s2xs2",
-        table=theta_constraint_table(),
+        table=table,
         potential=theta_potential(),
         h0_hom=theta_h0_hom(),
-        regularity_hom=theta_regularity_hom(),
-        collapse_hom=theta_maslov_collapse_hom(),
+        regularity_hom=_regularity_hom(table.basis),
+        collapse_hom=_collapse_hom(table),
     )
 
 
@@ -138,10 +149,8 @@ def product_bundle(a: int, b: int) -> PotentialPreset:
     rows, boundary rows and candidate classes are padded with zeros outside
     the block.  The product's candidate classes are exactly the padded
     factor classes, each carrying one disc, so the potential is their sum.
-    The H0 homomorphism is the identity; the regularity homomorphism sends
-    the carrying generators to z1, z2, ... in order and the sphere
-    generators to 1; the collapse sends each generator to t^(Maslov index
-    / 2), as `theta_maslov_collapse_hom` does for theta.
+    The H0 homomorphism is the identity; the regularity and collapse
+    homomorphisms follow the same rules as theta's.
     """
     if a < 0 or b < 0 or a + b == 0:
         raise ValueError(f"theta^{a} x C^{b} needs nonnegative counts and one factor")
@@ -171,22 +180,16 @@ def product_bundle(a: int, b: int) -> PotentialPreset:
         n_torus_rank=len(boundary),
         ring_names=tuple(ring_names),
     )
-    carriers = basis.boundary_indices
+    table = ConstraintTable(basis, tuple(rows), tuple(maslov), 2)
     return PotentialPreset(
         name=f"theta^{a} x C^{b}",
-        table=ConstraintTable(basis, tuple(rows), tuple(maslov), 2),
+        table=table,
         potential=Potential(
             GF2, basis, [(DiscClass(c, basis.boundary_of(c)), 1) for c in classes]
         ),
         h0_hom=RingHom.identity(GF2, basis.ring_names),
-        regularity_hom=RingHom.from_monomials(
-            RATIONAL,
-            tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
-            {name: tuple(int(j == c) for c in carriers) for j, name in enumerate(ring_names)},
-        ),
-        collapse_hom=RingHom.from_monomials(
-            GF2, ("t",), {name: (m // 2,) for name, m in zip(ring_names, maslov)}
-        ),
+        regularity_hom=_regularity_hom(basis),
+        collapse_hom=_collapse_hom(table),
     )
 
 

@@ -321,10 +321,6 @@ def test_maslov_collapse_fails_the_h0_check():
     bundle = product_bundle(2, 0)  # the same collapse on each factor
     report = certify_nondisplaceable(bundle.potential, h0_hom=bundle.collapse_hom)
     assert report.h0.contains_one and report.token == "inconclusive"
-    with pytest.raises(InconclusiveCertificate):
-        certify_nondisplaceable(
-            theta_potential(), h0_hom=theta_maslov_collapse_hom(), strict=True
-        )
 
 
 def test_unit_potential_is_definitively_not_certified():
@@ -684,6 +680,16 @@ def test_auxiliary_names_are_fresh_per_block():
     result = ideal_contains_one(gens)
     assert not result.contains_one
     assert {g.variables for g in result.generators} == {("w1", "w10"), ("x", "w2")}
+
+
+def test_auxiliary_name_skips_every_taken_name():
+    # "w" and "w0" are ring variables, so the one block's auxiliary is "w1"
+    v = ("w", "w0")
+    w, w0 = (LaurentPoly.var(RATIONAL, v, name) for name in v)
+    result = ideal_contains_one([w + w0, w - LaurentPoly.one(RATIONAL, v)])
+    assert not result.contains_one
+    assert [str(g) for g in result.generators] == ["w - 1", "w0 + 1", "w1 + 1"]
+    assert {g.variables for g in result.generators} == {("w", "w0", "w1")}
 
 
 def test_unused_variable_leaves_the_quotient_infinite():

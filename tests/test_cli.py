@@ -253,6 +253,9 @@ WRONG_SHAPES = {
         **potential_to_json(theta_potential()), "classes": [{"coefficients": 5}]}),
     "hom images a list": ("certify", {**potential_to_json(theta_potential()), "homs": {
         "h0": {"ring": "GF2", "variables": ["t"], "images": [[[1], "1"]]}}}),
+    # read as "no homomorphisms" before, so the identity H0 check ran
+    "homs a list": ("certify", {**potential_to_json(theta_potential()), "homs": [{"h0": 1}]}),
+    "homs a string": ("certify", {**potential_to_json(theta_potential()), "homs": "none"}),
 }
 
 

@@ -682,6 +682,18 @@ def test_repr_shows_children_only():
     )
 
 
+def test_str_is_the_printed_form():
+    assert str(LEAF) == "L"
+    assert str(RootedTree((bush(2), LEAF))) == "((L L) L)"
+    forest = parse_forest("(L (L L)) * L")
+    # trees sorted by their printed form
+    assert str(forest) == print_forest(forest) == "(L (L L)) * L"
+    assert repr(forest) == "RootedForest('(L (L L)) * L')"
+    twin = parse_forest("L * (L (L L))")
+    assert twin == forest and hash(twin) == hash(forest) == hash(forest.trees)
+    assert len({forest, twin, parse_forest("L * L")}) == 2
+
+
 def test_pickle_and_deepcopy_keep_the_stored_fields():
     tree = word_to_tree(TwistWord(((2, 1), (1, 3), (3, 2))))
     for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):

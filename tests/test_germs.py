@@ -186,6 +186,14 @@ def test_displaceable_neighbour_value():
     assert germ_value(germ, (Fraction(1, 2), Fraction(1, 4))) == 1 + s + Fraction(1, 4)
 
 
+def test_str_shows_the_constant_and_the_sorted_covectors():
+    assert str(theta_germ()) == "1 + min{ <a, .> : a in {(-1, -1), (-1, 1), (1, 0)} }"
+    assert str(theta_s0_germ()) == "3/4 + min{ <a, .> : a in {(1, -1)} }"
+    assert str(clifford_germ()) == (
+        "1 + min{ <a, .> : a in {(-1, 0), (0, -1), (0, 1), (1, 0)} }"
+    )
+
+
 def test_value_dimension_check():
     with pytest.raises(DimensionMismatch):
         germ_value(clifford_germ(), (1,))

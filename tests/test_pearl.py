@@ -332,6 +332,24 @@ def test_element_validation():
         PearlElement.generator(GF2, V, 2, 0) + PearlElement.generator(GF2, V, 3, 0)
 
 
+def test_element_str_repr_and_hash():
+    v = ("x", "y")
+    x, y = (LaurentPoly.var(RATIONAL, v, name) for name in v)
+    one = LaurentPoly.one(RATIONAL, v)
+    element = PearlElement(RATIONAL, v, 2, {(0, 1): x * x, (0,): x + y, (): one})
+    # components by degree, then by index tuple; q1 is the first dual generator
+    assert str(element) == "(1) 1 + (x + y) q1 + (x^2) q1^q2"
+    assert repr(element) == "PearlElement(Rational, '(1) 1 + (x + y) q1 + (x^2) q1^q2')"
+    zero = PearlElement(GF2, V, 2, {})
+    assert (str(zero), repr(zero)) == ("0", "PearlElement(GF2, '0')")
+    same = PearlElement(RATIONAL, v, 2, {(): one, (0,): y + x, (0, 1): x * x})
+    assert same == element and hash(same) == hash(element)
+    assert hash(element) == hash(
+        ("Rational", v, 2, frozenset({(): one, (0,): x + y, (0, 1): x * x}.items()))
+    )
+    assert len({element, same, zero, PearlElement.generator(GF2, V, 2, 0)}) == 3
+
+
 def test_wedge_normalization_signs():
     x = ("x",)
     one = LaurentPoly.one(RATIONAL, x)
