@@ -262,9 +262,11 @@ def run(config: RunConfig) -> tuple[int, str]:
     try:
         payload, lines, token = _HANDLERS[config.command](config)
     # an input error: a bad file (a JSONDecodeError is a ValueError), or one of
-    # the wrong shape, such as a number where a list belongs (a TypeError) or
-    # a list where an object belongs (an AttributeError)
-    except (TwistKitError, OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+    # the wrong shape, such as a number where a list belongs (a TypeError), a
+    # list where an object belongs (an AttributeError) or a fraction "1/0" (a
+    # ZeroDivisionError)
+    except (TwistKitError, OSError, KeyError, ValueError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
         return 2, f"error: {type(exc).__name__}: {exc}"
     except RecursionError:
         return 2, (
@@ -351,19 +353,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except TwistKitError as exc:
+        code, rendered = run(config)
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        else:
+            print(rendered)
+    # a malformed option, or an --out path that cannot be written
+    except (TwistKitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    code, rendered = run(config)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    else:
-        print(rendered)
     return code
 
 

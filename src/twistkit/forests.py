@@ -498,10 +498,6 @@ class _Parser:
     def try_eat(self, literal: str) -> bool:
         self._skip_ws()
         if self.text.startswith(literal, self.pos):
-            # keyword tokens must not run into a longer identifier
-            end = self.pos + len(literal)
-            if literal.isalpha() and end < len(self.text) and self.text[end].isalpha():
-                return False
             self.pos += len(literal)
             return True
         return False

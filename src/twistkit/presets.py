@@ -4,6 +4,8 @@ The `theta_s2xs2` preset is the two-dimensional twist torus inside the
 product of two spheres of area 2: five holomorphic cycles give the
 intersection rows, the Maslov row has target 2, and the five candidate
 classes all carry a unique disc, so the potential is their plain sum.
+A `PotentialPreset` is a table and an H0 homomorphism; it derives its
+potential and its other two homomorphisms from the table by one rule each.
 `product_bundle` builds the product tori theta^a x C^b from the theta table
 and the table of the equator circle C in one sphere.  The germ presets are
 the product-torus germ (four covectors), the twist-torus germ (three
@@ -53,31 +55,6 @@ def theta_constraint_table() -> ConstraintTable:
     )
 
 
-def theta_potential() -> Potential:
-    """Potential of the twist torus: each of the five candidate classes is
-    represented by exactly one disc (multiplicity one)."""
-    classes = enumerate_candidate_classes(theta_constraint_table())
-    return Potential(GF2, theta_basis(), [(cls, 1) for cls in classes])
-
-
-def _regularity_hom(basis: HomologyBasis) -> RingHom:
-    """Carrying generators to independent rational variables z1, z2, ... in
-    order, surface generators to 1 (the generic-monomial shape for
-    regularity)."""
-    carriers = basis.boundary_indices
-    return RingHom.from_monomials(
-        RATIONAL,
-        tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
-        {name: tuple(int(j == c) for c in carriers) for j, name in enumerate(basis.ring_names)},
-    )
-
-
-def _collapse_hom(table: ConstraintTable) -> RingHom:
-    """Each generator to t^(Maslov index / 2)."""
-    pairs = zip(table.basis.ring_names, table.maslov_vector)
-    return RingHom.from_monomials(GF2, ("t",), {name: (m // 2,) for name, m in pairs})
-
-
 def theta_h0_hom() -> RingHom:
     """Collapse onto one variable that keeps the image ideal proper."""
     return RingHom.from_monomials(
@@ -85,24 +62,40 @@ def theta_h0_hom() -> RingHom:
     )
 
 
-def theta_maslov_collapse_hom() -> RingHom:
-    """Collapse by half the Maslov index; too coarse: the image ideal
-    becomes the whole ring, so this homomorphism certifies nothing."""
-    return _collapse_hom(theta_constraint_table())
-
-
-def theta_regularity_hom() -> RingHom:
-    """R -> z1, T -> z2, S1 and S2 -> 1."""
-    return _regularity_hom(theta_basis())
-
-
 class PotentialPreset(Value):
-    __slots__ = _fields = (
-        "name", "table", "potential", "h0_hom", "regularity_hom", "collapse_hom"
-    )
+    """A torus given by its constraint table and its H0 homomorphism.
 
-    def __init__(self, name, table, potential, h0_hom, regularity_hom, collapse_hom):
-        self._init(name, table, potential, h0_hom, regularity_hom, collapse_hom)
+    The rest is derived from the table once, at construction:
+    `potential` is the GF2 sum of the table's candidate classes (each
+    carries one disc); `regularity_hom` sends the boundary-carrying
+    generators to rational variables z1, z2, ... in order and the surface
+    generators to 1 (the generic-monomial shape for regularity); and
+    `collapse_hom` sends each generator to t^(Maslov index / 2).
+    """
+
+    _fields = ("name", "table", "h0_hom")
+    __slots__ = _fields + ("potential", "regularity_hom", "collapse_hom")
+
+    def __init__(self, name, table, h0_hom):
+        self._init(name, table, h0_hom)
+        basis = table.basis
+        carriers = basis.boundary_indices
+        classes = enumerate_candidate_classes(table)
+        derived = {
+            "potential": Potential(GF2, basis, [(cls, 1) for cls in classes]),
+            "regularity_hom": RingHom.from_monomials(
+                RATIONAL,
+                tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
+                {name: tuple(int(j == c) for c in carriers)
+                 for j, name in enumerate(basis.ring_names)},
+            ),
+            "collapse_hom": RingHom.from_monomials(
+                GF2, ("t",),
+                {name: (m // 2,) for name, m in zip(basis.ring_names, table.maslov_vector)},
+            ),
+        }
+        for field, value in derived.items():
+            object.__setattr__(self, field, value)
 
     @property
     def classes(self) -> tuple[DiscClass, ...]:
@@ -116,15 +109,23 @@ class PotentialPreset(Value):
 
 
 def theta_bundle() -> PotentialPreset:
-    table = theta_constraint_table()
-    return PotentialPreset(
-        name="theta_s2xs2",
-        table=table,
-        potential=theta_potential(),
-        h0_hom=theta_h0_hom(),
-        regularity_hom=_regularity_hom(table.basis),
-        collapse_hom=_collapse_hom(table),
-    )
+    return PotentialPreset("theta_s2xs2", theta_constraint_table(), theta_h0_hom())
+
+
+def theta_potential() -> Potential:
+    """Potential of the twist torus: the sum of its five candidate classes."""
+    return theta_bundle().potential
+
+
+def theta_maslov_collapse_hom() -> RingHom:
+    """Collapse by half the Maslov index; too coarse: the image ideal
+    becomes the whole ring, so this homomorphism certifies nothing."""
+    return theta_bundle().collapse_hom
+
+
+def theta_regularity_hom() -> RingHom:
+    """R -> z1, T -> z2, S1 and S2 -> 1."""
+    return theta_bundle().regularity_hom
 
 
 def circle_constraint_table() -> ConstraintTable:
@@ -146,22 +147,16 @@ def product_bundle(a: int, b: int) -> PotentialPreset:
 
     Factor i (theta factors first) contributes its table as one diagonal
     block: its generator, ring and row names get the suffix _i, and its
-    rows, boundary rows and candidate classes are padded with zeros outside
-    the block.  The product's candidate classes are exactly the padded
-    factor classes, each carrying one disc, so the potential is their sum.
-    The H0 homomorphism is the identity; the regularity and collapse
-    homomorphisms follow the same rules as theta's.
+    rows and boundary rows are padded with zeros outside the block.  The
+    candidate classes of this table are the padded factor classes.  The H0
+    homomorphism is the identity; the rest is derived as for every preset.
     """
     if a < 0 or b < 0 or a + b == 0:
         raise ValueError(f"theta^{a} x C^{b} needs nonnegative counts and one factor")
-    theta, circle = (
-        (t, enumerate_candidate_classes(t))
-        for t in (theta_constraint_table(), circle_constraint_table())
-    )
-    factors = [theta] * a + [circle] * b
-    width = sum(len(t.basis.names) for t, _ in factors)
-    names, ring_names, boundary, rows, maslov, classes = [], [], [], [], [], []
-    for i, (t, factor_classes) in enumerate(factors, start=1):
+    factors = [theta_constraint_table()] * a + [circle_constraint_table()] * b
+    width = sum(len(t.basis.names) for t in factors)
+    names, ring_names, boundary, rows, maslov = [], [], [], [], []
+    for i, t in enumerate(factors, start=1):
         before = len(names)
         after = width - before - len(t.basis.names)
 
@@ -173,7 +168,6 @@ def product_bundle(a: int, b: int) -> PotentialPreset:
         boundary += [pad(row) for row in t.basis.boundary_matrix]
         rows += [(f"{label}_{i}", pad(vec)) for label, vec in t.rows]
         maslov += t.maslov_vector
-        classes += [pad(c.coefficients) for c in factor_classes]
     basis = HomologyBasis(
         names=tuple(names),
         boundary_matrix=tuple(boundary),
@@ -181,16 +175,7 @@ def product_bundle(a: int, b: int) -> PotentialPreset:
         ring_names=tuple(ring_names),
     )
     table = ConstraintTable(basis, tuple(rows), tuple(maslov), 2)
-    return PotentialPreset(
-        name=f"theta^{a} x C^{b}",
-        table=table,
-        potential=Potential(
-            GF2, basis, [(DiscClass(c, basis.boundary_of(c)), 1) for c in classes]
-        ),
-        h0_hom=RingHom.identity(GF2, basis.ring_names),
-        regularity_hom=_regularity_hom(basis),
-        collapse_hom=_collapse_hom(table),
-    )
+    return PotentialPreset(f"theta^{a} x C^{b}", table, RingHom.identity(GF2, basis.ring_names))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,20 @@ def test_certify_matches_frozen_golden_output():
     )
     assert code == 0
     assert rendered == GOLDEN_CERTIFY
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("classes", "text"), ("classes", "json"), ("pearl", "text"), ("pearl", "json"),
+    ("certify", "text"),
+])
+def test_preset_reports_match_frozen_golden_files(command, fmt, capsys):
+    """The preset's reports as `twist-kit` prints them, frozen byte for byte."""
+    assert main([command, "--preset", "theta_s2xs2", "--format", fmt]) == 0
+    expected = (GOLDEN / f"theta_s2xs2.{command}.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_reports_are_byte_identical_across_runs():
@@ -256,6 +271,11 @@ WRONG_SHAPES = {
     # read as "no homomorphisms" before, so the identity H0 check ran
     "homs a list": ("certify", {**potential_to_json(theta_potential()), "homs": [{"h0": 1}]}),
     "homs a string": ("certify", {**potential_to_json(theta_potential()), "homs": "none"}),
+    # a zero denominator in a fraction field
+    "germ constant 1/0": ("germ", {"dim": 2, "constant": "1/0", "covectors": [[1, 0], [0, 1]]}),
+    "hom coefficient 1/0": ("certify", {**potential_to_json(theta_potential()), "homs": {
+        "h0": {"ring": "GF2", "variables": ["t"],
+               "images": {name: [[1], "1/0"] for name in ("R", "T", "S1", "S2")}}}}),
 }
 
 
@@ -511,6 +531,13 @@ def test_main_entry_point_and_out_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "isomorphic: true" in captured.out
+    # an --out path that cannot be written is an input error, not a traceback
+    for path, error in ((tmp_path / "missing" / "x.txt", "FileNotFoundError"),
+                        (tmp_path, "IsADirectoryError")):
+        assert main(["trees", "3", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
 
 
 def test_no_color_env_disables_ansi(monkeypatch, capsys):

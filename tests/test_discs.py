@@ -378,14 +378,25 @@ def test_witness_ray_lies_in_the_recession_cone():
 
 def product(symbols):
     """The table of a product of theta (T) and circle (C) factors, theta
-    first, and its padded factor classes."""
-    bundle = product_bundle(symbols.count("T"), symbols.count("C"))
-    return bundle.table, {c.coefficients for c in bundle.classes}
+    first, and its padded factor classes, padded here from the factors'
+    hand-written classes (not enumerated from the product table)."""
+    factors = sorted(symbols, key="TC".index)
+    widths = [4 if s == "T" else 2 for s in factors]
+    classes = set()
+    for i, s in enumerate(factors):
+        before, after = sum(widths[:i]), sum(widths[i + 1:])
+        classes |= {(0,) * before + c + (0,) * after
+                    for c in (THETA_CLASSES if s == "T" else C_CLASSES)}
+    return product_bundle(symbols.count("T"), symbols.count("C")).table, classes
 
 
 def test_product_classes_are_the_padded_factor_classes():
     table, classes = product("TC")
     assert classes == {c + (0, 0) for c in THETA_CLASSES} | {(0,) * 4 + c for c in C_CLASSES}
+    # a product preset's classes are its table's, in lexicographic order
+    for symbols in ("T", "C", "TC", "CC", "TTC"):
+        bundle = product_bundle(symbols.count("T"), symbols.count("C"))
+        assert [c.coefficients for c in bundle.classes] == sorted(product(symbols)[1])
     assert table.basis.ring_names == ("R_1", "T_1", "S1_1", "S2_1", "R_2", "S_2")
     assert table.basis.boundary_matrix == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
                                            (0, 0, 0, 0, 1, 0))

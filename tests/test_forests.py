@@ -230,6 +230,10 @@ def test_parse_product_with_circle():
 def test_parse_point_alias_and_whitespace():
     assert parse_forest(" point ") == parse_forest("L")
     assert parse_forest("( L  ( L L ) )") == parse_forest("(L (L L))")
+    # whitespace is insignificant between any two tokens, two leaves too
+    for text in ("(LL)", "(Lpoint)", "(pointL)", "(pointpoint)"):
+        assert parse_forest(text) == parse_forest("(L L)")
+    assert parse_forest("((LL)L)*L") == parse_forest("((L L) L) * L")
 
 
 def test_parse_errors_carry_offsets():
@@ -256,6 +260,8 @@ def test_parse_errors_carry_offsets():
         ("", 0, "L, point, twist"),
         ("L L", 2, "end of input"),
         ("point x", 6, "end of input"),
+        ("twist(1;2)", 9, "@"),  # a step needs its leaf index
+        ("twist 1", 6, "\\("),
     ):
         with pytest.raises(ParseError, match=rf"offset {offset} \(expected {expected}\)") as err:
             parse_word(text)

@@ -50,7 +50,7 @@ def _regularity():
 
 def _preset():
     bundle = theta_bundle()
-    names = ("name", "table", "potential", "h0_hom", "regularity_hom", "collapse_hom")
+    names = ("name", "table", "h0_hom")
     return {name: getattr(bundle, name) for name in names}
 
 
