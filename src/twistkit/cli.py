@@ -4,7 +4,14 @@ Subcommands: trees, iso, classes, pearl, certify, germ.  Reports are emitted
 as text (default) or deterministic JSON (`--format json`, sorted keys).  The
 CLI is a thin adapter: every computation is a library call.
 
-Exit codes: 0 success, 1 a result contradicting `--expect`, 2 input errors.
+Outside data (the `--in` tables and potentials, germ files, the `iso`
+expressions, the n and cap of `trees`) becomes twistkit values only through
+`_read`, the one input boundary.
+
+Exit codes: 0 success, 1 a result contradicting `--expect`, 2 an input error,
+reported as one `error: <Type>: <message>` line on stderr (never on stdout or
+in the `--out` file).  Any other exception is a program fault: it ends in a
+traceback with exit 1.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ DEFAULT_SEED = 2010
 
 
 class RunConfig(Value):
-    """Everything one invocation needs; reports are a function of this value."""
+    """Everything one invocation needs; reports are a function of this value,
+    except that a `certify` verdict printed to a terminal (no `out`) is
+    coloured."""
 
     __slots__ = _fields = ("command", "params", "format", "seed", "expect", "out")
 
@@ -52,21 +61,31 @@ class RunConfig(Value):
         self._init(command, {} if params is None else params, format, seed, expect, out)
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("TWISTKIT_NO_COLOR"):
+def _on_terminal(config: RunConfig) -> bool:
+    """Whether the report is printed to a terminal that wants colour."""
+    if config.out or os.environ.get("TWISTKIT_NO_COLOR"):
         return False
     return hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
 
 
-def _style(text: str, code: str) -> str:
-    if not _color_enabled():
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read(convert, *args, path=None):
+    """`convert(*args)`, or `convert` of the JSON in the file at `path`: the
+    one step that turns outside data into twistkit values.  A shape error in
+    it (bad JSON is a ValueError, a number where a list belongs a TypeError,
+    a list where an object belongs an AttributeError, a fraction "1/0" a
+    ZeroDivisionError) is an input error, a `TwistKitError` chained from the
+    original; an `OSError` of the file passes through."""
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                args = (json.load(fh),)
+        return convert(*args)
+    except RecursionError as exc:
+        raise TwistKitError(
+            f"input nested beyond the interpreter's recursion limit ({sys.getrecursionlimit()})"
+        ) from exc
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise TwistKitError(exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +95,8 @@ def _load_json(path: str) -> dict:
 def _cmd_trees(config: RunConfig):
     n = config.params["n"]
     cap = config.params.get("cap", DEFAULT_ENUMERATION_CAP)
+    _read(check_enumeration_size, n, cap)
     if config.params.get("count_only", False):
-        check_enumeration_size(n, cap)
         count = count_ample_trees(n)
         payload = {"n": n, "cap": cap, "count": count}
         lines = []
@@ -91,8 +110,8 @@ def _cmd_trees(config: RunConfig):
 
 
 def _cmd_iso(config: RunConfig):
-    left = parse_forest(config.params["left"])
-    right = parse_forest(config.params["right"])
+    left = _read(parse_forest, config.params["left"])
+    right = _read(parse_forest, config.params["right"])
     result = is_isomorphic(left, right)
     payload = {
         "left": config.params["left"],
@@ -105,10 +124,10 @@ def _cmd_iso(config: RunConfig):
     return payload, lines, "isomorphic" if result else "not-isomorphic"
 
 
-def _preset_or_file(config: RunConfig, known: dict):
-    """`(preset value, None, source)` for `--preset`, looked up in `known`
-    and called, or `(None, file JSON, source)` for `--in`; exactly one of
-    the two must be given."""
+def _preset_or_file(config: RunConfig, known: dict, of_preset, of_json):
+    """`(of_preset(known[preset]()), source)` for `--preset`, or
+    `(of_json(file JSON), source)` for `--in`, read through `_read`; exactly
+    one of the two must be given."""
     preset = config.params.get("preset")
     path = config.params.get("infile")
     if preset and path:
@@ -116,21 +135,15 @@ def _preset_or_file(config: RunConfig, known: dict):
     if preset:
         if preset not in known:
             raise TwistKitError(f"unknown preset {preset!r}; known: {sorted(known)}")
-        return known[preset](), None, f"preset:{preset}"
+        return of_preset(known[preset]()), f"preset:{preset}"
     if path:
-        return None, _load_json(path), f"file:{path}"
+        return _read(of_json, path=path), f"file:{path}"
     raise TwistKitError("need --preset or --in")
 
 
-def _resolve_table(config: RunConfig):
-    table, data, source = _preset_or_file(config, presets.CONSTRAINT_PRESETS)
-    if data is None:
-        return table, None, source
-    return (*table_from_json(data), source)
-
-
 def _cmd_classes(config: RunConfig):
-    table, file_bounds, source = _resolve_table(config)
+    (table, file_bounds), source = _preset_or_file(
+        config, presets.CONSTRAINT_PRESETS, lambda table: (table, None), table_from_json)
     bounds = config.params.get("bounds") or file_bounds
     classes = enumerate_candidate_classes(table, bounds=bounds)
     monomials = [
@@ -159,21 +172,25 @@ def _cmd_classes(config: RunConfig):
     return payload, lines, str(len(classes))
 
 
-def _resolve_bundle(config: RunConfig):
-    bundle, data, source = _preset_or_file(config, presets.POTENTIAL_PRESETS)
-    if data is None:
-        return bundle.potential, bundle.h0_hom, bundle.regularity_hom, source
+def _bundle_from_json(data: dict):
+    """`(potential, H0 hom or None, regularity hom or None)` of a potential file."""
     potential = potential_from_json(data)
     homs = data.get("homs", {})
     if not isinstance(homs, dict):
         raise ValueError(f'"homs" must be an object, got {type(homs).__name__}')
     h0 = hom_from_json(homs["h0"]) if "h0" in homs else None
     reg = hom_from_json(homs["regularity"]) if "regularity" in homs else None
-    return potential, h0, reg, source
+    return potential, h0, reg
+
+
+def _resolve_bundle(config: RunConfig):
+    return _preset_or_file(
+        config, presets.POTENTIAL_PRESETS,
+        lambda bundle: (bundle.potential, bundle.h0_hom, bundle.regularity_hom), _bundle_from_json)
 
 
 def _cmd_pearl(config: RunConfig):
-    potential, _, _, source = _resolve_bundle(config)
+    (potential, _, _), source = _resolve_bundle(config)
     vs = potential.toric_differential()
     n = len(potential.r_names)
     d2_rows = []
@@ -198,13 +215,12 @@ def _cmd_pearl(config: RunConfig):
 
 
 def _cmd_certify(config: RunConfig):
-    potential, h0_hom, regularity_hom, source = _resolve_bundle(config)
+    (potential, h0_hom, regularity_hom), source = _resolve_bundle(config)
     report = certify_nondisplaceable(potential, h0_hom=h0_hom, regularity_hom=regularity_hom)
     payload = {"source": source, **report.to_json_dict()}
     lines = report.to_text()
-    verdict_line = lines[-1]
-    color = "32" if report.token == "certified" else "31"
-    lines[-1] = _style(verdict_line, color)
+    if _on_terminal(config):
+        lines[-1] = f"\x1b[{'32' if report.token == 'certified' else '31'}m{lines[-1]}\x1b[0m"
     return payload, lines, report.token
 
 
@@ -212,7 +228,7 @@ def _resolve_germ(ref: str):
     if ref in presets.GERM_PRESETS:
         return presets.GERM_PRESETS[ref](), f"preset:{ref}"
     if os.path.exists(ref):
-        return germ_from_json(_load_json(ref)), f"file:{ref}"
+        return _read(germ_from_json, path=ref), f"file:{ref}"
     raise TwistKitError(
         f"{ref!r} is neither a germ preset ({sorted(presets.GERM_PRESETS)}) nor a file"
     )
@@ -258,22 +274,9 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch a config; returns (exit code, rendered report)."""
-    try:
-        payload, lines, token = _HANDLERS[config.command](config)
-    # an input error: a bad file (a JSONDecodeError is a ValueError), or one of
-    # the wrong shape, such as a number where a list belongs (a TypeError), a
-    # list where an object belongs (an AttributeError) or a fraction "1/0" (a
-    # ZeroDivisionError)
-    except (TwistKitError, OSError, KeyError, ValueError, TypeError, AttributeError,
-            ZeroDivisionError) as exc:
-        return 2, f"error: {type(exc).__name__}: {exc}"
-    except RecursionError:
-        return 2, (
-            "error: input nested beyond the interpreter's recursion limit "
-            f"({sys.getrecursionlimit()})"
-        )
-
+    """Dispatch a config; returns (exit code, rendered report), or raises a
+    `TwistKitError` or an `OSError` on bad input."""
+    payload, lines, token = _HANDLERS[config.command](config)
     payload = {"schema": SCHEMA, "command": config.command, "seed": config.seed, **payload}
     if config.format == "json":
         rendered = json.dumps(payload, sort_keys=True, indent=2)
@@ -348,6 +351,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             lo, hi = (int(x) for x in params["bounds"].split(","))
         except ValueError:
             raise TwistKitError(f"--bounds wants 'a,b', got {params['bounds']!r}") from None
+        if lo > hi:
+            raise TwistKitError(f"--bounds wants a <= b, got {params['bounds']!r}")
         params["bounds"] = (lo, hi)
     return RunConfig(params=params, **settings)
 
@@ -362,9 +367,10 @@ def main(argv=None) -> int:
                 fh.write(rendered + "\n")
         else:
             print(rendered)
-    # a malformed option, or an --out path that cannot be written
+    # an input error, or an --out path that cannot be written; the type named
+    # is that of the exception first raised, which `_read` chains as the cause
     except (TwistKitError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc.__cause__ or exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -32,10 +32,15 @@ def as_int(x) -> int:
 
 def as_names(x) -> tuple:
     """`x`, a list of names, as a tuple; a string raises `ValueError` rather
-    than being read as one name per character."""
+    than being read as one name per character, and so does a name that is
+    not a string."""
     if isinstance(x, str):
         raise ValueError(f"{x!r} is a string, not a list of names")
-    return tuple(x)
+    names = tuple(x)
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"name {name!r} is not a string")
+    return names
 
 
 def mat(rows):

@@ -8,6 +8,7 @@ import pytest
 
 from twistkit.cli import DEFAULT_SEED, RunConfig, main, run
 from twistkit.discs import enumerate_candidate_classes, table_to_json
+from twistkit.errors import TwistKitError
 from twistkit.forests import canonical_form, enumerate_ample_trees
 from twistkit.germs import germ_to_json
 from twistkit.pearl import potential_to_json
@@ -50,6 +51,22 @@ GOLDEN_CERTIFY = """\
 def run_json(command, params, **kwargs):
     code, rendered = run(RunConfig(command=command, params=params, format="json", **kwargs))
     return code, json.loads(rendered) if rendered.startswith("{") else rendered
+
+
+def run_error(config):
+    """The line `main` prints for the input error that `run(config)` raises:
+    `error: <Type>: <message>`, Type that of the exception first raised."""
+    with pytest.raises((TwistKitError, OSError)) as info:
+        run(config)
+    exc = info.value
+    return f"error: {type(exc.__cause__ or exc).__name__}: {exc}"
+
+
+def error_line(capsys):
+    """The one `error:` line a failed `main` call wrote, all of it on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured
+    return captured.err
 
 
 def test_classes_preset_lists_the_five_classes():
@@ -155,9 +172,9 @@ def test_trees_count_reports_match_the_enumerated_ones():
 def test_trees_count_checks_size_before_cap():
     for n, cap, error in ((0, 16, "ValueError"), (0, -1, "ValueError"), (17, 16, "CapExceeded")):
         for count_only in (False, True):
-            code, rendered = run(RunConfig(
+            rendered = run_error(RunConfig(
                 command="trees", params={"n": n, "cap": cap, "count_only": count_only}))
-            assert code == 2 and rendered.startswith(f"error: {error}: ")
+            assert rendered.startswith(f"error: {error}: ")
 
 
 def test_deep_twist_word_is_compared(capsys):
@@ -172,9 +189,9 @@ def test_input_nested_beyond_the_recursion_limit_is_an_input_error(tmp_path, cap
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     assert main(["classes", "--in", str(path)]) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("error: ") and out.count("\n") == 1
-    assert "recursion limit" in out
+    err = error_line(capsys)
+    assert err.startswith("error: ")
+    assert "recursion limit" in err
 
 
 def test_pearl_command_prints_potential_and_differentials():
@@ -225,13 +242,12 @@ def test_non_integral_file_entries_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "constant": "1", "covectors": [[0.5, 1], [1, 0]]}),
                     encoding="utf-8")
     assert main(["germ", str(path), "theta"]) == 2
-    assert capsys.readouterr().out == "error: ValueError: 0.5 is not an integer\n"
+    assert error_line(capsys) == "error: ValueError: 0.5 is not an integer\n"
     data = table_to_json(theta_constraint_table())
     for key, value in (("maslov", [2, 0, 4.5, 4]), ("boundary", [[1.7, 0, 0, 0], [0, 1, 0, 0]])):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({**data, key: value}), encoding="utf-8")
-        code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
-        assert code == 2
+        rendered = run_error(RunConfig(command="classes", params={"infile": str(path)}))
         assert rendered.startswith("error: ValueError: ") and "is not an integer" in rendered
 
 
@@ -254,9 +270,9 @@ def test_null_boolean_and_string_integer_fields_exit_two(tmp_path, capsys):
         path.write_text(json.dumps(data), encoding="utf-8")
         argv = [command, str(path), "theta"] if command == "germ" else [command, "--in", str(path)]
         assert main(argv) == 2, data
-        out = capsys.readouterr().out
-        assert out.startswith("error: ValueError: ") and out.count("\n") == 1, out
-        assert "integer" in out, out
+        err = error_line(capsys)
+        assert err.startswith("error: ValueError: "), err
+        assert "integer" in err, err
 
 
 WRONG_SHAPES = {
@@ -271,6 +287,14 @@ WRONG_SHAPES = {
     # read as "no homomorphisms" before, so the identity H0 check ran
     "homs a list": ("certify", {**potential_to_json(theta_potential()), "homs": [{"h0": 1}]}),
     "homs a string": ("certify", {**potential_to_json(theta_potential()), "homs": "none"}),
+    # a name that is not a string, refused by the reader, not found by the pipeline
+    "basis name null": ("classes", {**table_to_json(theta_constraint_table()),
+                                    "basis": [None, "D_tau", "S1", "S2"]}),
+    "ring name null": ("certify", {**potential_to_json(theta_potential()),
+                                   "ring_names": [None, "T", "S1", "S2"]}),
+    "hom variable a number": ("certify", {**potential_to_json(theta_potential()), "homs": {
+        "h0": {"ring": "GF2", "variables": [1],
+               "images": {name: [[1], "1"] for name in ("R", "T", "S1", "S2")}}}}),
     # a zero denominator in a fraction field
     "germ constant 1/0": ("germ", {"dim": 2, "constant": "1/0", "covectors": [[1, 0], [0, 1]]}),
     "hom coefficient 1/0": ("certify", {**potential_to_json(theta_potential()), "homs": {
@@ -286,8 +310,8 @@ def test_a_file_of_the_wrong_shape_is_an_input_error(case, tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     argv = [command, str(path), "theta"] if command == "germ" else [command, "--in", str(path)]
     assert main(argv) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("error: ") and out.count("\n") == 1, out
+    err = error_line(capsys)
+    assert err.startswith("error: "), err
 
 
 def test_a_string_for_a_list_of_names_is_an_input_error(tmp_path, capsys):
@@ -307,7 +331,7 @@ def test_a_string_for_a_list_of_names_is_an_input_error(tmp_path, capsys):
     for command, data, shown in cases:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main([command, "--in", str(path)]) == 2
-        assert capsys.readouterr().out == (
+        assert error_line(capsys) == (
             f"error: ValueError: {shown} is a string, not a list of names\n"
         )
 
@@ -318,7 +342,7 @@ def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):
     path = tmp_path / "germ.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["germ", str(path), str(path)]) == 2
-    assert capsys.readouterr().out == (
+    assert error_line(capsys) == (
         "error: CapExceeded: germs: 1001000 ordered 2-tuples of covectors exceed "
         "the permutation budget of 1000000\n"
     )
@@ -348,7 +372,7 @@ def test_certify_over_the_pair_budget_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 2)
     groebner._reduced_basis.cache_clear()
     assert main(["certify", "--preset", "theta_s2xs2"]) == 2
-    assert capsys.readouterr().out == (
+    assert error_line(capsys) == (
         "error: CapExceeded: groebner: the Buchberger loop exceeds the pair budget of 2 S-pairs\n"
     )
 
@@ -362,13 +386,12 @@ def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
             "maslov": [0, 2]}
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
-    assert (code, rendered) == (2, over)
+    assert run_error(RunConfig(command="classes", params={"infile": str(path)})) == over
     # the same interval as the file's box, which the walk meets the same way
     data = {**data, "rows": data["rows"][:1], "bounds": [[0, 10**9], [0, 2]]}
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["classes", "--in", str(path)]) == 2
-    assert capsys.readouterr().out == over + "\n"
+    assert error_line(capsys) == over + "\n"
     # a box of 41^4 points is no refusal: the walk tries only what the region allows
     assert main(["classes", "--preset", "theta_s2xs2", "--bounds=-20,20", "--expect", "5"]) == 0
 
@@ -379,9 +402,8 @@ def test_malformed_bounds_in_problem_file_exit_two(tmp_path):
     for bounds in ([], [3], [-3, 3, 5], [[-3, 3], [0, 1]], [[-3, 3, 1]] * 4, "3", [-3, 3.5],
                    [3, -3], [[-4, 2], [2, -2], [0, 2], [0, 2]]):
         path.write_text(json.dumps({**data, "bounds": bounds}), encoding="utf-8")
-        code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
-        assert code == 2, bounds
-        assert rendered.startswith("error: ValueError"), rendered
+        rendered = run_error(RunConfig(command="classes", params={"infile": str(path)}))
+        assert rendered.startswith("error: ValueError"), (bounds, rendered)
     path.write_text(json.dumps({**data, "bounds": [[-4, 2], [-2, 2], [0, 2], [0, 2]]}),
                     encoding="utf-8")
     code, payload = run_json("classes", {"infile": str(path)})
@@ -422,12 +444,11 @@ def test_duplicate_names_in_a_potential_file_exit_two(tmp_path, capsys):
     path = tmp_path / "potential.json"
     path.write_text(json.dumps({**data, "ring_names": ["R", "R", "S1", "S2"]}), encoding="utf-8")
     assert main(["certify", "--in", str(path)]) == 2
-    assert capsys.readouterr().out == "error: ValueError: ring names must be distinct\n"
+    assert error_line(capsys) == "error: ValueError: ring names must be distinct\n"
     h0 = {**hom_to_json(theta_h0_hom()), "variables": ["t", "t"]}
     h0["images"] = {name: [[e, 0], c] for name, ([e], c) in h0["images"].items()}
     path.write_text(json.dumps({**data, "homs": {"h0": h0}}), encoding="utf-8")
-    code, rendered = run(RunConfig(command="certify", params={"infile": str(path)}))
-    assert code == 2
+    rendered = run_error(RunConfig(command="certify", params={"infile": str(path)}))
     assert rendered == "error: ValueError: target variables must be distinct, got ('t', 't')"
 
 
@@ -441,8 +462,7 @@ def test_unbounded_problem_is_an_input_error(tmp_path):
     }
     path = tmp_path / "unbounded.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    code, rendered = run(RunConfig(command="classes", params={"infile": str(path)}))
-    assert code == 2
+    rendered = run_error(RunConfig(command="classes", params={"infile": str(path)}))
     assert "UnboundedRegion" in rendered
 
 
@@ -452,29 +472,25 @@ def test_string_target_in_problem_file_exits_two(tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({**data, "target": target}), encoding="utf-8")
         assert main(["classes", "--in", str(path)]) == 2
-        assert capsys.readouterr().out == (
+        assert error_line(capsys) == (
             f"error: ValueError: target Maslov index must be an integer, got {target!r}\n"
         )
 
 
 def test_missing_preset_and_file_are_input_errors():
-    code, rendered = run(RunConfig(command="classes", params={"preset": "nope"}))
-    assert code == 2
+    rendered = run_error(RunConfig(command="classes", params={"preset": "nope"}))
     assert "nope" in rendered
-    code, rendered = run(RunConfig(command="classes", params={}))
-    assert code == 2
+    run_error(RunConfig(command="classes", params={}))
     for command in ("pearl", "certify"):
-        code, rendered = run(RunConfig(command=command, params={"preset": "nope"}))
-        assert (code, rendered) == (
-            2, "error: TwistKitError: unknown preset 'nope'; known: ['theta_s2xs2']"
-        )
-        code, rendered = run(RunConfig(command=command, params={}))
-        assert (code, rendered) == (2, "error: TwistKitError: need --preset or --in")
-    code, rendered = run(RunConfig(command="germ", params={"left": "theta", "right": "nope"}))
-    assert (code, rendered) == (2, (
+        rendered = run_error(RunConfig(command=command, params={"preset": "nope"}))
+        assert rendered == "error: TwistKitError: unknown preset 'nope'; known: ['theta_s2xs2']"
+        rendered = run_error(RunConfig(command=command, params={}))
+        assert rendered == "error: TwistKitError: need --preset or --in"
+    rendered = run_error(RunConfig(command="germ", params={"left": "theta", "right": "nope"}))
+    assert rendered == (
         "error: TwistKitError: 'nope' is neither a germ preset "
         "(['clifford_2', 'theta', 'theta_s0']) nor a file"
-    ))
+    )
 
 
 def test_main_maps_every_argument_to_the_config(capsys):
@@ -482,7 +498,7 @@ def test_main_maps_every_argument_to_the_config(capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("12 ample tree(s) with 5 leaves\n", "")
     assert main(["trees", "5", "--count", "--cap", "4"]) == 2
-    assert capsys.readouterr().out == (
+    assert error_line(capsys) == (
         "error: CapExceeded: 5 leaves exceeds the enumeration cap 4\n"
     )
     assert main(["classes", "--preset", "theta_s2xs2", "--bounds=0,1", "--expect", "1"]) == 0
@@ -501,6 +517,11 @@ def test_empty_bounds_is_an_input_error(capsys):
     assert captured.err == "error: TwistKitError: --bounds wants 'a,b', got ''\n"
 
 
+def test_empty_bound_interval_is_refused_where_it_is_read(capsys):
+    assert main(["classes", "--preset", "theta_s2xs2", "--bounds=5,1"]) == 2
+    assert error_line(capsys) == "error: TwistKitError: --bounds wants a <= b, got '5,1'\n"
+
+
 def test_preset_and_file_together_are_an_input_error(tmp_path, capsys):
     """Both sources at once are refused before either is read, so a missing
     file is not silently ignored."""
@@ -510,14 +531,41 @@ def test_preset_and_file_together_are_an_input_error(tmp_path, capsys):
                           ("certify", "/nonexistent.json")):
         assert main([command, "--preset", "theta_s2xs2", "--in", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "error: TwistKitError: give --preset or --in, not both\n"
-        assert captured.err == ""
+        assert captured.out == ""
+        assert captured.err == "error: TwistKitError: give --preset or --in, not both\n"
 
 
 def test_parse_errors_exit_two():
-    code, rendered = run(RunConfig(command="iso", params={"left": "(L", "right": "L"}))
-    assert code == 2
+    rendered = run_error(RunConfig(command="iso", params={"left": "(L", "right": "L"}))
     assert "ParseError" in rendered
+
+
+def test_a_word_the_forest_constructor_refuses_is_an_input_error(capsys):
+    assert main(["iso", "twist(0)", "L"]) == 2
+    assert error_line(capsys) == "error: ValueError: twist multiplicity k_1 = 0 must be >= 1\n"
+
+
+def test_a_program_fault_is_not_an_input_error(monkeypatch):
+    """Only the input boundary turns a TypeError into an input error; one
+    raised in the pipeline propagates out of `main`."""
+    from twistkit import groebner
+
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr("twistkit.certificates.groebner_basis", broken)
+    groebner._reduced_basis.cache_clear()
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["certify", "--preset", "theta_s2xs2"])
+
+
+def test_an_input_error_never_reaches_the_out_file(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["classes", "--preset", "nope", "--out", str(out)]) == 2
+    assert error_line(capsys) == (
+        "error: TwistKitError: unknown preset 'nope'; known: ['theta_s2xs2']\n"
+    )
+    assert not out.exists()
 
 
 def test_main_entry_point_and_out_file(tmp_path, capsys):
@@ -556,6 +604,17 @@ def test_color_used_on_tty_without_env(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "\x1b[32m" in captured.out
+
+
+def test_out_file_is_never_coloured(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("TWISTKIT_NO_COLOR", raising=False)
+    monkeypatch.setattr("sys.stdout.isatty", lambda: True, raising=False)
+    out = tmp_path / "report.txt"
+    assert main(["certify", "--preset", "theta_s2xs2", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    report = out.read_text(encoding="utf-8")
+    assert "\x1b" not in report
+    assert report == (GOLDEN / "theta_s2xs2.certify.text").read_text(encoding="utf-8")
 
 
 def test_default_seed_is_fixed():
