@@ -73,7 +73,7 @@ from .germs import (
     germ_value,
     transform_germ,
 )
-from .laurent import GF2, INT, RATIONAL, CoefficientRing, LaurentPoly, RingHom
+from .laurent import GF2, RATIONAL, CoefficientRing, LaurentPoly, RingHom
 from .pearl import (
     PearlElement,
     Potential,

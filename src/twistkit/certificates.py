@@ -180,10 +180,6 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
         return IdealMembershipResult(False, "gcd", ())
     ring = gens[0].ring
     variables = gens[0].variables
-    if not ring.is_field:
-        raise UnsupportedRing(
-            "ideal membership needs a field; use GF2 or Rational coefficients"
-        )
     if any(g.ring is not ring or g.variables != variables for g in gens):
         raise VariableMismatch("generators live in different rings")
     nonzero_indices = [i for i, g in enumerate(gens) if not g.is_zero]
@@ -506,8 +502,6 @@ def search_h0_hom(potential: Potential, exponent_bound: int = 2):
     Raises `CapExceeded`, before trying any, when the (2 bound + 1)^n
     candidates number more than `HOM_SEARCH_BUDGET`."""
     ring = potential.ring
-    if not ring.is_field:
-        raise UnsupportedRing("hom search needs field coefficients")
     names = potential.variables
     candidates = (2 * exponent_bound + 1) ** len(names)
     if candidates > HOM_SEARCH_BUDGET:

@@ -62,15 +62,18 @@ class Germ(Value):
     def __init__(self, dim, constant, covectors, note=None):
         dim = as_int(dim)
         constant = Fraction(constant)
-        covs = frozenset(tuple(map(as_int, c)) for c in covectors)
-        self._init(dim, constant, covs, note)
+        if isinstance(covectors, str):
+            raise ValueError(f"{covectors!r} is a string, not a list of covectors")
+        # checked in the order given, so an error names the first bad entry
+        covs = [tuple(map(as_int, c)) for c in covectors]
         if not covs:
             raise ValueError("a germ needs at least one covector")
         for c in covs:
-            if len(c) != self.dim:
+            if len(c) != dim:
                 raise DimensionMismatch(
-                    f"covector {c} has length {len(c)}, expected {self.dim}"
+                    f"covector {c} has length {len(c)}, expected {dim}"
                 )
+        self._init(dim, constant, frozenset(covs), note)
 
     def sorted_covectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.covectors))
@@ -235,6 +238,6 @@ def germ_from_json(data: dict) -> Germ:
     return Germ(
         dim=data["dim"],
         constant=Fraction(str(data["constant"])),
-        covectors=frozenset(tuple(c) for c in data["covectors"]),
+        covectors=data["covectors"],
         note=data.get("note"),
     )

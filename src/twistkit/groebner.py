@@ -83,7 +83,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 
-from .errors import CapExceeded, UnsupportedRing, VariableMismatch
+from .errors import CapExceeded, VariableMismatch
 from .laurent import GF2, LaurentPoly
 
 
@@ -258,8 +258,6 @@ def normal_form(poly: LaurentPoly, basis):
     Zero elements of `basis` divide nothing and are skipped.
     """
     ring, variables = poly.ring, poly.variables
-    if not ring.is_field:
-        raise UnsupportedRing("normal forms need a field (GF2 or Rational)")
     w = _Working(ring)
     divisors = []
     for g in basis:
@@ -286,8 +284,6 @@ def groebner_basis(gens, with_cofactors=False):
         raise ValueError("need at least one generator")
     ring = gens[0].ring
     variables = gens[0].variables
-    if not ring.is_field:
-        raise UnsupportedRing("groebner bases need a field (GF2 or Rational)")
     for g in gens:
         if g.ring is not ring or g.variables != variables:
             raise VariableMismatch("generators live in different rings")

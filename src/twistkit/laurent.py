@@ -1,14 +1,14 @@
-"""Exact multivariate Laurent polynomial arithmetic over GF(2), Z, or Q.
+"""Exact multivariate Laurent polynomial arithmetic over the fields GF(2) and Q.
 
 Group rings of free abelian groups are realized as Laurent polynomial rings:
 an element is a finite sum of monomials with integer exponent vectors.  GF(2)
-is the default scalar ring for pearl computations; the rationals are used for
+is the default scalar field for pearl computations; the rationals are used for
 regularity certificates.  All arithmetic is exact.
 
-A `CoefficientRing` has the operations `add`, `mul`, `neg`, `coerce`,
-`is_unit` and `inv`; an integer multiple n·a is `mul(n, a)`, and a scaling
-is a multiplication by the constant monomial.  Coefficients print with
-`str`, in reports and in JSON alike.
+A `CoefficientRing` has the operations `add`, `mul`, `neg`, `coerce` and
+`inv`; an integer multiple n·a is `mul(n, a)`, and a scaling is a
+multiplication by the constant monomial.  Coefficients print with `str`, in
+reports and in JSON alike.
 """
 
 from __future__ import annotations
@@ -25,13 +25,16 @@ _Q_ONE = Fraction(1)
 
 
 class CoefficientRing:
-    """One of the supported exact scalar rings: GF2 (default), Int, Rational."""
+    """One of the two coefficient fields, GF2 (the default) and Rational (Q).
+
+    Both are made when this module is imported; constructing another raises.
+    """
 
     _by_tag: dict[str, "CoefficientRing"] = {}
 
     def __init__(self, tag: str):
-        if tag in CoefficientRing._by_tag:
-            raise ValueError(f"duplicate ring tag {tag}")
+        if tag not in ("GF2", "Rational") or tag in CoefficientRing._by_tag:
+            raise UnsupportedRing(f"the rings are GF2 and Rational, made once each; got {tag!r}")
         self.tag = tag
         self.zero, self.one = (_Q_ZERO, _Q_ONE) if tag == "Rational" else (0, 1)
         CoefficientRing._by_tag[tag] = self
@@ -41,7 +44,8 @@ class CoefficientRing:
         try:
             return cls._by_tag[tag]
         except KeyError:
-            raise UnsupportedRing(f"unknown coefficient ring {tag!r}") from None
+            raise UnsupportedRing(f"unknown coefficient ring {tag!r}; "
+                                  "the rings are GF2 and Rational") from None
 
     def __repr__(self):
         return self.tag
@@ -50,13 +54,9 @@ class CoefficientRing:
         # rings are compared by identity: a copy or an unpickled ring is the one ring
         return CoefficientRing.from_tag, (self.tag,)
 
-    @property
-    def is_field(self) -> bool:
-        return self.tag in ("GF2", "Rational")
-
     def coerce(self, value):
-        """`value` as an element of this ring; a non-integral value is not an
-        element of Int or GF2 and raises `UnsupportedRing`."""
+        """`value` as an element of this field; a non-integral value is not
+        an element of GF2 and raises `UnsupportedRing`."""
         if self.tag == "Rational":
             return Fraction(value)
         if not isinstance(value, int):
@@ -64,7 +64,7 @@ class CoefficientRing:
             if exact.denominator != 1:
                 raise UnsupportedRing(f"{value} is not an element of {self.tag}")
             value = exact.numerator
-        return value % 2 if self.tag == "GF2" else int(value)
+        return value % 2
 
     def parse(self, text: str):
         return self.coerce(Fraction(text))
@@ -78,25 +78,13 @@ class CoefficientRing:
     def neg(self, a):
         return a if self.tag == "GF2" else -a
 
-    def is_unit(self, a) -> bool:
-        if self.tag == "GF2":
-            return a == 1
-        if self.tag == "Int":
-            return a in (1, -1)
-        return a != 0
-
     def inv(self, a):
-        if not self.is_unit(a):
+        if a == 0:
             raise UnsupportedRing(f"{a} is not a unit in {self.tag}")
-        if self.tag == "GF2":
-            return 1
-        if self.tag == "Int":
-            return a
-        return Fraction(1) / a
+        return 1 if self.tag == "GF2" else _Q_ONE / a
 
 
 GF2 = CoefficientRing("GF2")
-INT = CoefficientRing("Int")
 RATIONAL = CoefficientRing("Rational")
 
 
@@ -198,10 +186,8 @@ class LaurentPoly:
 
     @property
     def is_unit_monomial(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        (coeff,) = self.terms.values()
-        return self.ring.is_unit(coeff)
+        # every stored coefficient is nonzero, so a unit of a field
+        return len(self.terms) == 1
 
     def single_term(self):
         ((exps, coeff),) = self.terms.items()
@@ -258,6 +244,8 @@ class LaurentPoly:
     def times_monomial(self, exps, coeff=None):
         ring = self.ring
         exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise VariableMismatch(f"shift {exps} does not match variables {self.variables}")
         c0 = ring.one if coeff is None else ring.coerce(coeff)
         return LaurentPoly(
             ring,
@@ -305,13 +293,12 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: dict):
-        """Exact value at a point (Int/Rational); Laurent terms need nonzero
+        """Exact value at a point (Rational only); Laurent terms need nonzero
         coordinates under negative exponents."""
-        if self.ring is GF2:
-            raise UnsupportedRing("evaluation is supported over Int/Rational only")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = Fraction(coeff)
+        if self.ring is not RATIONAL:
+            raise UnsupportedRing("evaluation is supported over Rational only")
+        total = _Q_ZERO
+        for exps, value in self.terms.items():
             for name, e in zip(self.variables, exps):
                 value *= Fraction(point[name]) ** e
             total += value
@@ -429,15 +416,6 @@ class RingHom:
                 return False
         return True
 
-    def _transport(self, source_ring: CoefficientRing, coeff):
-        if source_ring is self.ring:
-            return coeff
-        if source_ring is INT and self.ring is RATIONAL:
-            return Fraction(coeff)
-        raise UnsupportedRing(
-            f"cannot transport {source_ring} coefficients into {self.ring}"
-        )
-
     def apply(self, poly: LaurentPoly) -> LaurentPoly:
         """The image of `poly`: the images of its terms, in the order the
         source terms come, summed by `_accumulate`."""
@@ -445,6 +423,8 @@ class RingHom:
         if missing:
             raise VariableMismatch(f"no image given for generators {missing}")
         ring = self.ring
+        if poly.ring is not ring:
+            raise UnsupportedRing(f"{ring} homomorphism cannot apply to a {poly.ring} polynomial")
         size = len(self.variables)
         one = ring.one
         # each source variable's index, the nonzero (index, exponent) pairs
@@ -454,9 +434,8 @@ class RingHom:
             img_exps, img_coeff = self.images[name].single_term()
             images.append((k, [(i, ie) for i, ie in enumerate(img_exps) if ie], img_coeff))
         items = []
-        for exps, coeff in poly.terms.items():
+        for exps, out_coeff in poly.terms.items():
             out_exps = [0] * size
-            out_coeff = ring.coerce(self._transport(poly.ring, coeff))
             for k, img_exps, img_coeff in images:
                 e = exps[k]
                 if not e:
@@ -465,7 +444,7 @@ class RingHom:
                     out_exps[i] += ie * e
                 if img_coeff != one:
                     factor = img_coeff if e > 0 else ring.inv(img_coeff)
-                    out_coeff = ring.mul(out_coeff, ring.coerce(factor ** abs(e)))
+                    out_coeff = ring.mul(out_coeff, factor ** abs(e))
             items.append((tuple(out_exps), out_coeff))
         return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, items))
 

@@ -26,7 +26,7 @@ from twistkit.errors import (
     VariableMismatch,
 )
 from twistkit.groebner import contains_constant, groebner_basis, standard_monomials
-from twistkit.laurent import GF2, INT, RATIONAL, LaurentPoly, RingHom
+from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
 from twistkit.pearl import Potential
 from twistkit.presets import (
     circle_constraint_table,
@@ -127,8 +127,16 @@ def test_zero_and_empty_ideals_are_proper():
 
 
 def test_integer_coefficients_are_rejected():
-    with pytest.raises(UnsupportedRing):
-        ideal_contains_one([univ(INT, {0: 1, 1: 1})])
+    # Int is no coefficient ring: a file tagged with it is refused where it
+    # is read, before any certificate runs
+    from twistkit.laurent import poly_from_json
+    from twistkit.pearl import potential_from_json, potential_to_json
+
+    potential = {**potential_to_json(theta_potential()), "ring": "Int"}
+    poly = {"ring": "Int", "variables": ["x"], "terms": [[[1], "1"], [[0], "1"]]}
+    for reader, data in ((potential_from_json, potential), (poly_from_json, poly)):
+        with pytest.raises(UnsupportedRing, match="'Int'; the rings are GF2 and Rational"):
+            reader(data)
 
 
 def test_generators_in_different_rings_are_rejected():
@@ -424,10 +432,7 @@ def test_hom_search_finds_a_proper_collapse():
     assert not ideal_contains_one(images).contains_one
 
 
-def test_hom_search_needs_a_field_and_may_find_nothing():
-    theta = theta_potential()
-    with pytest.raises(UnsupportedRing, match="needs field coefficients"):
-        search_h0_hom(Potential(INT, theta.basis, theta.provenance))
+def test_hom_search_may_find_nothing():
     # U = R: every collapse sends v[R] = R to a unit monomial, so every image
     # ideal is the whole ring
     circle = circle_constraint_table().basis

@@ -237,6 +237,56 @@ def test_germ_command_on_files(tmp_path):
     assert payload["equivalent"] is True
 
 
+def test_germ_file_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashes are salted per process, so an error found by walking a
+    set of a file's entries would name another entry under another
+    PYTHONHASHSEED; seeds 0 and 2 order the bad entries of these files
+    differently."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    cases = [
+        ([[1, 0], [0, "x"], [1, "y"]], "error: ValueError: 'x' is not an integer\n"),
+        ("1/0", "error: ValueError: '1/0' is a string, not a list of covectors\n"),
+    ]
+    path = tmp_path / "germ.json"
+    for covectors, line in cases:
+        path.write_text(json.dumps({"dim": 2, "constant": "1", "covectors": covectors}),
+                        encoding="utf-8")
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            argv = [sys.executable, "-m", "twistkit.cli", "germ", str(path), "theta"]
+            out = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert (out.returncode, out.stdout, out.stderr) == (2, "", line), (seed, out)
+
+
+SIGNED_THETA_PEARL = """\
+potential U = R - 3*R^-1*T*S2 + 2*R^-1*S1 - R^-1*S2 + R^-1*T^-1*S1
+v[R] = R + 3*R^-1*T*S2 - 2*R^-1*S1 + R^-1*S2 - R^-1*T^-1*S1
+v[T] = -3*R^-1*T*S2 - R^-1*T^-1*S1
+d2(dual of R) = R + 3*R^-1*T*S2 - 2*R^-1*S1 + R^-1*S2 - R^-1*T^-1*S1
+d2(dual of T) = -3*R^-1*T*S2 - R^-1*T^-1*S1
+"""
+
+
+def test_an_int_potential_file_is_refused_and_rational_prints_its_report(tmp_path, capsys):
+    # the theta classes with signs; integer coefficients are rational ones,
+    # so the Rational file prints the report an Int-tagged file once did
+    data = potential_to_json(theta_potential())
+    for cls, sign in zip(data["classes"], (1, -1, 2, -3, 1)):
+        cls["sign"] = sign
+    path = tmp_path / "potential.json"
+    for command in ("pearl", "certify"):
+        path.write_text(json.dumps({**data, "ring": "Int"}), encoding="utf-8")
+        assert main([command, "--in", str(path)]) == 2
+        assert error_line(capsys) == (
+            "error: UnsupportedRing: unknown coefficient ring 'Int'; "
+            "the rings are GF2 and Rational\n")
+    path.write_text(json.dumps({**data, "ring": "Rational"}), encoding="utf-8")
+    assert main(["pearl", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == SIGNED_THETA_PEARL
+    code, payload = run_json("certify", {"infile": str(path)})
+    assert (code, payload["token"], payload["h0"]["passed"]) == (0, "partial", True)
+
+
 def test_non_integral_file_entries_exit_two(tmp_path, capsys):
     path = tmp_path / "germ.json"
     path.write_text(json.dumps({"dim": 2, "constant": "1", "covectors": [[0.5, 1], [1, 0]]}),

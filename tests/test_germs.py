@@ -434,6 +434,18 @@ def test_germ_needs_covectors_of_its_dimension():
         Germ(2, 1, frozenset({(1, 0), (0, 1, 0)}))
 
 
+def test_germ_covectors_are_checked_in_the_order_given():
+    # a set of the entries would name whichever its hash order meets first
+    with pytest.raises(DimensionMismatch, match=r"covector \(1, 2, 3\) has length 3"):
+        Germ(2, 1, [[1, 0], [1, 2, 3], [1]])
+    with pytest.raises(ValueError, match="'x' is not an integer"):
+        germ_from_json({"dim": 2, "constant": "1", "covectors": [[1, 0], [0, "x"], [1, "y"]]})
+    # a string is not read one character per covector
+    for covectors in ("1/0", "10"):
+        with pytest.raises(ValueError, match=f"'{covectors}' is a string, not a list"):
+            germ_from_json({"dim": 2, "constant": "1", "covectors": covectors})
+
+
 def test_no_witness_outcomes_are_false_frozen_and_distinct():
     for cls in (NotEquivalent, Indeterminate):
         outcome = cls("why")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from twistkit.errors import NonUnitImage, UnsupportedRing, VariableMismatch
 from twistkit.laurent import (
     GF2,
-    INT,
     RATIONAL,
     CoefficientRing,
     LaurentPoly,
@@ -117,7 +116,7 @@ def test_pow_and_negative_pow():
     assert m**-1 == LaurentPoly.monomial(RATIONAL, v, (-2,), Fraction(1, 3))
     with pytest.raises(UnsupportedRing):
         p**-1
-    for ring, non_unit in ((INT, 2), (GF2, 0), (RATIONAL, Fraction(0))):
+    for ring, non_unit in ((GF2, 0), (RATIONAL, Fraction(0))):
         with pytest.raises(UnsupportedRing, match="is not a unit"):
             ring.inv(non_unit)
 
@@ -129,6 +128,19 @@ def test_variable_mismatch():
         a + b
     with pytest.raises(VariableMismatch):
         a * LaurentPoly(GF2, ("x",), {(1,): 1})
+
+
+def test_times_monomial_checks_the_length_of_its_shift():
+    v = ("x", "y")
+    p = rational(v, {(1, 0): 2})
+    assert p.times_monomial((1, 2)) == rational(v, {(2, 2): 2})
+    # a shift of any other length is refused, not cut to fit
+    for shift in ((1, 2, 3), (1,)):
+        with pytest.raises(VariableMismatch) as info:
+            p.times_monomial(shift)
+        assert str(info.value) == f"shift {shift} does not match variables ('x', 'y')"
+    with pytest.raises(VariableMismatch, match="shift"):
+        LaurentPoly.zero(GF2, v).times_monomial((1,))
 
 
 def test_partial_derivative_from_the_log_derivative():
@@ -171,8 +183,6 @@ def test_hom_rejects_non_unit_images():
     v = ("t",)
     with pytest.raises(NonUnitImage):
         RingHom(GF2, v, {"R": LaurentPoly(GF2, v, {(1,): 1, (0,): 1})})
-    with pytest.raises(NonUnitImage):
-        RingHom(INT, v, {"R": LaurentPoly(INT, v, {(1,): 2})})
     with pytest.raises(NonUnitImage, match="must be a LaurentPoly"):
         RingHom(GF2, v, {"R": 1})
     for image in (LaurentPoly(RATIONAL, v, {(1,): 1}), LaurentPoly(GF2, ("s",), {(1,): 1})):
@@ -233,7 +243,7 @@ def test_evaluation():
     p = rational(v, {(2, -1): Fraction(3), (0, 0): Fraction(1, 2)})
     value = p.evaluate({"x": Fraction(2), "y": Fraction(1, 3)})
     assert value == Fraction(3) * 4 * 3 + Fraction(1, 2)
-    with pytest.raises(UnsupportedRing, match="Int/Rational only"):
+    with pytest.raises(UnsupportedRing, match="Rational only"):
         LaurentPoly(GF2, v, {(1, 0): 1}).evaluate({"x": 1, "y": 1})
 
 
@@ -241,7 +251,7 @@ def test_equal_polynomials_hash_equal():
     """The hash is recomputed on each call from the ring, the variables and
     the terms, so equal values built in different ways hash alike."""
     v = ("x", "y")
-    for ring, c in ((GF2, 1), (INT, -3), (RATIONAL, Fraction(3, 2))):
+    for ring, c in ((GF2, 1), (RATIONAL, Fraction(3, 2))):
         x, y = (LaurentPoly.var(ring, v, name) for name in v)
         built = LaurentPoly(ring, v, {(1, 0): c, (0, 1): 1})
         same = [
@@ -307,8 +317,17 @@ def test_json_name_lists_refuse_a_string():
 def test_ring_registry():
     assert CoefficientRing.from_tag("GF2") is GF2
     assert CoefficientRing.from_tag("Rational") is RATIONAL
-    with pytest.raises(UnsupportedRing):
-        CoefficientRing.from_tag("Z7")
+    for tag in ("Z7", "Int"):
+        with pytest.raises(UnsupportedRing, match="the rings are GF2 and Rational"):
+            CoefficientRing.from_tag(tag)
+
+
+def test_no_third_ring_can_be_made():
+    # the certificates need field coefficients, and these are the two fields
+    for tag in ("Z5", "Int", "GF2", "Rational"):
+        with pytest.raises(UnsupportedRing, match="GF2 and Rational"):
+            CoefficientRing(tag)
+    assert CoefficientRing._by_tag == {"GF2": GF2, "Rational": RATIONAL}
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +338,23 @@ def test_non_integral_exponents_are_rejected():
     for exps in ((1.5,), (Fraction(3, 2),), ("1",)):
         with pytest.raises(ValueError):
             LaurentPoly(GF2, ("x",), {exps: 1})
-    p = LaurentPoly(INT, ("x", "y"), {(2.0, Fraction(-1)): 3})
-    assert p.terms == {(2, -1): 3}
+    p = LaurentPoly(GF2, ("x", "y"), {(2.0, Fraction(-1)): 3})
+    assert p.terms == {(2, -1): 1}
     assert all(type(e) is int for e in next(iter(p.terms)))
     # a term is checked exponent first, then coefficient, one term at a time
     with pytest.raises(ValueError):
-        LaurentPoly(INT, ("x",), {(1.5,): 0.5})
+        LaurentPoly(GF2, ("x",), {(1.5,): 0.5})
     with pytest.raises(VariableMismatch):
-        LaurentPoly(INT, ("x",), {(1, 2): 0.5})
+        LaurentPoly(GF2, ("x",), {(1, 2): 0.5})
     with pytest.raises(UnsupportedRing):
-        LaurentPoly(INT, ("x",), {(1,): 0.5, (1.5,): 1})
+        LaurentPoly(GF2, ("x",), {(1,): 0.5, (1.5,): 1})
 
 
-def test_non_integral_coefficients_are_rejected_over_int_and_gf2():
-    for ring in (INT, GF2):
-        for coeff in (1.5, 0.5, Fraction(3, 2)):
-            with pytest.raises(UnsupportedRing):
-                LaurentPoly(ring, ("x",), {(1,): coeff})
-    assert LaurentPoly(INT, ("x",), {(1,): 4.0}).terms == {(1,): 4}
+def test_non_integral_coefficients_are_rejected_over_gf2():
+    for coeff in (1.5, 0.5, Fraction(3, 2)):
+        with pytest.raises(UnsupportedRing):
+            LaurentPoly(GF2, ("x",), {(1,): coeff})
+    assert LaurentPoly(GF2, ("x",), {(1,): 5.0}).terms == {(1,): 1}
     assert LaurentPoly(GF2, ("x",), {(1,): Fraction(3)}).terms == {(1,): 1}
     assert LaurentPoly(RATIONAL, ("x",), {(1,): 0.5}).terms == {(1,): Fraction(1, 2)}
 
@@ -345,13 +363,13 @@ def test_ring_constants_are_shared():
     assert RATIONAL.zero is RATIONAL.zero and RATIONAL.one is RATIONAL.one
     assert (RATIONAL.zero, RATIONAL.one) == (Fraction(0), Fraction(1))
     assert type(RATIONAL.one) is Fraction
-    assert (GF2.zero, GF2.one, INT.zero, INT.one) == (0, 1, 0, 1)
+    assert (GF2.zero, GF2.one) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
 # polynomials the layer builds for itself (LaurentPoly._new)
 
-COEFF_TYPE = {"GF2": int, "Int": int, "Rational": Fraction}
+COEFF_TYPE = {"GF2": int, "Rational": Fraction}
 
 
 def assert_revalidates(p):
@@ -373,10 +391,12 @@ def term_by_term_apply(hom, poly):
     if missing:
         raise VariableMismatch(f"no image given for generators {missing}")
     ring = hom.ring
+    if poly.ring is not ring:
+        raise UnsupportedRing(f"{ring} homomorphism cannot apply to a {poly.ring} polynomial")
     result = LaurentPoly.zero(ring, hom.variables)
     for exps, coeff in poly.terms.items():
         out_exps = [0] * len(hom.variables)
-        out_coeff = ring.coerce(hom._transport(poly.ring, coeff))
+        out_coeff = coeff
         for name, e in zip(poly.variables, exps):
             img_exps, img_coeff = hom.images[name].single_term()
             for i, ie in enumerate(img_exps):
@@ -389,10 +409,10 @@ def term_by_term_apply(hom, poly):
 
 SOURCE = ("x", "y", "z")
 TARGET = ("s", "t")
-UNITS = {"GF2": (1,), "Int": (1, -1), "Rational": (1, -1, 2, Fraction(-1, 3))}
-COEFFS = {"GF2": (1,), "Int": (1, -1, 2, -3), "Rational": (1, -1, Fraction(1, 2), 3)}
-# (source ring, target ring): Int polynomials transport into Rational homs
-RING_PAIRS = ((GF2, GF2), (INT, INT), (RATIONAL, RATIONAL), (INT, RATIONAL))
+UNITS = {"GF2": (1,), "Rational": (1, -1, 2, Fraction(-1, 3))}
+COEFFS = {"GF2": (1,), "Rational": (1, -1, Fraction(1, 2), 3)}
+# (source ring, target ring): a hom applies to polynomials of its own ring
+RING_PAIRS = ((GF2, GF2), (RATIONAL, RATIONAL))
 
 
 @st.composite
@@ -462,14 +482,15 @@ def test_hom_apply_keeps_the_order_of_a_cancelled_and_returning_term():
     assert_same_as_term_by_term(doubling, inverse_square)
 
 
-def test_hom_apply_transports_only_int_into_rational():
+def test_hom_apply_needs_a_polynomial_of_its_ring():
     hom = RingHom.identity(RATIONAL, ("x",))
-    image = hom.apply(LaurentPoly(INT, ("x",), {(1,): 3}))
+    image = hom.apply(LaurentPoly(RATIONAL, ("x",), {(1,): 3}))
     assert image.terms == {(1,): Fraction(3)} and type(image.terms[(1,)]) is Fraction
-    with pytest.raises(UnsupportedRing):
-        hom.apply(LaurentPoly(GF2, ("x",), {(1,): 1}))
-    # with no terms there is nothing to transport
-    assert hom.apply(LaurentPoly.zero(GF2, ("x",))).is_zero
+    # the ring is checked once per call, so the zero polynomial is refused too
+    for poly in (LaurentPoly(GF2, ("x",), {(1,): 1}), LaurentPoly.zero(GF2, ("x",))):
+        for apply in (hom.apply, lambda p: term_by_term_apply(hom, p)):
+            with pytest.raises(UnsupportedRing, match="Rational homomorphism cannot apply"):
+                apply(poly)
 
 
 def add_by_loop(a, b):
@@ -508,7 +529,7 @@ def ring_polys(ring, variables=("x", "y")):
     )
 
 
-@given(st.sampled_from((GF2, INT, RATIONAL)).flatmap(
+@given(st.sampled_from((GF2, RATIONAL)).flatmap(
     lambda ring: st.tuples(ring_polys(ring), ring_polys(ring))))
 def test_arithmetic_results_revalidate(pair):
     a, b = pair
