@@ -3,10 +3,13 @@
 A subclass names its constructor's parameters, in order, in `_fields`, and
 declares `__slots__`: those fields plus any value it derives from them.
 Equality (between instances of one class only), the hash and the repr are
-those a frozen dataclass generates over `_fields`.  The base imports
-nothing: importing twistkit neither loads `dataclasses` (and with it
-`inspect`, `ast` and `dis`) nor runs a decorator per class.  Assignment and
-deletion raise `dataclasses.FrozenInstanceError`, imported only then.
+those a frozen dataclass generates over `_fields`.  A subclass with a dict
+field overrides `__hash__` to hash the dict as the frozenset of its items,
+where a frozen dataclass would refuse; `RunConfig` keeps that refusal.  The
+base imports nothing: importing twistkit neither loads `dataclasses` (and
+with it `inspect`, `ast` and `dis`) nor runs a decorator per class.
+Assignment and deletion raise `dataclasses.FrozenInstanceError`, imported
+only then.
 """
 
 

@@ -219,30 +219,24 @@ class TwistWord(Value):
         return 1 + sum(k for k, _ in self.steps)
 
 
-class RootedForest:
+class RootedForest(Value):
     """An unordered multiset of rooted trees; dimension = total leaf count.
 
     Trees are stored sorted by their planar serialization, so structural
     equality is multiset equality of planar trees.
     """
 
-    __slots__ = ("trees",)
+    __slots__ = _fields = ("trees",)
 
     def __init__(self, trees):
         trees = tuple(trees)
         if not trees:
             raise ValueError("a forest needs at least one tree")
-        object.__setattr__(self, "trees", tuple(sorted(trees, key=print_tree)))
+        self._init(tuple(sorted(trees, key=print_tree)))
 
     @property
     def dimension(self) -> int:
         return sum(t.leaf_count for t in self.trees)
-
-    def __eq__(self, other):
-        return isinstance(other, RootedForest) and self.trees == other.trees
-
-    def __hash__(self):
-        return hash(self.trees)
 
     def __repr__(self):
         return f"RootedForest({print_forest(self)!r})"

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
+from ._value import Value
 from .errors import NonUnitImage, UnsupportedRing, VariableMismatch
 from .matrices import as_int, as_names
 
@@ -41,11 +42,10 @@ class CoefficientRing:
 
     @classmethod
     def from_tag(cls, tag: str) -> "CoefficientRing":
-        try:
+        # a tag read from a file may be any JSON value, a list among them
+        if isinstance(tag, str) and tag in cls._by_tag:
             return cls._by_tag[tag]
-        except KeyError:
-            raise UnsupportedRing(f"unknown coefficient ring {tag!r}; "
-                                  "the rings are GF2 and Rational") from None
+        raise UnsupportedRing(f"unknown coefficient ring {tag!r}; the rings are GF2 and Rational")
 
     def __repr__(self):
         return self.tag
@@ -108,11 +108,11 @@ def _accumulate(ring: CoefficientRing, terms: dict, items) -> dict:
     return terms
 
 
-class LaurentPoly:
+class LaurentPoly(Value):
     """Immutable Laurent polynomial: a map from integer exponent vectors to
     nonzero coefficients, over a fixed ordered variable tuple."""
 
-    __slots__ = ("ring", "variables", "terms")
+    __slots__ = _fields = ("ring", "variables", "terms")
 
     def __init__(self, ring: CoefficientRing, variables, terms=None):
         variables = tuple(variables)
@@ -124,9 +124,7 @@ class LaurentPoly:
                     f"exponent vector {exps} does not match variables {variables}"
                 )
             items.append((exps, ring.coerce(coeff)))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", _accumulate(ring, {}, items))
+        self._init(ring, variables, _accumulate(ring, {}, items))
 
     @staticmethod
     def _new(ring: CoefficientRing, variables: tuple, terms: dict) -> "LaurentPoly":
@@ -142,13 +140,6 @@ class LaurentPoly:
         _set_variables(poly, variables)
         _set_terms(poly, terms)
         return poly
-
-    def __setattr__(self, *_):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        # unpickling a slotted instance would set its slots through __setattr__
-        return LaurentPoly, (self.ring, self.variables, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -306,14 +297,6 @@ class LaurentPoly:
 
     # -- comparisons / printing ---------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ring is other.ring
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
         return hash((self.ring.tag, self.variables, frozenset(self.terms.items())))
 
@@ -360,7 +343,7 @@ _set_ring, _set_variables, _set_terms = (
 )
 
 
-class RingHom:
+class RingHom(Value):
     """A ring homomorphism determined by unit-monomial images of generators.
 
     Every group-ring generator must be sent to a single monomial with unit
@@ -368,16 +351,16 @@ class RingHom:
     the variable set; constants (zero exponent vectors) are allowed images.
     """
 
+    __slots__ = _fields = ("ring", "variables", "images")
+
     def __init__(self, ring: CoefficientRing, variables, images: dict):
-        self.ring = ring
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"target variables must be distinct, got {self.variables}")
-        self.images: dict[str, LaurentPoly] = {}
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"target variables must be distinct, got {variables}")
         for name, poly in images.items():
             if not isinstance(poly, LaurentPoly):
                 raise NonUnitImage(f"image of {name} must be a LaurentPoly")
-            if poly.ring is not ring or poly.variables != self.variables:
+            if poly.ring is not ring or poly.variables != variables:
                 raise VariableMismatch(
                     f"image of {name} lives in the wrong target ring"
                 )
@@ -385,7 +368,7 @@ class RingHom:
                 raise NonUnitImage(
                     f"image of {name} must be a single monomial with unit coefficient"
                 )
-            self.images[name] = poly
+        self._init(ring, variables, dict(images))
 
     @classmethod
     def from_monomials(cls, ring, variables, exponents: dict):
@@ -453,6 +436,9 @@ class RingHom:
         for name in sorted(self.images):
             parts.append(f"{name} -> {self.images[name]}")
         return ", ".join(parts)
+
+    def __hash__(self):
+        return hash((self.ring.tag, self.variables, frozenset(self.images.items())))
 
     def __repr__(self):
         return f"RingHom({self.ring}, {self.variables}, {self.describe()!r})"

@@ -13,37 +13,38 @@ k-th dual degree-one generator (dual to the boundary of R_k).
 
 from __future__ import annotations
 
+from ._value import Value
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
 from .errors import VariableMismatch
 from .laurent import CoefficientRing, LaurentPoly, _accumulate, poly_to_json
 from .matrices import as_int
 
 
-class Potential:
+class Potential(Value):
     """Signed sum of disc-class monomials over a coefficient ring.
 
     Keeps the class/sign provenance so the same potential can be rebuilt over
     a different ring (the rational rebuild feeds regularity certificates).
-    Over GF2 all signs collapse to 1.
+    Over GF2 all signs collapse to 1.  `variables` (the basis's ring names),
+    `r_names` (the names of the boundary-carrying generators, in torus-factor
+    order) and `poly` are derived once, at construction.
     """
 
+    _fields = ("ring", "basis", "provenance")
+    __slots__ = _fields + ("variables", "r_names", "poly")
+
     def __init__(self, ring: CoefficientRing, basis: HomologyBasis, provenance):
-        self.ring = ring
-        self.basis = basis
-        self.provenance: tuple[tuple[DiscClass, int], ...] = tuple(
-            (cls, as_int(sign)) for cls, sign in provenance
-        )
-        for cls, sign in self.provenance:
+        provenance = tuple((cls, as_int(sign)) for cls, sign in provenance)
+        for cls, sign in provenance:
             if len(cls.coefficients) != len(basis.names):
                 raise VariableMismatch("disc class length does not match basis")
             if sign == 0:
                 raise ValueError("disc-class multiplicities must be nonzero")
-        self.variables = basis.ring_names
-        # names of the boundary-carrying generators, in torus-factor order
-        self.r_names: tuple[str, ...] = tuple(
-            self.variables[j] for j in basis.boundary_indices
-        )
-        self.poly = self.poly_over(ring)
+        self._init(ring, basis, provenance)
+        variables = basis.ring_names
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "r_names", tuple(variables[j] for j in basis.boundary_indices))
+        object.__setattr__(self, "poly", self.poly_over(ring))
 
     def poly_over(self, ring: CoefficientRing) -> LaurentPoly:
         """The potential over `ring`: the classes' signed monomials, in
@@ -64,26 +65,27 @@ def toric_differential(potential: Potential) -> tuple[LaurentPoly, ...]:
     return potential.toric_differential()
 
 
-class PearlElement:
+class PearlElement(Value):
     """Element of the exterior algebra over the group ring: a map from
     strictly increasing tuples of dual-generator indices to coefficients."""
 
+    __slots__ = _fields = ("ring", "variables", "n", "components")
+
     def __init__(self, ring, variables, n, components=None):
-        self.ring = ring
-        self.variables = tuple(variables)
-        self.n = int(n)
+        variables = tuple(variables)
+        n = int(n)
         comps: dict[tuple[int, ...], LaurentPoly] = {}
         for subset, poly in (components or {}).items():
             subset = tuple(subset)
             if tuple(sorted(set(subset))) != subset:
                 raise ValueError(f"exterior index tuple {subset} must be strictly increasing")
-            if subset and (subset[0] < 0 or subset[-1] >= self.n):
+            if subset and (subset[0] < 0 or subset[-1] >= n):
                 raise ValueError(f"exterior index out of range in {subset}")
-            if poly.ring is not ring or poly.variables != self.variables:
+            if poly.ring is not ring or poly.variables != variables:
                 raise VariableMismatch("component coefficients live in the wrong ring")
             if not poly.is_zero:
                 comps[subset] = comps[subset] + poly if subset in comps else poly
-        self.components = {k: v for k, v in comps.items() if not v.is_zero}
+        self._init(ring, variables, n, {k: v for k, v in comps.items() if not v.is_zero})
 
     @staticmethod
     def _new(ring, variables: tuple, n: int, components: dict) -> "PearlElement":
@@ -95,10 +97,10 @@ class PearlElement:
         coefficients are dropped here.
         """
         element = object.__new__(PearlElement)
-        element.ring = ring
-        element.variables = variables
-        element.n = n
-        element.components = {k: v for k, v in components.items() if not v.is_zero}
+        _set_ring(element, ring)
+        _set_variables(element, variables)
+        _set_n(element, n)
+        _set_components(element, {k: v for k, v in components.items() if not v.is_zero})
         return element
 
     # -- constructors --------------------------------------------------------
@@ -183,15 +185,6 @@ class PearlElement:
     def component(self, subset) -> LaurentPoly:
         return self.components.get(tuple(subset), LaurentPoly.zero(self.ring, self.variables))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PearlElement)
-            and self.ring is other.ring
-            and self.variables == other.variables
-            and self.n == other.n
-            and self.components == other.components
-        )
-
     def __hash__(self):
         return hash(
             (self.ring.tag, self.variables, self.n, frozenset(self.components.items()))
@@ -209,6 +202,11 @@ class PearlElement:
 
     def __repr__(self):
         return f"PearlElement({self.ring}, {str(self)!r})"
+
+
+_set_ring, _set_variables, _set_n, _set_components = (
+    getattr(PearlElement, name).__set__ for name in PearlElement._fields
+)
 
 
 def pearl_d2(alpha: PearlElement, potential: Potential) -> PearlElement:

@@ -287,6 +287,21 @@ def test_an_int_potential_file_is_refused_and_rational_prints_its_report(tmp_pat
     assert (code, payload["token"], payload["h0"]["passed"]) == (0, "partial", True)
 
 
+def test_a_ring_tag_that_is_not_a_string_names_the_two_rings(tmp_path, capsys):
+    # a list tag was looked up as a dict key: "TypeError: unhashable type: 'list'"
+    potential = potential_to_json(theta_potential())
+    h0 = {"ring": ["GF2"], "variables": ["t"],
+          "images": {name: [[1], "1"] for name in potential["ring_names"]}}
+    path = tmp_path / "potential.json"
+    for command, data in (("pearl", {**potential, "ring": ["GF2"]}),
+                          ("certify", {**potential, "homs": {"h0": h0}})):
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command, "--in", str(path)]) == 2
+        assert error_line(capsys) == (
+            "error: UnsupportedRing: unknown coefficient ring ['GF2']; "
+            "the rings are GF2 and Rational\n")
+
+
 def test_non_integral_file_entries_exit_two(tmp_path, capsys):
     path = tmp_path / "germ.json"
     path.write_text(json.dumps({"dim": 2, "constant": "1", "covectors": [[0.5, 1], [1, 0]]}),

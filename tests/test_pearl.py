@@ -84,6 +84,7 @@ def test_toric_differential_kills_even_exponents_over_gf2():
     )
     cls = DiscClass((2, 1), (2, 1))
     pot = Potential(GF2, basis, [(cls, 1)])
+    assert repr(pot) == "Potential(GF2, U = R^2*T)"
     v_r, v_t = pot.toric_differential()
     assert v_r.is_zero
     assert v_t == LaurentPoly(GF2, ("R", "T"), {(2, 1): 1})

@@ -1,6 +1,7 @@
 """The value contract of twistkit's record types: frozen, compared and
 hashed by their fields within one class, shown in the dataclass repr
-format, and round-tripped by pickle and deepcopy."""
+format unless they print their own, and round-tripped by pickle and
+deepcopy."""
 
 import copy
 import dataclasses
@@ -19,9 +20,10 @@ from twistkit.certificates import (
 )
 from twistkit.cli import RunConfig
 from twistkit.discs import BoundednessResult, ConstraintTable, DiscClass, HomologyBasis
-from twistkit.forests import LEAF, RootedTree, TwistWord, bush
+from twistkit.forests import LEAF, RootedForest, RootedTree, TwistWord, bush
 from twistkit.germs import Germ, Indeterminate, NotEquivalent, UnimodularWitness, _NoWitness
-from twistkit.laurent import RATIONAL, LaurentPoly
+from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
+from twistkit.pearl import PearlElement, Potential
 from twistkit.presets import PotentialPreset, theta_bundle
 
 BASIS = dict(
@@ -54,6 +56,10 @@ def _preset():
     return {name: getattr(bundle, name) for name in names}
 
 
+def _poly(ring, terms):
+    return LaurentPoly(ring, ("x", "y"), terms)
+
+
 # each type with the keyword arguments of one value, every field given in
 # order and already in the form the constructor stores
 SAMPLES = [
@@ -83,25 +89,19 @@ SAMPLES = [
     (PotentialPreset, _preset),
     (RunConfig, lambda: dict(command="certify", params={"preset": "theta_s2xs2"},
                              format="json", seed=7, expect="certified", out=None)),
+    (LaurentPoly, lambda: dict(ring=RATIONAL, variables=("x", "y"),
+                               terms={(1, 0): Fraction(1, 2), (0, -1): Fraction(-3)})),
+    (RingHom, lambda: dict(ring=GF2, variables=("x", "y"), images={
+        "R": _poly(GF2, {(1, -1): 1}), "S": _poly(GF2, {(0, 0): 1})})),
+    (Potential, lambda: dict(ring=GF2, basis=HomologyBasis(**BASIS), provenance=(
+        (DiscClass((1, 0, 0), (0,)), 1), (DiscClass((0, -1, 1), (-1,)), 3)))),
+    (PearlElement, lambda: dict(ring=RATIONAL, variables=("x", "y"), n=2,
+                                components={(): _poly(RATIONAL, {(1, 0): 1, (0, -1): 1}),
+                                            (0, 1): _poly(RATIONAL, {(2, 2): 5})})),
+    (RootedForest, lambda: dict(trees=(bush(2), LEAF))),
 ]
-
-
-def same(a, b):
-    """Equal values.  A preset's potential and homomorphisms define no `==`,
-    so a copy of a preset is compared through their polynomials."""
-    if not isinstance(a, PotentialPreset):
-        return a == b
-    homs = ("h0_hom", "regularity_hom", "collapse_hom")
-    return (
-        type(a) is type(b)
-        and (a.name, a.table) == (b.name, b.table)
-        and a.potential.poly == b.potential.poly
-        and all(
-            (getattr(a, h).ring, getattr(a, h).variables, getattr(a, h).images)
-            == (getattr(b, h).ring, getattr(b, h).variables, getattr(b, h).images)
-            for h in homs
-        )
-    )
+# these print in their own formats, not the dataclass one
+CUSTOM_REPR = (LaurentPoly, RingHom, Potential, PearlElement, RootedForest)
 
 
 @pytest.mark.parametrize("cls, make", SAMPLES, ids=[cls.__name__ for cls, _ in SAMPLES])
@@ -110,8 +110,9 @@ def test_value_contract(cls, make):
     value, twin = cls(**kwargs), cls(**kwargs)
 
     # repr: the dataclass format over the constructor's fields, in order
-    args = ", ".join(f"{name}={v!r}" for name, v in kwargs.items())
-    assert repr(value) == f"{cls.__qualname__}({args})"
+    if cls not in CUSTOM_REPR:
+        args = ", ".join(f"{name}={v!r}" for name, v in kwargs.items())
+        assert repr(value) == f"{cls.__qualname__}({args})"
 
     # equality and hash over the fields, within the class only
     assert value == twin and not value != twin
@@ -140,7 +141,7 @@ def test_value_contract(cls, make):
               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(value), copy.deepcopy(value)]
     for other in copies:
-        assert type(other) is cls and same(other, value)
+        assert type(other) is cls and other == value
 
 
 def test_results_are_true_exactly_when_their_check_holds():
@@ -157,10 +158,14 @@ def test_copies_keep_derived_fields_and_ring_identity():
     basis = HomologyBasis(**BASIS)
     for other in (pickle.loads(pickle.dumps(basis)), copy.deepcopy(basis)):
         assert other.boundary_indices == basis.boundary_indices == (1,)
+    potential = Potential(**dict(SAMPLES)[Potential]())
+    for other in (pickle.loads(pickle.dumps(potential)), copy.deepcopy(potential)):
+        assert (other.variables, other.r_names, str(other.poly)) == (
+            ("S1", "R1", "S2"), ("R1",), "S1 + R1^-1*S2")
     result = IdealMembershipResult(**_membership())
     for other in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
         assert all(g.ring is RATIONAL for g in other.generators + other.cofactors)
-    config = RunConfig(**SAMPLES[-1][1]())
+    config = RunConfig(**dict(SAMPLES)[RunConfig]())
     other = copy.deepcopy(config)
     other.params["preset"] = "other"
     assert config.params == {"preset": "theta_s2xs2"}
