@@ -69,48 +69,49 @@ class HomologyBasis(Value):
     def __init__(self, names, boundary_matrix, n_torus_rank, ring_names=()):
         names = tuple(names)
         matrix = mat(boundary_matrix)
-        self._init(names, matrix, n_torus_rank)
+        n_torus_rank = as_int(n_torus_rank)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        if len(matrix) != self.n_torus_rank:
+        if len(matrix) != n_torus_rank:
             raise ValueError("boundary matrix must have one row per torus rank")
         for row in matrix:
             if len(row) != len(names):
                 raise ValueError("boundary matrix width must match generator count")
         carriers = tuple(j for j in range(len(names)) if any(row[j] for row in matrix))
-        object.__setattr__(self, "boundary_indices", carriers)
-        if len(carriers) != self.n_torus_rank:
+        if len(carriers) != n_torus_rank:
             raise ValueError(
-                f"{len(carriers)} generators carry boundary; expected {self.n_torus_rank}"
+                f"{len(carriers)} generators carry boundary; expected {n_torus_rank}"
             )
         sub = [[row[j] for j in carriers] for row in matrix]
-        if self.n_torus_rank and abs(mat_det(sub)) != 1:
+        if n_torus_rank and abs(mat_det(sub)) != 1:
             raise ValueError("boundary submatrix on carrying generators must be unimodular")
         if not ring_names:
-            object.__setattr__(self, "ring_names", self._default_ring_names())
+            ring_names = _default_ring_names(len(names), carriers)
         else:
             ring_names = tuple(ring_names)
             if len(ring_names) != len(names):
                 raise ValueError("ring_names must match generator count")
             if len(set(ring_names)) != len(ring_names):
                 raise ValueError("ring names must be distinct")
-            object.__setattr__(self, "ring_names", ring_names)
-
-    def _default_ring_names(self):
-        out = []
-        r = s = 0
-        carriers = set(self.boundary_indices)
-        for j in range(len(self.names)):
-            if j in carriers:
-                r += 1
-                out.append(f"R{r}")
-            else:
-                s += 1
-                out.append(f"S{s}")
-        return tuple(out)
+        self._init(names, matrix, n_torus_rank, ring_names, carriers)
 
     def boundary_of(self, coefficients) -> tuple[int, ...]:
         return tuple(sum(map(mul, row, coefficients)) for row in self.boundary_matrix)
+
+
+def _default_ring_names(count, carriers):
+    """R1, R2, ... for the boundary-carrying generators and S1, S2, ... for
+    the others, in generator order."""
+    out = []
+    r = s = 0
+    for j in range(count):
+        if j in carriers:
+            r += 1
+            out.append(f"R{r}")
+        else:
+            s += 1
+            out.append(f"S{s}")
+    return tuple(out)
 
 
 class ConstraintTable(Value):
@@ -145,15 +146,6 @@ class DiscClass(Value):
 
     def __init__(self, coefficients, boundary_class):
         self._init(tuple(map(as_int, coefficients)), tuple(map(as_int, boundary_class)))
-
-    @classmethod
-    def _new(cls, coefficients, boundary_class):
-        """A class from int tuples the caller built itself, set without the
-        constructor's `as_int` checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "boundary_class", boundary_class)
-        return self
 
 
 class BoundednessResult(Value):

@@ -37,6 +37,7 @@ import operator
 
 from ._value import Value
 from .errors import CapExceeded, InvalidLeafIndex, ParseError
+from .matrices import as_int
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -70,14 +71,13 @@ class RootedTree(Value):
     __slots__ = ("children", "canonical_key", "leaf_count", "_hash")
 
     def __init__(self, children=()):
+        children = tuple(children)
         if children:
             key = _joined_key(children)
             leaves = sum(map(_leaves_of, children))
         else:
             key, leaves = "()", 1
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "canonical_key", key)
-        object.__setattr__(self, "leaf_count", leaves)
+        self._init(children, key, leaves)
 
     def __str__(self) -> str:
         return print_tree(self)
@@ -142,10 +142,7 @@ class RootedTree(Value):
         return _unflatten, (counts,)
 
 
-_set_slots = tuple(
-    getattr(RootedTree, name).__set__ for name in ("children", "canonical_key", "leaf_count")
-)
-_set_hash = RootedTree._hash.__set__
+_set_hash = RootedTree._setters[-1]  # _hash is the last slot
 
 
 def _hash_of(tree):
@@ -160,7 +157,7 @@ def _new_trees(children, keys, leaf_counts) -> tuple[RootedTree, ...]:
     the children give.  The hash slot stays unset
     until the first `__hash__`."""
     trees = tuple(map(object.__new__, itertools.repeat(RootedTree, len(children))))
-    for set_slot, values in zip(_set_slots, (children, keys, leaf_counts)):
+    for set_slot, values in zip(RootedTree._setters, (children, keys, leaf_counts)):
         _consume(map(set_slot, trees, values))
     return trees
 
@@ -201,6 +198,7 @@ class TwistWord(Value):
     __slots__ = _fields = ("steps",)
 
     def __init__(self, steps=()):
+        steps = tuple((as_int(k), as_int(l)) for k, l in steps)
         self._init(steps)
         leaves = 1
         for j, (k, l) in enumerate(steps, start=1):

@@ -110,7 +110,13 @@ def _accumulate(ring: CoefficientRing, terms: dict, items) -> dict:
 
 class LaurentPoly(Value):
     """Immutable Laurent polynomial: a map from integer exponent vectors to
-    nonzero coefficients, over a fixed ordered variable tuple."""
+    nonzero coefficients, over a fixed ordered variable tuple.
+
+    Only twistkit's own arithmetic calls `LaurentPoly._new(ring, variables,
+    terms)`, on terms it built itself: `variables` is a tuple, every
+    exponent vector a tuple of ints of its length, every coefficient a
+    nonzero element of `ring`, and `terms` is not touched again by the caller.
+    """
 
     __slots__ = _fields = ("ring", "variables", "terms")
 
@@ -125,21 +131,6 @@ class LaurentPoly(Value):
                 )
             items.append((exps, ring.coerce(coeff)))
         self._init(ring, variables, _accumulate(ring, {}, items))
-
-    @staticmethod
-    def _new(ring: CoefficientRing, variables: tuple, terms: dict) -> "LaurentPoly":
-        """The polynomial with exactly these terms, made without validation.
-
-        Only twistkit's own arithmetic calls this, on terms it built itself:
-        `variables` is a tuple, every exponent vector a tuple of ints of its
-        length, every coefficient a nonzero element of `ring`, and `terms` is
-        not touched again by the caller.
-        """
-        poly = _new_object(LaurentPoly)
-        _set_ring(poly, ring)
-        _set_variables(poly, variables)
-        _set_terms(poly, terms)
-        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -335,12 +326,6 @@ class LaurentPoly(Value):
 
     def __repr__(self):
         return f"LaurentPoly({self.ring}, {self.variables}, {str(self)!r})"
-
-
-_new_object = object.__new__
-_set_ring, _set_variables, _set_terms = (
-    getattr(LaurentPoly, name).__set__ for name in LaurentPoly.__slots__
-)
 
 
 class RingHom(Value):

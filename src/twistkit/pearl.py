@@ -40,18 +40,14 @@ class Potential(Value):
                 raise VariableMismatch("disc class length does not match basis")
             if sign == 0:
                 raise ValueError("disc-class multiplicities must be nonzero")
-        self._init(ring, basis, provenance)
         variables = basis.ring_names
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "r_names", tuple(variables[j] for j in basis.boundary_indices))
-        object.__setattr__(self, "poly", self.poly_over(ring))
+        r_names = tuple(variables[j] for j in basis.boundary_indices)
+        poly = _signed_sum(ring, variables, provenance)
+        self._init(ring, basis, provenance, variables, r_names, poly)
 
     def poly_over(self, ring: CoefficientRing) -> LaurentPoly:
-        """The potential over `ring`: the classes' signed monomials, in
-        provenance order, summed by `_accumulate`.  Class coefficients are
-        int tuples of the basis length, so the sum needs no validation."""
-        signed = ((cls.coefficients, ring.coerce(sign)) for cls, sign in self.provenance)
-        return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, signed))
+        """The potential over `ring`."""
+        return _signed_sum(ring, self.variables, self.provenance)
 
     def toric_differential(self) -> tuple[LaurentPoly, ...]:
         """(R_1 dU/dR_1, ..., R_n dU/dR_n), exponents reduced into the ring."""
@@ -61,19 +57,37 @@ class Potential(Value):
         return f"Potential({self.ring}, U = {self.poly})"
 
 
+def _signed_sum(ring, variables, provenance) -> LaurentPoly:
+    """The classes' signed monomials over `ring`, in provenance order, summed
+    by `_accumulate`.  Class coefficients are int tuples of the basis length,
+    so the sum needs no validation."""
+    signed = ((cls.coefficients, ring.coerce(sign)) for cls, sign in provenance)
+    return LaurentPoly._new(ring, variables, _accumulate(ring, {}, signed))
+
+
 def toric_differential(potential: Potential) -> tuple[LaurentPoly, ...]:
     return potential.toric_differential()
 
 
+def _nonzero(components: dict) -> dict:
+    return {k: v for k, v in components.items() if not v.is_zero}
+
+
 class PearlElement(Value):
     """Element of the exterior algebra over the group ring: a map from
-    strictly increasing tuples of dual-generator indices to coefficients."""
+    strictly increasing tuples of dual-generator indices to coefficients.
+
+    Only this module's own arithmetic calls `PearlElement._new`, on
+    components it built from validated elements: strictly increasing index
+    tuples below `n`, and nonzero LaurentPoly coefficients over `ring` and
+    `variables`.
+    """
 
     __slots__ = _fields = ("ring", "variables", "n", "components")
 
     def __init__(self, ring, variables, n, components=None):
         variables = tuple(variables)
-        n = int(n)
+        n = as_int(n)
         comps: dict[tuple[int, ...], LaurentPoly] = {}
         for subset, poly in (components or {}).items():
             subset = tuple(subset)
@@ -85,23 +99,7 @@ class PearlElement(Value):
                 raise VariableMismatch("component coefficients live in the wrong ring")
             if not poly.is_zero:
                 comps[subset] = comps[subset] + poly if subset in comps else poly
-        self._init(ring, variables, n, {k: v for k, v in comps.items() if not v.is_zero})
-
-    @staticmethod
-    def _new(ring, variables: tuple, n: int, components: dict) -> "PearlElement":
-        """The element with exactly these components, made without validation.
-
-        Only this module's own arithmetic calls this, on components it built
-        from validated elements: strictly increasing index tuples below `n`,
-        and LaurentPoly coefficients over `ring` and `variables`.  Zero
-        coefficients are dropped here.
-        """
-        element = object.__new__(PearlElement)
-        _set_ring(element, ring)
-        _set_variables(element, variables)
-        _set_n(element, n)
-        _set_components(element, {k: v for k, v in components.items() if not v.is_zero})
-        return element
+        self._init(ring, variables, n, _nonzero(comps))
 
     # -- constructors --------------------------------------------------------
 
@@ -152,14 +150,14 @@ class PearlElement(Value):
         comps = dict(self.components)
         for subset, poly in other.components.items():
             comps[subset] = comps[subset] + poly if subset in comps else poly
-        return PearlElement._new(self.ring, self.variables, self.n, comps)
+        return PearlElement._new(self.ring, self.variables, self.n, _nonzero(comps))
 
     def scaled_by(self, poly: LaurentPoly) -> "PearlElement":
         return PearlElement._new(
             self.ring,
             self.variables,
             self.n,
-            {subset: coeff * poly for subset, coeff in self.components.items()},
+            _nonzero({subset: coeff * poly for subset, coeff in self.components.items()}),
         )
 
     def contract(self, k: int) -> "PearlElement":
@@ -173,7 +171,7 @@ class PearlElement(Value):
             rest = subset[:pos] + subset[pos + 1 :]
             signed = poly if pos % 2 == 0 else -poly
             comps[rest] = comps[rest] + signed if rest in comps else signed
-        return PearlElement._new(self.ring, self.variables, self.n, comps)
+        return PearlElement._new(self.ring, self.variables, self.n, _nonzero(comps))
 
     @property
     def is_zero(self) -> bool:
@@ -202,11 +200,6 @@ class PearlElement(Value):
 
     def __repr__(self):
         return f"PearlElement({self.ring}, {str(self)!r})"
-
-
-_set_ring, _set_variables, _set_n, _set_components = (
-    getattr(PearlElement, name).__set__ for name in PearlElement._fields
-)
 
 
 def pearl_d2(alpha: PearlElement, potential: Potential) -> PearlElement:

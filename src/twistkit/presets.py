@@ -77,25 +77,22 @@ class PotentialPreset(Value):
     __slots__ = _fields + ("potential", "regularity_hom", "collapse_hom")
 
     def __init__(self, name, table, h0_hom):
-        self._init(name, table, h0_hom)
         basis = table.basis
         carriers = basis.boundary_indices
         classes = enumerate_candidate_classes(table)
-        derived = {
-            "potential": Potential(GF2, basis, [(cls, 1) for cls in classes]),
-            "regularity_hom": RingHom.from_monomials(
-                RATIONAL,
-                tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
-                {name: tuple(int(j == c) for c in carriers)
-                 for j, name in enumerate(basis.ring_names)},
-            ),
-            "collapse_hom": RingHom.from_monomials(
-                GF2, ("t",),
-                {name: (m // 2,) for name, m in zip(basis.ring_names, table.maslov_vector)},
-            ),
-        }
-        for field, value in derived.items():
-            object.__setattr__(self, field, value)
+        potential = Potential(GF2, basis, [(cls, 1) for cls in classes])
+        regularity_hom = RingHom.from_monomials(
+            RATIONAL,
+            tuple(f"z{k}" for k in range(1, len(carriers) + 1)),
+            {generator: tuple(int(j == c) for c in carriers)
+             for j, generator in enumerate(basis.ring_names)},
+        )
+        collapse_hom = RingHom.from_monomials(
+            GF2, ("t",),
+            {generator: (m // 2,)
+             for generator, m in zip(basis.ring_names, table.maslov_vector)},
+        )
+        self._init(name, table, h0_hom, potential, regularity_hom, collapse_hom)
 
     @property
     def classes(self) -> tuple[DiscClass, ...]:

@@ -10,6 +10,7 @@ from twistkit.discs import (
     ConstraintTable,
     DiscClass,
     HomologyBasis,
+    basis_to_json,
     enumerate_candidate_classes,
     feasible_region_bounded,
     table_from_json,
@@ -981,6 +982,9 @@ def test_odd_maslov_warns_but_does_not_reject():
 def test_non_integral_fields_are_rejected_not_truncated():
     with pytest.raises(ValueError, match="1.7 is not an integer"):
         HomologyBasis(names=("A", "B"), boundary_matrix=((1.7, 0), (0, 1)), n_torus_rank=2)
+    for rank in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            HomologyBasis(names=("A",), boundary_matrix=((1,),), n_torus_rank=rank)
     with pytest.raises(ValueError, match="1.5 is not an integer"):
         ConstraintTable(plain_basis(2), (("a", (1.5, 0)),), (2, 2))
     with warnings.catch_warnings():
@@ -991,11 +995,12 @@ def test_non_integral_fields_are_rejected_not_truncated():
         with pytest.raises(ValueError, match="is not an integer"):
             DiscClass(coefficients, boundary)
     # integral values of other types are stored as ints
-    basis = HomologyBasis(("A", "B"), ((1.0, 0), (0, Fraction(1))), 2)
+    basis = HomologyBasis(("A", "B"), ((1.0, 0), (0, Fraction(1))), 2.0)
     table = ConstraintTable(basis, (("a", (Fraction(1), 0.0)),), (2.0, Fraction(2)))
     found = DiscClass((1.0, Fraction(-1)), (2.0, 0))
     for values in (*basis.boundary_matrix, table.rows[0][1], table.maslov_vector,
-                   found.coefficients, found.boundary_class):
+                   found.coefficients, found.boundary_class,
+                   (basis.n_torus_rank, basis_to_json(basis)["n_torus_rank"])):
         assert all(type(x) is int for x in values)
 
 

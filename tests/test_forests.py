@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -172,6 +173,28 @@ def test_leaf_index_validation():
         TwistWord(((2, 2),))  # first step must hit leaf 1
     with pytest.raises(ValueError):
         TwistWord(((0, 1),))
+
+
+def test_a_word_built_from_a_list_is_hashable():
+    word = TwistWord([(1, 1)])
+    assert hash(word) == hash(TwistWord(((1, 1),)))
+    assert word.steps == ((1, 1),)
+
+
+def test_a_word_cannot_gain_an_unchecked_step():
+    steps = [(1, 1)]
+    word = TwistWord(steps)
+    steps.append((5, 9))
+    with pytest.raises(AttributeError):
+        word.steps.append((5, 9))
+    assert word.steps == ((1, 1),) and word.dimension == 2
+
+
+def test_non_integral_twist_steps_are_rejected_not_stored():
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        TwistWord(((1.5, 1),))
+    word = TwistWord(((2.0, Fraction(1)),))
+    assert all(type(x) is int for step in word.steps for x in step)
 
 
 def test_leaf_count_formula():
@@ -679,6 +702,12 @@ def test_equality_and_hash_ignore_the_stored_key():
     object.__setattr__(twin, "canonical_key", "tampered")
     object.__setattr__(twin, "leaf_count", 0)
     assert twin == left and hash(twin) == hash(left)
+
+
+def test_a_tree_built_from_a_list_is_hashable():
+    tree = RootedTree([LEAF, LEAF])
+    assert tree.children == (LEAF, LEAF)
+    assert tree == bush(2) and hash(tree) == hash(bush(2))
 
 
 def test_repr_shows_children_only():

@@ -329,6 +329,10 @@ def test_element_validation():
         PearlElement(GF2, V, 2, {(-1,): one})
     with pytest.raises(VariableMismatch, match="wrong ring"):
         PearlElement(GF2, V, 2, {(0,): LaurentPoly.one(RATIONAL, V)})
+    for n in (2.7, True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            PearlElement(GF2, V, n)
+    assert type(PearlElement(GF2, V, 2.0).n) is int
     with pytest.raises(VariableMismatch, match="different modules"):
         PearlElement.generator(GF2, V, 2, 0) + PearlElement.generator(GF2, V, 3, 0)
 

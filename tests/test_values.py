@@ -3,13 +3,16 @@ hashed by their fields within one class, shown in the dataclass repr
 format unless they print their own, and round-tripped by pickle and
 deepcopy."""
 
+import ast
 import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twistkit
 from twistkit.certificates import (
     CertificateReport,
     H0Evidence,
@@ -142,6 +145,34 @@ def test_value_contract(cls, make):
     copies += [copy.copy(value), copy.deepcopy(value)]
     for other in copies:
         assert type(other) is cls and other == value
+
+
+def _slot_values(value):
+    """Each slot of `value` that is set, in `__slots__` order down the MRO."""
+    names = [name for klass in reversed(type(value).__mro__)
+             for name in klass.__dict__.get("__slots__", ())]
+    return {name: getattr(value, name) for name in names if hasattr(value, name)}
+
+
+@pytest.mark.parametrize("cls, make", SAMPLES, ids=[cls.__name__ for cls, _ in SAMPLES])
+def test_new_rebuilds_each_value_from_its_slots(cls, make):
+    value = cls(**make())
+    slots = _slot_values(value)
+    assert tuple(slots)[:len(cls._fields)] == cls._fields
+    rebuilt = cls._new(*slots.values())
+    assert type(rebuilt) is cls and rebuilt == value
+    assert _slot_values(rebuilt) == slots
+
+
+def test_only_the_value_base_sets_slots_past_the_frozen_setattr():
+    offenders = []
+    for path in sorted(Path(twistkit.__file__).parent.glob("*.py")):
+        if path.name == "_value.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__set__"):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
 
 
 def test_results_are_true_exactly_when_their_check_holds():
