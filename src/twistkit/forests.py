@@ -26,6 +26,16 @@ Text grammar (whitespace insignificant)::
     factor := tree | word
     tree   := "L" | "point" | "(" tree+ ")"
     word   := "twist(" k1 (";" kj "@" lj)* ")"
+
+Text is read in two steps.  One regular expression scans it into tokens,
+each with its offset: "L", "point", "twist", a run of decimal digits, or any
+other single character, whitespace dropped, so "(LL)" is "(", "L", "L", ")".
+A tree literal is then read into its vertices' child counts in pre-order,
+the list a pickled tree holds, and `_unflatten` builds it bottom-up without
+recursion, as it does on unpickling and for `word_to_tree`.  `parse_word`
+and the `twist(...)` factors of `parse_forest` share one word reader.  An
+error is a `ParseError` at the offset of the token met, naming its first
+character and the tokens that were expected there.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import collections
 import functools
 import itertools
 import operator
+import re
 
 from ._value import Value
 from .errors import CapExceeded, InvalidLeafIndex, ParseError
@@ -72,6 +83,9 @@ class RootedTree(Value):
 
     def __init__(self, children=()):
         children = tuple(children)
+        for child in children:
+            if not isinstance(child, RootedTree):
+                raise ValueError(f"{child!r} is not a RootedTree")
         if children:
             key = _joined_key(children)
             leaves = sum(map(_leaves_of, children))
@@ -166,9 +180,10 @@ LEAF = RootedTree()
 
 
 def _unflatten(child_counts) -> RootedTree:
-    """The tree `RootedTree.__reduce__` flattened to its pre-order child
-    counts, rebuilt bottom-up: read backwards, each vertex comes right after
-    its subtrees, whose roots are then on top of the stack, leftmost last."""
+    """The tree whose vertices have these child counts in pre-order, the
+    list `RootedTree.__reduce__` writes and the parser and `word_to_tree`
+    read, built bottom-up: read backwards, each vertex comes right after its
+    subtrees, whose roots are then on top of the stack, leftmost last."""
     stack = []
     for count in reversed(child_counts):
         if not count:
@@ -176,7 +191,7 @@ def _unflatten(child_counts) -> RootedTree:
             continue
         kids = tuple(stack[:-count - 1:-1])
         del stack[-count:]
-        stack += _new_trees((kids,), (_joined_key(kids),), (sum(map(_leaves_of, kids)),))
+        stack.append(RootedTree._new(kids, _joined_key(kids), sum(map(_leaves_of, kids))))
     return stack[0]
 
 
@@ -198,7 +213,7 @@ class TwistWord(Value):
     __slots__ = _fields = ("steps",)
 
     def __init__(self, steps=()):
-        steps = tuple((as_int(k), as_int(l)) for k, l in steps)
+        steps = tuple(map(_twist_step, steps))
         self._init(steps)
         leaves = 1
         for j, (k, l) in enumerate(steps, start=1):
@@ -215,6 +230,15 @@ class TwistWord(Value):
     @property
     def dimension(self) -> int:
         return 1 + sum(k for k, _ in self.steps)
+
+
+def _twist_step(step) -> tuple[int, int]:
+    """`step` as a (k, l) pair of ints; anything else raises ValueError."""
+    try:
+        k, l = step
+    except (TypeError, ValueError):
+        raise ValueError(f"twist step {step!r} is not a (k, l) pair") from None
+    return as_int(k), as_int(l)
 
 
 class RootedForest(Value):
@@ -248,20 +272,20 @@ def word_to_tree(word: TwistWord) -> RootedTree:
     l_j-th leaf (left to right) by a bush with k_j + 1 leaves.
 
     The planar tree is grown as nested lists beside its left-to-right leaf
-    list, then frozen bottom-up, so each vertex becomes one `RootedTree`
-    however deep the tree is."""
+    list, then read into its vertices' child counts in pre-order, which
+    `_unflatten` builds bottom-up however deep the tree is."""
     root: list = []
     leaves = [root]
-    glued = []  # in gluing order, so every vertex comes after its parent
     for k, l in word.steps:
         vertex = leaves[l - 1]
         vertex.extend([] for _ in range(k + 1))
         leaves[l - 1:l] = vertex
-        glued.append(vertex)
-    frozen = {}
-    for vertex in reversed(glued):
-        frozen[id(vertex)] = RootedTree(tuple(frozen.get(id(c), LEAF) for c in vertex))
-    return frozen.get(id(root), LEAF)
+    counts, stack = [], [root]
+    while stack:
+        vertex = stack.pop()
+        counts.append(len(vertex))
+        stack += reversed(vertex)
+    return _unflatten(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -464,109 +488,102 @@ def print_word(word: TwistWord) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# "L", "point", "twist", a run of decimal digits, any other single character,
+# or the empty match that marks the end; whitespace between tokens is dropped
+_TOKEN = re.compile(r"L|point|twist|\d+|\S|\Z")
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _scan(text: str) -> list[tuple[int, str]]:
+    """The (offset, token) pairs of `text`, last first, so that the next
+    token is on top and the end marker (len(text), "") at the bottom."""
+    return [(m.start(), m.group()) for m in _TOKEN.finditer(text)][::-1]
 
-    def error(self, expected):
-        found = self.peek() or "end of input"
-        raise ParseError(f"unexpected {found!r}", self.pos, expected)
 
-    def eat(self, literal: str):
-        self._skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            self.error({literal})
-        self.pos += len(literal)
+def _fail(tokens, expected):
+    """Raise the ParseError at the next token, naming its first character."""
+    offset, token = tokens[-1]
+    raise ParseError(f"unexpected {token[:1] or 'end of input'!r}", offset, expected)
 
-    def try_eat(self, literal: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
+
+def _take(tokens, expected) -> str:
+    """Take the next token, which must be one of `expected`."""
+    if tokens[-1][1] not in expected:
+        _fail(tokens, expected)
+    return tokens.pop()[1]
+
+
+def _skip(tokens, token) -> bool:
+    """Take the next token if it is `token`."""
+    if tokens[-1][1] != token:
         return False
+    tokens.pop()
+    return True
 
-    def integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error({"integer"})
-        return int(self.text[start:self.pos])
 
-    def factor(self) -> RootedTree:
-        self._skip_ws()
-        if self.try_eat("twist"):
-            return word_to_tree(self.word_body())
-        return self.tree()
+def _integer(tokens) -> int:
+    if not tokens[-1][1].isdecimal():
+        _fail(tokens, {"integer"})
+    return int(tokens.pop()[1])
 
-    def word_body(self) -> TwistWord:
-        self.eat("(")
-        steps = [(self.integer(), 1)]
-        while self.try_eat(";"):
-            k = self.integer()
-            self.eat("@")
-            l = self.integer()
-            steps.append((k, l))
-        self.eat(")")
-        return TwistWord(tuple(steps))
 
-    def tree(self) -> RootedTree:
-        open_children: list[list[RootedTree]] = []  # one list per open "("
-        while True:
-            self._skip_ws()
-            if self.try_eat("("):
-                open_children.append([])
-                continue
-            if not (self.try_eat("L") or self.try_eat("point")):
-                self.error({"L", "point", "("})
-            node = LEAF
-            while open_children:
-                open_children[-1].append(node)
-                self._skip_ws()
-                if not self.try_eat(")"):
-                    if self.peek() in ("", "*"):
-                        self.error({")", "L", "point", "("})
-                    break
-                node = RootedTree(tuple(open_children.pop()))
-            else:
-                return node
+def _read_word(tokens) -> TwistWord:
+    """The word after its "twist": "(" k1 (";" kj "@" lj)* ")"."""
+    _take(tokens, {"("})
+    steps = [(_integer(tokens), 1)]
+    while _skip(tokens, ";"):
+        k = _integer(tokens)
+        _take(tokens, {"@"})
+        steps.append((k, _integer(tokens)))
+    _take(tokens, {")"})
+    return TwistWord(steps)
 
-    def forest(self) -> RootedForest:
-        trees = [self.factor()]
-        while self.try_eat("*"):
-            trees.append(self.factor())
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self.error({"*", "end of input"})
-        return RootedForest(tuple(trees))
+
+def _read_tree(tokens) -> RootedTree:
+    """A tree literal, read as its vertices' child counts in pre-order (the
+    list `RootedTree.__reduce__` writes) and built by `_unflatten`.  Each
+    "(", "L" or "point" starts a vertex, one more child of the innermost
+    vertex still open; a "(" opens its vertex, and each ")" closes one."""
+    counts, open_vertices = [], []
+    while True:
+        token = _take(tokens, {"(", "L", "point"})
+        if open_vertices:
+            counts[open_vertices[-1]] += 1
+        counts.append(0)
+        if token == "(":
+            open_vertices.append(len(counts) - 1)
+            continue
+        while open_vertices and _skip(tokens, ")"):
+            open_vertices.pop()
+        if not open_vertices:
+            return _unflatten(counts)
+        if tokens[-1][1] in ("", "*"):  # the text or the factor ends inside the tree
+            _fail(tokens, {")", "L", "point", "("})
+
+
+def _read_factor(tokens) -> RootedTree:
+    if _skip(tokens, "twist"):
+        return word_to_tree(_read_word(tokens))
+    return _read_tree(tokens)
 
 
 def parse_forest(text: str) -> RootedForest:
     """Parse a forest expression; factors may be tree literals or twist words."""
-    return _Parser(text).forest()
+    tokens = _scan(text)
+    trees = [_read_factor(tokens)]
+    while _skip(tokens, "*"):
+        trees.append(_read_factor(tokens))
+    if tokens[-1][1]:
+        _fail(tokens, {"*", "end of input"})
+    return RootedForest(trees)
 
 
 def parse_word(text: str) -> TwistWord:
     """Parse a single `twist(...)` word (or `L`/`point` for the circle)."""
-    p = _Parser(text)
-    p._skip_ws()
-    if p.try_eat("twist"):
-        word = p.word_body()
-    elif p.try_eat("L") or p.try_eat("point"):
-        word = TwistWord(())
+    tokens = _scan(text)
+    if _take(tokens, {"twist", "L", "point"}) == "twist":
+        word = _read_word(tokens)
     else:
-        p.error({"twist", "L", "point"})
-    p._skip_ws()
-    if p.pos != len(text):
-        p.error({"end of input"})
+        word = TwistWord()
+    if tokens[-1][1]:
+        _fail(tokens, {"end of input"})
     return word

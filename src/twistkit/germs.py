@@ -23,6 +23,7 @@ from fractions import Fraction
 from ._value import Value
 from .errors import CapExceeded, DimensionMismatch
 from .matrices import (
+    _bareiss,
     adjugate,
     as_int,
     as_int_matrix,
@@ -214,11 +215,14 @@ def germ_equivalent(g1: Germ, g2: Germ):
 
 def _subset_abs_dets(covectors, n) -> dict[tuple[int, ...], int]:
     """|det| of every n-subset of the covectors, keyed by its indices in
-    `itertools.combinations` order."""
-    return {
-        subset: abs(mat_det([covectors[i] for i in subset]))
-        for subset in itertools.combinations(range(len(covectors)), n)
-    }
+    `itertools.combinations` order.  `Germ` has checked the covectors as
+    ints of length n, so each |det| is read straight from the elimination
+    of a copy of the subset's rows: the last pivot's, if the rank is full."""
+    dets = {}
+    for subset in itertools.combinations(range(len(covectors)), n):
+        rank, _, pivot = _bareiss([list(covectors[i]) for i in subset])
+        dets[subset] = abs(pivot) if rank == n else 0
+    return dets
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parse_reference import reference_parse_forest, reference_parse_word
 from twistkit.errors import CapExceeded, InvalidLeafIndex, ParseError
 from twistkit.forests import (
     _hash_of,
@@ -175,6 +177,13 @@ def test_leaf_index_validation():
         TwistWord(((0, 1),))
 
 
+def test_a_step_that_is_not_a_pair_is_named():
+    for steps, shown in (([(1,)], "(1,)"), ([1], "1"), ([(1, 1), (1, 2, 3)], "(1, 2, 3)"),
+                         ("ab", "'a'"), ([(1, 1), None], "None")):
+        with pytest.raises(ValueError, match=rf"^twist step {re.escape(shown)} is not a \(k, l\) pair$"):
+            TwistWord(steps)
+
+
 def test_a_word_built_from_a_list_is_hashable():
     word = TwistWord([(1, 1)])
     assert hash(word) == hash(TwistWord(((1, 1),)))
@@ -314,6 +323,119 @@ def test_random_forest_roundtrip():
         # the same product written as mixed word/tree factors
         text = " * ".join(print_word(w) for w in words)
         assert parse_forest(text) == forest
+
+
+# ---------------------------------------------------------------------------
+# the token scanner against the character-cursor reference parser
+
+GRAMMAR_TOKENS = ("L", "point", "twist", "(", ")", "*", ";", "@", "1", "2", "3", "12", "0")
+NOISE = ("x", "1/0", "tw")  # digits stay ASCII: see the superscript test below
+SPACES = ("", "", "", " ", "  ", "\t", "\n ")
+
+
+def grammar_tokens(rng):
+    """The tokens of a random forest expression, trees nested up to depth 50."""
+    out = []
+    for f in range(rng.randint(1, 3)):
+        if f:
+            out.append("*")
+        if rng.random() < 0.3:
+            out += ["twist", "(", str(rng.choice((0, 1, 1, 2, 3)))]
+            for _ in range(rng.randint(0, 3)):
+                out += [";", str(rng.randint(1, 3)), "@", str(rng.randint(1, 4))]
+            out.append(")")
+        else:
+            out += grammar_tree(rng, rng.choice((0, 1, 2, 3, 50)))
+    return out
+
+
+def grammar_tree(rng, depth):
+    """A tree literal whose deepest leaf is `depth` below the root; each
+    vertex above it has up to two more children of depth at most one."""
+    if depth == 0:
+        return [rng.choice(("L", "point"))]
+    kids = [grammar_tree(rng, depth - 1)]
+    kids += [grammar_tree(rng, rng.randint(0, min(depth - 1, 1))) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(kids)
+    return ["(", *itertools.chain.from_iterable(kids), ")"]
+
+
+def differential_texts(seed, count):
+    """A few fixed texts, then seeded ones: token lists shaped by the
+    grammar (one in five a random token string instead), edited up to three
+    times (a token deleted, two swapped, or one of the grammar or noise
+    inserted) and joined with random whitespace, often none."""
+    rng = random.Random(seed)
+    texts = ["(LL)", "(Lpoint)", "twist (1)", "twist(1;2)", "(L L", "((L) * L)",
+             "L" * 3, "(" * 50 + "L" + ")" * 50, "(" * 50 + "L" + ")" * 49,
+             "twist(1;1@1)*(L(LL))", "pointwist", "Ltwist(1)", "twist(01;1@01)"]
+    while len(texts) < count:
+        tokens = grammar_tokens(rng)
+        if rng.random() < 0.2:
+            tokens = [rng.choice(GRAMMAR_TOKENS + NOISE) for _ in range(rng.randint(0, 12))]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            i = rng.randrange(len(tokens) + 1)
+            edit = rng.random()
+            if edit < 0.3 and i < len(tokens):
+                del tokens[i]
+            elif edit < 0.5 and i + 1 < len(tokens):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+            else:
+                tokens.insert(i, rng.choice(GRAMMAR_TOKENS + NOISE))
+        texts.append(rng.choice(SPACES) + "".join(t + rng.choice(SPACES) for t in tokens))
+    return texts
+
+
+def outcome(parse, text):
+    """The parse result, or the error as (type, message, offset, expected)."""
+    try:
+        return parse(text)
+    except Exception as exc:  # every error is compared, whatever its type
+        return (type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None))
+
+
+def assert_same_outcome(got, want, text):
+    assert got == want, text
+    if isinstance(want, RootedForest):
+        assert print_forest(got) == print_forest(want)
+        assert [(t.canonical_key, t.leaf_count) for t in got.trees] == [
+            (t.canonical_key, t.leaf_count) for t in want.trees]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parse_forest_matches_the_reference_parser(seed):
+    texts = differential_texts(seed, 1500)
+    results = [outcome(parse_forest, text) for text in texts]
+    for text, got in zip(texts, results):
+        assert_same_outcome(got, outcome(reference_parse_forest, text), text)
+    # the corpus reaches every outcome: trees, parse errors and bad words
+    kinds = {type(r) if isinstance(r, RootedForest) else r[0] for r in results}
+    assert kinds >= {RootedForest, ParseError, InvalidLeafIndex, ValueError}
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_parse_word_matches_the_reference_parser(seed):
+    texts = differential_texts(seed, 1500)
+    texts += ["twist" + text for text in texts[:500]]
+    for text in texts:
+        got, want = outcome(parse_word, text), outcome(reference_parse_word, text)
+        assert got == want, text
+
+
+def test_deep_literal_matches_the_reference_parser():
+    literal = "(L " * 1500 + "L" + ")" * 1500
+    assert_same_outcome(parse_forest(literal), reference_parse_forest(literal), literal)
+    for text in (literal[:-1], literal + " *", literal.replace("L", "x", 1)):
+        assert outcome(parse_forest, text) == outcome(reference_parse_forest, text)
+
+
+def test_a_superscript_digit_is_a_parse_error():
+    # str.isdigit accepts "²", which int() refuses; the scanner reads only
+    # decimal digits, so a word names it as the unexpected character
+    for text, offset, expected in (("twist(²)", 6, "integer"), ("twist(1²)", 7, "\\)")):
+        with pytest.raises(ParseError, match=rf"'²' at offset {offset} \(expected {expected}\)"):
+            parse_word(text)
+    assert parse_word("twist(٣)") == TwistWord(((3, 1),))  # Arabic-Indic three
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +824,13 @@ def test_equality_and_hash_ignore_the_stored_key():
     object.__setattr__(twin, "canonical_key", "tampered")
     object.__setattr__(twin, "leaf_count", 0)
     assert twin == left and hash(twin) == hash(left)
+
+
+def test_a_child_that_is_not_a_tree_is_named():
+    for children, shown in (([1, 2], "1"), ("ab", "'a'"), ([LEAF, None], "None"),
+                            ([LEAF, bush(2), (LEAF,)], "(RootedTree(children=()),)")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(shown)} is not a RootedTree$"):
+            RootedTree(children)
 
 
 def test_a_tree_built_from_a_list_is_hashable():
