@@ -20,6 +20,15 @@ multiset of smaller ample trees per partition of n into at least two parts
 builder sets the three slots directly, skipping the public constructor
 (every leaf count on level n is n).
 
+A tree is walked one way: `_child_counts` lists its vertices' child counts
+in pre-order, over an explicit stack.  That list fixes a planar tree
+exactly, so equality compares it, `is_ample` looks for a 1 in it, pickling
+writes it and `_unflatten` builds a tree back from it; `print_tree` and
+`repr` are one writer over it with their own tokens.  Only the hash keeps
+its own walk, which stops at vertices that already hold theirs.
+`word_to_tree` builds at most `WORD_LEAF_BUDGET` leaves and raises
+`CapExceeded` before building a larger word.
+
 Text grammar (whitespace insignificant)::
 
     forest := factor ("*" factor)*
@@ -51,6 +60,9 @@ from .errors import CapExceeded, InvalidLeafIndex, ParseError
 from .matrices import as_int
 
 DEFAULT_ENUMERATION_CAP = 16
+# Most leaves `word_to_tree` builds for one twist word; a larger word raises
+# CapExceeded before any vertex is made.
+WORD_LEAF_BUDGET = 1_000_000
 
 
 _key_of = operator.attrgetter("canonical_key")
@@ -70,10 +82,11 @@ class RootedTree(Value):
     The single-vertex tree stands for the plain circle factor.  Equality,
     hashing and repr see `children` only; `canonical_key` (the string of
     `canonical_form`) and `leaf_count` are derived from it on construction.
-    Equality, hash and repr are those a frozen dataclass would generate,
-    computed over an explicit stack, and pickling and copying go through a
-    flat list of child counts, so that depth is unbounded.  Each vertex keeps
-    its hash once it is first asked for, so a hash walks only the vertices
+    Equality, hash and repr are those a frozen dataclass would generate.
+    Equality and repr read the tree's child counts in pre-order
+    (`_child_counts`), and pickling and copying go through that list, so
+    that depth is unbounded.  Each vertex keeps its hash once it is first
+    asked for, so a hash walks, over an explicit stack, only the vertices
     not hashed before.
     """
 
@@ -97,34 +110,14 @@ class RootedTree(Value):
         return print_tree(self)
 
     def __repr__(self) -> str:
-        out = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            kids = item.children
-            out.append(f"{type(item).__qualname__}(children=(")
-            stack.append(",))" if len(kids) == 1 else "))")
-            for k, child in enumerate(reversed(kids)):
-                if k:
-                    stack.append(", ")
-                stack.append(child)
-        return "".join(out)
+        name = type(self).__qualname__
+        return _written(self, f"{name}(children=())", f"{name}(children=(", ", ", "))", ",))")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        # the pre-order child counts fix a planar tree exactly
+        return self is other or _child_counts(self) == _child_counts(other)
 
     def __hash__(self):
         try:
@@ -147,13 +140,7 @@ class RootedTree(Value):
         return self._hash
 
     def __reduce__(self):
-        # each vertex's child count in pre-order; see _unflatten
-        counts, stack = [], [self]
-        while stack:
-            kids = stack.pop().children
-            counts.append(len(kids))
-            stack.extend(reversed(kids))
-        return _unflatten, (counts,)
+        return _unflatten, (_child_counts(self),)
 
 
 _set_hash = RootedTree._setters[-1]  # _hash is the last slot
@@ -179,10 +166,43 @@ def _new_trees(children, keys, leaf_counts) -> tuple[RootedTree, ...]:
 LEAF = RootedTree()
 
 
+def _child_counts(tree: RootedTree) -> list[int]:
+    """Each vertex's child count in pre-order: the one walk over a tree,
+    over an explicit stack, so depth is unbounded.  Pickling writes this
+    list, `_unflatten` builds from it, and equality, `is_ample`, `repr` and
+    `print_tree` read it."""
+    counts, stack = [], [tree]
+    while stack:
+        kids = stack.pop().children
+        counts.append(len(kids))
+        stack += kids[::-1]
+    return counts
+
+
+def _written(tree, leaf, open_, separator, close, close_one) -> str:
+    """The tree as text from its child counts: `leaf` for a leaf, and for
+    an inner vertex `open_`, its children joined by `separator`, then
+    `close`, or `close_one` if it has one child.  `after` holds what follows
+    each child still to write, the next one on top; a separator ends a run
+    of closes, so it must differ from both close tokens."""
+    out, after = [], []
+    for count in _child_counts(tree):
+        if count:
+            out.append(open_)
+            after += [close_one if count == 1 else close] + [separator] * (count - 1)
+            continue
+        out.append(leaf)
+        while after:
+            out.append(after.pop())
+            if out[-1] == separator:
+                break
+    return "".join(out)
+
+
 def _unflatten(child_counts) -> RootedTree:
     """The tree whose vertices have these child counts in pre-order, the
-    list `RootedTree.__reduce__` writes and the parser and `word_to_tree`
-    read, built bottom-up: read backwards, each vertex comes right after its
+    list `_child_counts` walks and the parser and `word_to_tree` write,
+    built bottom-up: read backwards, each vertex comes right after its
     subtrees, whose roots are then on top of the stack, leftmost last."""
     stack = []
     for count in reversed(child_counts):
@@ -273,7 +293,12 @@ def word_to_tree(word: TwistWord) -> RootedTree:
 
     The planar tree is grown as nested lists beside its left-to-right leaf
     list, then read into its vertices' child counts in pre-order, which
-    `_unflatten` builds bottom-up however deep the tree is."""
+    `_unflatten` builds bottom-up however deep the tree is.  A word of more
+    than `WORD_LEAF_BUDGET` leaves raises `CapExceeded` before any list is
+    built."""
+    if word.dimension > WORD_LEAF_BUDGET:
+        raise CapExceeded(f"a twist word of {word.dimension} leaves exceeds the word "
+                          f"budget of {WORD_LEAF_BUDGET} leaves")
     root: list = []
     leaves = [root]
     for k, l in word.steps:
@@ -319,13 +344,7 @@ def is_isomorphic(f1, f2) -> bool:
 def is_ample(tree: RootedTree) -> bool:
     """True for the single point, and for trees with root valency >= 2 whose
     other internal vertices have valency >= 3 (the parent edge counts)."""
-    stack = [tree]
-    while stack:
-        children = stack.pop().children
-        if len(children) == 1:
-            return False
-        stack.extend(children)
-    return True
+    return 1 not in _child_counts(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +473,9 @@ def count_ample_trees(n: int) -> int:
 
 def print_tree(tree: RootedTree) -> str:
     """Planar text: "L" for a leaf, the children space-separated in
-    parentheses otherwise.  Walks an explicit stack, so depth is unbounded."""
-    out = []
-    stack: list = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif not item.children:
-            out.append("L")
-        else:
-            first, *rest = item.children
-            out.append("(")
-            stack.append(")")
-            for child in reversed(rest):
-                stack += (child, " ")
-            stack.append(first)
-    return "".join(out)
+    parentheses otherwise.  Written from the child counts, so depth is
+    unbounded."""
+    return _written(tree, "L", "(", " ", ")", ")")
 
 
 def print_forest(forest: RootedForest) -> str:

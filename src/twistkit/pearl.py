@@ -27,11 +27,12 @@ class Potential(Value):
     a different ring (the rational rebuild feeds regularity certificates).
     Over GF2 all signs collapse to 1.  `variables` (the basis's ring names),
     `r_names` (the names of the boundary-carrying generators, in torus-factor
-    order) and `poly` are derived once, at construction.
+    order), `poly` and the toric differentials are derived once, at
+    construction.
     """
 
     _fields = ("ring", "basis", "provenance")
-    __slots__ = _fields + ("variables", "r_names", "poly")
+    __slots__ = _fields + ("variables", "r_names", "poly", "_toric")
 
     def __init__(self, ring: CoefficientRing, basis: HomologyBasis, provenance):
         provenance = tuple((cls, as_int(sign)) for cls, sign in provenance)
@@ -43,7 +44,8 @@ class Potential(Value):
         variables = basis.ring_names
         r_names = tuple(variables[j] for j in basis.boundary_indices)
         poly = _signed_sum(ring, variables, provenance)
-        self._init(ring, basis, provenance, variables, r_names, poly)
+        toric = tuple(poly.log_derivative(name) for name in r_names)
+        self._init(ring, basis, provenance, variables, r_names, poly, toric)
 
     def poly_over(self, ring: CoefficientRing) -> LaurentPoly:
         """The potential over `ring`."""
@@ -51,7 +53,7 @@ class Potential(Value):
 
     def toric_differential(self) -> tuple[LaurentPoly, ...]:
         """(R_1 dU/dR_1, ..., R_n dU/dR_n), exponents reduced into the ring."""
-        return tuple(self.poly.log_derivative(name) for name in self.r_names)
+        return self._toric
 
     def __repr__(self):
         return f"Potential({self.ring}, U = {self.poly})"

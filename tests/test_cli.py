@@ -185,6 +185,14 @@ def test_deep_twist_word_is_compared(capsys):
     assert capsys.readouterr().out == "isomorphic: true\n" * 2 + "isomorphic: false\n"
 
 
+def test_a_twist_word_over_the_leaf_budget_is_an_input_error(capsys):
+    assert main(["iso", "twist(1000000000)", "L"]) == 2
+    assert error_line(capsys) == (
+        "error: CapExceeded: a twist word of 1000000001 leaves exceeds the word budget "
+        "of 1000000 leaves\n"
+    )
+
+
 def test_input_nested_beyond_the_recursion_limit_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

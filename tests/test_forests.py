@@ -213,6 +213,30 @@ def test_leaf_count_formula():
         assert word_to_tree(word).leaf_count == 1 + sum(k for k, _ in word.steps)
 
 
+def test_a_word_over_the_leaf_budget_raises_before_it_is_built(monkeypatch):
+    monkeypatch.setattr("twistkit.forests.WORD_LEAF_BUDGET", 5)
+    assert word_to_tree(parse_word("twist(4)")) == bush(5)
+    assert word_to_tree(parse_word("twist(2;2@1)")).leaf_count == 5
+    for text in ("twist(5)", "twist(2;3@3)"):
+        word = parse_word(text)  # reading a word builds no tree
+        assert word.dimension == 6 and print_word(word) == text
+        for _ in range(2):  # nothing is kept from the first refusal
+            with pytest.raises(CapExceeded, match=r"^a twist word of 6 leaves exceeds "
+                                                  r"the word budget of 5 leaves$"):
+                word_to_tree(word)
+            with pytest.raises(CapExceeded):
+                parse_forest(f"L * {text}")
+
+
+def test_a_huge_twist_word_is_read_but_not_built():
+    word = parse_word("twist(1000000000)")
+    assert word.dimension == 10**9 + 1
+    with pytest.raises(CapExceeded, match="1000000001 leaves"):
+        word_to_tree(word)
+    with pytest.raises(CapExceeded, match="1000000001 leaves"):
+        parse_forest("twist(1000000000)")
+
+
 def test_words_give_ample_trees_exhaustive_small():
     # every valid word with total twist <= 5
     def words(total_left, leaves):
@@ -959,3 +983,42 @@ def test_kept_hashes_match_the_walked_hash():
         want = walked_hash(tree)
         assert hash(tree) == want and _hash_of(tree) == want
         assert hash(tree) == want  # read back from the slot
+
+
+def random_planar_trees(rng, count, max_leaves=60):
+    """`count` seeded planar trees, each built from one to four earlier ones
+    (or the leaf), so subtrees are shared and a unary vertex, made about one
+    time in six, sits at any depth; trees over `max_leaves` leaves are
+    dropped."""
+    pool = [LEAF]
+    while len(pool) < count:
+        arity = 1 if rng.random() < 1 / 6 else rng.randint(2, 4)
+        tree = RootedTree(rng.choice(pool) for _ in range(arity))
+        if tree.leaf_count <= max_leaves:
+            pool.append(tree)
+    return pool
+
+
+def rebuilt(tree):
+    """An equal tree with no vertex shared with `tree`, but its leaves."""
+    return RootedTree(tuple(rebuilt(c) for c in tree.children)) if tree.children else LEAF
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_child_count_walks_match_recursive_references_on_random_trees(seed):
+    rng = random.Random(seed)
+    trees = random_planar_trees(rng, 80)
+    assert any(is_ample(t) for t in trees) and not all(is_ample(t) for t in trees)
+    trees += [rebuilt(t) for t in rng.sample(trees, 20)]
+    mirrors = [generated(t) for t in trees]
+    for tree, mirror in zip(trees, mirrors):
+        assert print_tree(tree) == recursive_print(tree)
+        assert repr(tree) == repr(mirror).replace("GeneratedTree(", "RootedTree(")
+        assert is_ample(tree) is ample_by_degrees(tree)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(tree, protocol=protocol))
+            assert generated(twin) == mirror
+            assert twin.canonical_key == tree.canonical_key == recursive_canonical(tree)
+            assert twin.leaf_count == tree.leaf_count
+    for (a, ma), (b, mb) in itertools.product(zip(trees, mirrors), repeat=2):
+        assert (a == b) is (ma == mb)

@@ -103,6 +103,23 @@ def test_toric_differential_is_additive():
             assert a == b + c
 
 
+def test_toric_differentials_are_derived_once_per_potential(monkeypatch):
+    rng = random.Random(8)
+    for ring in (GF2, RATIONAL):
+        pot = random_potential(rng, ring=ring, n=3, extra=1)
+        vs = pot.toric_differential()
+        assert vs == tuple(pot.poly.log_derivative(name) for name in pot.r_names)
+        assert pot.toric_differential() is vs and toric_differential(pot) is vs
+        alphas = [random_element(rng, pot, 3) for _ in range(5)]
+        want = [pearl_d2_from_vs(alpha, vs) for alpha in alphas]
+        calls = []
+        monkeypatch.setattr(LaurentPoly, "log_derivative",
+                            lambda *args: calls.append(args) or None)
+        assert [pearl_d2(alpha, pot) for alpha in alphas] == want
+        assert calls == []
+        monkeypatch.undo()
+
+
 def test_toric_differential_leibniz_on_monomial_factors():
     # v_k(U*M) = v_k(U)*M + U*v_k(M) for a monomial M, over the rationals
     rng = random.Random(8)
