@@ -270,11 +270,13 @@ def regular_sequence_check(u_img: LaurentPoly) -> RegularityResult:
     generate has a finite-dimensional quotient in the Laurent ring (computed
     by a Groebner basis per variable-disjoint block after inverting the
     block's variables; the dimension is the product over the blocks).
-    Rational coefficients only.
+    Rational coefficients and at least one variable only.
     """
     if u_img.ring is not RATIONAL:
         raise UnsupportedRing("regularity certificates require Rational coefficients")
     variables = u_img.variables
+    if not variables:
+        raise VariableMismatch("regularity certificates need at least one variable")
     vs = [u_img.log_derivative(v) for v in variables]
     zero_dirs = tuple(v for v, p in zip(variables, vs) if p.is_zero)
     if zero_dirs:

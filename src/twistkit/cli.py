@@ -1,8 +1,10 @@
 """Command-line front end: reproducible reports over the library operations.
 
-Subcommands: trees, iso, classes, pearl, certify, germ.  Reports are emitted
-as text (default) or deterministic JSON (`--format json`, sorted keys).  The
-CLI is a thin adapter: every computation is a library call.
+`_COMMANDS` is the one declaration of the subcommands: each name with its
+handler, help line and arguments.  `build_parser` builds the parser from it
+and `run` dispatches through it.  Reports are emitted as text (default) or
+deterministic JSON (`--format json`, sorted keys).  The CLI is a thin
+adapter: every computation is a library call.
 
 Outside data (the `--in` tables and potentials, germ files, the `iso`
 expressions, the n and cap of `trees`) becomes twistkit values only through
@@ -263,20 +265,37 @@ def _cmd_germ(config: RunConfig):
     return payload, lines, token
 
 
-_HANDLERS = {
-    "trees": _cmd_trees,
-    "iso": _cmd_iso,
-    "classes": _cmd_classes,
-    "pearl": _cmd_pearl,
-    "certify": _cmd_certify,
-    "germ": _cmd_germ,
+_SOURCE = (("--preset", {}), ("--in", dict(dest="infile")))
+_PAIR = (("left", {}), ("right", {}))
+_COMMON = (
+    ("--format", dict(choices=("text", "json"), default="text")),
+    ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    ("--expect", dict(help="exit 1 unless the result token matches")),
+    ("--out", dict(help="write the report to a file")),
+)
+
+# name -> (handler, help line, its own arguments as (flag, add_argument kwargs)),
+# in the order of the help text; each subcommand also takes the `_COMMON` ones
+_COMMANDS = {
+    "trees": (_cmd_trees, "enumerate ample rooted trees with n leaves", (
+        ("n", dict(type=int)),
+        ("--cap", dict(type=int, default=DEFAULT_ENUMERATION_CAP)),
+        ("--count", dict(dest="count_only", action="store_true", help="emit the count only")),
+    )),
+    "iso": (_cmd_iso, "decide forest isomorphism of two expressions", _PAIR),
+    "classes": (_cmd_classes, "enumerate candidate disc classes", _SOURCE + (
+        ("--bounds", dict(help="a,b: only the box [a,b] in every coordinate")),
+    )),
+    "pearl": (_cmd_pearl, "potential, toric differentials, degree-one images", _SOURCE),
+    "certify": (_cmd_certify, "run the non-displaceability certificate", _SOURCE),
+    "germ": (_cmd_germ, "compare two displacement-energy germs", _PAIR),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Dispatch a config; returns (exit code, rendered report), or raises a
     `TwistKitError` or an `OSError` on bad input."""
-    payload, lines, token = _HANDLERS[config.command](config)
+    payload, lines, token = _COMMANDS[config.command][0](config)
     payload = {"schema": SCHEMA, "command": config.command, "seed": config.seed, **payload}
     if config.format == "json":
         rendered = json.dumps(payload, sort_keys=True, indent=2)
@@ -299,45 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations for monotone Lagrangian twist tori",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--expect", default=None, help="exit 1 unless the result token matches")
-        p.add_argument("--out", default=None, help="write the report to a file")
-
-    p = sub.add_parser("trees", help="enumerate ample rooted trees with n leaves")
-    p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--count", dest="count_only", action="store_true", help="emit the count only")
-    common(p)
-
-    p = sub.add_parser("iso", help="decide forest isomorphism of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-
-    p = sub.add_parser("classes", help="enumerate candidate disc classes")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--bounds", default=None, help="a,b: only the box [a,b] in every coordinate")
-    common(p)
-
-    p = sub.add_parser("pearl", help="potential, toric differentials, degree-one images")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--in", dest="infile", default=None)
-    common(p)
-
-    p = sub.add_parser("certify", help="run the non-displaceability certificate")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--in", dest="infile", default=None)
-    common(p)
-
-    p = sub.add_parser("germ", help="compare two displacement-energy germs")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-
+    for name, (_, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in arguments + _COMMON:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

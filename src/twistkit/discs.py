@@ -55,10 +55,11 @@ class HomologyBasis(Value):
     """Free generators of the relative second homology group, with the
     boundary map into the first homology of the torus.
 
-    `boundary_matrix` has one row per torus circle-factor coordinate; columns
-    correspond to generators.  Surface classes (absolute generators) have zero
-    columns; the square submatrix on the boundary-carrying generators must be
-    unimodular.  `ring_names` names the multiplicative group-ring generators.
+    `boundary_matrix` has one row per torus circle-factor coordinate (at
+    least one: a torus has rank at least 1); columns correspond to
+    generators.  Surface classes (absolute generators) have zero columns; the
+    square submatrix on the boundary-carrying generators must be unimodular.
+    `ring_names` names the multiplicative group-ring generators.
     `boundary_indices`, the column indices of the generators with nonzero
     boundary in order, is derived from the matrix once, at construction.
     """
@@ -82,8 +83,10 @@ class HomologyBasis(Value):
             raise ValueError(
                 f"{len(carriers)} generators carry boundary; expected {n_torus_rank}"
             )
+        if n_torus_rank < 1:
+            raise ValueError(f"a torus has rank at least 1, got {n_torus_rank}")
         sub = [[row[j] for j in carriers] for row in matrix]
-        if n_torus_rank and abs(mat_det(sub)) != 1:
+        if abs(mat_det(sub)) != 1:
             raise ValueError("boundary submatrix on carrying generators must be unimodular")
         if not ring_names:
             ring_names = _default_ring_names(len(names), carriers)

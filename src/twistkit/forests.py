@@ -333,12 +333,13 @@ def forest_canonical_form(forest: RootedForest) -> tuple[str, ...]:
 
 
 def is_isomorphic(f1, f2) -> bool:
-    """Forest isomorphism: a bijection of trees matching canonical forms."""
-    if isinstance(f1, RootedTree):
-        f1 = RootedForest((f1,))
-    if isinstance(f2, RootedTree):
-        f2 = RootedForest((f2,))
-    return forest_canonical_form(f1) == forest_canonical_form(f2)
+    """Forest isomorphism: a bijection of trees matching canonical forms.
+    A tree counts as the forest of itself alone."""
+
+    def key(f):
+        return (f.canonical_key,) if isinstance(f, RootedTree) else forest_canonical_form(f)
+
+    return key(f1) == key(f2)
 
 
 def is_ample(tree: RootedTree) -> bool:

@@ -254,6 +254,14 @@ def test_regularity_requires_rationals():
         regular_sequence_check(LaurentPoly(GF2, ("z",), {(1,): 1}))
 
 
+def test_regularity_refuses_a_polynomial_in_no_variables():
+    """No toric derivative to take: refused, not an IndexError from the
+    blocks of an empty list of generators."""
+    for coefficient in (1, 0):
+        with pytest.raises(VariableMismatch, match="at least one variable"):
+            regular_sequence_check(LaurentPoly(RATIONAL, (), {(): coefficient}))
+
+
 def test_regularity_hom_validation():
     pot = theta_potential()
     bad_target = RingHom.from_monomials(

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from twistkit.cli import DEFAULT_SEED, RunConfig, main, run
+from cli_reference import build_parser as reference_parser
+from twistkit.cli import DEFAULT_SEED, RunConfig, build_parser, main, run
 from twistkit.discs import enumerate_candidate_classes, table_to_json
 from twistkit.errors import TwistKitError
 from twistkit.forests import canonical_form, enumerate_ample_trees
@@ -525,6 +526,21 @@ def test_duplicate_names_in_a_potential_file_exit_two(tmp_path, capsys):
     assert rendered == "error: ValueError: target variables must be distinct, got ('t', 't')"
 
 
+def test_a_torus_of_rank_zero_is_an_input_error(tmp_path, capsys):
+    """A basis with no boundary rows is refused where it is read, so the
+    certificate never runs on a potential in no variables."""
+    potential = {
+        "basis": ["S"], "boundary": [], "classes": [{"coefficients": [1]}],
+        "homs": {"regularity": {"ring": "Rational", "variables": [], "images": {"S1": [[], "1"]}}},
+    }
+    table = {"basis": ["S"], "boundary": [], "rows": [], "maslov": [2]}
+    for command, data in (("certify", potential), ("classes", table)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command, "--in", str(path)]) == 2
+        assert error_line(capsys) == "error: ValueError: a torus has rank at least 1, got 0\n"
+
+
 def test_unbounded_problem_is_an_input_error(tmp_path):
     data = {
         "basis": ["A", "B"],
@@ -564,6 +580,44 @@ def test_missing_preset_and_file_are_input_errors():
         "error: TwistKitError: 'nope' is neither a germ preset "
         "(['clifford_2', 'theta', 'theta_s0']) nor a file"
     )
+
+
+COMMON_OPTIONS = ["--format", "json", "--seed", "7", "--expect", "ok", "--out", "report.txt"]
+SOURCE_OPTIONS = ["--preset", "theta_s2xs2", "--in", "potential.json"]
+COMMAND_LINES = [
+    ["trees", "5"],
+    ["trees", "7", "--cap", "9", "--count", *COMMON_OPTIONS],
+    ["iso", "L", "L"],
+    ["iso", "(L L)", "twist(1)", *COMMON_OPTIONS],
+    ["classes"],
+    ["classes", *SOURCE_OPTIONS, "--bounds=0,1", *COMMON_OPTIONS],
+    ["pearl"],
+    ["pearl", *SOURCE_OPTIONS, *COMMON_OPTIONS],
+    ["certify"],
+    ["certify", *SOURCE_OPTIONS, *COMMON_OPTIONS],
+    ["germ", "theta", "clifford_2"],
+    ["germ", "theta", "germ.json", *COMMON_OPTIONS],
+]
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a.choices, dict)]
+    return action.choices
+
+
+def test_the_parser_matches_the_hand_written_reference():
+    """The parser built from the subcommand table has the help text of the
+    hand-written one, top level and per subcommand, and parses bare and full
+    command lines to the same arguments, on this Python's argparse."""
+    parser, reference = build_parser(), reference_parser()
+    assert parser.format_help() == reference.format_help()
+    built, expected = subparsers(parser), subparsers(reference)
+    assert list(built) == list(expected)
+    for name in expected:
+        assert built[name].format_help() == expected[name].format_help(), name
+    assert {line[0] for line in COMMAND_LINES} == set(expected)
+    for line in COMMAND_LINES:
+        assert vars(parser.parse_args(line)) == vars(reference.parse_args(line)), line
 
 
 def test_main_maps_every_argument_to_the_config(capsys):

@@ -957,6 +957,8 @@ def test_basis_validation():
         HomologyBasis(names=("A", "B"), boundary_matrix=((1, 0),), n_torus_rank=2)
     with pytest.raises(ValueError, match="width must match generator count"):
         HomologyBasis(names=("A", "B"), boundary_matrix=((1, 0, 0), (0, 1, 0)), n_torus_rank=2)
+    with pytest.raises(ValueError, match="a torus has rank at least 1, got 0"):
+        HomologyBasis(names=("S",), boundary_matrix=(), n_torus_rank=0)
     with pytest.raises(ValueError, match="ring_names must match generator count"):
         HomologyBasis(("A", "B"), ((1, 0), (0, 1)), 2, ring_names=("R",))
     with pytest.raises(ValueError, match="row 'a' has length 3, expected 2"):

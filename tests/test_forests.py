@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parse_reference import reference_parse_forest, reference_parse_word
+from twistkit import forests
 from twistkit.errors import CapExceeded, InvalidLeafIndex, ParseError
 from twistkit.forests import (
     _hash_of,
@@ -516,6 +517,22 @@ def test_forest_isomorphism_examples():
     assert is_isomorphic(
         RootedForest((bush(2), LEAF)), RootedForest((LEAF, bush(2)))
     )
+
+
+def test_isomorphism_reads_the_stored_keys_and_prints_no_tree(monkeypatch):
+    """A tree is compared by its stored canonical key, not wrapped in a forest
+    (whose constructor sorts its trees by their printed form)."""
+    t1, t2 = RootedTree((bush(2), LEAF)), RootedTree((LEAF, bush(2)))
+    alone, pair1, pair2 = RootedForest((t2,)), RootedForest((t1, LEAF)), RootedForest((LEAF, t2))
+
+    def refuse(tree):
+        raise RuntimeError("is_isomorphic printed a tree")
+
+    monkeypatch.setattr(forests, "print_tree", refuse)
+    assert is_isomorphic(t1, t2) and not is_isomorphic(t1, bush(3))
+    assert is_isomorphic(t1, alone) and is_isomorphic(alone, t1)
+    assert not is_isomorphic(t1, pair2) and not is_isomorphic(pair1, bush(3))
+    assert is_isomorphic(pair1, pair2) and not is_isomorphic(pair1, alone)
 
 
 def test_forest_value_is_a_multiset():
