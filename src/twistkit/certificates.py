@@ -14,6 +14,11 @@ differential in two steps:
       part of a Koszul complex.
 
 Both checks produce explicit, re-checkable witnesses.
+`certify_nondisplaceable` returns a `CertificateReport` that holds values:
+the potential, the H0 homomorphism with its image ideal's generators, and
+the regularity homomorphism with its `RegularityResult`.  Its two writers,
+`to_text` and `to_json_dict`, render them as they write; certifying alone
+computes no string.
 """
 
 from __future__ import annotations
@@ -339,91 +344,84 @@ def regularity_via_hom(potential: Potential, hom: RingHom) -> RegularityResult:
 
 
 class H0Evidence(Value):
-    __slots__ = _fields = (
-        "hom_description", "hom_is_identity", "contains_one", "ideal_generators", "method"
-    )
+    """The degree-zero half: the homomorphism `hom` applied to the toric
+    differentials, and what `ideal_contains_one` found for their images
+    (`generators` are its `IdealMembershipResult.generators`)."""
 
-    def __init__(self, hom_description, hom_is_identity, contains_one, ideal_generators,
-                 method):
-        self._init(hom_description, hom_is_identity, contains_one, ideal_generators, method)
+    __slots__ = _fields = ("hom", "hom_is_identity", "contains_one", "generators", "method")
+
+    def __init__(self, hom, hom_is_identity, contains_one, generators, method):
+        self._init(hom, hom_is_identity, contains_one, generators, method)
 
     @property
     def passed(self) -> bool:
         return not self.contains_one
 
 
-class RegularityEvidence(Value):
-    __slots__ = _fields = (
-        "hom_description", "regular", "quotient_dimension", "zero_directions"
-    )
-
-    def __init__(self, hom_description, regular, quotient_dimension, zero_directions):
-        self._init(hom_description, regular, quotient_dimension, zero_directions)
-
-    @property
-    def passed(self) -> bool:
-        return self.regular
-
-
 class CertificateReport(Value):
     """`token` is one of certified, partial, inconclusive and not-certified;
-    `regularity` is None when no regularity homomorphism was supplied."""
+    `regularity` is the `RegularityResult` through `regularity_hom`, both
+    None when no regularity homomorphism was supplied."""
 
-    __slots__ = _fields = (
-        "verdict", "token", "potential_str", "toric_differentials", "h0", "regularity"
-    )
+    __slots__ = _fields = ("verdict", "token", "potential", "h0", "regularity_hom", "regularity")
 
-    def __init__(self, verdict, token, potential_str, toric_differentials, h0, regularity):
-        self._init(verdict, token, potential_str, toric_differentials, h0, regularity)
+    def __init__(self, verdict, token, potential, h0, regularity_hom, regularity):
+        self._init(verdict, token, potential, h0, regularity_hom, regularity)
+
+    def _differentials(self):
+        """(carrying generator, its toric differential as text), in order."""
+        return [(name, str(v))
+                for name, v in zip(self.potential.r_names, self.potential.toric_differential())]
 
     def to_json_dict(self) -> dict:
+        h0, regularity = self.h0, self.regularity
         return {
             "verdict": self.verdict,
             "token": self.token,
-            "potential": self.potential_str,
-            "toric_differential": {name: s for name, s in self.toric_differentials},
+            "potential": str(self.potential.poly),
+            "toric_differential": dict(self._differentials()),
             "h0": {
-                "hom": self.h0.hom_description,
-                "identity_hom": self.h0.hom_is_identity,
-                "contains_one": self.h0.contains_one,
-                "ideal_generators": list(self.h0.ideal_generators),
-                "method": self.h0.method,
-                "passed": self.h0.passed,
+                "hom": h0.hom.describe(),
+                "identity_hom": h0.hom_is_identity,
+                "contains_one": h0.contains_one,
+                "ideal_generators": [str(g) for g in h0.generators],
+                "method": h0.method,
+                "passed": h0.passed,
             },
             "regularity": None
-            if self.regularity is None
+            if regularity is None
             else {
-                "hom": self.regularity.hom_description,
-                "regular": self.regularity.regular,
-                "quotient_dimension": self.regularity.quotient_dimension,
-                "zero_directions": list(self.regularity.zero_directions),
+                "hom": self.regularity_hom.describe(),
+                "regular": regularity.regular,
+                "quotient_dimension": regularity.quotient_dimension,
+                "zero_directions": list(regularity.zero_directions),
                 "note": REGULARITY_CRITERION_NOTE,
-                "passed": self.regularity.passed,
+                "passed": regularity.regular,
             },
         }
 
     def to_text(self) -> list[str]:
-        lines = [f"potential U = {self.potential_str}"]
-        for name, s in self.toric_differentials:
+        h0, regularity = self.h0, self.regularity
+        lines = [f"potential U = {self.potential.poly}"]
+        for name, s in self._differentials():
             lines.append(f"v[{name}] = {s}")
-        status = "PASSED" if self.h0.passed else "FAILED"
-        gens = ", ".join(self.h0.ideal_generators) or "0"
+        status = "PASSED" if h0.passed else "FAILED"
+        gens = ", ".join(map(str, h0.generators)) or "0"
         lines.append(
-            f"H0 check ({self.h0.method}, hom: {self.h0.hom_description}): {status}; "
-            f"image ideal ({gens})"
+            f"H0 check ({h0.method}, hom: {h0.hom.describe()}): {status}; image ideal ({gens})"
         )
-        if self.regularity is None:
+        if regularity is None:
             lines.append("regularity check: not run (no homomorphism supplied)")
         else:
-            status = "PASSED" if self.regularity.passed else "FAILED"
-            dim = self.regularity.quotient_dimension
+            status = "PASSED" if regularity.regular else "FAILED"
+            dim = regularity.quotient_dimension
             detail = f"critical quotient dimension {dim}" if dim is not None else (
-                "vanishing toric derivative in " + ", ".join(self.regularity.zero_directions)
-                if self.regularity.zero_directions
+                "vanishing toric derivative in " + ", ".join(regularity.zero_directions)
+                if regularity.zero_directions
                 else "infinite-dimensional critical quotient"
             )
             lines.append(
-                f"regularity check (hom: {self.regularity.hom_description}): {status}; {detail}"
+                f"regularity check (hom: {self.regularity_hom.describe()}): {status}; {detail}"
             )
         lines.append(f"verdict: {self.verdict}")
         return lines
@@ -439,31 +437,15 @@ def certify_nondisplaceable(
     Without an explicit `h0_hom` the identity homomorphism is used, which
     decides degree-zero survival exactly; a user-supplied homomorphism is
     honored as the evidence route, so its failure is inconclusive rather
-    than a disproof.
+    than a disproof.  The report holds values; nothing is rendered here.
     """
-    vs = potential.toric_differential()
     hom = h0_hom or RingHom.identity(potential.ring, potential.variables)
-    images = [hom.apply(v) for v in vs]
-    membership = ideal_contains_one(images)
-    h0 = H0Evidence(
-        hom_description=hom.describe(),
-        hom_is_identity=hom.is_identity,
-        contains_one=membership.contains_one,
-        ideal_generators=tuple(str(g) for g in membership.generators),
-        method=membership.method,
-    )
+    membership = ideal_contains_one([hom.apply(v) for v in potential.toric_differential()])
+    h0 = H0Evidence(hom, hom.is_identity, membership.contains_one, membership.generators,
+                    membership.method)
+    regularity = None if regularity_hom is None else regularity_via_hom(potential, regularity_hom)
 
-    regularity = None
-    if regularity_hom is not None:
-        result = regularity_via_hom(potential, regularity_hom)
-        regularity = RegularityEvidence(
-            hom_description=regularity_hom.describe(),
-            regular=result.regular,
-            quotient_dimension=result.quotient_dimension,
-            zero_directions=result.zero_directions,
-        )
-
-    if h0.passed and regularity is not None and regularity.passed:
+    if h0.passed and regularity is not None and regularity.regular:
         verdict, token = "non-displaceability certified", "certified"
     elif h0.passed:
         detail = (
@@ -485,16 +467,7 @@ def certify_nondisplaceable(
             "inconclusive",
         )
 
-    return CertificateReport(
-        verdict=verdict,
-        token=token,
-        potential_str=str(potential.poly),
-        toric_differentials=tuple(
-            (name, str(v)) for name, v in zip(potential.r_names, vs)
-        ),
-        h0=h0,
-        regularity=regularity,
-    )
+    return CertificateReport(verdict, token, potential, h0, regularity_hom, regularity)
 
 
 def search_h0_hom(potential: Potential, exponent_bound: int = 2):

@@ -22,6 +22,11 @@ The pairs left wait in a heap keyed by the grevlex key of their lcm, with
 ties broken by the pair's indices, beside a dict of the live ones; a heap
 entry that criterion B dropped is skipped when it comes up.  The loop
 reduces at most `PAIR_BUDGET` pairs and raises `CapExceeded` at the next.
+Reduction is bounded too: each step counts the terms of the working
+polynomial it scans for the leading term and of the divisor it subtracts,
+over one basis computation (autoreduction included) or one `normal_form`
+call, and the step that takes the count past `REDUCTION_BUDGET` raises
+`CapExceeded`.
 An S-polynomial is reduced by the first basis element, in basis order,
 whose leading monomial divides its leading term.  The loop ends at the
 first constant element, and never starts when a generator is constant:
@@ -136,6 +141,7 @@ class _Working:
     def __init__(self, ring):
         self.gf2 = ring is GF2
         self.keys = _Keys()
+        self.spent = 0  # terms `reduce` scanned and subtracted, against REDUCTION_BUDGET
 
     def lead(self, poly):
         return max(poly, key=self.keys.__getitem__)
@@ -217,13 +223,16 @@ class _Working:
         remainder is `scale` times the remainder in rationals, and the
         cofactors over the returned den are scaled alike."""
         lead, sub_shifted = self.lead, self.sub_shifted
+        budget, spent = REDUCTION_BUDGET, self.spent
         remainder = {}
         scale = 1
         while work:
+            spent += len(work)
             exps = lead(work)
             coeff = work[exps]
             for lm, lc, poly, dcofs, dden in divisors:
                 if all(map(le, lm, exps)):
+                    spent += len(poly)
                     shift = tuple(map(sub, exps, lm))
                     a = 1
                     if lc != 1:  # never over GF2
@@ -249,6 +258,12 @@ class _Working:
                     break
             else:
                 remainder[exps] = work.pop(exps)
+            if spent > budget:
+                raise CapExceeded(
+                    f"groebner: reduction exceeds the budget of {budget} terms "
+                    "scanned and subtracted"
+                )
+        self.spent = spent
         return remainder, den, scale
 
 
@@ -314,6 +329,17 @@ BASIS_MEMO_SIZE = 256
 # theta^2 H0 ideal in coordinates mixed by random unimodular matrices
 # (seeds 3 and 4: about 8 s and 5 minutes on a 2-vCPU machine, Python 3.11).
 PAIR_BUDGET = 20_000
+
+# Most terms the reductions of one basis computation (autoreduction
+# included) or of one `normal_form` call may scan for leading terms and
+# subtract as divisors; the step past it raises `CapExceeded`.  Measured
+# peaks: 44,017 (the test suite), 2,040,279 (the theta^2 H0 ideals mixed by
+# the unimodular matrices of seeds 1, 3 and 5), 2,622,080 (the mixed theta^2
+# regularity ideal of seed 3) and 6,600,955 (a theta potential file whose
+# first class has the exponent 100, about 1.3 s on a 2-vCPU machine, Python
+# 3.11); with the exponent 300, which does not finish, the count passes
+# 8.4 million within 2 s and 96 million within 20 s.
+REDUCTION_BUDGET = 10_000_000
 
 
 @functools.lru_cache(maxsize=BASIS_MEMO_SIZE)

@@ -321,8 +321,8 @@ def test_twist_torus_is_certified():
     assert report.token == "certified"
     assert report.verdict == "non-displaceability certified"
     assert report.h0.passed and not report.h0.contains_one
-    assert report.h0.ideal_generators == ("R^2 + R + 1",)
-    assert report.regularity.passed
+    assert tuple(map(str, report.h0.generators)) == ("R^2 + R + 1",)
+    assert report.regularity.regular
     assert report.regularity.quotient_dimension == 2
 
 
@@ -346,6 +346,25 @@ def test_unit_potential_is_definitively_not_certified():
     assert report.token == "not-certified"
     assert report.h0.hom_is_identity
     assert report.h0.contains_one
+
+
+def test_certifying_renders_nothing(monkeypatch):
+    """A report holds values and renders them only when it is written: with
+    polynomial printing and homomorphism descriptions broken, certifying
+    still gives each token, and the writers then print the frozen lines."""
+    cases = [(theta_bundle(), "theta_s2xs2"), (product_bundle(1, 1), "theta_x_circle")]
+
+    def refuse(*args):
+        raise AssertionError("rendered while certifying")
+
+    with monkeypatch.context() as m:
+        m.setattr(LaurentPoly, "__str__", refuse)
+        m.setattr(RingHom, "describe", refuse)
+        reports = [bundle.certify() for bundle, _ in cases]
+    assert [report.token for report in reports] == ["certified", "certified"]
+    for report, (_, name) in zip(reports, cases):
+        golden = DATA / "golden" / f"{name}.certify.text"
+        assert report.to_text() == golden.read_text(encoding="utf-8").splitlines()
 
 
 def test_h0_alone_gives_a_partial_verdict():
@@ -428,7 +447,7 @@ def test_theta_powers_certify_with_quotient_dimension_two_to_the_k(k):
     elapsed = time.perf_counter() - start
     assert report.token == "certified"
     assert report.regularity.quotient_dimension == 2**k
-    assert len(report.h0.ideal_generators) == 6 * k
+    assert len(report.h0.generators) == 6 * k
     assert elapsed < 1.0
 
 
@@ -563,7 +582,7 @@ def test_products_match_the_unsplit_localization(monkeypatch):
             if a + b == 1:
                 assert split == whole  # one block: every byte, generators included
             else:  # the blocks' bases, with auxiliary variables w1, w2, ...
-                assert split.h0.ideal_generators != whole.h0.ideal_generators
+                assert split.h0.generators != whole.h0.generators
 
 
 def random_block_poly(rng, ring, nvars, used, max_terms=3):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,26 @@ def test_preset_reports_match_frozen_golden_files(command, fmt, capsys):
     """The preset's reports as `twist-kit` prints them, frozen byte for byte."""
     assert main([command, "--preset", "theta_s2xs2", "--format", fmt]) == 0
     expected = (GOLDEN / f"theta_s2xs2.{command}.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+# potential files whose certify reports reach every branch of the two writers
+CERTIFY_FILES = (
+    "theta_x_circle",  # identity H0 hom, Groebner route in two blocks; certified
+    "theta_collapse",  # the collapse hom as H0 hom: inconclusive
+    "theta_no_homs",  # regularity check not run
+    "circle_unit",  # the toric differential is a unit: not certified
+    "circle_flat",  # image ideal (0); a toric derivative vanishes identically
+    "two_carriers",  # infinite-dimensional critical quotient
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", CERTIFY_FILES)
+def test_certify_reports_of_files_match_frozen_golden_files(name, fmt, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)  # the JSON report names the file as given
+    assert main(["certify", "--in", f"{name}.potential.json", "--format", fmt]) == 0
+    expected = (GOLDEN / f"{name}.certify.{fmt}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
@@ -449,6 +470,30 @@ def test_certify_over_the_pair_budget_exits_two(monkeypatch, capsys):
     assert error_line(capsys) == (
         "error: CapExceeded: groebner: the Buchberger loop exceeds the pair budget of 2 S-pairs\n"
     )
+
+
+def test_certify_past_the_reduction_budget_exits_two(tmp_path, monkeypatch, capsys):
+    """A theta potential file whose first class has the exponent 300 (and no
+    homomorphisms) reduces past the budget within seconds; with 100 it
+    finishes and prints its frozen report."""
+    from twistkit import groebner
+
+    data = json.loads((GOLDEN / "theta_c100.potential.json").read_text(encoding="utf-8"))
+    data["classes"][0]["coefficients"][0] = 300
+    path = tmp_path / "theta_c300.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    groebner._reduced_basis.cache_clear()
+    start = time.perf_counter()
+    assert main(["certify", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 10
+    assert error_line(capsys) == (
+        f"error: CapExceeded: groebner: reduction exceeds the budget of "
+        f"{groebner.REDUCTION_BUDGET} terms scanned and subtracted\n"
+    )
+    monkeypatch.chdir(GOLDEN)
+    assert main(["certify", "--in", "theta_c100.potential.json", "--format", "json"]) == 0
+    expected = (GOLDEN / "theta_c100.certify.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):

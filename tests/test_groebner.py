@@ -748,3 +748,35 @@ def test_pair_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
     assert groebner_basis(gens, with_cofactors=True) == want
     assert groebner._reduced_basis.cache_info().currsize == 1
+
+
+def test_reduction_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
+    """The reductions of x^2 - y and x^3 - 1, autoreduction included, scan
+    and subtract 19 terms: a budget of 19 lets the basis finish, and one of
+    18 raises.  A raise leaves nothing in the memo, so it repeats.  One
+    `normal_form` call counts on its own: x^5 + 3 takes 15 terms."""
+    from twistkit import groebner
+
+    v = ("x", "y")
+    gens = [poly(RATIONAL, v, {(2, 0): 1, (0, 1): -1}), poly(RATIONAL, v, {(3, 0): 1, (0, 0): -1})]
+    groebner._reduced_basis.cache_clear()
+    want = groebner_basis(gens, with_cofactors=True)
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 19)
+    groebner._reduced_basis.cache_clear()
+    assert groebner_basis(gens, with_cofactors=True) == want
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 18)
+    groebner._reduced_basis.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=(
+            "^groebner: reduction exceeds the budget of 18 terms scanned and subtracted$"
+        )):
+            groebner_basis(gens, with_cofactors=True)
+        assert groebner._reduced_basis.cache_info().currsize == 0
+
+    basis = want[0]
+    p = poly(RATIONAL, v, {(5, 0): 1, (0, 0): 3})
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 15)
+    assert normal_form(p, basis) == (poly(RATIONAL, v, {(0, 1): 1, (0, 0): 3}), None)
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 14)
+    with pytest.raises(CapExceeded, match="budget of 14 terms"):
+        normal_form(p, basis)

@@ -17,7 +17,6 @@ from twistkit.certificates import (
     CertificateReport,
     H0Evidence,
     IdealMembershipResult,
-    RegularityEvidence,
     RegularityResult,
     ideal_contains_one,
 )
@@ -44,13 +43,10 @@ def _membership():
 
 
 def _h0():
-    return dict(hom_description="R -> R, T -> 1", hom_is_identity=False, contains_one=False,
-                ideal_generators=("R^2 + R + 1",), method="gcd")
-
-
-def _regularity():
-    return dict(hom_description="R -> z1", regular=True, quotient_dimension=2,
-                zero_directions=())
+    hom = RingHom.from_monomials(GF2, ("R",), {"R": (1,), "T": (0,)})
+    return dict(hom=hom, hom_is_identity=False, contains_one=False,
+                generators=(LaurentPoly(GF2, ("R",), {(2,): 1, (1,): 1, (0,): 1}),),
+                method="gcd")
 
 
 def _preset():
@@ -76,11 +72,12 @@ SAMPLES = [
     (RegularityResult, lambda: dict(regular=False, quotient_dimension=None,
                                     zero_directions=("T",))),
     (H0Evidence, _h0),
-    (RegularityEvidence, _regularity),
     (CertificateReport, lambda: dict(
-        verdict="partially certified", token="partial", potential_str="R + R^-1",
-        toric_differentials=(("R", "R - R^-1"),), h0=H0Evidence(**_h0()),
-        regularity=RegularityEvidence(**_regularity()))),
+        verdict="partially certified", token="partial",
+        potential=Potential(**dict(SAMPLES)[Potential]()), h0=H0Evidence(**_h0()),
+        regularity_hom=RingHom.from_monomials(RATIONAL, ("z1",), {"S1": (0,), "R1": (1,),
+                                                                   "S2": (0,)}),
+        regularity=RegularityResult(regular=True, quotient_dimension=2, zero_directions=()))),
     (RootedTree, lambda: dict(children=(bush(2), LEAF))),
     (TwistWord, lambda: dict(steps=((1, 1), (2, 2)))),
     (Germ, lambda: dict(dim=2, constant=Fraction(1, 2), covectors=frozenset({(1, 0)}),
