@@ -16,9 +16,9 @@ differential in two steps:
 Both checks produce explicit, re-checkable witnesses.
 `certify_nondisplaceable` returns a `CertificateReport` that holds values:
 the potential, the H0 homomorphism with its image ideal's generators, and
-the regularity homomorphism with its `RegularityResult`.  Its two writers,
-`to_text` and `to_json_dict`, render them as they write; certifying alone
-computes no string.
+the regularity homomorphism with its `RegularityResult`.  `to_json_dict`
+renders them as it writes; `report_text`, the one text writer, reads only
+that dict.  Certifying alone computes no string.
 """
 
 from __future__ import annotations
@@ -368,18 +368,13 @@ class CertificateReport(Value):
     def __init__(self, verdict, token, potential, h0, regularity_hom, regularity):
         self._init(verdict, token, potential, h0, regularity_hom, regularity)
 
-    def _differentials(self):
-        """(carrying generator, its toric differential as text), in order."""
-        return [(name, str(v))
-                for name, v in zip(self.potential.r_names, self.potential.toric_differential())]
-
     def to_json_dict(self) -> dict:
-        h0, regularity = self.h0, self.regularity
+        h0, regularity, p = self.h0, self.regularity, self.potential
         return {
             "verdict": self.verdict,
             "token": self.token,
-            "potential": str(self.potential.poly),
-            "toric_differential": dict(self._differentials()),
+            "potential": str(p.poly),
+            "toric_differential": dict(zip(p.r_names, map(str, p.toric_differential()))),
             "h0": {
                 "hom": h0.hom.describe(),
                 "identity_hom": h0.hom_is_identity,
@@ -401,30 +396,30 @@ class CertificateReport(Value):
         }
 
     def to_text(self) -> list[str]:
-        h0, regularity = self.h0, self.regularity
-        lines = [f"potential U = {self.potential.poly}"]
-        for name, s in self._differentials():
-            lines.append(f"v[{name}] = {s}")
-        status = "PASSED" if h0.passed else "FAILED"
-        gens = ", ".join(map(str, h0.generators)) or "0"
-        lines.append(
-            f"H0 check ({h0.method}, hom: {h0.hom.describe()}): {status}; image ideal ({gens})"
+        return report_text(self.to_json_dict())
+
+
+def report_text(d: dict) -> list[str]:
+    """The text lines of a report, written from its `to_json_dict()` alone."""
+    h0, regularity = d["h0"], d["regularity"]
+    lines = [f"potential U = {d['potential']}"]
+    lines.extend(f"v[{name}] = {v}" for name, v in d["toric_differential"].items())
+    status = "PASSED" if h0["passed"] else "FAILED"
+    gens = ", ".join(h0["ideal_generators"]) or "0"
+    lines.append(f"H0 check ({h0['method']}, hom: {h0['hom']}): {status}; image ideal ({gens})")
+    if regularity is None:
+        lines.append("regularity check: not run (no homomorphism supplied)")
+    else:
+        status = "PASSED" if regularity["passed"] else "FAILED"
+        dim = regularity["quotient_dimension"]
+        detail = f"critical quotient dimension {dim}" if dim is not None else (
+            "vanishing toric derivative in " + ", ".join(regularity["zero_directions"])
+            if regularity["zero_directions"]
+            else "infinite-dimensional critical quotient"
         )
-        if regularity is None:
-            lines.append("regularity check: not run (no homomorphism supplied)")
-        else:
-            status = "PASSED" if regularity.regular else "FAILED"
-            dim = regularity.quotient_dimension
-            detail = f"critical quotient dimension {dim}" if dim is not None else (
-                "vanishing toric derivative in " + ", ".join(regularity.zero_directions)
-                if regularity.zero_directions
-                else "infinite-dimensional critical quotient"
-            )
-            lines.append(
-                f"regularity check (hom: {self.regularity_hom.describe()}): {status}; {detail}"
-            )
-        lines.append(f"verdict: {self.verdict}")
-        return lines
+        lines.append(f"regularity check (hom: {regularity['hom']}): {status}; {detail}")
+    lines.append(f"verdict: {d['verdict']}")
+    return lines
 
 
 def certify_nondisplaceable(

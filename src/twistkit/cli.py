@@ -1,10 +1,11 @@
 """Command-line front end: reproducible reports over the library operations.
 
 `_COMMANDS` is the one declaration of the subcommands: each name with its
-handler, help line and arguments.  `build_parser` builds the parser from it
-and `run` dispatches through it.  Reports are emitted as text (default) or
-deterministic JSON (`--format json`, sorted keys).  The CLI is a thin
-adapter: every computation is a library call.
+handler, text writer, help line and arguments.  `build_parser` builds the
+parser from it and `run` dispatches through it.  A handler returns its
+report as a payload, emitted as deterministic JSON (`--format json`, sorted
+keys) or as text by its writer (default).  The CLI is a thin adapter: every
+computation is a library call.
 
 Outside data (the `--in` tables and potentials, germ files, the `iso`
 expressions, the n and cap of `trees`) becomes twistkit values only through
@@ -24,7 +25,7 @@ import sys
 
 from . import presets
 from ._value import Value
-from .certificates import certify_nondisplaceable
+from .certificates import certify_nondisplaceable, report_text
 from .discs import enumerate_candidate_classes, table_from_json
 from .errors import TwistKitError
 from .forests import (
@@ -91,7 +92,7 @@ def _read(convert, *args, path=None):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, text_lines, expect_token)
+# command handlers, returning (payload, expect token), and text writers of payloads
 
 
 def _cmd_trees(config: RunConfig):
@@ -99,16 +100,15 @@ def _cmd_trees(config: RunConfig):
     cap = config.params.get("cap", DEFAULT_ENUMERATION_CAP)
     _read(check_enumeration_size, n, cap)
     if config.params.get("count_only", False):
-        count = count_ample_trees(n)
-        payload = {"n": n, "cap": cap, "count": count}
-        lines = []
+        payload = {"n": n, "cap": cap, "count": count_ample_trees(n)}
     else:
         forms = [canonical_form(t) for t in enumerate_ample_trees(n, cap=cap)]
-        count = len(forms)
-        payload = {"n": n, "cap": cap, "count": count, "trees": forms}
-        lines = list(forms)
-    lines.append(f"{count} ample tree(s) with {n} leaves")
-    return payload, lines, str(count)
+        payload = {"n": n, "cap": cap, "count": len(forms), "trees": forms}
+    return payload, str(payload["count"])
+
+
+def _text_trees(p):
+    return p.get("trees", []) + [f"{p['count']} ample tree(s) with {p['n']} leaves"]
 
 
 def _cmd_iso(config: RunConfig):
@@ -122,8 +122,7 @@ def _cmd_iso(config: RunConfig):
         "right_canonical": list(forest_canonical_form(right)),
         "isomorphic": result,
     }
-    lines = [f"isomorphic: {str(result).lower()}"]
-    return payload, lines, "isomorphic" if result else "not-isomorphic"
+    return payload, "isomorphic" if result else "not-isomorphic"
 
 
 def _preset_or_file(config: RunConfig, known: dict, of_preset, of_json):
@@ -148,9 +147,6 @@ def _cmd_classes(config: RunConfig):
         config, presets.CONSTRAINT_PRESETS, lambda table: (table, None), table_from_json)
     bounds = config.params.get("bounds") or file_bounds
     classes = enumerate_candidate_classes(table, bounds=bounds)
-    monomials = [
-        str(LaurentPoly.monomial(GF2, table.basis.ring_names, c.coefficients)) for c in classes
-    ]
     payload = {
         "source": source,
         "basis": list(table.basis.names),
@@ -161,17 +157,22 @@ def _cmd_classes(config: RunConfig):
             {
                 "coefficients": list(c.coefficients),
                 "boundary": list(c.boundary_class),
-                "monomial": mono,
+                "monomial": str(LaurentPoly.monomial(GF2, table.basis.ring_names, c.coefficients)),
             }
-            for c, mono in zip(classes, monomials)
+            for c in classes
         ],
     }
-    lines = [f"candidate classes (target Maslov {table.target_maslov}):"]
-    lines.append("  basis: " + " ".join(table.basis.names))
-    for c, mono in zip(classes, monomials):
-        lines.append(f"  {c.coefficients}  boundary {c.boundary_class}  ~ {mono}")
-    lines.append(f"{len(classes)} class(es)")
-    return payload, lines, str(len(classes))
+    return payload, str(len(classes))
+
+
+def _text_classes(p):
+    return [
+        f"candidate classes (target Maslov {p['target_maslov']}):",
+        "  basis: " + " ".join(p["basis"]),
+        *(f"  {tuple(c['coefficients'])}  boundary {tuple(c['boundary'])}  ~ {c['monomial']}"
+          for c in p["classes"]),
+        f"{p['count']} class(es)",
+    ]
 
 
 def _bundle_from_json(data: dict):
@@ -193,37 +194,33 @@ def _resolve_bundle(config: RunConfig):
 
 def _cmd_pearl(config: RunConfig):
     (potential, _, _), source = _resolve_bundle(config)
-    vs = potential.toric_differential()
-    n = len(potential.r_names)
-    d2_rows = []
-    for k, name in enumerate(potential.r_names):
-        alpha = PearlElement.generator(potential.ring, potential.variables, n, k)
-        d2_rows.append((name, str(pearl_d2(alpha, potential).component(()))))
+    ring, variables, names = potential.ring, potential.variables, potential.r_names
+    d2 = [pearl_d2(PearlElement.generator(ring, variables, len(names), k), potential)
+          for k in range(len(names))]
     payload = {
         "source": source,
-        "ring": potential.ring.tag,
-        "variables": list(potential.variables),
+        "ring": ring.tag,
+        "variables": list(variables),
         "potential": poly_to_json(potential.poly)["terms"],
         "u": str(potential.poly),
-        "toric_differential": {name: str(v) for name, v in zip(potential.r_names, vs)},
-        "d2_degree_one": {name: s for name, s in d2_rows},
+        "toric_differential": dict(zip(names, map(str, potential.toric_differential()))),
+        "d2_degree_one": {name: str(d.component(())) for name, d in zip(names, d2)},
     }
-    lines = [f"potential U = {potential.poly}"]
-    for name, v in zip(potential.r_names, vs):
-        lines.append(f"v[{name}] = {v}")
-    for name, s in d2_rows:
-        lines.append(f"d2(dual of {name}) = {s}")
-    return payload, lines, None
+    return payload, None
+
+
+def _text_pearl(p):
+    return [
+        f"potential U = {p['u']}",
+        *(f"v[{name}] = {v}" for name, v in p["toric_differential"].items()),
+        *(f"d2(dual of {name}) = {s}" for name, s in p["d2_degree_one"].items()),
+    ]
 
 
 def _cmd_certify(config: RunConfig):
     (potential, h0_hom, regularity_hom), source = _resolve_bundle(config)
     report = certify_nondisplaceable(potential, h0_hom=h0_hom, regularity_hom=regularity_hom)
-    payload = {"source": source, **report.to_json_dict()}
-    lines = report.to_text()
-    if _on_terminal(config):
-        lines[-1] = f"\x1b[{'32' if report.token == 'certified' else '31'}m{lines[-1]}\x1b[0m"
-    return payload, lines, report.token
+    return {"source": source, **report.to_json_dict()}, report.token
 
 
 def _resolve_germ(ref: str):
@@ -240,29 +237,27 @@ def _cmd_germ(config: RunConfig):
     left, left_src = _resolve_germ(config.params["left"])
     right, right_src = _resolve_germ(config.params["right"])
     outcome = germ_equivalent(left, right)
-    payload = {
+    if isinstance(outcome, UnimodularWitness):
+        equivalent, witness, token = True, [list(row) for row in outcome.matrix], "equivalent"
+    elif isinstance(outcome, Indeterminate):
+        equivalent, witness, token = None, None, "indeterminate"
+    else:
+        equivalent, witness, token = False, None, "not-equivalent"
+    return {
         "left": {"source": left_src, **germ_to_json(left)},
         "right": {"source": right_src, **germ_to_json(right)},
-    }
-    if isinstance(outcome, UnimodularWitness):
-        payload["equivalent"] = True
-        payload["witness"] = [list(row) for row in outcome.matrix]
-        payload["reason"] = None
-        lines = [f"equivalent: true, witness {payload['witness']}"]
-        token = "equivalent"
-    elif isinstance(outcome, Indeterminate):
-        payload["equivalent"] = None
-        payload["witness"] = None
-        payload["reason"] = outcome.reason
-        lines = [f"indeterminate: {outcome.reason}"]
-        token = "indeterminate"
-    else:
-        payload["equivalent"] = False
-        payload["witness"] = None
-        payload["reason"] = outcome.reason
-        lines = [f"equivalent: false ({outcome.reason})"]
-        token = "not-equivalent"
-    return payload, lines, token
+        "equivalent": equivalent,
+        "witness": witness,
+        "reason": getattr(outcome, "reason", None),
+    }, token
+
+
+def _text_germ(p):
+    if p["equivalent"]:
+        return [f"equivalent: true, witness {p['witness']}"]
+    if p["equivalent"] is None:
+        return [f"indeterminate: {p['reason']}"]
+    return [f"equivalent: false ({p['reason']})"]
 
 
 _SOURCE = (("--preset", {}), ("--in", dict(dest="infile")))
@@ -274,40 +269,43 @@ _COMMON = (
     ("--out", dict(help="write the report to a file")),
 )
 
-# name -> (handler, help line, its own arguments as (flag, add_argument kwargs)),
-# in the order of the help text; each subcommand also takes the `_COMMON` ones
+# name -> (handler, text writer, help line, own arguments as (flag, kwargs)), in
+# the order of the help text; each subcommand also takes the `_COMMON` ones
 _COMMANDS = {
-    "trees": (_cmd_trees, "enumerate ample rooted trees with n leaves", (
+    "trees": (_cmd_trees, _text_trees, "enumerate ample rooted trees with n leaves", (
         ("n", dict(type=int)),
         ("--cap", dict(type=int, default=DEFAULT_ENUMERATION_CAP)),
         ("--count", dict(dest="count_only", action="store_true", help="emit the count only")),
     )),
-    "iso": (_cmd_iso, "decide forest isomorphism of two expressions", _PAIR),
-    "classes": (_cmd_classes, "enumerate candidate disc classes", _SOURCE + (
+    "iso": (_cmd_iso, lambda p: [f"isomorphic: {str(p['isomorphic']).lower()}"],
+            "decide forest isomorphism of two expressions", _PAIR),
+    "classes": (_cmd_classes, _text_classes, "enumerate candidate disc classes", _SOURCE + (
         ("--bounds", dict(help="a,b: only the box [a,b] in every coordinate")),
     )),
-    "pearl": (_cmd_pearl, "potential, toric differentials, degree-one images", _SOURCE),
-    "certify": (_cmd_certify, "run the non-displaceability certificate", _SOURCE),
-    "germ": (_cmd_germ, "compare two displacement-energy germs", _PAIR),
+    "pearl": (_cmd_pearl, _text_pearl, "potential, toric differentials, degree-one images",
+              _SOURCE),
+    "certify": (_cmd_certify, report_text, "run the non-displaceability certificate", _SOURCE),
+    "germ": (_cmd_germ, _text_germ, "compare two displacement-energy germs", _PAIR),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Dispatch a config; returns (exit code, rendered report), or raises a
     `TwistKitError` or an `OSError` on bad input."""
-    payload, lines, token = _COMMANDS[config.command][0](config)
-    payload = {"schema": SCHEMA, "command": config.command, "seed": config.seed, **payload}
+    handler, write_text = _COMMANDS[config.command][:2]
+    payload, token = handler(config)
+    if config.expect is not None and token is None:
+        raise TwistKitError(f"{config.command} has no result token for --expect")
+    failed = config.expect is not None and config.expect != token
     if config.format == "json":
-        rendered = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        rendered = "\n".join(lines)
-
-    code = 0
-    if config.expect is not None and token is not None and config.expect != token:
-        code = 1
-        if config.format != "json":
-            rendered += f"\nexpectation failed: wanted {config.expect!r}, got {token!r}"
-    return code, rendered
+        header = {"schema": SCHEMA, "command": config.command, "seed": config.seed}
+        return int(failed), json.dumps({**header, **payload}, sort_keys=True, indent=2)
+    lines = write_text(payload)
+    if config.command == "certify" and _on_terminal(config):
+        lines[-1] = f"\x1b[{'32' if token == 'certified' else '31'}m{lines[-1]}\x1b[0m"
+    if failed:
+        lines.append(f"expectation failed: wanted {config.expect!r}, got {token!r}")
+    return int(failed), "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations for monotone Lagrangian twist tori",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, arguments) in _COMMANDS.items():
+    for name, (_, _, help_line, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for flag, kwargs in arguments + _COMMON:
             p.add_argument(flag, **kwargs)

@@ -16,39 +16,6 @@ from twistkit.germs import germ_to_json
 from twistkit.pearl import potential_to_json
 from twistkit.presets import theta_constraint_table, theta_potential
 
-GOLDEN_CERTIFY = """\
-{
-  "command": "certify",
-  "h0": {
-    "contains_one": false,
-    "hom": "R -> R, S1 -> 1, S2 -> R, T -> R",
-    "ideal_generators": [
-      "R^2 + R + 1"
-    ],
-    "identity_hom": false,
-    "method": "gcd",
-    "passed": true
-  },
-  "potential": "R + R^-1*T*S2 + R^-1*S1 + R^-1*S2 + R^-1*T^-1*S1",
-  "regularity": {
-    "hom": "R -> z1, S1 -> 1, S2 -> 1, T -> z2",
-    "note": "isolated critical points read as: the critical ideal has a finite-dimensional quotient in the Laurent ring (after inverting all variables), and no toric derivative vanishes identically",
-    "passed": true,
-    "quotient_dimension": 2,
-    "regular": true,
-    "zero_directions": []
-  },
-  "schema": "1",
-  "seed": 2010,
-  "source": "preset:theta_s2xs2",
-  "token": "certified",
-  "toric_differential": {
-    "R": "R + R^-1*T*S2 + R^-1*S1 + R^-1*S2 + R^-1*T^-1*S1",
-    "T": "R^-1*T*S2 + R^-1*T^-1*S1"
-  },
-  "verdict": "non-displaceability certified"
-}"""
-
 
 def run_json(command, params, **kwargs):
     code, rendered = run(RunConfig(command=command, params=params, format="json", **kwargs))
@@ -84,20 +51,12 @@ def test_classes_preset_lists_the_five_classes():
     assert got == direct
 
 
-def test_certify_matches_frozen_golden_output():
-    code, rendered = run(
-        RunConfig(command="certify", params={"preset": "theta_s2xs2"}, format="json")
-    )
-    assert code == 0
-    assert rendered == GOLDEN_CERTIFY
-
-
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.mark.parametrize("command, fmt", [
     ("classes", "text"), ("classes", "json"), ("pearl", "text"), ("pearl", "json"),
-    ("certify", "text"),
+    ("certify", "text"), ("certify", "json"),
 ])
 def test_preset_reports_match_frozen_golden_files(command, fmt, capsys):
     """The preset's reports as `twist-kit` prints them, frozen byte for byte."""
@@ -124,6 +83,62 @@ def test_certify_reports_of_files_match_frozen_golden_files(name, fmt, monkeypat
     assert main(["certify", "--in", f"{name}.potential.json", "--format", fmt]) == 0
     expected = (GOLDEN / f"{name}.certify.{fmt}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+# the other payload branches of the six subcommands, and a failed --expect:
+# golden file stem -> (exit code, arguments)
+GOLDEN_REPORTS = {
+    "trees_6.trees": (0, ["trees", "6"]),
+    "trees_7_count.trees": (0, ["trees", "7", "--count"]),
+    "trees_3_expect_7.trees": (1, ["trees", "3", "--expect", "7"]),
+    "iso_true.iso": (0, ["iso", "twist(1;1@1)", "((L L) L)"]),
+    "iso_false.iso": (0, ["iso", "(L L)", "(L L L)"]),
+    "theta_theta.germ": (0, ["germ", "theta", "theta"]),  # equivalent, with its witness
+    "clifford_2_theta.germ": (0, ["germ", "clifford_2", "theta"]),  # not equivalent
+    "theta_s0_theta_s0.germ": (0, ["germ", "theta_s0", "theta_s0"]),  # indeterminate
+    "theta_x_circle.pearl": (0, ["pearl", "--in", "theta_x_circle.potential.json"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_reports_match_frozen_golden_files(name, fmt, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)  # the pearl JSON report names the file as given
+    code, arguments = GOLDEN_REPORTS[name]
+    assert main([*arguments, "--format", fmt]) == code
+    expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_expect_on_pearl_is_an_input_error(tmp_path, capsys):
+    """`pearl` reports no result token, so an `--expect` is refused rather
+    than ignored, and no report is written."""
+    out = tmp_path / "pearl.txt"
+    assert main(["pearl", "--preset", "theta_s2xs2", "--expect", "x", "--out", str(out)]) == 2
+    assert error_line(capsys) == "error: TwistKitError: pearl has no result token for --expect\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arguments, renders", [
+    (["certify", "--in", "theta_c100.potential.json"], 23),
+    (["certify", "--preset", "theta_s2xs2"], 12),
+    (["pearl", "--preset", "theta_s2xs2"], 5),
+    (["classes", "--preset", "theta_s2xs2"], 5),
+], ids=["certify-file", "certify-preset", "pearl", "classes"])
+def test_each_report_renders_each_polynomial_once(arguments, renders, monkeypatch, capsys):
+    """Text and JSON are written from one payload, so a run formats each
+    Laurent polynomial it reports once, in either format."""
+    from twistkit.laurent import LaurentPoly
+
+    monkeypatch.chdir(GOLDEN)
+    render = LaurentPoly.__str__
+    calls = []
+    monkeypatch.setattr(LaurentPoly, "__str__", lambda p: calls.append(p) or render(p))
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert main([*arguments, "--format", fmt]) == 0
+        assert len(calls) == renders, fmt
+    capsys.readouterr()
 
 
 def test_reports_are_byte_identical_across_runs():
