@@ -7,18 +7,18 @@ primitive tori are forests.  Planar order is kept while a twist word is
 applied (the gluing rule counts leaves from the left) but isomorphism is of
 abstract rooted trees, so children order is forgotten by canonical forms.
 
-Every `RootedTree` is a frozen, slotted value that stores its canonical key
-and its leaf count, both built once from the children's stored values, so
-neither is ever recomputed by walking the tree.  The ample trees with n
-leaves are built level by level, each from the levels below.  A tree with
-a leaf under its root is one step from a tree with n - 1 leaves: put a leaf
-in front of that tree's root children, or set a leaf beside the whole tree.
-The leaf comes first among the children and its key "()" sorts last, so
-the new key is a suffix edit of the old one.  The other trees take one
-multiset of smaller ample trees per partition of n into at least two parts
->= 2, joined by itertools.  Each family is built in bulk: a private
-builder sets the three slots directly, skipping the public constructor
-(every leaf count on level n is n).
+Every `RootedTree` is a frozen, slotted value that stores its canonical key,
+built once from the children's stored keys, so it is never recomputed by
+walking the tree.  Its leaf count is read off that key: each leaf writes
+"()", and no inner vertex does.  The ample trees with n leaves are built
+level by level, each from the levels below.  A tree with a leaf under its
+root is one step from a tree with n - 1 leaves: put a leaf in front of
+that tree's root children, or set a leaf beside the whole tree.  The leaf
+comes first among the children and its key "()" sorts last, so the new
+key is a suffix edit of the old one.  The other trees take one multiset of
+smaller ample trees per partition of n into at least two parts >= 2,
+joined by itertools.  Each family is built in bulk: a private builder sets
+the children and key slots directly, skipping the public constructor.
 
 A tree is walked one way: `_child_counts` lists its vertices' child counts
 in pre-order, over an explicit stack.  That list fixes a planar tree
@@ -27,7 +27,10 @@ writes it and `_unflatten` builds a tree back from it; `print_tree` and
 `repr` are one writer over it with their own tokens.  Only the hash keeps
 its own walk, which stops at vertices that already hold theirs.
 `word_to_tree` builds at most `WORD_LEAF_BUDGET` leaves and raises
-`CapExceeded` before building a larger word.
+`CapExceeded` before building a larger word.  The keys of a tree built
+from its child counts (a literal, a word, an unpickled or deep-copied tree)
+total at most `KEY_TEXT_BUDGET` characters, or `CapExceeded` is raised: a
+chain of depth d holds about 2.5 * d**2 of them.
 
 Text grammar (whitespace insignificant)::
 
@@ -63,10 +66,12 @@ DEFAULT_ENUMERATION_CAP = 16
 # Most leaves `word_to_tree` builds for one twist word; a larger word raises
 # CapExceeded before any vertex is made.
 WORD_LEAF_BUDGET = 1_000_000
+# Most key characters `_unflatten` makes for one tree, summed over its inner
+# vertices; past it, CapExceeded.  A chain 6,000 deep makes 90,027,000.
+KEY_TEXT_BUDGET = 100_000_000
 
 
 _key_of = operator.attrgetter("canonical_key")
-_leaves_of = operator.attrgetter("leaf_count")
 _concat = functools.partial(sum, start=())
 _consume = functools.partial(collections.deque, maxlen=0)
 
@@ -81,7 +86,8 @@ class RootedTree(Value):
 
     The single-vertex tree stands for the plain circle factor.  Equality,
     hashing and repr see `children` only; `canonical_key` (the string of
-    `canonical_form`) and `leaf_count` are derived from it on construction.
+    `canonical_form`) is derived from it on construction, and `leaf_count`
+    is read off that key.
     Equality, hash and repr are those a frozen dataclass would generate.
     Equality and repr read the tree's child counts in pre-order
     (`_child_counts`), and pickling and copying go through that list, so
@@ -92,19 +98,20 @@ class RootedTree(Value):
 
     _fields = ("children",)
     # _hash is hash((children,)), filled by the first __hash__; unset until then
-    __slots__ = ("children", "canonical_key", "leaf_count", "_hash")
+    __slots__ = ("children", "canonical_key", "_hash")
 
     def __init__(self, children=()):
         children = tuple(children)
         for child in children:
             if not isinstance(child, RootedTree):
                 raise ValueError(f"{child!r} is not a RootedTree")
-        if children:
-            key = _joined_key(children)
-            leaves = sum(map(_leaves_of, children))
-        else:
-            key, leaves = "()", 1
-        self._init(children, key, leaves)
+        self._init(children, _joined_key(children) if children else "()")
+
+    @property
+    def leaf_count(self) -> int:
+        """The number of leaves, read off the key: each leaf writes "()",
+        and an inner vertex's "(" is always followed by its first child's."""
+        return self.canonical_key.count("()")
 
     def __str__(self) -> str:
         return print_tree(self)
@@ -151,14 +158,13 @@ def _hash_of(tree):
     return getattr(tree, "_hash", None)
 
 
-def _new_trees(children, keys, leaf_counts) -> tuple[RootedTree, ...]:
-    """One tree per entry of `children`, made without the constructor: each
-    of the three slots is set directly, in one C-level pass over its
-    values, so the caller vouches that `keys` and `leaf_counts` are those
-    the children give.  The hash slot stays unset
-    until the first `__hash__`."""
+def _new_trees(children, keys) -> tuple[RootedTree, ...]:
+    """One tree per entry of `children`, made without the constructor: the
+    children and key slots are each set directly, in one C-level pass over
+    their values, so the caller vouches that `keys` are those the children
+    give.  The hash slot stays unset until the first `__hash__`."""
     trees = tuple(map(object.__new__, itertools.repeat(RootedTree, len(children))))
-    for set_slot, values in zip(RootedTree._setters, (children, keys, leaf_counts)):
+    for set_slot, values in zip(RootedTree._setters, (children, keys)):
         _consume(map(set_slot, trees, values))
     return trees
 
@@ -203,15 +209,22 @@ def _unflatten(child_counts) -> RootedTree:
     """The tree whose vertices have these child counts in pre-order, the
     list `_child_counts` walks and the parser and `word_to_tree` write,
     built bottom-up: read backwards, each vertex comes right after its
-    subtrees, whose roots are then on top of the stack, leftmost last."""
-    stack = []
+    subtrees, whose roots are then on top of the stack, leftmost last.
+
+    Every vertex keeps its own key, so the keys made add up; once their
+    length passes `KEY_TEXT_BUDGET` characters, `CapExceeded` is raised."""
+    stack, text = [], 0
     for count in reversed(child_counts):
         if not count:
             stack.append(LEAF)
             continue
         kids = tuple(stack[:-count - 1:-1])
         del stack[-count:]
-        stack.append(RootedTree._new(kids, _joined_key(kids), sum(map(_leaves_of, kids))))
+        key = _joined_key(kids)
+        text += len(key)
+        if text > KEY_TEXT_BUDGET:
+            raise CapExceeded(f"a tree's keys exceed the budget of {KEY_TEXT_BUDGET} characters")
+        stack.append(RootedTree._new(kids, key))
     return stack[0]
 
 
@@ -295,7 +308,8 @@ def word_to_tree(word: TwistWord) -> RootedTree:
     list, then read into its vertices' child counts in pre-order, which
     `_unflatten` builds bottom-up however deep the tree is.  A word of more
     than `WORD_LEAF_BUDGET` leaves raises `CapExceeded` before any list is
-    built."""
+    built; a word whose tree's keys pass `KEY_TEXT_BUDGET` raises it from
+    `_unflatten`, after the lists are built."""
     if word.dimension > WORD_LEAF_BUDGET:
         raise CapExceeded(f"a twist word of {word.dimension} leaves exceeds the word "
                           f"budget of {WORD_LEAF_BUDGET} leaves")
@@ -394,11 +408,11 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
     Each family, and in (c) each partition, is built in bulk: its children
     tuples come from one comprehension, `zip` or itertools (a single part
     size's combinations as they are, two part sizes' products joined by
-    `operator.add`), and `_new_trees` makes them with their keys and leaf
-    count n.  The level is sorted by key once, at the end.  Only one
-    family's or partition's children list is alive at a time, none longer
-    than level n - 1, and keys are made one at a time as they are set, so
-    the build's peak memory stays that of the per-tree build it replaced.
+    `operator.add`), and `_new_trees` makes them with their keys.  The level
+    is sorted by key once, at the end.  Only one family's or partition's
+    children list is alive at a time, none longer than level n - 1, and
+    keys are made one at a time as they are set, so the build's peak memory
+    stays that of the per-tree build it replaced.
     """
     if n == 1:
         return (LEAF,)
@@ -407,12 +421,10 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
     if n >= 3:
         # (a) one more leaf in front of the root's children
         level += _new_trees([(LEAF,) + tree.children for tree in below],
-                            (tree.canonical_key[:-1] + ",())" for tree in below),
-                            itertools.repeat(n))
+                            (tree.canonical_key[:-1] + ",())" for tree in below))
     # (b) a leaf beside one tree
     level += _new_trees(list(zip(itertools.repeat(LEAF), below)),
-                        ("(" + tree.canonical_key + ",())" for tree in below),
-                        itertools.repeat(n))
+                        ("(" + tree.canonical_key + ",())" for tree in below))
     # (c) no leaf under the root
     for parts in _partitions(n, 2):
         if parts == ((n, 1),):
@@ -424,7 +436,7 @@ def _ample_trees(n: int) -> tuple[RootedTree, ...]:
             children = list(itertools.starmap(operator.add, itertools.product(*runs)))
         else:
             children = list(map(_concat, itertools.product(*runs)))
-        level += _new_trees(children, map(_joined_key, children), itertools.repeat(n))
+        level += _new_trees(children, map(_joined_key, children))
     level.sort(key=_key_of)
     return tuple(level)
 

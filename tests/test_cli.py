@@ -11,7 +11,7 @@ from cli_reference import build_parser as reference_parser
 from twistkit.cli import DEFAULT_SEED, RunConfig, build_parser, main, run
 from twistkit.discs import enumerate_candidate_classes, table_to_json
 from twistkit.errors import TwistKitError
-from twistkit.forests import canonical_form, enumerate_ample_trees
+from twistkit.forests import KEY_TEXT_BUDGET, canonical_form, enumerate_ample_trees
 from twistkit.germs import germ_to_json
 from twistkit.pearl import potential_to_json
 from twistkit.presets import theta_constraint_table, theta_potential
@@ -227,6 +227,16 @@ def test_a_twist_word_over_the_leaf_budget_is_an_input_error(capsys):
     assert error_line(capsys) == (
         "error: CapExceeded: a twist word of 1000000001 leaves exceeds the word budget "
         "of 1000000 leaves\n"
+    )
+
+
+def test_a_literal_past_the_key_budget_is_an_input_error(capsys):
+    deep = "(L" * 16_000 + "L" + ")" * 16_000
+    start = time.perf_counter()
+    assert main(["iso", deep, "L"]) == 2
+    assert time.perf_counter() - start < 10
+    assert error_line(capsys) == (
+        f"error: CapExceeded: a tree's keys exceed the budget of {KEY_TEXT_BUDGET} characters\n"
     )
 
 

@@ -229,6 +229,50 @@ def test_a_word_over_the_leaf_budget_raises_before_it_is_built(monkeypatch):
                 parse_forest(f"L * {text}")
 
 
+def key_text(tree):
+    """The characters of the keys a build from child counts makes for
+    `tree`: each inner vertex's own key, a shared subtree once per use."""
+    total, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            total += len(node.canonical_key)
+            stack += node.children
+    return total
+
+
+def chain_key_text(depth):
+    """`key_text` of the chain "(L (L ... L))" of this depth: its vertex i
+    levels above the bottom has the key "(" * i + "()" + ",())" * i."""
+    return sum(2 + 5 * i for i in range(1, depth + 1))
+
+
+def test_a_tree_at_the_key_budget_builds_and_one_character_more_raises(monkeypatch):
+    literal = "(L " * 40 + "L" + ")" * 40
+    word = parse_word("twist(1" + "".join(f";1@{j}" for j in range(2, 41)) + ")")
+    tree = parse_forest(literal).trees[0]
+    assert key_text(tree) == chain_key_text(40) == 4180
+    builds = (lambda: parse_forest(literal).trees[0], lambda: word_to_tree(word),
+              lambda: pickle.loads(pickle.dumps(tree)), lambda: copy.deepcopy(tree))
+    monkeypatch.setattr("twistkit.forests.KEY_TEXT_BUDGET", 4180)
+    for build in builds:
+        assert build() == tree
+    monkeypatch.setattr("twistkit.forests.KEY_TEXT_BUDGET", 4179)
+    for build in builds:
+        for _ in range(2):  # nothing is kept from the first refusal
+            with pytest.raises(CapExceeded, match=r"^a tree's keys exceed the budget of "
+                                                  r"4179 characters$"):
+                build()
+    assert RootedTree(tree.children) == tree  # the constructor has no budget
+
+
+def test_the_key_budget_takes_every_tested_tree_and_a_chain_6000_deep():
+    literal = "(L " * 1500 + "L" + ")" * 1500
+    assert key_text(parse_forest(literal).trees[0]) == chain_key_text(1500) == 5_631_750
+    assert chain_key_text(6000) == 90_027_000 <= forests.KEY_TEXT_BUDGET
+    assert chain_key_text(16_000) > forests.KEY_TEXT_BUDGET
+
+
 def test_a_huge_twist_word_is_read_but_not_built():
     word = parse_word("twist(1000000000)")
     assert word.dimension == 10**9 + 1
@@ -863,8 +907,30 @@ def test_equality_and_hash_ignore_the_stored_key():
     assert left != right
     twin = RootedTree((bush(2), LEAF))
     object.__setattr__(twin, "canonical_key", "tampered")
-    object.__setattr__(twin, "leaf_count", 0)
     assert twin == left and hash(twin) == hash(left)
+
+
+def test_a_tree_stores_its_children_and_key_and_reads_its_leaf_count_off_the_key():
+    assert RootedTree.__slots__ == ("children", "canonical_key", "_hash")
+    assert isinstance(RootedTree.__dict__["leaf_count"], property)
+    with pytest.raises(AttributeError):
+        object.__setattr__(bush(2), "leaf_count", 3)
+    rng = random.Random(36)
+    trees = [t for n in range(1, 11) for t in enumerate_ample_trees(n)]
+    trees += [parse_forest(print_tree(shuffled(t, rng))).trees[0] for t in trees[::5]]
+    trees += [word_to_tree(random_word(rng, max_steps=8, max_k=3)) for _ in range(200)]
+    trees += random_planar_trees(rng, 80)  # unary vertices at any depth
+    trees += [pickle.loads(pickle.dumps(t)) for t in trees[::9]]
+    steps = ((1, 1),) + tuple((1, j) for j in range(2, 1501))  # each on the last leaf
+    deep = word_to_tree(TwistWord(steps))
+    unary = RootedTree((LEAF,))
+    for _ in range(1500):
+        unary = RootedTree((LEAF, unary))
+    trees += [deep, parse_forest("(L " * 1500 + "L" + ")" * 1500).trees[0], unary,
+              pickle.loads(pickle.dumps(deep)), pickle.loads(pickle.dumps(unary))]
+    for tree in trees:
+        assert tree.leaf_count == forests._child_counts(tree).count(0)
+    assert deep.leaf_count == 1501 and unary.leaf_count == 1501
 
 
 def test_a_child_that_is_not_a_tree_is_named():
