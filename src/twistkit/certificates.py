@@ -75,10 +75,10 @@ class IdealMembershipResult(Value):
 
 
 def _strip_units(poly: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
-    """Divide by the largest monomial factor; returns (polynomial part, shift)."""
+    """Divide by the largest monomial factor x^shift, shift the componentwise
+    least exponent, through `times_monomial`; returns (polynomial part, shift)."""
     shift = poly.min_exponents()
-    terms = {tuple(e - s for e, s in zip(exps, shift)): c for exps, c in poly.terms.items()}
-    return LaurentPoly._new(poly.ring, poly.variables, terms), shift
+    return poly.times_monomial([-s for s in shift]), shift
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -170,15 +170,18 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
     """Decide whether 1 lies in the Laurent ideal generated by `gens`.
 
     Univariate: monomial factors are stripped and an extended gcd is
-    computed; its cofactors, mapped back to the original generators, are
-    re-checked to combine to the gcd, and the ideal is the whole ring iff the
-    gcd is constant.  Multivariate: the
-    generators are split into blocks in disjoint variables, and each block
-    gets a Buchberger basis after inverting its variables through its own
-    auxiliary generator (degrevlex, auxiliary last); 1 is in the ideal iff
-    it is in some block.  When 1 is in the ideal that block's cofactor
-    certificate, padded with zeros, is returned over the original
-    generators and re-verified before reporting.
+    computed; both inclusions are re-checked in Laurent arithmetic: its
+    cofactors, mapped back to the original generators, must combine to the
+    gcd (the gcd lies in the ideal), and a gcd that is not constant must
+    divide every stripped generator (the ideal lies in the gcd's); a failed
+    check raises `InconclusiveCertificate`.  The ideal is the whole ring iff
+    the gcd is constant.  Multivariate: the generators are split into
+    blocks in disjoint variables, and each block gets a Buchberger basis
+    after inverting its variables through its own auxiliary generator
+    (degrevlex, auxiliary last); 1 is in the ideal iff it is in some block.
+    When 1 is in the ideal that block's cofactor certificate, padded with
+    zeros, is returned over the original generators and re-verified before
+    reporting.
     """
     gens = list(gens)
     if not gens:
@@ -199,9 +202,12 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
 
     if len(variables) == 1:
         gcd, cofs = univariate_extended_gcd(stripped, ring, variables)
-        # the gcd must be the combination its cofactors claim, proper or not
+        # the gcd must be the combination its cofactors claim, proper or not,
+        # so it lies in the ideal; a proper one must also divide every generator
         cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs, gcd)
         unit = contains_constant([gcd])
+        if not unit and (gcd.is_zero or not all(_divides(gcd, s) for s in stripped)):
+            raise InconclusiveCertificate(f"the gcd {gcd} does not divide every generator")
         return IdealMembershipResult(unit, "gcd", (gcd,), cofactors if unit else None)
 
     blocks = _localized_blocks(stripped)
@@ -231,6 +237,16 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
             cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back, one)
             return IdealMembershipResult(True, "groebner", basis, cofactors)
     return IdealMembershipResult(False, "groebner", basis)
+
+
+def _divides(d: LaurentPoly, p: LaurentPoly) -> bool:
+    """Whether the nonzero one-variable polynomial `d` divides `p`, by long
+    division in Laurent arithmetic: a leading term is the one of largest exponent."""
+    top, lc = max(d.terms.items())
+    while not p.is_zero and max(p.terms) >= top:
+        exps, c = max(p.terms.items())
+        p = p - d.times_monomial((exps[0] - top[0],), p.ring.mul(c, p.ring.inv(lc)))
+    return p.is_zero
 
 
 def _assemble_cofactors(gens, nonzero_indices, shifts, cofs, target):

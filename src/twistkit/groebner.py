@@ -23,10 +23,12 @@ ties broken by the pair's indices, beside a dict of the live ones; a heap
 entry that criterion B dropped is skipped when it comes up.  The loop
 reduces at most `PAIR_BUDGET` pairs and raises `CapExceeded` at the next.
 Reduction is bounded too: each step counts the terms of the working
-polynomial it scans for the leading term and of the divisor it subtracts,
-over one basis computation (autoreduction included) or one `normal_form`
-call, and the step that takes the count past `REDUCTION_BUDGET` raises
-`CapExceeded`.
+polynomial it scans for the leading term, the divisors it tests (up to and
+including the one that divides, or all of them when none does) and the
+terms of the divisor it subtracts, over one basis computation
+(autoreduction included) or one `normal_form` call, and the step that takes
+the count past `REDUCTION_BUDGET` raises `CapExceeded`.  On a large basis
+the divisor tests take most of the time.
 An S-polynomial is reduced by the first basis element, in basis order,
 whose leading monomial divides its leading term.  The loop ends at the
 first constant element, and never starts when a generator is constant:
@@ -59,9 +61,13 @@ in place, each basis element's leading monomial is kept, and the grevlex key
 of each exponent tuple is computed once per call; the results become
 LaurentPoly values only at the end, through the trusted `LaurentPoly._new`:
 every dict is built here from validated inputs, with int exponent tuples and
-nonzero coefficients of the ring.  `normal_form` is the same reduction
-behind a LaurentPoly interface: it clears the denominators of its inputs and
-divides its results by the scale the reduction accumulated.
+nonzero coefficients of the ring.  Every element tuple, generator, new basis
+element, autoreduced element or divisor of `normal_form`, comes from
+`_Working.element`.  `normal_form` is the same reduction behind a
+LaurentPoly interface: it clears the denominators of its inputs, makes its
+divisors elements (over Q, dividing a divisor by its content changes no
+rational value), and divides its results by the scale the reduction
+accumulated.
 
 `groebner_basis` memoizes by position.  The loop and grevlex read exponent
 tuples and coefficients, never a variable's name, so the same terms in other
@@ -141,7 +147,7 @@ class _Working:
     def __init__(self, ring):
         self.gf2 = ring is GF2
         self.keys = _Keys()
-        self.spent = 0  # terms `reduce` scanned and subtracted, against REDUCTION_BUDGET
+        self.spent = 0  # `reduce`'s terms and divisor tests, against REDUCTION_BUDGET
 
     def lead(self, poly):
         return max(poly, key=self.keys.__getitem__)
@@ -230,9 +236,9 @@ class _Working:
             spent += len(work)
             exps = lead(work)
             coeff = work[exps]
-            for lm, lc, poly, dcofs, dden in divisors:
+            for tested, (lm, lc, poly, dcofs, dden) in enumerate(divisors, 1):
                 if all(map(le, lm, exps)):
-                    spent += len(poly)
+                    spent += tested + len(poly)
                     shift = tuple(map(sub, exps, lm))
                     a = 1
                     if lc != 1:  # never over GF2
@@ -257,11 +263,12 @@ class _Working:
                             sub_shifted(c, dc, shift, coeff * (common // dden))
                     break
             else:
+                spent += len(divisors)
                 remainder[exps] = work.pop(exps)
             if spent > budget:
                 raise CapExceeded(
                     f"groebner: reduction exceeds the budget of {budget} terms "
-                    "scanned and subtracted"
+                    "scanned and subtracted and divisors tested"
                 )
         self.spent = spent
         return remainder, den, scale
@@ -278,11 +285,8 @@ def normal_form(poly: LaurentPoly, basis):
     for g in basis:
         if g.ring is not ring or g.variables != variables:
             raise VariableMismatch("normal_form: basis element lives in another ring")
-        if g.is_zero:
-            continue
-        _, terms = w.clear(g.terms)
-        lm = w.lead(terms)
-        divisors.append((lm, terms[lm], terms, None, 1))
+        if not g.is_zero:
+            divisors.append(w.element(w.clear(g.terms)[1], None, 1))
     d, work = w.clear(poly.terms)
     remainder, _, scale = w.reduce(work, divisors, None, 1)
     return LaurentPoly._new(ring, variables, w.rational(remainder, d * scale)), None
@@ -330,16 +334,17 @@ BASIS_MEMO_SIZE = 256
 # (seeds 3 and 4: about 8 s and 5 minutes on a 2-vCPU machine, Python 3.11).
 PAIR_BUDGET = 20_000
 
-# Most terms the reductions of one basis computation (autoreduction
-# included) or of one `normal_form` call may scan for leading terms and
-# subtract as divisors; the step past it raises `CapExceeded`.  Measured
-# peaks: 44,017 (the test suite), 2,040,279 (the theta^2 H0 ideals mixed by
-# the unimodular matrices of seeds 1, 3 and 5), 2,622,080 (the mixed theta^2
-# regularity ideal of seed 3) and 6,600,955 (a theta potential file whose
-# first class has the exponent 100, about 1.3 s on a 2-vCPU machine, Python
-# 3.11); with the exponent 300, which does not finish, the count passes
-# 8.4 million within 2 s and 96 million within 20 s.
-REDUCTION_BUDGET = 10_000_000
+# Most work the reductions of one basis computation (autoreduction included)
+# or of one `normal_form` call may do, counted as the terms they scan for
+# leading terms and subtract as divisors plus the divisors they test; the
+# step past it raises `CapExceeded`.  Measured peaks on a 2-vCPU machine,
+# Python 3.11: 893,964, 13,284,004 and 19,175,249 (the theta^2 H0 ideals
+# mixed by the unimodular matrices of seeds 1, 3 and 5, about 0.7, 7 and 8 s),
+# 4,617,448 (the mixed theta^2 regularity ideal of seed 3) and 6,934,805 (a
+# theta potential file whose first class has the exponent 100, about 1.3 s).
+# The mixed H0 ideals of seeds 2 and 4 raise after about 11 s (they finished
+# in 47 s and 292 s without a budget), and the exponent 300 after about 5 s.
+REDUCTION_BUDGET = 25_000_000
 
 
 @functools.lru_cache(maxsize=BASIS_MEMO_SIZE)
@@ -481,7 +486,7 @@ def _autoreduce(w, basis):
         # leading monomial exceeds every term and the first divisor among
         # all the others is always among the earlier ones
         r, den, _ = w.reduce(dict(poly), minimal[:i], work_cofs, den)
-        reduced.append((lm, r[lm], r, work_cofs, den))
+        reduced.append(w.element(r, work_cofs, den))
     reduced.sort(key=lambda b: keys[b[0]], reverse=True)
     return reduced
 

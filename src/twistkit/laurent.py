@@ -116,6 +116,8 @@ class LaurentPoly(Value):
     terms)`, on terms it built itself: `variables` is a tuple, every
     exponent vector a tuple of ints of its length, every coefficient a
     nonzero element of `ring`, and `terms` is not touched again by the caller.
+    Within this module `__add__`, `__neg__`, `__mul__`, `times_monomial`,
+    `log_derivative` and `RingHom.apply` build their results that way.
     """
 
     __slots__ = _fields = ("ring", "variables", "terms")
@@ -224,19 +226,17 @@ class LaurentPoly(Value):
         return LaurentPoly._new(ring, self.variables, _accumulate(ring, {}, products))
 
     def times_monomial(self, exps, coeff=None):
+        """This polynomial times coeff·x^exps (coeff 1 if None).  A shift
+        keeps distinct exponents distinct, and a nonzero coefficient of a
+        field keeps every product nonzero, so nothing is summed; a zero
+        coefficient gives the zero polynomial."""
         ring = self.ring
-        exps = tuple(exps)
+        exps = tuple(map(as_int, exps))
         if len(exps) != len(self.variables):
             raise VariableMismatch(f"shift {exps} does not match variables {self.variables}")
         c0 = ring.one if coeff is None else ring.coerce(coeff)
-        return LaurentPoly(
-            ring,
-            self.variables,
-            {
-                tuple(a + b for a, b in zip(e, exps)): ring.mul(c, c0)
-                for e, c in self.terms.items()
-            },
-        )
+        terms = {tuple(map(add, e, exps)): ring.mul(c, c0) for e, c in self.terms.items()}
+        return LaurentPoly._new(ring, self.variables, terms if c0 != ring.zero else {})
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -9,9 +9,15 @@ differential acts on the exterior algebra over the ring by
 
 where R_k runs over the boundary-carrying generators and contract_k pairs the
 k-th dual degree-one generator (dual to the boundary of R_k).
+
+Components of an element are summed by one rule, `_summed`, the pearl
+counterpart of `laurent._accumulate`; `pearl_d2_from_vs` sums the components
+of all n terms v_k . contract_k(a) in one pass.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from ._value import Value
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
@@ -71,18 +77,33 @@ def toric_differential(potential: Potential) -> tuple[LaurentPoly, ...]:
     return potential.toric_differential()
 
 
-def _nonzero(components: dict) -> dict:
-    return {k: v for k, v in components.items() if not v.is_zero}
+def _summed(pairs) -> dict:
+    """The `(index tuple, LaurentPoly)` pairs summed in order, by the rule of
+    `laurent._accumulate`: a component already present gets the sum and is
+    deleted if the sum is zero; a new one goes at the end, unless it is zero."""
+    comps = {}
+    for subset, poly in pairs:
+        if subset in comps:
+            poly = comps[subset] + poly
+        if poly.is_zero:
+            comps.pop(subset, None)
+        else:
+            comps[subset] = poly
+    return comps
 
 
 class PearlElement(Value):
     """Element of the exterior algebra over the group ring: a map from
     strictly increasing tuples of dual-generator indices to coefficients.
 
-    Only this module's own arithmetic calls `PearlElement._new`, on
-    components it built from validated elements: strictly increasing index
-    tuples below `n`, and nonzero LaurentPoly coefficients over `ring` and
-    `variables`.
+    Components are summed by `_summed`, the one summing rule of this module:
+    the constructor's, `__add__`'s and `pearl_d2_from_vs`'s.  Only this
+    module's own arithmetic calls `PearlElement._new`, on components it
+    built from validated elements: strictly increasing index tuples below
+    `n`, and nonzero LaurentPoly coefficients over `ring` and `variables`.
+    `contract` and `scaled_by` need no sum: deleting k from distinct index
+    tuples leaves them distinct, and a Laurent ring over a field has no zero
+    divisors, so a product is zero only when the factor is.
     """
 
     __slots__ = _fields = ("ring", "variables", "n", "components")
@@ -90,7 +111,7 @@ class PearlElement(Value):
     def __init__(self, ring, variables, n, components=None):
         variables = tuple(variables)
         n = as_int(n)
-        comps: dict[tuple[int, ...], LaurentPoly] = {}
+        pairs = []
         for subset, poly in (components or {}).items():
             subset = tuple(subset)
             if tuple(sorted(set(subset))) != subset:
@@ -99,9 +120,8 @@ class PearlElement(Value):
                 raise ValueError(f"exterior index out of range in {subset}")
             if poly.ring is not ring or poly.variables != variables:
                 raise VariableMismatch("component coefficients live in the wrong ring")
-            if not poly.is_zero:
-                comps[subset] = comps[subset] + poly if subset in comps else poly
-        self._init(ring, variables, n, _nonzero(comps))
+            pairs.append((subset, poly))
+        self._init(ring, variables, n, _summed(pairs))
 
     # -- constructors --------------------------------------------------------
 
@@ -149,31 +169,22 @@ class PearlElement(Value):
 
     def __add__(self, other):
         self._check(other)
-        comps = dict(self.components)
-        for subset, poly in other.components.items():
-            comps[subset] = comps[subset] + poly if subset in comps else poly
-        return PearlElement._new(self.ring, self.variables, self.n, _nonzero(comps))
+        pairs = itertools.chain(self.components.items(), other.components.items())
+        return PearlElement._new(self.ring, self.variables, self.n, _summed(pairs))
 
     def scaled_by(self, poly: LaurentPoly) -> "PearlElement":
-        return PearlElement._new(
-            self.ring,
-            self.variables,
-            self.n,
-            _nonzero({subset: coeff * poly for subset, coeff in self.components.items()}),
-        )
+        comps = {subset: coeff * poly for subset, coeff in self.components.items()}
+        return PearlElement._new(self.ring, self.variables, self.n, {} if poly.is_zero else comps)
 
     def contract(self, k: int) -> "PearlElement":
         """Interior product with the k-th dual generator; drops degree by one.
         The sign is (-1)^(position of k), trivial over GF2."""
         comps = {}
         for subset, poly in self.components.items():
-            if k not in subset:
-                continue
-            pos = subset.index(k)
-            rest = subset[:pos] + subset[pos + 1 :]
-            signed = poly if pos % 2 == 0 else -poly
-            comps[rest] = comps[rest] + signed if rest in comps else signed
-        return PearlElement._new(self.ring, self.variables, self.n, _nonzero(comps))
+            if k in subset:
+                pos = subset.index(k)
+                comps[subset[:pos] + subset[pos + 1 :]] = poly if pos % 2 == 0 else -poly
+        return PearlElement._new(self.ring, self.variables, self.n, comps)
 
     @property
     def is_zero(self) -> bool:
@@ -216,14 +227,14 @@ def pearl_d2(alpha: PearlElement, potential: Potential) -> PearlElement:
 
 def pearl_d2_from_vs(alpha: PearlElement, vs) -> PearlElement:
     """The same differential with the toric differentials given explicitly
-    (used to transport the computation through a ring homomorphism)."""
+    (used to transport the computation through a ring homomorphism): the
+    components of every term v_k . contract_k(alpha), summed in one pass."""
     vs = tuple(vs)
     if len(vs) != alpha.n:
         raise VariableMismatch(f"need {alpha.n} toric differentials, got {len(vs)}")
-    result = PearlElement._new(alpha.ring, alpha.variables, alpha.n, {})
-    for k, v in enumerate(vs):
-        result = result + alpha.contract(k).scaled_by(v)
-    return result
+    terms = (alpha.contract(k).scaled_by(v) for k, v in enumerate(vs))
+    pairs = itertools.chain.from_iterable(term.components.items() for term in terms)
+    return PearlElement._new(alpha.ring, alpha.variables, alpha.n, _summed(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,30 @@ def test_tampered_cofactor_of_a_proper_one_variable_ideal_raises_inconclusive(mo
         ideal_contains_one(gens)
 
 
+def test_a_gcd_that_does_not_generate_the_ideal_raises_inconclusive(monkeypatch):
+    """(t + 1)(t + 2) with cofactors (t + 2, 0) passes the identity check
+    for the generators t + 1 and t + 2, so it lies in their ideal, but it
+    divides neither, and the ideal is the whole ring: a proper gcd must
+    also divide every generator."""
+    gens = [univ(RATIONAL, {0: 1, 1: 1}, var="t"), univ(RATIONAL, {0: 2, 1: 1}, var="t")]
+    assert ideal_contains_one(gens).contains_one
+
+    def wrong_gcd(polys, ring, variables):
+        return polys[0] * polys[1], [polys[1], LaurentPoly.zero(ring, variables)]
+
+    monkeypatch.setattr(certificates, "univariate_extended_gcd", wrong_gcd)
+    with pytest.raises(InconclusiveCertificate, match="does not divide every generator"):
+        ideal_contains_one(gens)
+    # the same check accepts the true gcd of a proper ideal whose generators
+    # carry a unit monomial: t^-3 (t + 1)^2 and t^-3 (t + 1)(t + 2) strip to
+    # polynomials that t + 1 divides
+    monkeypatch.undo()
+    shifted = [g.times_monomial((-3,)) * gens[0] for g in gens]
+    assert ideal_contains_one(shifted).generators == (gens[0],)
+    assert not certificates._divides(gens[0], gens[1])
+    assert certificates._divides(gens[0], gens[0] * gens[1] * gens[1])
+
+
 def test_one_generates_everything():
     one = LaurentPoly.one(RATIONAL, ("x", "y"))
     result = ideal_contains_one([one])
@@ -365,6 +389,24 @@ def test_certifying_renders_nothing(monkeypatch):
     for report, (_, name) in zip(reports, cases):
         golden = DATA / "golden" / f"{name}.certify.text"
         assert report.to_text() == golden.read_text(encoding="utf-8").splitlines()
+
+
+def test_a_hom_that_moves_a_target_variable_is_not_the_identity():
+    """A swap of the two variables and x -> x^2 name only target variables,
+    but are not the identity; through either, a unit image ideal is
+    inconclusive, not a disproof."""
+    basis = HomologyBasis(names=("A", "B"), boundary_matrix=((1, 0), (0, 1)), n_torus_rank=2)
+    pot = Potential(GF2, basis, [(DiscClass((1, 0), (1, 0)), 1), (DiscClass((0, 1), (0, 1)), 1)])
+    names = pot.variables
+    assert certify_nondisplaceable(pot).token == "not-certified"
+    swap = RingHom.from_monomials(GF2, names, {names[0]: (0, 1), names[1]: (1, 0)})
+    square = RingHom.from_monomials(GF2, names, {names[0]: (2, 0), names[1]: (0, 1)})
+    assert RingHom.identity(GF2, names).is_identity
+    for hom in (swap, square):
+        assert not hom.is_identity
+        report = certify_nondisplaceable(pot, h0_hom=hom)
+        assert report.h0.contains_one and not report.h0.hom_is_identity
+        assert report.token == "inconclusive"
 
 
 def test_h0_alone_gives_a_partial_verdict():
@@ -632,7 +674,8 @@ def test_disjoint_sums_of_random_ideals_match_the_unsplit_localization():
 def test_trusted_block_generators_and_stripped_polys_revalidate(monkeypatch):
     """`_strip_units` and `_localized_blocks` build their polynomials
     without validation; each must equal, term order and coefficient types
-    included, what the validating constructor makes of the same terms."""
+    included, what the validating constructor makes of the same terms, and
+    a stripped polynomial must equal the terms shifted by hand."""
     inputs = []
 
     def recording(polys, **kwargs):
@@ -654,7 +697,9 @@ def test_trusted_block_generators_and_stripped_polys_revalidate(monkeypatch):
         ]
         for g in gens:
             stripped, shift = certificates._strip_units(g)
-            assert items(stripped) == items(g.times_monomial(tuple(-s for s in shift)))
+            assert shift == g.min_exponents()
+            by_hand = {tuple(e - s for e, s in zip(exps, shift)): c for exps, c in g.terms.items()}
+            assert items(stripped) == items(LaurentPoly(ring, variables, by_hand))
         ideal_contains_one(gens)
     assert len(inputs) > 200
     for p in inputs:

@@ -513,7 +513,7 @@ def test_certify_past_the_reduction_budget_exits_two(tmp_path, monkeypatch, caps
     assert time.perf_counter() - start < 10
     assert error_line(capsys) == (
         f"error: CapExceeded: groebner: reduction exceeds the budget of "
-        f"{groebner.REDUCTION_BUDGET} terms scanned and subtracted\n"
+        f"{groebner.REDUCTION_BUDGET} terms scanned and subtracted and divisors tested\n"
     )
     monkeypatch.chdir(GOLDEN)
     assert main(["certify", "--in", "theta_c100.potential.json", "--format", "json"]) == 0

@@ -504,6 +504,28 @@ def test_normal_form_skips_zero_divisors():
     assert normal_form(p, [zero])[0] == p
 
 
+def test_normal_form_does_not_depend_on_the_scale_of_its_divisors():
+    """Over Q a divisor enters the reduction divided by its content, which
+    changes no rational value: divisors scaled by random nonzero rationals
+    (a basis, and generators whose leading coefficients are not 1) give the
+    reference remainder, the same Fractions in the same term order."""
+    rng = random.Random(3709)
+    for gens in rational_ideals()[:150]:
+        v = gens[0].variables
+        extra = LaurentPoly(RATIONAL, v, {
+            tuple(rng.randint(0, 4) for _ in v): Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+            for _ in range(4)
+        })
+        for divisors in (groebner_basis(gens), gens):
+            want, _ = _ref_normal_form(extra, [g for g in divisors if not g.is_zero])
+            scaled = [
+                _scale(g, Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40)))
+                for g in divisors
+            ]
+            r, _ = normal_form(extra, scaled)
+            assert _items(r) == _items(want)
+
+
 def test_groebner_rejects_laurent_inputs():
     with pytest.raises(ValueError):
         groebner_basis([poly(GF2, ("x",), {(-1,): 1})])
@@ -752,31 +774,33 @@ def test_pair_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
 
 def test_reduction_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
     """The reductions of x^2 - y and x^3 - 1, autoreduction included, scan
-    and subtract 19 terms: a budget of 19 lets the basis finish, and one of
-    18 raises.  A raise leaves nothing in the memo, so it repeats.  One
-    `normal_form` call counts on its own: x^5 + 3 takes 15 terms."""
+    and subtract 19 terms and test 17 divisors: a budget of 36 lets the
+    basis finish, and one of 35 raises.  A raise leaves nothing in the memo,
+    so it repeats.  One `normal_form` call counts on its own: x^5 + 3 takes
+    15 terms and 10 divisor tests (1, 1, 2, then all 3 for y and for 3)."""
     from twistkit import groebner
 
     v = ("x", "y")
     gens = [poly(RATIONAL, v, {(2, 0): 1, (0, 1): -1}), poly(RATIONAL, v, {(3, 0): 1, (0, 0): -1})]
     groebner._reduced_basis.cache_clear()
     want = groebner_basis(gens, with_cofactors=True)
-    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 19)
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 36)
     groebner._reduced_basis.cache_clear()
     assert groebner_basis(gens, with_cofactors=True) == want
-    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 18)
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 35)
     groebner._reduced_basis.cache_clear()
     for _ in range(2):
         with pytest.raises(CapExceeded, match=(
-            "^groebner: reduction exceeds the budget of 18 terms scanned and subtracted$"
+            "^groebner: reduction exceeds the budget of 35 terms scanned and subtracted "
+            "and divisors tested$"
         )):
             groebner_basis(gens, with_cofactors=True)
         assert groebner._reduced_basis.cache_info().currsize == 0
 
     basis = want[0]
     p = poly(RATIONAL, v, {(5, 0): 1, (0, 0): 3})
-    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 15)
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 25)
     assert normal_form(p, basis) == (poly(RATIONAL, v, {(0, 1): 1, (0, 0): 3}), None)
-    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 14)
-    with pytest.raises(CapExceeded, match="budget of 14 terms"):
+    monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 24)
+    with pytest.raises(CapExceeded, match="budget of 24 terms"):
         normal_form(p, basis)

@@ -150,6 +150,41 @@ def test_times_monomial_checks_the_length_of_its_shift():
         LaurentPoly.zero(GF2, v).times_monomial((1,))
 
 
+def test_times_monomial_by_zero_is_zero_and_builds_what_the_constructor_makes():
+    """A zero coefficient, or an even one over GF2, gives the zero
+    polynomial; any other shift gives, term order and types included, what
+    the public constructor makes of the shifted terms.  A non-integral shift
+    still raises, even on the zero polynomial."""
+    v = ("x", "y")
+    rng = random.Random(3708)
+    for ring, zeros in ((GF2, (0, 2, -4, Fraction(6))), (RATIONAL, (0, Fraction(0), 0.0))):
+        p = LaurentPoly(ring, v, {(1, -2): 1, (0, 3): 3, (-1, 0): 1})
+        for c in zeros:
+            product = p.times_monomial((1, 1), c)
+            assert product.is_zero and product == LaurentPoly.zero(ring, v)
+        for _ in range(50):
+            coeffs = (1, -1, 3, Fraction(1, 2)) if ring is RATIONAL else (1,)
+            p = LaurentPoly(ring, v, {
+                (rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice(coeffs) for _ in range(4)
+            })
+            shift = (rng.randint(-2, 2), Fraction(rng.randint(-2, 2)))
+            c = rng.choice((None, 1, -1, 3, Fraction(2, 3))) if ring is RATIONAL else None
+            product = p.times_monomial(shift, c)
+            factor = 1 if c is None else c
+            want = LaurentPoly(ring, v, {
+                (e[0] + shift[0], e[1] + shift[1]): k * factor for e, k in p.terms.items()
+            })
+            assert [(e, k, type(k)) for e, k in product.terms.items()] == [
+                (e, k, type(k)) for e, k in want.terms.items()
+            ]
+            assert all(type(x) is int for e in product.terms for x in e)
+    for shift in ((1.5, 0), (Fraction(1, 2), 0), ("1", 0)):
+        with pytest.raises(ValueError):
+            rational(v, {(1, 0): 2}).times_monomial(shift)
+        with pytest.raises(ValueError):
+            LaurentPoly.zero(GF2, v).times_monomial(shift)
+
+
 def test_partial_derivative_from_the_log_derivative():
     # d/dx is x d/dx followed by multiplication by x^-1
     v = ("x", "y")

@@ -497,3 +497,102 @@ def test_poly_over_puts_a_cancelled_and_returning_class_last():
     assert list(pot.poly.terms.items()) == [((0, 1), 3), ((1, 1), 1), ((1, 0), 5)]
     assert list(pot.poly_over(GF2).terms.items()) == [((0, 1), 1), ((1, 1), 1), ((1, 0), 1)]
     assert_poly_over_matches(pot)
+
+
+# ---------------------------------------------------------------------------
+# one summing rule, against the summing loops it replaced
+
+
+def _ref_sum(a, b):
+    """The old `__add__` on component dicts: b's components added into a
+    copy of a's, then the zero sums dropped."""
+    comps = dict(a)
+    for subset, poly in b.items():
+        comps[subset] = comps[subset] + poly if subset in comps else poly
+    return {k: v for k, v in comps.items() if not v.is_zero}
+
+
+def _ref_contract(alpha, k):
+    """The old `contract`, which summed the contracted components as if two
+    of them could meet."""
+    comps = {}
+    for subset, poly in alpha.components.items():
+        if k in subset:
+            pos = subset.index(k)
+            rest = subset[:pos] + subset[pos + 1 :]
+            signed = poly if pos % 2 == 0 else -poly
+            comps[rest] = comps[rest] + signed if rest in comps else signed
+    return {k: v for k, v in comps.items() if not v.is_zero}
+
+
+def _ref_d2_from_vs(alpha, vs):
+    """The old differential: k successive sums of v_k . contract_k(alpha).
+    Returns the components and the number of components that cancelled at
+    one step and came back at a later one."""
+    comps, gone, returned = {}, set(), 0
+    for k, v in enumerate(vs):
+        scaled = {s: c * v for s, c in _ref_contract(alpha, k).items() if not (c * v).is_zero}
+        total = _ref_sum(comps, scaled)
+        returned += len(gone & set(total))
+        gone = (gone | set(comps)) - set(total)
+        comps = total
+    return comps, returned
+
+
+def test_d2_from_vs_matches_the_old_step_by_step_sum():
+    """Coefficients drawn from three small polynomials and their negatives,
+    on many pairs of indices, so that components cancel, over GF2 and over Q,
+    and some come back at a later k; the one-pass sum must give the same
+    components in the same order, and so must contract and `+`."""
+    rng = random.Random(3707)
+    variables = ("x", "y")
+    for ring in (GF2, RATIONAL):
+        pool = [LaurentPoly(ring, variables, terms)
+                for terms in ({(0, 0): 1}, {(1, 0): 1}, {(1, 0): 1, (0, 1): 1})]
+        returned = 0
+        for trial in range(200):
+            n = rng.randint(2, 5)
+            comps = {}
+            for _ in range(3 * n):
+                subset = tuple(sorted(rng.sample(range(n), rng.randint(1, 2))))
+                comps[subset] = rng.choice(pool[:2]).times_monomial((0, 0), rng.choice((1, -1)))
+            alpha = PearlElement(ring, variables, n, comps)
+            vs = [rng.choice(pool[: 2 + trial % 2]).times_monomial((0, 0), rng.choice((1, -1, 0)))
+                  for _ in range(n)]
+            want, back = _ref_d2_from_vs(alpha, vs)
+            returned += back
+            got = pearl_d2_from_vs(alpha, vs)
+            assert list(got.components.items()) == list(want.items())
+            for k in range(n):
+                assert list(alpha.contract(k).components.items()) == list(
+                    _ref_contract(alpha, k).items()
+                )
+            for beta in (alpha.scaled_by(-pool[0]), got):
+                want = _ref_sum(alpha.components, beta.components)
+                assert list((alpha + beta).components.items()) == list(want.items())
+        assert returned >= 5, (ring, returned)
+
+
+def test_constructor_sums_repeated_index_tuples_by_the_one_rule():
+    """Two keys that name one index tuple are summed; a component that
+    cancels is dropped, and one that comes back after cancelling goes last."""
+    x = ("x",)
+    one = LaurentPoly.one(RATIONAL, x)
+    comps = {(0,): one, range(0, 1): -one, (1,): one, (2,): one.times_monomial((1,)),
+             range(2, 3): one}
+    element = PearlElement(RATIONAL, x, 3, comps)
+    assert list(element.components.items()) == [
+        ((1,), one), ((2,), one + one.times_monomial((1,)))
+    ]
+    element = PearlElement(RATIONAL, x, 3, {(0,): one, range(0, 1): -one, (1,): one,
+                                            frozenset({0}): one})
+    assert list(element.components) == [(1,), (0,)]
+
+
+def test_scaling_by_zero_is_zero_and_still_checks_the_ring():
+    x = ("x",)
+    alpha = PearlElement.generator(GF2, x, 2, 0) + PearlElement.generator(GF2, x, 2, 1)
+    assert alpha.scaled_by(LaurentPoly.zero(GF2, x)).is_zero
+    assert alpha.scaled_by(LaurentPoly.constant(GF2, x, 2)).is_zero  # 2 is 0 in GF2
+    with pytest.raises(VariableMismatch):
+        alpha.scaled_by(LaurentPoly.zero(GF2, ("y",)))
