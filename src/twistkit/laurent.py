@@ -5,16 +5,16 @@ an element is a finite sum of monomials with integer exponent vectors.  GF(2)
 is the default scalar field for pearl computations; the rationals are used for
 regularity certificates.  All arithmetic is exact.
 
-A `CoefficientRing` has the operations `add`, `mul`, `neg`, `coerce` and
-`inv`; an integer multiple n·a is `mul(n, a)`, and a scaling is a
-multiplication by the constant monomial.  Coefficients print with `str`, in
+A `CoefficientRing` has the operations `add`, `mul`, `neg`, `is_zero`,
+`coerce` and `inv`; an integer multiple n·a is `mul(n, a)`, and a scaling is
+a multiplication by the constant monomial.  Coefficients print with `str`, in
 reports and in JSON alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, and_, mul, neg, not_, pos, xor
 
 from ._value import Value
 from .errors import NonUnitImage, UnsupportedRing, VariableMismatch
@@ -29,6 +29,11 @@ class CoefficientRing:
     """One of the two coefficient fields, GF2 (the default) and Rational (Q).
 
     Both are made when this module is imported; constructing another raises.
+    Each fixes its `add`, `mul`, `neg` and `is_zero` once, here, as C-level
+    `operator` functions that agree with the field's operations on its
+    elements and with an int multiple `mul(n, a)`: over Q `add`, `mul` and
+    `neg`; over GF2 `xor`, `and_` (n & a is n·a mod 2 for a in {0, 1}) and
+    `pos` (-a is a).  Both test zero with `not_`.
     """
 
     _by_tag: dict[str, "CoefficientRing"] = {}
@@ -37,7 +42,13 @@ class CoefficientRing:
         if tag not in ("GF2", "Rational") or tag in CoefficientRing._by_tag:
             raise UnsupportedRing(f"the rings are GF2 and Rational, made once each; got {tag!r}")
         self.tag = tag
-        self.zero, self.one = (_Q_ZERO, _Q_ONE) if tag == "Rational" else (0, 1)
+        if tag == "Rational":
+            self.zero, self.one = _Q_ZERO, _Q_ONE
+            self.add, self.mul, self.neg = add, mul, neg
+        else:
+            self.zero, self.one = 0, 1
+            self.add, self.mul, self.neg = xor, and_, pos
+        self.is_zero = not_
         CoefficientRing._by_tag[tag] = self
 
     @classmethod
@@ -69,15 +80,6 @@ class CoefficientRing:
     def parse(self, text: str):
         return self.coerce(Fraction(text))
 
-    def add(self, a, b):
-        return (a + b) % 2 if self.tag == "GF2" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % 2 if self.tag == "GF2" else a * b
-
-    def neg(self, a):
-        return a if self.tag == "GF2" else -a
-
     def inv(self, a):
         if a == 0:
             raise UnsupportedRing(f"{a} is not a unit in {self.tag}")
@@ -88,23 +90,24 @@ GF2 = CoefficientRing("GF2")
 RATIONAL = CoefficientRing("Rational")
 
 
-def _accumulate(ring: CoefficientRing, terms: dict, items) -> dict:
-    """Add the `(exponents, coefficient)` pairs of `items`, in order, into
-    `terms` and return it.  This is the one summing rule of the package: a
-    monomial already present gets the ring sum and is deleted if the sum is
-    zero; a new monomial goes at the end, unless its coefficient is zero.  So
-    a monomial that cancels and comes back goes at the end."""
-    add, zero = ring.add, ring.zero
-    for exps, c in items:
-        old = terms.get(exps)
+def _accumulate(ops, terms: dict, items) -> dict:
+    """Add the `(key, value)` pairs of `items`, in order, into `terms` and
+    return it, by `ops.add` and `ops.is_zero` (a `CoefficientRing`, or
+    `pearl`'s operations on LaurentPoly components).  This is the one summing
+    loop of the package: a key already present gets the sum and is deleted
+    if the sum is zero; a new key goes at the end, unless its value is zero.
+    So a key that cancels and comes back goes at the end."""
+    add, is_zero = ops.add, ops.is_zero
+    for key, c in items:
+        old = terms.get(key)
         if old is not None:
             c = add(old, c)
-            if c == zero:
-                del terms[exps]
+            if is_zero(c):
+                del terms[key]
                 continue
-        elif c == zero:
+        elif is_zero(c):
             continue
-        terms[exps] = c
+        terms[key] = c
     return terms
 
 

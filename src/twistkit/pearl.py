@@ -10,14 +10,16 @@ differential acts on the exterior algebra over the ring by
 where R_k runs over the boundary-carrying generators and contract_k pairs the
 k-th dual degree-one generator (dual to the boundary of R_k).
 
-Components of an element are summed by one rule, `_summed`, the pearl
-counterpart of `laurent._accumulate`; `pearl_d2_from_vs` sums the components
-of all n terms v_k . contract_k(a) in one pass.
+Components of an element are summed by `laurent._accumulate`, the one
+summing loop of the package, with `_COMPONENTS` as its operations;
+`pearl_d2_from_vs` sums the components of all n terms v_k . contract_k(a) in
+one pass.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 from ._value import Value
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
@@ -77,27 +79,16 @@ def toric_differential(potential: Potential) -> tuple[LaurentPoly, ...]:
     return potential.toric_differential()
 
 
-def _summed(pairs) -> dict:
-    """The `(index tuple, LaurentPoly)` pairs summed in order, by the rule of
-    `laurent._accumulate`: a component already present gets the sum and is
-    deleted if the sum is zero; a new one goes at the end, unless it is zero."""
-    comps = {}
-    for subset, poly in pairs:
-        if subset in comps:
-            poly = comps[subset] + poly
-        if poly.is_zero:
-            comps.pop(subset, None)
-        else:
-            comps[subset] = poly
-    return comps
+# `_accumulate`'s operations on `(index tuple, LaurentPoly)` components
+_COMPONENTS = SimpleNamespace(add=LaurentPoly.__add__, is_zero=LaurentPoly.is_zero.fget)
 
 
 class PearlElement(Value):
     """Element of the exterior algebra over the group ring: a map from
     strictly increasing tuples of dual-generator indices to coefficients.
 
-    Components are summed by `_summed`, the one summing rule of this module:
-    the constructor's, `__add__`'s and `pearl_d2_from_vs`'s.  Only this
+    Components are summed by `laurent._accumulate` with `_COMPONENTS`: the
+    constructor's, `__add__`'s and `pearl_d2_from_vs`'s.  Only this
     module's own arithmetic calls `PearlElement._new`, on components it
     built from validated elements: strictly increasing index tuples below
     `n`, and nonzero LaurentPoly coefficients over `ring` and `variables`.
@@ -121,7 +112,7 @@ class PearlElement(Value):
             if poly.ring is not ring or poly.variables != variables:
                 raise VariableMismatch("component coefficients live in the wrong ring")
             pairs.append((subset, poly))
-        self._init(ring, variables, n, _summed(pairs))
+        self._init(ring, variables, n, _accumulate(_COMPONENTS, {}, pairs))
 
     # -- constructors --------------------------------------------------------
 
@@ -169,8 +160,8 @@ class PearlElement(Value):
 
     def __add__(self, other):
         self._check(other)
-        pairs = itertools.chain(self.components.items(), other.components.items())
-        return PearlElement._new(self.ring, self.variables, self.n, _summed(pairs))
+        comps = _accumulate(_COMPONENTS, dict(self.components), other.components.items())
+        return PearlElement._new(self.ring, self.variables, self.n, comps)
 
     def scaled_by(self, poly: LaurentPoly) -> "PearlElement":
         comps = {subset: coeff * poly for subset, coeff in self.components.items()}
@@ -234,7 +225,8 @@ def pearl_d2_from_vs(alpha: PearlElement, vs) -> PearlElement:
         raise VariableMismatch(f"need {alpha.n} toric differentials, got {len(vs)}")
     terms = (alpha.contract(k).scaled_by(v) for k, v in enumerate(vs))
     pairs = itertools.chain.from_iterable(term.components.items() for term in terms)
-    return PearlElement._new(alpha.ring, alpha.variables, alpha.n, _summed(pairs))
+    comps = _accumulate(_COMPONENTS, {}, pairs)
+    return PearlElement._new(alpha.ring, alpha.variables, alpha.n, comps)
 
 
 # ---------------------------------------------------------------------------

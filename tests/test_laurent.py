@@ -404,6 +404,32 @@ def test_non_integral_coefficients_are_rejected_over_gf2():
     assert LaurentPoly(RATIONAL, ("x",), {(1,): 0.5}).terms == {(1,): Fraction(1, 2)}
 
 
+def test_ring_operations_are_fixed_once_and_match_the_field_formulas():
+    """Each ring's `add`, `mul`, `neg` and `is_zero` are `operator`
+    functions bound at construction, so no call tests the tag; on field elements they equal the
+    formulas they replaced, and `mul(n, a)` is the int multiple n·a."""
+    for ring in (GF2, RATIONAL):
+        for op in (ring.add, ring.mul, ring.neg, ring.is_zero):
+            assert getattr(operator, op.__name__) is op
+    for a in (0, 1):
+        assert GF2.neg(a) == a and GF2.is_zero(a) == (a == 0)
+        for b in (0, 1):
+            assert GF2.add(a, b) == (a + b) % 2 and GF2.mul(a, b) == (a * b) % 2
+    rng = random.Random(3902)
+    field = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(40)]
+    for a in field:
+        assert RATIONAL.neg(a) == -a and RATIONAL.is_zero(a) == (a == 0)
+        for b in field[:10]:
+            assert RATIONAL.add(a, b) == a + b and RATIONAL.mul(a, b) == a * b
+    multiples = (-(10**30) - 1, -(10**30), -3, -2, -1, 0, 1, 2, 3, 10**30, 10**30 + 1)
+    for n in multiples:
+        for a in (0, 1):
+            assert GF2.mul(n, a) == (n * a) % 2
+        for a in field:
+            got = RATIONAL.mul(n, a)
+            assert got == n * a and type(got) is Fraction
+
+
 def test_ring_constants_are_shared():
     assert RATIONAL.zero is RATIONAL.zero and RATIONAL.one is RATIONAL.one
     assert (RATIONAL.zero, RATIONAL.one) == (Fraction(0), Fraction(1))

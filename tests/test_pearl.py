@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -596,3 +597,90 @@ def test_scaling_by_zero_is_zero_and_still_checks_the_ring():
     assert alpha.scaled_by(LaurentPoly.constant(GF2, x, 2)).is_zero  # 2 is 0 in GF2
     with pytest.raises(VariableMismatch):
         alpha.scaled_by(LaurentPoly.zero(GF2, ("y",)))
+
+
+def _old_summed(pairs):
+    """The pearl summing loop that `laurent._accumulate` replaced, kept as a
+    reference: a component already present gets the sum and is deleted if
+    the sum is zero; a new one goes at the end, unless it is zero."""
+    comps = {}
+    for subset, poly in pairs:
+        if subset in comps:
+            poly = comps[subset] + poly
+        if poly.is_zero:
+            comps.pop(subset, None)
+        else:
+            comps[subset] = poly
+    return comps
+
+
+class _SameTuple:
+    """A dict key of its own that reads as `subset`, so that one components
+    dict can name an index tuple many times, in the order of a sequence."""
+
+    def __init__(self, subset):
+        self.subset = subset
+
+    def __iter__(self):
+        return iter(self.subset)
+
+
+def _cancels(pairs):
+    """How many times a component of the in-order sum cancels, and how many
+    times one that cancelled comes back."""
+    comps, gone, cancelled, back = {}, set(), 0, 0
+    for subset, poly in pairs:
+        if subset in comps:
+            total = comps.pop(subset) + poly
+            if total.is_zero:
+                cancelled += 1
+                gone.add(subset)
+            else:
+                comps[subset] = total
+        elif not poly.is_zero:
+            back += subset in gone
+            gone.discard(subset)
+            comps[subset] = poly
+    return cancelled, back
+
+
+def test_pearl_sums_match_the_old_summing_loop():
+    """The constructor, `+` and `pearl_d2_from_vs` give the components of the
+    old `_summed`, in the same order, on random sequences over GF2 and Q
+    drawn from few index tuples and few coefficients, so that components
+    cancel and (in the constructor and the differential) come back."""
+    rng = random.Random(3901)
+    variables = ("x", "y")
+    for ring in (GF2, RATIONAL):
+        base = [LaurentPoly(ring, variables, terms)
+                for terms in ({(0, 0): 1}, {(1, 0): 1}, {(1, 0): 1, (0, -1): 1})]
+        pool = base + [-p for p in base] + [LaurentPoly.zero(ring, variables)]
+        units = (base[0], -base[0])
+        seen = {"constructor": [0, 0], "+": [0, 0], "d2": [0, 0]}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+            seq = [(rng.choice(subsets[:3]), rng.choice(pool)) for _ in range(rng.randint(0, 12))]
+            alpha = PearlElement(ring, variables, n, {_SameTuple(s): p for s, p in seq})
+            assert list(alpha.components.items()) == list(_old_summed(seq).items())
+
+            beta = PearlElement(ring, variables, n, dict(seq[::2]))
+            beta += alpha.scaled_by(rng.choice(units))
+            plus = [*alpha.components.items(), *beta.components.items()]
+            assert list((alpha + beta).components.items()) == list(_old_summed(plus).items())
+
+            # every index tuple with a unit coefficient, so that each one is
+            # reached from several k
+            gamma = PearlElement(ring, variables, n, {s: rng.choice(units) for s in subsets})
+            vs = [rng.choice(units + (base[1],)) for _ in range(n)]
+            sums = [("constructor", seq), ("+", plus)]
+            for element in (alpha, gamma):
+                pairs = [item for k, v in enumerate(vs)
+                         for item in element.contract(k).scaled_by(v).components.items()]
+                got = pearl_d2_from_vs(element, vs)
+                assert list(got.components.items()) == list(_old_summed(pairs).items())
+                sums.append(("d2", pairs))
+            for name, pairs in sums:
+                seen[name] = [a + b for a, b in zip(seen[name], _cancels(pairs))]
+        # each side of `+` holds a component once, so in `+` none comes back
+        assert min(*seen["constructor"], *seen["d2"], seen["+"][0]) >= 5, (ring, seen)
