@@ -4,9 +4,15 @@
 For seeded random ideals over GF(2) and Q in one, two or three variables,
 the reduced grevlex basis from `twistkit.groebner.groebner_basis` must equal
 the one from `sympy.groebner(..., order='grevlex')`.  In one variable that
-basis is the monic gcd that `univariate_gcd` returns.  Both sides are compared as
-monic sympy `Poly` objects over the same domain, since expression strings
-differ over GF(2) (sympy prints its coefficients in symmetric form).
+basis is the monic gcd, whose first element `univariate_extended_gcd`
+returns.  Both sides are compared as monic sympy `Poly` objects over the same
+domain, since expression strings differ over GF(2) (sympy prints its
+coefficients in symmetric form).
+
+For each ideal a random polynomial is then reduced modulo the basis, by
+`normal_form` and by `sympy.reduced(..., order='grevlex')`.  Modulo a
+reduced basis the remainder is unique, so the two must be equal; this checks
+`normal_form` by division code that is not twistkit's.
 
 Over both rings the cofactors are checked too, without sympy:
 `groebner_basis(gens, with_cofactors=True)` must return the same basis, and
@@ -29,7 +35,7 @@ from fractions import Fraction
 
 import sympy
 
-from twistkit.groebner import groebner_basis
+from twistkit.groebner import groebner_basis, normal_form
 from twistkit.laurent import GF2, RATIONAL, LaurentPoly
 
 DOMAINS = {GF2: sympy.GF(2), RATIONAL: sympy.QQ}
@@ -48,6 +54,15 @@ def random_ideal(rng):
             terms[exps] = 1 if ring is GF2 else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         gens.append(LaurentPoly(ring, variables, terms))
     return gens
+
+
+def random_dividend(rng, ring, variables):
+    max_deg = (8, 4, 3)[len(variables) - 1]
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = tuple(rng.randint(0, max_deg) for _ in variables)
+        terms[exps] = 1 if ring is GF2 else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return LaurentPoly(ring, variables, terms)
 
 
 def to_sympy(poly, symbols, domain):
@@ -100,7 +115,9 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    mismatches = compared = renamed_mismatches = 0
+    # a stream of its own, so that a seed draws the same ideals as before
+    dividends = random.Random(f"dividends {args.seed}")
+    mismatches = compared = renamed_mismatches = remainder_mismatches = 0
     cofactor_checked = {GF2: 0, RATIONAL: 0}
     cofactor_mismatches = {GF2: 0, RATIONAL: 0}
     while compared < args.ideals:
@@ -138,13 +155,27 @@ def main():
             print(f"mismatch over {ring} for ({', '.join(map(str, gens))}):")
             print(f"  twistkit: {[p.as_expr() for p in ours]}")
             print(f"  sympy:    {[p.as_expr() for p in theirs]}")
+        dividend = random_dividend(dividends, ring, variables)
+        remainder, _ = normal_form(dividend, basis)
+        _, their_remainder = sympy.reduced(
+            to_sympy(dividend, symbols, domain).as_expr(), [p.as_expr() for p in theirs],
+            *symbols, order="grevlex", domain=domain,
+        )
+        their_remainder = sympy.Poly(their_remainder, *symbols, domain=domain)
+        if to_sympy(remainder, symbols, domain) != their_remainder:
+            remainder_mismatches += 1
+            print(f"remainder mismatch over {ring} for {dividend} modulo "
+                  f"({', '.join(map(str, basis))}):")
+            print(f"  twistkit: {remainder}")
+            print(f"  sympy:    {their_remainder.as_expr()}")
     print(f"{compared} ideals compared, {mismatches} mismatches")
+    print(f"{compared} remainders compared, {remainder_mismatches} mismatches")
     for ring in (GF2, RATIONAL):
         print(f"{cofactor_checked[ring]} ideals over {ring} cofactor-checked, "
               f"{cofactor_mismatches[ring]} mismatches")
     print(f"{compared} ideals recomputed under renamed variables, {renamed_mismatches} mismatches")
     bad_cofactors = sum(cofactor_mismatches.values())
-    return 1 if mismatches or bad_cofactors or renamed_mismatches else 0
+    return 1 if mismatches or bad_cofactors or renamed_mismatches or remainder_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -338,7 +338,7 @@ def validate_regularity_hom(potential: Potential, hom: RingHom):
                 )
             seen_vars[var] = name
         else:
-            if any(exps) or coeff == 0:
+            if any(exps):
                 raise NonGenericHom(
                     f"surface generator {name} must map to a nonzero constant"
                 )

@@ -63,11 +63,14 @@ LaurentPoly values only at the end, through the trusted `LaurentPoly._new`:
 every dict is built here from validated inputs, with int exponent tuples and
 nonzero coefficients of the ring.  Every element tuple, generator, new basis
 element, autoreduced element or divisor of `normal_form`, comes from
-`_Working.element`.  `normal_form` is the same reduction behind a
-LaurentPoly interface: it clears the denominators of its inputs, makes its
-divisors elements (over Q, dividing a divisor by its content changes no
-rational value), and divides its results by the scale the reduction
-accumulated.
+`_Working.element`.  `groebner_basis` and `normal_form` are the two ways in,
+and one check guards both: every input polynomial has the ring and the
+variables of the first and no negative exponent, or the call raises
+`VariableMismatch` or `ValueError`.  `normal_form` is the same reduction
+behind a LaurentPoly interface: it clears the denominators of its inputs,
+makes its divisors elements (over Q, dividing a divisor by its content
+changes no rational value), and divides its results by the scale the
+reduction accumulated.
 
 `groebner_basis` memoizes by position.  The loop and grevlex read exponent
 tuples and coefficients, never a variable's name, so the same terms in other
@@ -81,8 +84,10 @@ its own variables from them, so a caller that mutates one cannot change a
 later hit.
 
 In one variable the reduced basis of a nonzero ideal is its monic gcd
-(Becker and Weispfenning, Groebner Bases, 1993), so `univariate_gcd` and
-`univariate_extended_gcd` are this same loop, the latter with cofactors.
+(Becker and Weispfenning, Groebner Bases, 1993), so the extended gcd is the
+first element of the cofactor run, `groebner_basis(polys,
+with_cofactors=True)`, with its cofactors, and `univariate_gcd` is the
+extended gcd without them.
 """
 
 from __future__ import annotations
@@ -109,22 +114,19 @@ def leading_term(poly: LaurentPoly):
     return exps, poly.terms[exps]
 
 
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def _exps_sub(a, b):
-    return tuple(map(sub, a, b))
-
-
 def _exps_lcm(a, b):
     return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
-def _require_polynomial(poly: LaurentPoly):
-    for exps in poly.terms:
-        if any(e < 0 for e in exps):
-            raise ValueError("groebner machinery needs nonnegative exponents")
+def _require_polynomials(polys, ring, variables):
+    """The one input check of `groebner_basis` and `normal_form`: each of
+    `polys` lives in `ring` and `variables` and has no negative exponent."""
+    for p in polys:
+        if p.ring is not ring or p.variables != variables:
+            raise VariableMismatch("groebner: a generator or basis element lives in another ring")
+        for exps in p.terms:
+            if any(e < 0 for e in exps):
+                raise ValueError("groebner machinery needs nonnegative exponents")
 
 
 class _Keys(dict):
@@ -244,8 +246,6 @@ class _Working:
                     if lc != 1:  # never over GF2
                         g = gcd(coeff, lc)
                         a, coeff = lc // g, coeff // g
-                        if a < 0:
-                            a, coeff = -a, -coeff
                         if a != 1:
                             scale *= a
                             for part in (work, remainder):
@@ -280,13 +280,10 @@ def normal_form(poly: LaurentPoly, basis):
     Zero elements of `basis` divide nothing and are skipped.
     """
     ring, variables = poly.ring, poly.variables
+    basis = list(basis)
+    _require_polynomials([poly, *basis], ring, variables)
     w = _Working(ring)
-    divisors = []
-    for g in basis:
-        if g.ring is not ring or g.variables != variables:
-            raise VariableMismatch("normal_form: basis element lives in another ring")
-        if not g.is_zero:
-            divisors.append(w.element(w.clear(g.terms)[1], None, 1))
+    divisors = [w.element(w.clear(g.terms)[1], None, 1) for g in basis if not g.is_zero]
     d, work = w.clear(poly.terms)
     remainder, _, scale = w.reduce(work, divisors, None, 1)
     return LaurentPoly._new(ring, variables, w.rational(remainder, d * scale)), None
@@ -301,12 +298,8 @@ def groebner_basis(gens, with_cofactors=False):
     gens = [g for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    variables = gens[0].variables
-    for g in gens:
-        if g.ring is not ring or g.variables != variables:
-            raise VariableMismatch("generators live in different rings")
-        _require_polynomial(g)
+    ring, variables = gens[0].ring, gens[0].variables
+    _require_polynomials(gens, ring, variables)
 
     basis, cofactors = _reduced_basis(
         ring, len(variables), with_cofactors, tuple(tuple(g.terms.items()) for g in gens)
@@ -433,7 +426,7 @@ def _reduced_basis(ring, nvars, with_cofactors, gens):
         lm_i, lm_j = lms[i], lms[j]
         _, lc_f, f, cf, den_f = basis[i]
         _, lc_g, g, cg, den_g = basis[j]
-        uf, ug = _exps_sub(lcm_ij, lm_i), _exps_sub(lcm_ij, lm_j)
+        uf, ug = tuple(map(sub, lcm_ij, lm_i)), tuple(map(sub, lcm_ij, lm_j))
         common = gcd(lc_f, lc_g)
         a, b = lc_g // common, lc_f // common
         s = w.combination(a, f, uf, b, g, ug)
@@ -472,7 +465,7 @@ def _autoreduce(w, basis):
     order = sorted(range(len(basis)), key=lambda i: keys[basis[i][0]])
     minimal = []
     for i in order:
-        if any(_divides(m[0], basis[i][0]) for m in minimal):
+        if any(all(map(le, m[0], basis[i][0])) for m in minimal):
             continue
         minimal.append(basis[i])
 
@@ -493,9 +486,7 @@ def _autoreduce(w, basis):
 
 def contains_constant(basis) -> bool:
     """True iff the reduced basis is {1} (the ideal is the whole ring)."""
-    return len(basis) == 1 and not basis[0].is_zero and set(basis[0].terms) == {
-        (0,) * len(basis[0].variables)
-    }
+    return len(basis) == 1 and set(basis[0].terms) == {(0,) * len(basis[0].variables)}
 
 
 def _pure_power_degrees(lms, nvars):
@@ -526,38 +517,27 @@ def standard_monomials(basis):
     if degrees is None:
         return None
     box = itertools.product(*(range(d) for d in degrees))
-    return sorted(exps for exps in box if not any(_divides(lm, exps) for lm in lms))
+    return sorted(exps for exps in box if not any(all(map(le, lm, exps)) for lm in lms))
 
 
 # ---------------------------------------------------------------------------
 # one variable
 
 
-def _univariate_basis(polys, with_cofactors):
-    """Reduced Groebner basis of the ideal of one-variable `polys`: [monic
-    gcd], or [] for the zero ideal.  `groebner_basis` skips zero inputs and
-    gives them zero cofactors."""
-    polys = list(polys)
-    for p in polys:
-        if len(p.variables) != 1:
-            raise VariableMismatch("univariate helper got a multivariate polynomial")
-    if not polys:
-        return ([], []) if with_cofactors else []
-    return groebner_basis(polys, with_cofactors=with_cofactors)
-
-
 def univariate_gcd(polys, ring, variables) -> LaurentPoly:
     """Monic gcd of univariate polynomials over a field (zero inputs skipped)."""
-    basis = _univariate_basis(polys, with_cofactors=False)
-    return basis[0] if basis else LaurentPoly.zero(ring, variables)
+    return univariate_extended_gcd(polys, ring, variables)[0]
 
 
 def univariate_extended_gcd(polys, ring, variables):
-    """Monic gcd plus cofactors: gcd == sum(cofactor_i * poly_i).
-
-    Zero inputs get zero cofactors.
+    """Monic gcd plus cofactors: gcd == sum(cofactor_i * poly_i), the first
+    element of the reduced basis of the ideal and its cofactors.  Zero
+    inputs get zero cofactors, and the zero ideal has the gcd 0.
     """
-    basis, cofactors = _univariate_basis(polys, with_cofactors=True)
+    polys = list(polys)
+    if any(len(p.variables) != 1 for p in polys):
+        raise VariableMismatch("univariate helper got a multivariate polynomial")
+    basis, cofactors = groebner_basis(polys, with_cofactors=True) if polys else ([], [])
     if not basis:
         zero = LaurentPoly.zero(ring, variables)
         return zero, [zero] * len(polys)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .certificates import CertificateReport, certify_nondisplaceable
-from .discs import ConstraintTable, DiscClass, HomologyBasis, enumerate_candidate_classes
+from .discs import ConstraintTable, HomologyBasis, enumerate_candidate_classes
 from .germs import Germ
 from .laurent import GF2, RATIONAL, RingHom
 from .pearl import Potential
@@ -93,11 +93,6 @@ class PotentialPreset(Value):
              for generator, m in zip(basis.ring_names, table.maslov_vector)},
         )
         self._init(name, table, h0_hom, potential, regularity_hom, collapse_hom)
-
-    @property
-    def classes(self) -> tuple[DiscClass, ...]:
-        """The disc classes whose monomials make up the potential."""
-        return tuple(cls for cls, _ in self.potential.provenance)
 
     def certify(self) -> CertificateReport:
         return certify_nondisplaceable(

@@ -397,7 +397,8 @@ def test_product_classes_are_the_padded_factor_classes():
     # a product preset's classes are its table's, in lexicographic order
     for symbols in ("T", "C", "TC", "CC", "TTC"):
         bundle = product_bundle(symbols.count("T"), symbols.count("C"))
-        assert [c.coefficients for c in bundle.classes] == sorted(product(symbols)[1])
+        classes = [c.coefficients for c, _ in bundle.potential.provenance]
+        assert classes == sorted(product(symbols)[1])
     assert table.basis.ring_names == ("R_1", "T_1", "S1_1", "S2_1", "R_2", "S_2")
     assert table.basis.boundary_matrix == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
                                            (0, 0, 0, 0, 1, 0))

@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -369,14 +370,14 @@ def test_cofactors_track_representations():
 def test_every_s_polynomial_reduces_to_zero():
     # the defining property of a Groebner basis, checked exhaustively on the
     # result (independent of the pair-pruning criteria used while building it)
-    from twistkit.groebner import _exps_lcm, _exps_sub
+    from twistkit.groebner import _exps_lcm
 
     def s_poly(f, g):
         ring = f.ring
         (fe, fc), (ge, gc) = leading_term(f), leading_term(g)
         l = _exps_lcm(fe, ge)
-        return f.times_monomial(_exps_sub(l, fe), ring.inv(fc)) - g.times_monomial(
-            _exps_sub(l, ge), ring.inv(gc)
+        return f.times_monomial(tuple(map(sub, l, fe)), ring.inv(fc)) - g.times_monomial(
+            tuple(map(sub, l, ge)), ring.inv(gc)
         )
 
     for gens in random_ideals():
@@ -537,6 +538,25 @@ def test_groebner_rejects_laurent_inputs():
             normal_form(x, [other])
 
 
+def test_normal_form_rejects_laurent_inputs():
+    """One check guards both entry points: a negative exponent in the
+    dividend or in a divisor is refused, as in a generator, and so is a
+    generator of another variable tuple."""
+    for ring in (GF2, RATIONAL):
+        v = ("x", "y")
+        x, one = LaurentPoly.var(ring, v, "x"), LaurentPoly.one(ring, v)
+        x_inv = LaurentPoly.monomial(ring, v, (-1, 0))
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            normal_form(x, [x_inv - one])
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            normal_form(x_inv + one, [x - one])
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            normal_form(x, [x - one, LaurentPoly.zero(ring, v), x * x_inv * x_inv])
+        other = LaurentPoly.var(ring, ("x", "z"), "x")
+        with pytest.raises(VariableMismatch, match="generator or basis element lives in another"):
+            groebner_basis([x, other])
+
+
 def test_univariate_gcd_examples():
     v = ("R",)
     # (R+1)(R^2+R+1) = R^3+1 over GF2; gcd with R^2+R+1
@@ -556,14 +576,21 @@ def test_univariate_gcd_examples():
 
 
 def test_univariate_gcd_matches_the_euclid_reference():
+    """Both gcds equal the reference, and `univariate_gcd` is the extended
+    gcd's first element term for term; no input and zero inputs alone give 0."""
     inputs = univariate_inputs()
     assert any(p.is_zero for _, _, polys in inputs for p in polys)
+    for ring in (GF2, RATIONAL):
+        zero = LaurentPoly.zero(ring, ("t",))
+        inputs += [(ring, ("t",), []), (ring, ("t",), [zero]), (ring, ("t",), [zero] * 3)]
     nontrivial = 0
     for ring, v, polys in inputs:
         want = str(reference_univariate_gcd(polys, ring, v))
         g = univariate_gcd(polys, ring, v)
         g_ext, cofs = univariate_extended_gcd(polys, ring, v)
         assert str(g) == str(g_ext) == want
+        assert (g.ring, g.variables) == (ring, v)
+        assert list(g.terms.items()) == list(g_ext.terms.items())
         assert len(cofs) == len(polys)
         total = LaurentPoly.zero(ring, v)
         for c, p in zip(cofs, polys):
