@@ -41,7 +41,7 @@ from .groebner import (
     standard_monomials,
     univariate_extended_gcd,
 )
-from .laurent import RATIONAL, LaurentPoly, RingHom
+from .laurent import RATIONAL, LaurentPoly, RingHom, _require_ring
 from .pearl import Potential
 
 # Most candidate homomorphisms `search_h0_hom` will try; each costs an
@@ -186,10 +186,9 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
     gens = list(gens)
     if not gens:
         return IdealMembershipResult(False, "gcd", ())
-    ring = gens[0].ring
-    variables = gens[0].variables
-    if any(g.ring is not ring or g.variables != variables for g in gens):
-        raise VariableMismatch("generators live in different rings")
+    ring, variables = gens[0].ring, gens[0].variables
+    for g in gens:
+        _require_ring(g, ring, variables)
     nonzero_indices = [i for i, g in enumerate(gens) if not g.is_zero]
     if not nonzero_indices:
         return IdealMembershipResult(False, "gcd" if len(variables) == 1 else "groebner", ())
@@ -204,7 +203,7 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
         gcd, cofs = univariate_extended_gcd(stripped, ring, variables)
         # the gcd must be the combination its cofactors claim, proper or not,
         # so it lies in the ideal; a proper one must also divide every generator
-        cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, cofs, gcd)
+        cofactors = _assemble_cofactors(gens, zip(nonzero_indices, shifts, cofs), gcd)
         unit = contains_constant([gcd])
         if not unit and (gcd.is_zero or not all(_divides(gcd, s) for s in stripped)):
             raise InconclusiveCertificate(f"the gcd {gcd} does not divide every generator")
@@ -217,24 +216,18 @@ def ideal_contains_one(gens) -> IdealMembershipResult:
             # only this block's certificate is needed: its basis again, with
             # cofactors, is [1] with the cofactors of 1
             _, (block_cofactors,) = groebner_basis(block.generators, with_cofactors=True)
+            # drop_aux keeps the block's variables and sends its auxiliary
+            # one to their product's inverse, and so the relation to zero
             aux = block.basis[0].variables[-1]
-            drop_aux = RingHom(
-                ring,
-                variables,
-                {
-                    **{v: LaurentPoly.var(ring, variables, v) for v in block.variables},
-                    aux: LaurentPoly.monomial(
-                        ring, variables, [-1 if v in block.variables else 0 for v in variables]
-                    ),
-                },
-            )
-            back = [LaurentPoly.zero(ring, variables)] * len(stripped)
-            # zip drops the relation's cofactor, which comes last: drop_aux
-            # sends the relation to zero
-            for i, c in zip(block.indices, block_cofactors):
-                back[i] = drop_aux.apply(c)
-            one = LaurentPoly.one(ring, variables)
-            cofactors = _assemble_cofactors(gens, nonzero_indices, shifts, back, one)
+            exponents = {v: tuple(int(u == v) for u in variables) for v in block.variables}
+            exponents[aux] = tuple(-1 if u in block.variables else 0 for u in variables)
+            drop_aux = RingHom.from_monomials(ring, variables, exponents)
+            # zip drops the relation's cofactor, which comes last
+            mapped = [
+                (nonzero_indices[i], shifts[i], drop_aux.apply(c))
+                for i, c in zip(block.indices, block_cofactors)
+            ]
+            cofactors = _assemble_cofactors(gens, mapped, LaurentPoly.one(ring, variables))
             return IdealMembershipResult(True, "groebner", basis, cofactors)
     return IdealMembershipResult(False, "groebner", basis)
 
@@ -249,14 +242,16 @@ def _divides(d: LaurentPoly, p: LaurentPoly) -> bool:
     return p.is_zero
 
 
-def _assemble_cofactors(gens, nonzero_indices, shifts, cofs, target):
+def _assemble_cofactors(gens, cofs, target):
     """Re-express cofactors of the unit-stripped generators over the original
     generators, and verify once, in LaurentPoly arithmetic, that they combine
-    to `target`; a failed identity raises `InconclusiveCertificate`."""
+    to `target`; a failed identity raises `InconclusiveCertificate`.  `cofs`
+    holds (generator index, stripped shift, cofactor) triples; a generator
+    with none gets the cofactor 0."""
     ring = gens[0].ring
     variables = gens[0].variables
     out = [LaurentPoly.zero(ring, variables)] * len(gens)
-    for idx, shift, c in zip(nonzero_indices, shifts, cofs):
+    for idx, shift, c in cofs:
         out[idx] = c.times_monomial(tuple(-s for s in shift))
     total = LaurentPoly.zero(ring, variables)
     for c, g in zip(out, gens):

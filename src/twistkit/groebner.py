@@ -64,13 +64,14 @@ every dict is built here from validated inputs, with int exponent tuples and
 nonzero coefficients of the ring.  Every element tuple, generator, new basis
 element, autoreduced element or divisor of `normal_form`, comes from
 `_Working.element`.  `groebner_basis` and `normal_form` are the two ways in,
-and one check guards both: every input polynomial has the ring and the
-variables of the first and no negative exponent, or the call raises
-`VariableMismatch` or `ValueError`.  `normal_form` is the same reduction
-behind a LaurentPoly interface: it clears the denominators of its inputs,
-makes its divisors elements (over Q, dividing a divisor by its content
-changes no rational value), and divides its results by the scale the
-reduction accumulated.
+and one check guards both, and the gcd: every input polynomial has the
+ring and the variables of the first (the gcd's: those it is given), by the
+package's one compatibility rule `laurent._require_ring`, and no negative
+exponent, or the call raises `VariableMismatch` or `ValueError`.
+`normal_form` is the same reduction behind a LaurentPoly interface: it
+clears the denominators of its inputs, makes its divisors elements (over Q,
+dividing a divisor by its content changes no rational value), and divides
+its results by the scale the reduction accumulated.
 
 `groebner_basis` memoizes by position.  The loop and grevlex read exponent
 tuples and coefficients, never a variable's name, so the same terms in other
@@ -100,7 +101,7 @@ from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 
 from .errors import CapExceeded, VariableMismatch
-from .laurent import GF2, LaurentPoly
+from .laurent import GF2, LaurentPoly, _require_ring
 
 
 def grevlex_key(exps):
@@ -119,11 +120,11 @@ def _exps_lcm(a, b):
 
 
 def _require_polynomials(polys, ring, variables):
-    """The one input check of `groebner_basis` and `normal_form`: each of
-    `polys` lives in `ring` and `variables` and has no negative exponent."""
+    """The one input check of `groebner_basis`, `normal_form` and the gcd:
+    each of `polys` lives in `ring` and `variables` (`laurent._require_ring`)
+    and has no negative exponent."""
     for p in polys:
-        if p.ring is not ring or p.variables != variables:
-            raise VariableMismatch("groebner: a generator or basis element lives in another ring")
+        _require_ring(p, ring, variables)
         for exps in p.terms:
             if any(e < 0 for e in exps):
                 raise ValueError("groebner machinery needs nonnegative exponents")
@@ -532,11 +533,13 @@ def univariate_gcd(polys, ring, variables) -> LaurentPoly:
 def univariate_extended_gcd(polys, ring, variables):
     """Monic gcd plus cofactors: gcd == sum(cofactor_i * poly_i), the first
     element of the reduced basis of the ideal and its cofactors.  Zero
-    inputs get zero cofactors, and the zero ideal has the gcd 0.
+    inputs get zero cofactors, and the zero ideal has the gcd 0.  Every
+    polynomial must live in `ring` and `variables`, which must be one variable.
     """
-    polys = list(polys)
-    if any(len(p.variables) != 1 for p in polys):
-        raise VariableMismatch("univariate helper got a multivariate polynomial")
+    polys, variables = list(polys), tuple(variables)
+    _require_polynomials(polys, ring, variables)
+    if len(variables) != 1:
+        raise VariableMismatch(f"the univariate gcd got the multivariate {variables}")
     basis, cofactors = groebner_basis(polys, with_cofactors=True) if polys else ([], [])
     if not basis:
         zero = LaurentPoly.zero(ring, variables)

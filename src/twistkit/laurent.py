@@ -9,6 +9,11 @@ A `CoefficientRing` has the operations `add`, `mul`, `neg`, `is_zero`,
 `coerce` and `inv`; an integer multiple n·a is `mul(n, a)`, and a scaling is
 a multiplication by the constant monomial.  Coefficients print with `str`, in
 reports and in JSON alike.
+
+Values meet under one compatibility rule, `_require_ring`: a polynomial or
+pearl element combined with another value, or handed to an entry point for a
+given ring, must carry that ring (the one object) and exactly its variable
+tuple, or the call raises `VariableMismatch` naming both sides.
 """
 
 from __future__ import annotations
@@ -111,6 +116,16 @@ def _accumulate(ops, terms: dict, items) -> dict:
     return terms
 
 
+def _require_ring(value, ring, variables) -> None:
+    """The package's one compatibility rule: `value`, a `LaurentPoly` or a
+    `pearl.PearlElement`, carries `ring` (compared by identity) and exactly
+    `variables`, or `VariableMismatch` names both rings and variable tuples."""
+    if value.ring is not ring or value.variables != variables:
+        raise VariableMismatch(
+            f"{value.ring} over {value.variables} does not match {ring} over {variables}"
+        )
+
+
 class LaurentPoly(Value):
     """Immutable Laurent polynomial: a map from integer exponent vectors to
     nonzero coefficients, over a fixed ordered variable tuple.
@@ -186,22 +201,12 @@ class LaurentPoly(Value):
             return (0,) * len(self.variables)
         return tuple(min(e[i] for e in self.terms) for i in range(len(self.variables)))
 
-    def _check(self, other: "LaurentPoly"):
-        if self.ring is not other.ring:
-            raise VariableMismatch(
-                f"coefficient rings differ: {self.ring} vs {other.ring}"
-            )
-        if self.variables != other.variables:
-            raise VariableMismatch(
-                f"variables differ: {self.variables} vs {other.variables}"
-            )
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
+        _require_ring(other, self.ring, self.variables)
         terms = _accumulate(self.ring, dict(self.terms), other.terms.items())
         return LaurentPoly._new(self.ring, self.variables, terms)
 
@@ -219,7 +224,7 @@ class LaurentPoly(Value):
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
+        _require_ring(other, self.ring, self.variables)
         ring = self.ring
         products = (
             (tuple(map(add, e1, e2)), ring.mul(c1, c2))
@@ -348,10 +353,7 @@ class RingHom(Value):
         for name, poly in images.items():
             if not isinstance(poly, LaurentPoly):
                 raise NonUnitImage(f"image of {name} must be a LaurentPoly")
-            if poly.ring is not ring or poly.variables != variables:
-                raise VariableMismatch(
-                    f"image of {name} lives in the wrong target ring"
-                )
+            _require_ring(poly, ring, variables)
             if not poly.is_unit_monomial:
                 raise NonUnitImage(
                     f"image of {name} must be a single monomial with unit coefficient"

@@ -13,7 +13,9 @@ k-th dual degree-one generator (dual to the boundary of R_k).
 Components of an element are summed by `laurent._accumulate`, the one
 summing loop of the package, with `_COMPONENTS` as its operations;
 `pearl_d2_from_vs` sums the components of all n terms v_k . contract_k(a) in
-one pass.
+one pass.  A component, a summand and each v_k must live in the element's
+ring and variables, by `laurent._require_ring`, the package's one
+compatibility rule; a summand must also have the element's rank.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from types import SimpleNamespace
 from ._value import Value
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
 from .errors import VariableMismatch
-from .laurent import CoefficientRing, LaurentPoly, _accumulate, poly_to_json
+from .laurent import CoefficientRing, LaurentPoly, _accumulate, _require_ring, poly_to_json
 from .matrices import as_int
 
 
@@ -109,8 +111,7 @@ class PearlElement(Value):
                 raise ValueError(f"exterior index tuple {subset} must be strictly increasing")
             if subset and (subset[0] < 0 or subset[-1] >= n):
                 raise ValueError(f"exterior index out of range in {subset}")
-            if poly.ring is not ring or poly.variables != variables:
-                raise VariableMismatch("component coefficients live in the wrong ring")
+            _require_ring(poly, ring, variables)
             pairs.append((subset, poly))
         self._init(ring, variables, n, _accumulate(_COMPONENTS, {}, pairs))
 
@@ -154,12 +155,10 @@ class PearlElement(Value):
 
     # -- algebra ---------------------------------------------------------------
 
-    def _check(self, other: "PearlElement"):
-        if self.ring is not other.ring or self.variables != other.variables or self.n != other.n:
-            raise VariableMismatch("pearl elements live in different modules")
-
     def __add__(self, other):
-        self._check(other)
+        _require_ring(other, self.ring, self.variables)
+        if other.n != self.n:
+            raise VariableMismatch(f"rank {other.n} does not match rank {self.n}")
         comps = _accumulate(_COMPONENTS, dict(self.components), other.components.items())
         return PearlElement._new(self.ring, self.variables, self.n, comps)
 
@@ -208,21 +207,21 @@ class PearlElement(Value):
 
 def pearl_d2(alpha: PearlElement, potential: Potential) -> PearlElement:
     """Quadratic pearl differential: contract each dual generator and
-    multiply by the matching toric differential.  Drops degree by one."""
-    if alpha.variables != potential.variables or alpha.ring is not potential.ring:
-        raise VariableMismatch("element and potential live in different rings")
-    if alpha.n != len(potential.r_names):
-        raise VariableMismatch("element rank does not match the torus rank")
+    multiply by the matching toric differential.  Drops degree by one;
+    `pearl_d2_from_vs` checks the rank and the ring."""
     return pearl_d2_from_vs(alpha, potential.toric_differential())
 
 
 def pearl_d2_from_vs(alpha: PearlElement, vs) -> PearlElement:
     """The same differential with the toric differentials given explicitly
     (used to transport the computation through a ring homomorphism): the
-    components of every term v_k . contract_k(alpha), summed in one pass."""
+    components of every term v_k . contract_k(alpha), summed in one pass.
+    There must be one v_k per dual generator, each in alpha's ring."""
     vs = tuple(vs)
     if len(vs) != alpha.n:
         raise VariableMismatch(f"need {alpha.n} toric differentials, got {len(vs)}")
+    for v in vs:
+        _require_ring(v, alpha.ring, alpha.variables)
     terms = (alpha.contract(k).scaled_by(v) for k, v in enumerate(vs))
     pairs = itertools.chain.from_iterable(term.components.items() for term in terms)
     comps = _accumulate(_COMPONENTS, {}, pairs)

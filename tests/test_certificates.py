@@ -566,7 +566,7 @@ def unsplit_contains_one(gens):
     )
     back = [drop_aux.apply(c) for c in cofs[0][:-1]]
     one = LaurentPoly.one(ring, variables)
-    cofactors = certificates._assemble_cofactors(gens, nonzero, shifts, back, one)
+    cofactors = certificates._assemble_cofactors(gens, zip(nonzero, shifts, back), one)
     return IdealMembershipResult(True, "groebner", tuple(basis), cofactors)
 
 

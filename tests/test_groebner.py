@@ -534,7 +534,7 @@ def test_groebner_rejects_laurent_inputs():
         groebner_basis([])
     x = poly(RATIONAL, ("x",), {(1,): 1})
     for other in (poly(GF2, ("x",), {(1,): 1}), poly(RATIONAL, ("y",), {(1,): 1})):
-        with pytest.raises(VariableMismatch, match="basis element lives in another ring"):
+        with pytest.raises(VariableMismatch, match=r"does not match Rational over \('x',\)"):
             normal_form(x, [other])
 
 
@@ -553,7 +553,7 @@ def test_normal_form_rejects_laurent_inputs():
         with pytest.raises(ValueError, match="nonnegative exponents"):
             normal_form(x, [x - one, LaurentPoly.zero(ring, v), x * x_inv * x_inv])
         other = LaurentPoly.var(ring, ("x", "z"), "x")
-        with pytest.raises(VariableMismatch, match="generator or basis element lives in another"):
+        with pytest.raises(VariableMismatch, match=r"over \('x', 'z'\) does not match"):
             groebner_basis([x, other])
 
 
@@ -562,7 +562,7 @@ def test_univariate_gcd_examples():
     # (R+1)(R^2+R+1) = R^3+1 over GF2; gcd with R^2+R+1
     a = poly(GF2, v, {(3,): 1, (0,): 1})
     b = poly(GF2, v, {(2,): 1, (1,): 1, (0,): 1})
-    assert univariate_gcd([a, b], GF2, v) == b
+    assert univariate_gcd([a, b], GF2, v) == univariate_gcd([a, b], GF2, list(v)) == b
     # rational: gcd is monic
     c = poly(RATIONAL, v, {(2,): 2, (0,): -2})  # 2(R^2 - 1)
     d = poly(RATIONAL, v, {(1,): 3, (0,): 3})  # 3(R + 1)
@@ -573,6 +573,19 @@ def test_univariate_gcd_examples():
     assert univariate_extended_gcd([zero, zero], GF2, v) == (zero, [zero, zero])
     with pytest.raises(VariableMismatch, match="multivariate"):
         univariate_gcd([poly(GF2, ("x", "y"), {(1, 0): 1})], GF2, ("x", "y"))
+
+
+def test_univariate_gcd_refuses_another_ring_or_variable():
+    """The gcd's `ring` and `variables` are checked against every polynomial,
+    and `variables` must be one variable even when no polynomial is given."""
+    x2_plus_1 = poly(GF2, ("x",), {(2,): 1, (0,): 1})
+    for gcd in (univariate_gcd, univariate_extended_gcd):
+        with pytest.raises(VariableMismatch, match=r"GF2 over \('x',\) does not match Rational"):
+            gcd([x2_plus_1], RATIONAL, ("t",))
+        with pytest.raises(VariableMismatch, match=r"\('x',\) does not match GF2 over \('t',\)"):
+            gcd([x2_plus_1], GF2, ("t",))
+        with pytest.raises(VariableMismatch, match="multivariate"):
+            gcd([], RATIONAL, ("x", "y"))
 
 
 def test_univariate_gcd_matches_the_euclid_reference():

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twistkit.certificates import ideal_contains_one
+from twistkit.discs import DiscClass, HomologyBasis
 from twistkit.errors import NonUnitImage, UnsupportedRing, VariableMismatch
+from twistkit.groebner import groebner_basis, normal_form, univariate_extended_gcd, univariate_gcd
 from twistkit.laurent import (
     GF2,
     RATIONAL,
@@ -19,6 +22,7 @@ from twistkit.laurent import (
     poly_from_json,
     poly_to_json,
 )
+from twistkit.pearl import PearlElement, Potential, pearl_d2, pearl_d2_from_vs
 
 VARS = ("R", "T", "S1", "S2")
 
@@ -228,8 +232,55 @@ def test_hom_rejects_non_unit_images():
     with pytest.raises(NonUnitImage, match="must be a LaurentPoly"):
         RingHom(GF2, v, {"R": 1})
     for image in (LaurentPoly(RATIONAL, v, {(1,): 1}), LaurentPoly(GF2, ("s",), {(1,): 1})):
-        with pytest.raises(VariableMismatch, match="wrong target ring"):
+        with pytest.raises(VariableMismatch, match=r"does not match GF2 over \('t',\)"):
             RingHom(GF2, v, {"R": image})
+
+
+def _potential(ring, variables):
+    """U = x*y (in the names `variables`) over `ring`, on a rank-1 torus."""
+    basis = HomologyBasis(("A", "B"), [[1, 0]], 1, variables)
+    return Potential(ring, basis, [(DiscClass((1, 1), basis.boundary_of((1, 1))), 1)])
+
+
+# each entry point, given a value `a` of the expected ring and variables and
+# a value `b` of the other side, refuses `b`
+MISMATCH_ENTRY_POINTS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "RingHom": lambda a, b: RingHom(a.ring, a.variables, {"R": b}),
+    "groebner_basis": lambda a, b: groebner_basis([a, b]),
+    "normal_form": lambda a, b: normal_form(a, [b]),
+    "univariate_gcd": lambda a, b: univariate_gcd([b], a.ring, a.variables),
+    "univariate_extended_gcd": lambda a, b: univariate_extended_gcd([a, b], a.ring, a.variables),
+    "ideal_contains_one": lambda a, b: ideal_contains_one([a, b]),
+    "PearlElement": lambda a, b: PearlElement(a.ring, a.variables, 1, {(0,): b}),
+    "PearlElement +": lambda a, b: PearlElement.scalar(a, 1) + PearlElement.scalar(b, 1),
+    "pearl_d2": lambda a, b: pearl_d2(
+        PearlElement.generator(a.ring, a.variables, 1, 0), _potential(b.ring, b.variables)
+    ),
+    "pearl_d2_from_vs": lambda a, b: pearl_d2_from_vs(
+        PearlElement.zero(a.ring, a.variables, 1), [b]
+    ),
+}
+MISMATCH_PAIRS = {
+    "GF2/Q": ((RATIONAL, ("x", "y")), (GF2, ("x", "y"))),
+    "xy/xz": ((GF2, ("x", "y")), (GF2, ("x", "z"))),
+}
+
+
+@pytest.mark.parametrize("pair", MISMATCH_PAIRS.values(), ids=MISMATCH_PAIRS)
+@pytest.mark.parametrize("call", MISMATCH_ENTRY_POINTS.values(), ids=MISMATCH_ENTRY_POINTS)
+def test_every_entry_point_refuses_another_ring_naming_both_sides(call, pair):
+    """One rule, `laurent._require_ring`, answers for every entry point: the
+    refused value's ring and variables, then the expected ones."""
+    (ring_a, vars_a), (ring_b, vars_b) = pair
+    a = LaurentPoly.var(ring_a, vars_a, "x")
+    b = LaurentPoly.var(ring_b, vars_b, "x")
+    want = f"{ring_b} over {vars_b} does not match {ring_a} over {vars_a}"
+    with pytest.raises(VariableMismatch) as caught:
+        call(a, b)
+    assert str(caught.value) == want
 
 
 def test_hom_rejects_duplicate_target_variables():

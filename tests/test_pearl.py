@@ -329,10 +329,19 @@ def test_d2_requires_matching_rings():
     alpha = PearlElement.generator(RATIONAL, V, 2, 0)
     with pytest.raises(VariableMismatch):
         pearl_d2(alpha, pot)
-    with pytest.raises(VariableMismatch, match="rank does not match the torus rank"):
+    with pytest.raises(VariableMismatch, match="need 3 toric differentials, got 2"):
         pearl_d2(PearlElement.generator(GF2, V, 3, 0), pot)
     with pytest.raises(VariableMismatch, match="need 2 toric differentials, got 1"):
         pearl_d2_from_vs(PearlElement.generator(GF2, V, 2, 0), pot.toric_differential()[:1])
+
+
+def test_d2_from_vs_refuses_another_ring_when_every_term_is_zero():
+    """Each toric differential is checked against the element, also when no
+    contraction is nonzero and so no product would check it."""
+    q = LaurentPoly.var(RATIONAL, ("t",), "t")
+    for alpha in (PearlElement.zero(GF2, V, 2), PearlElement.scalar(LaurentPoly.one(GF2, V), 2)):
+        with pytest.raises(VariableMismatch, match=r"Rational over \('t',\) does not match GF2"):
+            pearl_d2_from_vs(alpha, [q, q])
 
 
 def test_element_validation():
@@ -345,13 +354,13 @@ def test_element_validation():
         PearlElement(GF2, V, 2, {(0, 2): one})
     with pytest.raises(ValueError, match="out of range"):
         PearlElement(GF2, V, 2, {(-1,): one})
-    with pytest.raises(VariableMismatch, match="wrong ring"):
+    with pytest.raises(VariableMismatch, match="Rational over .* does not match GF2 over"):
         PearlElement(GF2, V, 2, {(0,): LaurentPoly.one(RATIONAL, V)})
     for n in (2.7, True):
         with pytest.raises(ValueError, match="is not an integer"):
             PearlElement(GF2, V, n)
     assert type(PearlElement(GF2, V, 2.0).n) is int
-    with pytest.raises(VariableMismatch, match="different modules"):
+    with pytest.raises(VariableMismatch, match="rank 3 does not match rank 2"):
         PearlElement.generator(GF2, V, 2, 0) + PearlElement.generator(GF2, V, 3, 0)
 
 

@@ -172,6 +172,24 @@ def test_only_the_value_base_sets_slots_past_the_frozen_setattr():
     assert offenders == []
 
 
+def test_only_the_compatibility_rule_compares_variables():
+    """`laurent._require_ring` is the one compatibility rule: no other module
+    compares a `.variables` attribute with `==` or `!=`."""
+    offenders = []
+    for path in sorted(Path(twistkit.__file__).parent.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            ) and any(
+                isinstance(side, ast.Attribute) and side.attr == "variables"
+                for side in (node.left, *node.comparators)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_results_are_true_exactly_when_their_check_holds():
     member = IdealMembershipResult(**_membership())
     assert bool(member) is True
