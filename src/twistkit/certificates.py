@@ -486,10 +486,7 @@ def search_h0_hom(potential: Potential, exponent_bound: int = 2):
     names = potential.variables
     candidates = (2 * exponent_bound + 1) ** len(names)
     if candidates > HOM_SEARCH_BUDGET:
-        raise CapExceeded(
-            f"certificates: {candidates} candidate homomorphisms exceed "
-            f"the search budget of {HOM_SEARCH_BUDGET}"
-        )
+        raise CapExceeded("certificates", candidates, "candidate homomorphisms", HOM_SEARCH_BUDGET)
     vs = potential.toric_differential()
     span = range(-exponent_bound, exponent_bound + 1)
     for exponents in itertools.product(span, repeat=len(names)):

@@ -405,9 +405,7 @@ def enumerate_candidate_classes(table: ConstraintTable, bounds=None) -> list[Dis
         hi = min((b + sum(map(mul, cs, prefix))) // -a for a, cs, b in uppers)
         visited += max(0, hi - lo + 1)
         if visited > LATTICE_BUDGET:
-            raise CapExceeded(
-                f"discs: the prefix walk exceeds the lattice budget of {LATTICE_BUDGET} points"
-            )
+            raise CapExceeded("discs", visited, "lattice points", LATTICE_BUDGET)
         for value in range(lo, hi + 1):
             prefix.append(value)
             extend()

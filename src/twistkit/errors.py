@@ -22,7 +22,18 @@ class InvalidLeafIndex(TwistKitError):
 
 
 class CapExceeded(TwistKitError):
-    """Requested enumeration size exceeds the configured cap."""
+    """A search or build was refused at its budget: `count` of `what` (the
+    first count past it, or the whole size when known up front) exceed
+    `budget`, in the package's one refusal text, for example
+    `groebner: 20001 S-pairs exceed the budget of 20000`.  The four values
+    are its args, so it pickles."""
+
+    def __init__(self, layer, count, what, budget):
+        super().__init__(layer, count, what, budget)
+        self.layer, self.count, self.what, self.budget = layer, count, what, budget
+
+    def __str__(self):
+        return f"{self.layer}: {self.count} {self.what} exceed the budget of {self.budget}"
 
 
 class UnboundedRegion(TwistKitError):

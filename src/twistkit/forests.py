@@ -69,6 +69,9 @@ WORD_LEAF_BUDGET = 1_000_000
 # Most key characters `_unflatten` makes for one tree, summed over its inner
 # vertices; past it, CapExceeded.  A chain 6,000 deep makes 90,027,000.
 KEY_TEXT_BUDGET = 100_000_000
+# `word_to_tree` keeps its leaf list in chunks of at most twice this many
+# leaves and splices one chunk per step.
+LEAF_CHUNK = 2048
 
 
 _key_of = operator.attrgetter("canonical_key")
@@ -223,7 +226,7 @@ def _unflatten(child_counts) -> RootedTree:
         key = _joined_key(kids)
         text += len(key)
         if text > KEY_TEXT_BUDGET:
-            raise CapExceeded(f"a tree's keys exceed the budget of {KEY_TEXT_BUDGET} characters")
+            raise CapExceeded("forests", text, "key characters", KEY_TEXT_BUDGET)
         stack.append(RootedTree._new(kids, key))
     return stack[0]
 
@@ -306,19 +309,31 @@ def word_to_tree(word: TwistWord) -> RootedTree:
 
     The planar tree is grown as nested lists beside its left-to-right leaf
     list, then read into its vertices' child counts in pre-order, which
-    `_unflatten` builds bottom-up however deep the tree is.  A word of more
-    than `WORD_LEAF_BUDGET` leaves raises `CapExceeded` before any list is
-    built; a word whose tree's keys pass `KEY_TEXT_BUDGET` raises it from
-    `_unflatten`, after the lists are built."""
+    `_unflatten` builds bottom-up however deep the tree is.  The leaf list
+    is kept in chunks of at most 2 * `LEAF_CHUNK` leaves: a step walks the
+    chunk lengths to its leaf and splices that chunk alone, and a chunk
+    past 2 * `LEAF_CHUNK` leaves is cut into chunks of `LEAF_CHUNK`, so a
+    word that keeps gluing near the front does not slow down as it grows.
+    A word of more than `WORD_LEAF_BUDGET` leaves raises `CapExceeded`
+    before any list is built; a word whose tree's keys pass
+    `KEY_TEXT_BUDGET` raises it from `_unflatten`, after the lists are
+    built."""
     if word.dimension > WORD_LEAF_BUDGET:
-        raise CapExceeded(f"a twist word of {word.dimension} leaves exceeds the word "
-                          f"budget of {WORD_LEAF_BUDGET} leaves")
+        raise CapExceeded("forests", word.dimension, "twist-word leaves", WORD_LEAF_BUDGET)
     root: list = []
-    leaves = [root]
+    chunks = [[root]]
     for k, l in word.steps:
-        vertex = leaves[l - 1]
+        l -= 1
+        c = 0
+        while l >= len(chunks[c]):
+            l -= len(chunks[c])
+            c += 1
+        chunk = chunks[c]
+        vertex = chunk[l]
         vertex.extend([] for _ in range(k + 1))
-        leaves[l - 1:l] = vertex
+        chunk[l:l + 1] = vertex
+        if len(chunk) > 2 * LEAF_CHUNK:
+            chunks[c:c + 1] = [chunk[i:i + LEAF_CHUNK] for i in range(0, len(chunk), LEAF_CHUNK)]
     counts, stack = [], [root]
     while stack:
         vertex = stack.pop()
@@ -379,7 +394,7 @@ def check_enumeration_size(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     if n < 1:
         raise ValueError("leaf count must be >= 1")
     if n > cap:
-        raise CapExceeded(f"{n} leaves exceeds the enumeration cap {cap}")
+        raise CapExceeded("forests", n, "leaves to enumerate", cap)
 
 
 @functools.lru_cache(maxsize=None)

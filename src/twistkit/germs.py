@@ -184,10 +184,7 @@ def germ_equivalent(g1: Germ, g2: Germ):
         )
     tuples = math.perm(len(targets), n)
     if tuples > PERMUTATION_BUDGET:
-        raise CapExceeded(
-            f"germs: {tuples} ordered {n}-tuples of covectors exceed "
-            f"the permutation budget of {PERMUTATION_BUDGET}"
-        )
+        raise CapExceeded("germs", tuples, f"ordered {n}-tuples of covectors", PERMUTATION_BUDGET)
 
     source_dets, abs_dets = _subset_abs_dets(sources, n), _subset_abs_dets(targets, n)
     if sorted(source_dets.values()) != sorted(abs_dets.values()):

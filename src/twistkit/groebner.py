@@ -18,10 +18,18 @@ Groebner Bases, 1993, section 5.5), so most pairs never reach the queue:
     and lcm(j, h) differ from it (criterion B);
   - an element whose leading monomial lm(h) divides takes no new pairs, but
     stays in the basis for reduction and keeps its queued pairs.
-The pairs left wait in a heap keyed by the grevlex key of their lcm, with
-ties broken by the pair's indices, beside a dict of the live ones; a heap
-entry that criterion B dropped is skipped when it comes up.  The loop
-reduces at most `PAIR_BUDGET` pairs and raises `CapExceeded` at the next.
+The pairs left wait in a heap beside a dict of the live ones; a heap entry
+that criterion B dropped is skipped when it comes up.  Over GF(2) the heap
+is keyed by the grevlex key of the pair's lcm, with ties broken by the
+pair's indices.  Over Q the pair of least sugar comes first (Giovini, Mora,
+Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991), then
+the same key: a generator's sugar is its largest total degree, a pair's is
+the degree of its lcm plus the larger of its two elements' sugar minus
+leading degree, and an element the loop adds has the larger of its pair's
+sugar and its leading degree.  Over Q the lcm order let coefficients swell
+for minutes on ideals sugar decides in seconds; over GF(2), where no
+coefficient swells, sugar was slower.  The loop reduces at most
+`PAIR_BUDGET` pairs and raises `CapExceeded` at the next.
 Reduction is bounded too: each step counts the terms of the working
 polynomial it scans for the leading term, the divisors it tests (up to and
 including the one that divides, or all of them when none does) and the
@@ -267,10 +275,7 @@ class _Working:
                 spent += len(divisors)
                 remainder[exps] = work.pop(exps)
             if spent > budget:
-                raise CapExceeded(
-                    f"groebner: reduction exceeds the budget of {budget} terms "
-                    "scanned and subtracted and divisors tested"
-                )
+                raise CapExceeded("groebner", spent, "reduced terms and divisor tests", budget)
         self.spent = spent
         return remainder, den, scale
 
@@ -362,13 +367,15 @@ def _reduced_basis(ring, nvars, with_cofactors, gens):
         basis.append(w.element(poly, cofs, 1))
 
     lms = [b[0] for b in basis]
+    sugar = [max(map(sum, b[2])) for b in basis]  # read only over Q
     active = []  # the elements that still take new pairs
     live = {}  # (i, j) -> lcm of each pair still to be reduced
-    queue = []  # (grevlex key of the lcm, i, j, lcm); entries not in `live` are dead
+    queue = []  # (sugar, grevlex key of the lcm, i, j, lcm); entries not in `live` are dead
 
     def update(h):
         """Gebauer and Moeller's update for the element h just added."""
         lm_h = lms[h]
+        sugar_h = sugar[h] - sum(lm_h)
         # criterion B: a queued pair whose lcm lm(h) divides, and differs
         # from both of its lcms with h, is covered by its chain through h
         covered = [
@@ -402,8 +409,10 @@ def _reduced_basis(ring, nvars, with_cofactors, gens):
                 if lcm_kh not in coprime:
                     k = first[lcm_kh]
                     live[k, h] = lcm_kh
-                    # (key, k, h) is unique, so the lcm riding along is never compared
-                    heapq.heappush(queue, (keys[lcm_kh], k, h, lcm_kh))
+                    # over GF2 every pair's sugar is 0; (sugar, key, k, h) is
+                    # unique, so the lcm riding along is never compared
+                    sugar_kh = 0 if w.gf2 else max(sugar[k] - sum(lms[k]), sugar_h) + sum(lcm_kh)
+                    heapq.heappush(queue, (sugar_kh, keys[lcm_kh], k, h, lcm_kh))
         # an element whose leading monomial lm(h) divides takes no new pair;
         # it stays in the basis for reduction and keeps its queued pairs
         active[:] = [k for k in active if not all(map(le, lm_h, lms[k]))]
@@ -416,14 +425,12 @@ def _reduced_basis(ring, nvars, with_cofactors, gens):
             update(h)
     budget, taken = PAIR_BUDGET, 0
     while queue:
-        _, i, j, lcm_ij = heapq.heappop(queue)
+        sugar_ij, _, i, j, lcm_ij = heapq.heappop(queue)
         if live.pop((i, j), None) is None:
             continue  # dropped by criterion B after it was queued
         taken += 1
         if taken > budget:
-            raise CapExceeded(
-                f"groebner: the Buchberger loop exceeds the pair budget of {budget} S-pairs"
-            )
+            raise CapExceeded("groebner", taken, "S-pairs", budget)
         lm_i, lm_j = lms[i], lms[j]
         _, lc_f, f, cf, den_f = basis[i]
         _, lc_g, g, cg, den_g = basis[j]
@@ -443,6 +450,7 @@ def _reduced_basis(ring, nvars, with_cofactors, gens):
             continue
         basis.append(w.element(r, cofs, den))
         lms.append(basis[-1][0])
+        sugar.append(max(sugar_ij, sum(lms[-1])))
         if lms[-1] == one:
             break  # the ideal is the whole ring; see above
         update(len(basis) - 1)

@@ -156,6 +156,8 @@ class PearlElement(Value):
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, PearlElement):
+            return NotImplemented
         _require_ring(other, self.ring, self.variables)
         if other.n != self.n:
             raise VariableMismatch(f"rank {other.n} does not match rank {self.n}")

@@ -1,8 +1,8 @@
 import json
 import os
+import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +36,16 @@ def error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1, captured
     return captured.err
+
+
+def refused_count(line, layer, what, budget):
+    """The count named by `line`, which must be the one refusal text of a
+    `CapExceeded` from `layer` for `what` at `budget`."""
+    match = re.fullmatch(
+        rf"error: CapExceeded: {layer}: (\d+) {what} exceed the budget of {budget}\n", line
+    )
+    assert match, line
+    return int(match[1])
 
 
 def test_classes_preset_lists_the_five_classes():
@@ -225,19 +235,15 @@ def test_deep_twist_word_is_compared(capsys):
 def test_a_twist_word_over_the_leaf_budget_is_an_input_error(capsys):
     assert main(["iso", "twist(1000000000)", "L"]) == 2
     assert error_line(capsys) == (
-        "error: CapExceeded: a twist word of 1000000001 leaves exceeds the word budget "
-        "of 1000000 leaves\n"
+        "error: CapExceeded: forests: 1000000001 twist-word leaves exceed the budget of 1000000\n"
     )
 
 
 def test_a_literal_past_the_key_budget_is_an_input_error(capsys):
     deep = "(L" * 16_000 + "L" + ")" * 16_000
-    start = time.perf_counter()
     assert main(["iso", deep, "L"]) == 2
-    assert time.perf_counter() - start < 10
-    assert error_line(capsys) == (
-        f"error: CapExceeded: a tree's keys exceed the budget of {KEY_TEXT_BUDGET} characters\n"
-    )
+    line = error_line(capsys)
+    assert refused_count(line, "forests", "key characters", KEY_TEXT_BUDGET) > KEY_TEXT_BUDGET
 
 
 def test_input_nested_beyond_the_recursion_limit_is_an_input_error(tmp_path, capsys):
@@ -464,7 +470,7 @@ def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):
     assert main(["germ", str(path), str(path)]) == 2
     assert error_line(capsys) == (
         "error: CapExceeded: germs: 1001000 ordered 2-tuples of covectors exceed "
-        "the permutation budget of 1000000\n"
+        "the budget of 1000000\n"
     )
 
 
@@ -493,14 +499,14 @@ def test_certify_over_the_pair_budget_exits_two(monkeypatch, capsys):
     groebner._reduced_basis.cache_clear()
     assert main(["certify", "--preset", "theta_s2xs2"]) == 2
     assert error_line(capsys) == (
-        "error: CapExceeded: groebner: the Buchberger loop exceeds the pair budget of 2 S-pairs\n"
+        "error: CapExceeded: groebner: 3 S-pairs exceed the budget of 2\n"
     )
 
 
 def test_certify_past_the_reduction_budget_exits_two(tmp_path, monkeypatch, capsys):
     """A theta potential file whose first class has the exponent 300 (and no
-    homomorphisms) reduces past the budget within seconds; with 100 it
-    finishes and prints its frozen report."""
+    homomorphisms) is refused with the count of reduction work past the
+    budget; with 100 it finishes and prints its frozen report."""
     from twistkit import groebner
 
     data = json.loads((GOLDEN / "theta_c100.potential.json").read_text(encoding="utf-8"))
@@ -508,13 +514,10 @@ def test_certify_past_the_reduction_budget_exits_two(tmp_path, monkeypatch, caps
     path = tmp_path / "theta_c300.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     groebner._reduced_basis.cache_clear()
-    start = time.perf_counter()
     assert main(["certify", "--in", str(path)]) == 2
-    assert time.perf_counter() - start < 10
-    assert error_line(capsys) == (
-        f"error: CapExceeded: groebner: reduction exceeds the budget of "
-        f"{groebner.REDUCTION_BUDGET} terms scanned and subtracted and divisors tested\n"
-    )
+    budget = groebner.REDUCTION_BUDGET
+    line = error_line(capsys)
+    assert refused_count(line, "groebner", "reduced terms and divisor tests", budget) > budget
     monkeypatch.chdir(GOLDEN)
     assert main(["certify", "--in", "theta_c100.potential.json", "--format", "json"]) == 0
     expected = (GOLDEN / "theta_c100.certify.json").read_text(encoding="utf-8")
@@ -522,8 +525,7 @@ def test_certify_past_the_reduction_budget_exits_two(tmp_path, monkeypatch, caps
 
 
 def test_classes_over_the_lattice_budget_exit_two(tmp_path, capsys):
-    over = ("error: CapExceeded: discs: the prefix walk exceeds the lattice "
-            "budget of 1000000 points")
+    over = "error: CapExceeded: discs: 1000000001 lattice points exceed the budget of 1000000"
     # x_1 = 1 and 0 <= x_0 <= 10^9: bounded, but the walk alone is too long
     data = {"basis": ["X", "Y"], "boundary": [[1, 0], [0, 1]],
             "rows": [{"label": "lo", "v": [1, 0]}, {"label": "hi", "v": [-1, 10**9]}],
@@ -696,7 +698,7 @@ def test_main_maps_every_argument_to_the_config(capsys):
     assert (captured.out, captured.err) == ("12 ample tree(s) with 5 leaves\n", "")
     assert main(["trees", "5", "--count", "--cap", "4"]) == 2
     assert error_line(capsys) == (
-        "error: CapExceeded: 5 leaves exceeds the enumeration cap 4\n"
+        "error: CapExceeded: forests: 5 leaves to enumerate exceed the budget of 4\n"
     )
     assert main(["classes", "--preset", "theta_s2xs2", "--bounds=0,1", "--expect", "1"]) == 0
     assert capsys.readouterr().out.endswith("1 class(es)\n")

@@ -222,8 +222,8 @@ def test_a_word_over_the_leaf_budget_raises_before_it_is_built(monkeypatch):
         word = parse_word(text)  # reading a word builds no tree
         assert word.dimension == 6 and print_word(word) == text
         for _ in range(2):  # nothing is kept from the first refusal
-            with pytest.raises(CapExceeded, match=r"^a twist word of 6 leaves exceeds "
-                                                  r"the word budget of 5 leaves$"):
+            with pytest.raises(CapExceeded, match="^forests: 6 twist-word leaves exceed "
+                                                  "the budget of 5$"):
                 word_to_tree(word)
             with pytest.raises(CapExceeded):
                 parse_forest(f"L * {text}")
@@ -260,8 +260,8 @@ def test_a_tree_at_the_key_budget_builds_and_one_character_more_raises(monkeypat
     monkeypatch.setattr("twistkit.forests.KEY_TEXT_BUDGET", 4179)
     for build in builds:
         for _ in range(2):  # nothing is kept from the first refusal
-            with pytest.raises(CapExceeded, match=r"^a tree's keys exceed the budget of "
-                                                  r"4179 characters$"):
+            with pytest.raises(CapExceeded, match="^forests: 4180 key characters exceed "
+                                                  "the budget of 4179$"):
                 build()
     assert RootedTree(tree.children) == tree  # the constructor has no budget
 
@@ -276,9 +276,9 @@ def test_the_key_budget_takes_every_tested_tree_and_a_chain_6000_deep():
 def test_a_huge_twist_word_is_read_but_not_built():
     word = parse_word("twist(1000000000)")
     assert word.dimension == 10**9 + 1
-    with pytest.raises(CapExceeded, match="1000000001 leaves"):
+    with pytest.raises(CapExceeded, match="1000000001 twist-word leaves"):
         word_to_tree(word)
-    with pytest.raises(CapExceeded, match="1000000001 leaves"):
+    with pytest.raises(CapExceeded, match="1000000001 twist-word leaves"):
         parse_forest("twist(1000000000)")
 
 
@@ -877,6 +877,39 @@ def test_word_to_tree_matches_path_copying_reference():
     for _ in range(300):
         word = random_word(rng, max_steps=8, max_k=3)
         assert word_to_tree(word) == reference_word_to_tree(word)
+
+
+def flat_list_child_counts(word):
+    """The child counts in pre-order of `word`'s tree, built as nested lists
+    beside one flat leaf list spliced at every step, as `word_to_tree` grew
+    it before its leaf list was chunked: quadratic when the steps keep
+    gluing near the front."""
+    root = []
+    leaves = [root]
+    for k, l in word.steps:
+        vertex = leaves[l - 1]
+        vertex.extend([] for _ in range(k + 1))
+        leaves[l - 1:l] = vertex
+    counts, stack = [], [root]
+    while stack:
+        vertex = stack.pop()
+        counts.append(len(vertex))
+        stack += reversed(vertex)
+    return counts
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, forests.LEAF_CHUNK])
+def test_chunked_leaf_list_matches_the_flat_leaf_list(monkeypatch, chunk):
+    monkeypatch.setattr(forests, "LEAF_CHUNK", chunk)
+    rng = random.Random(43)
+    words = [random_word(rng, max_steps=30, max_k=4) for _ in range(300)]
+    words += [
+        TwistWord([(3, 1)] * 1500),  # front-glued, 4,501 leaves
+        TwistWord([(2, 1)] + [(1, rng.randint(1, 3)) for _ in range(4500)]),  # front-heavy
+        TwistWord([(9000, 1), (1, 9000), (3, 2)]),  # one bush past 2 * LEAF_CHUNK leaves
+    ]
+    for word in words:
+        assert forests._child_counts(word_to_tree(word)) == flat_list_child_counts(word)
 
 
 def test_print_tree_matches_recursive_printer():

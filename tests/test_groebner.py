@@ -785,6 +785,51 @@ def test_mixed_theta_square_ideal_queues_few_pairs(monkeypatch):
     assert 0 < len(pushes) <= 3000
 
 
+# for (k, seed), the unimodular matrix M (seeded, 4k random row additions, as
+# perfbench's `_unimodular(random.Random(seed), 2k, 4k)` makes it) that mixes
+# the coordinates of the regularity image of theta^k: ring variable i goes to
+# the monomial with exponent row M[i]
+MIXED_REGULARITY = {
+    (2, 1): ((2, 0, -1, 0), (-1, 1, 1, 0), (-1, -1, 0, 1), (0, -1, -1, 1)),
+    (2, 2): ((0, 0, 1, 1), (0, 1, 0, 0), (-2, -1, 3, 0), (1, 0, -1, 1)),
+    (2, 3): ((1, 0, 1, -1), (0, 1, 1, 0), (0, 0, 1, -1), (0, 2, 2, 1)),
+    (2, 4): ((1, 0, 1, 0), (0, 1, 0, 1), (2, 1, 3, 1), (0, 1, -1, 2)),
+    (2, 5): ((1, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, -1), (2, 4, 1, 2)),
+    (2, 6): ((2, -4, 1, 1), (0, 1, 0, 0), (-1, 1, 1, -1), (-1, 1, -1, 0)),
+    (2, 7): ((0, 0, 1, 2), (-1, 1, 1, 1), (-1, 0, 1, 1), (1, 1, 0, 2)),
+    (2, 8): ((1, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, 0), (-1, 0, 0, 0)),
+    (2, 9): ((1, 0, 0, 0), (2, 1, 1, 0), (1, 0, 1, 0), (0, 0, -1, 1)),
+    (2, 10): ((1, -1, -1, -1), (0, 1, -1, 0), (0, 0, 1, 0), (0, 0, 1, 1)),
+    (3, 1): ((0, 0, 0, 0, 1, 0), (-1, 1, 0, 0, 1, 0), (-1, 1, 1, -1, 1, 1),
+             (1, -1, 0, 1, 0, 0), (-1, 0, 0, 1, 1, -1), (0, 0, 0, 0, 1, 1)),
+    (3, 2): ((1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (1, 0, 1, 0, 1, 0),
+             (1, 1, -1, 0, 0, 1), (1, 1, 0, -1, 1, 2), (0, 0, 0, 0, 0, 1)),
+    (3, 3): ((1, 0, 0, 0, 0, 0), (-1, 1, 0, -1, 2, 0), (-2, 0, 1, 0, 0, 0),
+             (1, 1, 0, 0, 0, 0), (-1, 0, 0, 0, 1, 0), (1, -1, 0, 1, 0, 1)),
+    (3, 4): ((0, -1, -1, -1, 0, 0), (3, 3, 4, 1, 0, -1), (0, 0, 0, -1, 0, 1),
+             (0, 0, 0, 1, 0, 0), (3, 3, 4, 2, 1, -2), (-2, -2, -3, -1, 0, 1)),
+    (3, 5): ((3, -1, -1, 0, 1, 1), (1, 0, -1, 0, 1, 1), (1, -1, 1, 0, 0, 0),
+             (1, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, -1), (0, 0, -1, 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("k, seed", list(MIXED_REGULARITY), ids=lambda v: str(v))
+def test_mixed_regularity_images_certify_under_sugar(k, seed):
+    """A monomial change of coordinates is a ring automorphism, so the mixed
+    regularity image of theta^k stays regular with quotient dimension 2^k.
+    Over Q the Buchberger loop takes the pair of least sugar first; taking
+    the least lcm, (2, 1), (2, 2), (2, 4) and (3, 3) ran past 20 s and (3, 2)
+    passed the reduction budget, as coefficients swelled."""
+    from twistkit.certificates import RegularityResult, regular_sequence_check
+    from twistkit.presets import product_bundle
+
+    bundle = product_bundle(k, 0)
+    image = bundle.regularity_hom.apply(bundle.potential.poly_over(RATIONAL))
+    names = image.variables
+    mix = RingHom.from_monomials(RATIONAL, names, dict(zip(names, MIXED_REGULARITY[k, seed])))
+    assert regular_sequence_check(mix.apply(image)) == RegularityResult(True, 2**k, ())
+
+
 def test_pair_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
     """x^2 - y and x^3 - 1 take three pairs from the queue: a budget of three
     lets the loop finish, and a budget of two raises at the third pair.  A
@@ -803,7 +848,7 @@ def test_pair_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
     groebner._reduced_basis.cache_clear()
     for _ in range(2):
         with pytest.raises(
-            CapExceeded, match="^groebner: the Buchberger loop exceeds the pair budget of 2 S-pairs$"
+            CapExceeded, match="^groebner: 3 S-pairs exceed the budget of 2$"
         ):
             groebner_basis(gens, with_cofactors=True)
         assert groebner._reduced_basis.cache_info().currsize == 0
@@ -831,8 +876,7 @@ def test_reduction_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
     groebner._reduced_basis.cache_clear()
     for _ in range(2):
         with pytest.raises(CapExceeded, match=(
-            "^groebner: reduction exceeds the budget of 35 terms scanned and subtracted "
-            "and divisors tested$"
+            "^groebner: 36 reduced terms and divisor tests exceed the budget of 35$"
         )):
             groebner_basis(gens, with_cofactors=True)
         assert groebner._reduced_basis.cache_info().currsize == 0
@@ -842,5 +886,7 @@ def test_reduction_budget_is_exact_and_a_raise_is_not_memoized(monkeypatch):
     monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 25)
     assert normal_form(p, basis) == (poly(RATIONAL, v, {(0, 1): 1, (0, 0): 3}), None)
     monkeypatch.setattr(groebner, "REDUCTION_BUDGET", 24)
-    with pytest.raises(CapExceeded, match="budget of 24 terms"):
+    with pytest.raises(
+        CapExceeded, match="^groebner: 25 reduced terms and divisor tests exceed the budget of 24$"
+    ):
         normal_form(p, basis)

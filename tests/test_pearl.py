@@ -364,6 +364,15 @@ def test_element_validation():
         PearlElement.generator(GF2, V, 2, 0) + PearlElement.generator(GF2, V, 3, 0)
 
 
+def test_adding_anything_but_a_pearl_element_is_a_type_error():
+    zero = PearlElement.zero(GF2, ("x",), 1)
+    for other in (1, LaurentPoly.one(GF2, ("x",)), None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            zero + other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other + zero
+
+
 def test_element_str_repr_and_hash():
     v = ("x", "y")
     x, y = (LaurentPoly.var(RATIONAL, v, name) for name in v)

@@ -22,6 +22,7 @@ from twistkit.certificates import (
 )
 from twistkit.cli import RunConfig
 from twistkit.discs import BoundednessResult, ConstraintTable, DiscClass, HomologyBasis
+from twistkit.errors import CapExceeded
 from twistkit.forests import LEAF, RootedForest, RootedTree, TwistWord, bush
 from twistkit.germs import Germ, Indeterminate, NotEquivalent, UnimodularWitness, _NoWitness
 from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
@@ -188,6 +189,27 @@ def test_only_the_compatibility_rule_compares_variables():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_budget_refusal_is_built_from_its_count_and_budget():
+    """`CapExceeded(layer, count, what, budget)` writes the package's one
+    refusal text and keeps the count and the budget: every raise site
+    passes those four, with its own module as the layer, and no text."""
+    refused = CapExceeded("groebner", 20001, "S-pairs", 20000)
+    for copied in (refused, pickle.loads(pickle.dumps(refused))):
+        assert str(copied) == "groebner: 20001 S-pairs exceed the budget of 20000"
+        assert (copied.layer, copied.count, copied.what, copied.budget) == (
+            "groebner", 20001, "S-pairs", 20000)
+    sites = []
+    for path in sorted(Path(twistkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapExceeded":
+                layer = node.args[0] if node.args else None
+                assert len(node.args) == 4 and not node.keywords, f"{path.name}:{node.lineno}"
+                assert isinstance(layer, ast.Constant) and layer.value == path.stem, path.name
+                sites.append(path.stem)
+    assert sorted(sites) == ["certificates", "discs", "forests", "forests", "forests",
+                             "germs", "groebner", "groebner"]
 
 
 def test_results_are_true_exactly_when_their_check_holds():
