@@ -60,8 +60,9 @@ class IdealMembershipResult(Value):
 
     `method` is "gcd" (univariate) or "groebner".  `generators` is the
     reduced description of the ideal: the gcd (univariate), or the reduced
-    bases of its variable-disjoint blocks in block order, each in its own
-    ring with the auxiliary variable last (see `_localized_blocks`).
+    bases of its variable-disjoint blocks in block order, each in the ring
+    of exactly the variables its generators use with the auxiliary variable
+    last (see `_localized_blocks`).
     `cofactors`, when 1 is in the ideal, is the witness: sum c_i g_i = 1.
     """
 
@@ -92,10 +93,10 @@ def _fresh_name(base: str, taken) -> str:
 
 # One block of a localized ideal: generators sharing no variable with the
 # other blocks' generators.  `indices` are the positions of the block's
-# generators; `variables` its ring variables, the auxiliary one following in
-# `basis`; `generators` the restricted ones, then the relation, in the ring
-# of `basis`; `basis` the reduced basis, in the ring of `variables` plus the
-# auxiliary one.
+# generators; `variables` exactly the ring variables they use, in ring order,
+# the auxiliary one following in `basis`; `generators` the restricted ones,
+# then the relation, in the ring of `basis`; `basis` the reduced basis, in the
+# ring of `variables` plus the auxiliary one.
 _Block = collections.namedtuple("_Block", ("indices", "variables", "generators", "basis"))
 
 
@@ -103,48 +104,36 @@ def _localized_blocks(polys) -> list[_Block]:
     """Reduced Groebner bases of the Laurent ideal generated by `polys`
     (nonzero, without monomial factors), one per block of generators.
 
-    Generators that share a variable are joined (union-find over their
-    supports); blocks come in the order of their first generator.  Each block
-    is localized on its own: its generators are restricted to the block's
-    variables, and an auxiliary variable w_j, ordered last, enters through
-    the relation w_j * prod(block variables) - 1.  Over a field the Laurent
-    quotient by the whole ideal is the tensor product of the block
-    quotients, so 1 lies in the ideal iff it lies in some block, and the
-    quotient dimension is the product of the block dimensions once every
-    ring variable appears in some generator.
-
-    A single block keeps every ring variable and the auxiliary name "w";
-    the blocks of a split are named "w1", "w2", ..., each fresh against the
-    ring's variables.
+    A block is the generators joined by shared variables, found in one pass
+    that merges the blocks each generator's support touches; blocks come in
+    the order of their first generator.  Each block is localized over
+    exactly the variables its generators use: its generators are restricted
+    to them, and an auxiliary variable, ordered last, enters through the
+    relation aux * prod(block variables) - 1.  The auxiliary variable is "w"
+    when there is one block and "w1", "w2", ... when there are several, each
+    fresh against the ring's variables.  Over a field the Laurent quotient
+    by the whole ideal is the tensor product of the block quotients and of
+    the Laurent ring in the variables no generator uses, so 1 lies in the
+    ideal iff it lies in some block, and the quotient dimension is the
+    product of the block dimensions once every ring variable is in a block.
     """
     ring = polys[0].ring
     variables = polys[0].variables
-    supports = [{k for exps in p.terms for k, e in enumerate(exps) if e} for p in polys]
-    parent = list(range(len(polys)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner = {}  # variable index -> first generator using it
-    for i, support in enumerate(supports):
-        for k in support:
-            parent[find(i)] = find(owner.setdefault(k, i))
-    groups: dict[int, list[int]] = {}
-    for i in range(len(polys)):
-        groups.setdefault(find(i), []).append(i)
-
-    if len(groups) == 1:
-        parts = [(range(len(polys)), range(len(variables)), _fresh_name("w", variables))]
-    else:
-        parts = []
-        for j, indices in enumerate(groups.values(), start=1):
-            ks = sorted(set().union(*(supports[i] for i in indices)))
-            parts.append((indices, ks, _fresh_name(f"w{j}", variables)))
+    groups = []  # (generator indices, variable indices) of the blocks so far
+    for i, p in enumerate(polys):
+        indices, ks = [i], {k for exps in p.terms for k, e in enumerate(exps) if e}
+        rest = []
+        for group in groups:
+            if ks.isdisjoint(group[1]):
+                rest.append(group)
+            else:
+                indices += group[0]
+                ks |= group[1]
+        groups = rest + [(indices, ks)]
+    groups = sorted((sorted(indices), sorted(ks)) for indices, ks in groups)
     blocks = []
-    for indices, ks, aux in parts:
+    for j, (indices, ks) in enumerate(groups, start=1):
+        aux = _fresh_name(f"w{j}" if len(groups) > 1 else "w", variables)
         ext_vars = tuple(variables[k] for k in ks) + (aux,)
         # the restriction to the block's variables is injective on each
         # generator's terms: its other exponents are all zero
@@ -301,8 +290,9 @@ def regular_sequence_check(u_img: LaurentPoly) -> RegularityResult:
     monomials = [standard_monomials(block.basis) for block in blocks]
     if [] in monomials:  # some block contains 1
         return RegularityResult(True, 0, ())
-    # infinite if a block is, or if some variable is in no generator (it
-    # stays free; only a split leaves one out of every block)
+    # infinite if a block is, or if some variable is in no block: each block
+    # holds exactly its generators' variables, so one no generator uses
+    # stays free
     if None in monomials or sum(len(b.variables) for b in blocks) < len(variables):
         return RegularityResult(False, None, ())
     return RegularityResult(True, math.prod(map(len, monomials)), ())

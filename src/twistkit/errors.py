@@ -6,15 +6,18 @@ class TwistKitError(Exception):
 
 
 class ParseError(TwistKitError):
-    """Raised on malformed forest/word text; carries the offset and the expected tokens."""
+    """Raised on malformed forest/word text; carries the offset and the
+    expected tokens, sorted.  The three values are its args, so it pickles."""
 
     def __init__(self, message, offset, expected=()):
-        self.offset = offset
-        self.expected = tuple(sorted(expected))
-        detail = f"{message} at offset {offset}"
+        self.message, self.offset, self.expected = message, offset, tuple(sorted(expected))
+        super().__init__(self.message, self.offset, self.expected)
+
+    def __str__(self):
+        detail = f"{self.message} at offset {self.offset}"
         if self.expected:
             detail += " (expected " + ", ".join(self.expected) + ")"
-        super().__init__(detail)
+        return detail
 
 
 class InvalidLeafIndex(TwistKitError):
@@ -37,11 +40,15 @@ class CapExceeded(TwistKitError):
 
 
 class UnboundedRegion(TwistKitError):
-    """The candidate-class polyhedron is unbounded and no search box was given."""
+    """The candidate-class polyhedron is unbounded along `ray` and no search
+    box was given.  The ray, as a tuple, is its one arg, so it pickles."""
 
     def __init__(self, ray):
         self.ray = tuple(ray)
-        super().__init__(f"feasible region is unbounded along ray {self.ray}")
+        super().__init__(self.ray)
+
+    def __str__(self):
+        return f"feasible region is unbounded along ray {self.ray}"
 
 
 class VariableMismatch(TwistKitError):

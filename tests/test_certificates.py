@@ -534,17 +534,23 @@ def test_report_serialization_is_self_consistent():
 
 
 def localize_whole(polys):
-    """The stripped generators lifted next to the auxiliary variable w, with
-    the relation w * prod(all variables) - 1; returns the lifted generators
-    and the name of w."""
+    """The stripped generators lifted into the ring of the variables they
+    use and the auxiliary variable w, with the relation w * prod(used
+    variables) - 1; returns the lifted generators, the name of w and the
+    used variables."""
     ring, variables = polys[0].ring, polys[0].variables
+    used = tuple(v for k, v in enumerate(variables)
+                 if any(exps[k] for p in polys for exps in p.terms))
     aux = certificates._fresh_name("w", variables)
-    ext = variables + (aux,)
-    lift = RingHom(ring, ext, {v: LaurentPoly.var(ring, ext, v) for v in variables})
+    ext = used + (aux,)
+    lift = RingHom(ring, ext, {
+        v: LaurentPoly.var(ring, ext, v) if v in used else LaurentPoly.one(ring, ext)
+        for v in variables
+    })
     relation = LaurentPoly(
         ring, ext, {(1,) * len(ext): ring.one, (0,) * len(ext): ring.neg(ring.one)}
     )
-    return [lift.apply(p) for p in polys] + [relation], aux
+    return [lift.apply(p) for p in polys] + [relation], aux, used
 
 
 def unsplit_contains_one(gens):
@@ -553,7 +559,7 @@ def unsplit_contains_one(gens):
     ring, variables = gens[0].ring, gens[0].variables
     nonzero = [i for i, g in enumerate(gens) if not g.is_zero]
     stripped, shifts = zip(*(certificates._strip_units(gens[i]) for i in nonzero))
-    lifted, aux = localize_whole(stripped)
+    lifted, aux, used = localize_whole(stripped)
     basis, cofs = groebner_basis(lifted, with_cofactors=True)
     if not contains_constant(basis):
         return IdealMembershipResult(False, "groebner", tuple(basis))
@@ -561,8 +567,8 @@ def unsplit_contains_one(gens):
         ring,
         variables,
         {
-            **{v: LaurentPoly.var(ring, variables, v) for v in variables},
-            aux: LaurentPoly.monomial(ring, variables, (-1,) * len(variables)),
+            **{v: LaurentPoly.var(ring, variables, v) for v in used},
+            aux: LaurentPoly.monomial(ring, variables, tuple(-(v in used) for v in variables)),
         },
     )
     back = [drop_aux.apply(c) for c in cofs[0][:-1]]
@@ -578,9 +584,10 @@ def unsplit_regularity(u_img):
     zero_dirs = tuple(v for v, p in zip(u_img.variables, vs) if p.is_zero)
     if zero_dirs:
         return RegularityResult(False, None, zero_dirs)
-    lifted, _ = localize_whole([certificates._strip_units(p)[0] for p in vs])
+    lifted, _, used = localize_whole([certificates._strip_units(p)[0] for p in vs])
     monomials = standard_monomials(groebner_basis(lifted))
-    if monomials is None:
+    # a variable no generator uses stays free, unless the ideal contains 1
+    if monomials is None or (monomials and len(used) < len(u_img.variables)):
         return RegularityResult(False, None, ())
     return RegularityResult(True, len(monomials), ())
 
@@ -779,6 +786,33 @@ def test_unused_variable_leaves_the_quotient_infinite():
         {(1, 0, 1): 1, (-1, 0, 1): 1, (0, 0, 1): 2, (0, 1, 0): 1, (0, -1, 0): 1},
     )
     assert block_count([u.log_derivative(v) for v in u.variables]) == 2
+    assert regular_sequence_check(u) == unsplit_regularity(u) == RegularityResult(False, None, ())
+
+
+def test_lone_block_is_localized_over_the_variables_its_generators_use():
+    # x + y and x - 1 (then x + y + 1) use x and y only: one block, whose
+    # basis lives over x, y and w, not over z
+    v = ("x", "y", "z")
+    x, y = (LaurentPoly.var(RATIONAL, v, name) for name in "xy")
+    one = LaurentPoly.one(RATIONAL, v)
+    proper = ideal_contains_one([x + y, x - one])
+    assert not proper.contains_one and proper == unsplit_contains_one([x + y, x - one])
+    assert [str(g) for g in proper.generators] == ["x - 1", "y + 1", "w + 1"]
+    assert {g.variables for g in proper.generators} == {("x", "y", "w")}
+    gens = [x + y, x + y + one]
+    unit = ideal_contains_one(gens)
+    assert unit.contains_one and unit == unsplit_contains_one(gens)
+    assert unit.generators == (LaurentPoly.one(RATIONAL, ("x", "y", "w")),)
+    assert_cofactors_combine_to_one(unit, gens)
+    # u = z (x + x^-1 + y + y^-1): z leaves the stripped derivatives, whose
+    # one block over x and y is finite, so only the free z makes it infinite
+    u = LaurentPoly(
+        RATIONAL, v, {(1, 0, 1): 1, (-1, 0, 1): 1, (0, 1, 1): 1, (0, -1, 1): 1}
+    )
+    stripped = [certificates._strip_units(u.log_derivative(n))[0] for n in v]
+    (block,) = certificates._localized_blocks(stripped)
+    assert block.variables == ("x", "y")
+    assert standard_monomials(block.basis) is not None
     assert regular_sequence_check(u) == unsplit_regularity(u) == RegularityResult(False, None, ())
 
 

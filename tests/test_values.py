@@ -22,7 +22,7 @@ from twistkit.certificates import (
 )
 from twistkit.cli import RunConfig
 from twistkit.discs import BoundednessResult, ConstraintTable, DiscClass, HomologyBasis
-from twistkit.errors import CapExceeded
+from twistkit.errors import CapExceeded, ParseError, UnboundedRegion
 from twistkit.forests import LEAF, RootedForest, RootedTree, TwistWord, bush
 from twistkit.germs import Germ, Indeterminate, NotEquivalent, UnimodularWitness, _NoWitness
 from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
@@ -194,12 +194,24 @@ def test_only_the_compatibility_rule_compares_variables():
 def test_every_budget_refusal_is_built_from_its_count_and_budget():
     """`CapExceeded(layer, count, what, budget)` writes the package's one
     refusal text and keeps the count and the budget: every raise site
-    passes those four, with its own module as the layer, and no text."""
+    passes those four, with its own module as the layer, and no text.  It
+    and the other errors that carry values survive pickle and deepcopy with
+    equal args, attributes and text."""
     refused = CapExceeded("groebner", 20001, "S-pairs", 20000)
-    for copied in (refused, pickle.loads(pickle.dumps(refused))):
-        assert str(copied) == "groebner: 20001 S-pairs exceed the budget of 20000"
-        assert (copied.layer, copied.count, copied.what, copied.budget) == (
-            "groebner", 20001, "S-pairs", 20000)
+    assert (refused.layer, refused.count, refused.what, refused.budget) == (
+        "groebner", 20001, "S-pairs", 20000)
+    errors = [
+        (refused, ("groebner", 20001, "S-pairs", 20000),
+         "groebner: 20001 S-pairs exceed the budget of 20000"),
+        (ParseError("unexpected '*'", 5, ["L", "("]), ("unexpected '*'", 5, ("(", "L")),
+         "unexpected '*' at offset 5 (expected (, L)"),
+        (UnboundedRegion([1, 0]), ((1, 0),), "feasible region is unbounded along ray (1, 0)"),
+    ]
+    for error, args, text in errors:
+        assert (error.args, str(error)) == (args, text)
+        for copied in (pickle.loads(pickle.dumps(error)), copy.deepcopy(error)):
+            assert type(copied) is type(error)
+            assert (copied.args, vars(copied), str(copied)) == (args, vars(error), text)
     sites = []
     for path in sorted(Path(twistkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
