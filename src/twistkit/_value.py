@@ -2,14 +2,15 @@
 
 A subclass names its constructor's parameters, in order, in `_fields`, and
 declares `__slots__`: those fields first, then any value it derives from
-them.  Equality (between instances of one class only), the hash and the
-repr are those a frozen dataclass generates over `_fields`.  A subclass with
-a dict field overrides `__hash__` to hash the dict as the frozenset of its
-items, where a frozen dataclass would refuse; `RunConfig` keeps that
-refusal.  The base imports nothing: importing twistkit neither loads
-`dataclasses` (and with it `inspect`, `ast` and `dis`) nor runs a decorator
-per class.  Assignment and deletion raise `dataclasses.FrozenInstanceError`,
-imported only then.
+them.  Equality (between instances of one class only) and the repr are
+those a frozen dataclass generates over `_fields`.  The hash has one rule:
+it hashes the tuple of the fields, with a dict field hashed as the frozenset
+of its items, where a frozen dataclass would refuse.  So equal values hash
+equal.  `forests.RootedTree`, whose equality is its own, alone overrides
+it, to hash its canonical key.  The base imports nothing: importing
+twistkit neither loads `dataclasses` (and with it `inspect`, `ast` and
+`dis`) nor runs a decorator per class.  Assignment and deletion raise
+`dataclasses.FrozenInstanceError`, imported only then.
 
 This module alone sets slots past the frozen `__setattr__`.  Each class
 keeps `_setters`, the `__set__` of each of its slots in `__slots__` order (a
@@ -54,7 +55,7 @@ class Value:
         return self._astuple() == other._astuple()
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(tuple(frozenset(v.items()) if type(v) is dict else v for v in self._astuple()))
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -470,8 +470,11 @@ def search_h0_hom(potential: Potential, exponent_bound: int = 2):
     """Brute-force search for a univariate collapse witnessing a proper
     ideal: every generator is sent to a power of one variable t with exponent
     in [-bound, bound].  Returns the first homomorphism found, or None.
-    Raises `CapExceeded`, before trying any, when the (2 bound + 1)^n
-    candidates number more than `HOM_SEARCH_BUDGET`."""
+    Raises `ValueError` for a negative bound and `CapExceeded`, before
+    trying any, when the (2 bound + 1)^n candidates number more than
+    `HOM_SEARCH_BUDGET`."""
+    if exponent_bound < 0:
+        raise ValueError(f"exponent bound must be >= 0, got {exponent_bound}")
     ring = potential.ring
     names = potential.variables
     candidates = (2 * exponent_bound + 1) ** len(names)

@@ -68,11 +68,9 @@ class HomologyBasis(Value):
     __slots__ = _fields + ("boundary_indices",)
 
     def __init__(self, names, boundary_matrix, n_torus_rank, ring_names=()):
-        names = tuple(names)
+        names = as_names(names)
         matrix = mat(boundary_matrix)
         n_torus_rank = as_int(n_torus_rank)
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be distinct")
         if len(matrix) != n_torus_rank:
             raise ValueError("boundary matrix must have one row per torus rank")
         for row in matrix:
@@ -91,11 +89,9 @@ class HomologyBasis(Value):
         if not ring_names:
             ring_names = _default_ring_names(len(names), carriers)
         else:
-            ring_names = tuple(ring_names)
+            ring_names = as_names(ring_names)
             if len(ring_names) != len(names):
                 raise ValueError("ring_names must match generator count")
-            if len(set(ring_names)) != len(ring_names):
-                raise ValueError("ring names must be distinct")
         self._init(names, matrix, n_torus_rank, ring_names, carriers)
 
     def boundary_of(self, coefficients) -> tuple[int, ...]:

@@ -10,13 +10,14 @@ abstract rooted trees, so children order is forgotten by canonical forms.
 Every `RootedTree` is a frozen, slotted value that stores its canonical key,
 built once from the children's stored keys, so it is never recomputed by
 walking the tree.  Its leaf count is read off that key: each leaf writes
-"()", and no inner vertex does.  The ample trees with n leaves are built
-level by level, each from the levels below.  A tree with a leaf under its
-root is one step from a tree with n - 1 leaves: put a leaf in front of
-that tree's root children, or set a leaf beside the whole tree.  The leaf
-comes first among the children and its key "()" sorts last, so the new
-key is a suffix edit of the old one.  The other trees take one multiset of
-smaller ample trees per partition of n into at least two parts >= 2,
+"()", and no inner vertex does.  Its hash is the key's hash, which Python
+keeps with the string once it is first computed.  The ample trees with n
+leaves are built level by level, each from the levels below.  A tree with a
+leaf under its root is one step from a tree with n - 1 leaves: put a leaf in
+front of that tree's root children, or set a leaf beside the whole tree.
+The leaf comes first among the children and its key "()" sorts last, so the
+new key is a suffix edit of the old one.  The other trees take one multiset
+of smaller ample trees per partition of n into at least two parts >= 2,
 joined by itertools.  Each family is built in bulk: a private builder sets
 the children and key slots directly, skipping the public constructor.
 
@@ -24,13 +25,12 @@ A tree is walked one way: `_child_counts` lists its vertices' child counts
 in pre-order, over an explicit stack.  That list fixes a planar tree
 exactly, so equality compares it, `is_ample` looks for a 1 in it, pickling
 writes it and `_unflatten` builds a tree back from it; `print_tree` and
-`repr` are one writer over it with their own tokens.  Only the hash keeps
-its own walk, which stops at vertices that already hold theirs.
-`word_to_tree` builds at most `WORD_LEAF_BUDGET` leaves and raises
-`CapExceeded` before building a larger word.  The keys of a tree built
-from its child counts (a literal, a word, an unpickled or deep-copied tree)
-total at most `KEY_TEXT_BUDGET` characters, or `CapExceeded` is raised: a
-chain of depth d holds about 2.5 * d**2 of them.
+`repr` are one writer over it with their own tokens.  `word_to_tree` builds
+at most `WORD_LEAF_BUDGET` leaves and raises `CapExceeded` before building a
+larger word.  The keys of a tree built from its child counts (a literal, a
+word, an unpickled or deep-copied tree) total at most `KEY_TEXT_BUDGET`
+characters, or `CapExceeded` is raised: a chain of depth d holds about
+2.5 * d**2 of them.
 
 Text grammar (whitespace insignificant)::
 
@@ -87,21 +87,19 @@ def _joined_key(children) -> str:
 class RootedTree(Value):
     """A finite rooted tree; an empty children tuple is a leaf.
 
-    The single-vertex tree stands for the plain circle factor.  Equality,
-    hashing and repr see `children` only; `canonical_key` (the string of
-    `canonical_form`) is derived from it on construction, and `leaf_count`
-    is read off that key.
-    Equality, hash and repr are those a frozen dataclass would generate.
-    Equality and repr read the tree's child counts in pre-order
+    The single-vertex tree stands for the plain circle factor.  A tree
+    keeps two slots: `children`, and `canonical_key` (the string of
+    `canonical_form`), derived from it on construction; `leaf_count` is read
+    off that key.  Equality and repr are those a frozen dataclass would
+    generate over `children`; they read the tree's child counts in pre-order
     (`_child_counts`), and pickling and copying go through that list, so
-    that depth is unbounded.  Each vertex keeps its hash once it is first
-    asked for, so a hash walks, over an explicit stack, only the vertices
-    not hashed before.
+    that depth is unbounded.  The hash is that of `canonical_key`: equal
+    trees are isomorphic, so they hash equal, while isomorphic trees in
+    another planar order share a hash and still compare unequal.
     """
 
     _fields = ("children",)
-    # _hash is hash((children,)), filled by the first __hash__; unset until then
-    __slots__ = ("children", "canonical_key", "_hash")
+    __slots__ = ("children", "canonical_key")
 
     def __init__(self, children=()):
         children = tuple(children)
@@ -130,42 +128,17 @@ class RootedTree(Value):
         return self is other or _child_counts(self) == _child_counts(other)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        # hash((children,)), filled bottom-up over the vertices not hashed
-        # yet: once a vertex's children all hold theirs, its tuple hash only
-        # reads them back
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            todo = [c for c in node.children if _hash_of(c) is None]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if _hash_of(node) is None:  # a shared subtree is pushed once per parent
-                _set_hash(node, hash((node.children,)))
-        return self._hash
+        return hash(self.canonical_key)
 
     def __reduce__(self):
         return _unflatten, (_child_counts(self),)
-
-
-_set_hash = RootedTree._setters[-1]  # _hash is the last slot
-
-
-def _hash_of(tree):
-    """The tree's stored hash, or None while it is unset."""
-    return getattr(tree, "_hash", None)
 
 
 def _new_trees(children, keys) -> tuple[RootedTree, ...]:
     """One tree per entry of `children`, made without the constructor: the
     children and key slots are each set directly, in one C-level pass over
     their values, so the caller vouches that `keys` are those the children
-    give.  The hash slot stays unset until the first `__hash__`."""
+    give."""
     trees = tuple(map(object.__new__, itertools.repeat(RootedTree, len(children))))
     for set_slot, values in zip(RootedTree._setters, (children, keys)):
         _consume(map(set_slot, trees, values))

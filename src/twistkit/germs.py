@@ -62,6 +62,8 @@ class Germ(Value):
 
     def __init__(self, dim, constant, covectors, note=None):
         dim = as_int(dim)
+        if dim < 1:
+            raise DimensionMismatch(f"a germ has dimension at least 1, got {dim}")
         constant = Fraction(constant)
         if isinstance(covectors, str):
             raise ValueError(f"{covectors!r} is a string, not a list of covectors")

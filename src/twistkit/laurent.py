@@ -141,7 +141,7 @@ class LaurentPoly(Value):
     __slots__ = _fields = ("ring", "variables", "terms")
 
     def __init__(self, ring: CoefficientRing, variables, terms=None):
-        variables = tuple(variables)
+        variables = as_names(variables)
         items = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(map(as_int, exps))
@@ -160,7 +160,6 @@ class LaurentPoly(Value):
 
     @classmethod
     def constant(cls, ring, variables, value):
-        variables = tuple(variables)
         return cls(ring, variables, {(0,) * len(variables): value})
 
     @classmethod
@@ -169,13 +168,11 @@ class LaurentPoly(Value):
 
     @classmethod
     def monomial(cls, ring, variables, exps, coeff=None):
-        variables = tuple(variables)
         coeff = ring.one if coeff is None else coeff
         return cls(ring, variables, {tuple(exps): coeff})
 
     @classmethod
     def var(cls, ring, variables, name):
-        variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
         return cls.monomial(ring, variables, exps)
@@ -296,9 +293,6 @@ class LaurentPoly(Value):
 
     # -- comparisons / printing ---------------------------------------------
 
-    def __hash__(self):
-        return hash((self.ring.tag, self.variables, frozenset(self.terms.items())))
-
     def sorted_terms(self):
         """Terms in descending lexicographic exponent order (stable print order)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -347,9 +341,7 @@ class RingHom(Value):
     __slots__ = _fields = ("ring", "variables", "images")
 
     def __init__(self, ring: CoefficientRing, variables, images: dict):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"target variables must be distinct, got {variables}")
+        variables = as_names(variables)
         for name, poly in images.items():
             if not isinstance(poly, LaurentPoly):
                 raise NonUnitImage(f"image of {name} must be a LaurentPoly")
@@ -363,7 +355,6 @@ class RingHom(Value):
     @classmethod
     def from_monomials(cls, ring, variables, exponents: dict):
         """Build from {generator: exponent vector}, each image with coefficient 1."""
-        variables = tuple(variables)
         images = {
             name: LaurentPoly.monomial(ring, variables, exps) for name, exps in exponents.items()
         }
@@ -371,7 +362,6 @@ class RingHom(Value):
 
     @classmethod
     def identity(cls, ring, variables):
-        variables = tuple(variables)
         return cls(
             ring,
             variables,
@@ -426,9 +416,6 @@ class RingHom(Value):
         for name in sorted(self.images):
             parts.append(f"{name} -> {self.images[name]}")
         return ", ".join(parts)
-
-    def __hash__(self):
-        return hash((self.ring.tag, self.variables, frozenset(self.images.items())))
 
     def __repr__(self):
         return f"RingHom({self.ring}, {self.variables}, {self.describe()!r})"

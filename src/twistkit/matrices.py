@@ -6,7 +6,8 @@ whose k pivot steps every entry is a (k+1)x(k+1) minor of the input, so each
 division by the previous pivot is exact and every entry stays an integer.
 The adjugate is made of determinants of minors.  Entries pass through
 `as_int`, so a non-integral entry raises `ValueError` instead of being
-truncated.  The JSON readers check their integer fields with `as_int` and
+truncated.  The JSON readers check their integer fields with `as_int`;
+they and the constructors of polynomials, homomorphisms and bases check
 their lists of names with `as_names`.
 """
 
@@ -31,15 +32,17 @@ def as_int(x) -> int:
 
 
 def as_names(x) -> tuple:
-    """`x`, a list of names, as a tuple; a string raises `ValueError` rather
-    than being read as one name per character, and so does a name that is
-    not a string."""
+    """`x`, a list of distinct names, as a tuple; a string raises
+    `ValueError` rather than being read as one name per character, and so
+    do a name that is not a string and a name given twice."""
     if isinstance(x, str):
         raise ValueError(f"{x!r} is a string, not a list of names")
     names = tuple(x)
     for name in names:
         if not isinstance(name, str):
             raise ValueError(f"name {name!r} is not a string")
+    if len(set(names)) != len(names):
+        raise ValueError(f"names must be distinct, got {names}")
     return names
 
 

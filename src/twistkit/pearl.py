@@ -188,11 +188,6 @@ class PearlElement(Value):
     def component(self, subset) -> LaurentPoly:
         return self.components.get(tuple(subset), LaurentPoly.zero(self.ring, self.variables))
 
-    def __hash__(self):
-        return hash(
-            (self.ring.tag, self.variables, self.n, frozenset(self.components.items()))
-        )
-
     def __str__(self):
         if not self.components:
             return "0"

@@ -519,6 +519,20 @@ def test_hom_search_over_budget_raises_before_searching(monkeypatch):
         search_h0_hom(theta_potential(), exponent_bound=12)  # 25^4 candidates
 
 
+def test_hom_search_refuses_a_negative_bound(monkeypatch):
+    # bound 0 tries the one constant collapse; bound -1 would count (-1)^n
+    # candidates and return None untried
+    zero = Potential(GF2, circle_constraint_table().basis, [])
+    assert search_h0_hom(zero, exponent_bound=0) is not None
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(certificates, "ideal_contains_one", no_search)
+    with pytest.raises(ValueError, match=r"^exponent bound must be >= 0, got -1$"):
+        search_h0_hom(theta_potential(), exponent_bound=-1)
+
+
 def test_report_serialization_is_self_consistent():
     report = theta_bundle().certify()
     data = report.to_json_dict()

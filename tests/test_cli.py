@@ -474,6 +474,15 @@ def test_germ_over_the_permutation_budget_exits_two(tmp_path, capsys):
     )
 
 
+def test_a_germ_of_dimension_zero_exits_two(tmp_path, capsys):
+    # it was read, and found equivalent to itself by the empty witness
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps({"dim": 0, "constant": "1", "covectors": [[]]}), encoding="utf-8")
+    assert main(["germ", str(path), str(path)]) == 2
+    assert error_line(capsys) == (
+        "error: DimensionMismatch: a germ has dimension at least 1, got 0\n")
+
+
 def test_single_covector_germ_comparison_is_indeterminate():
     # theta_s0 has one covector: its covectors do not span, so equivalence
     # is reported as undecided rather than guessed
@@ -590,12 +599,13 @@ def test_duplicate_names_in_a_potential_file_exit_two(tmp_path, capsys):
     path = tmp_path / "potential.json"
     path.write_text(json.dumps({**data, "ring_names": ["R", "R", "S1", "S2"]}), encoding="utf-8")
     assert main(["certify", "--in", str(path)]) == 2
-    assert error_line(capsys) == "error: ValueError: ring names must be distinct\n"
+    assert error_line(capsys) == (
+        "error: ValueError: names must be distinct, got ('R', 'R', 'S1', 'S2')\n")
     h0 = {**hom_to_json(theta_h0_hom()), "variables": ["t", "t"]}
     h0["images"] = {name: [[e, 0], c] for name, ([e], c) in h0["images"].items()}
     path.write_text(json.dumps({**data, "homs": {"h0": h0}}), encoding="utf-8")
     rendered = run_error(RunConfig(command="certify", params={"infile": str(path)}))
-    assert rendered == "error: ValueError: target variables must be distinct, got ('t', 't')"
+    assert rendered == "error: ValueError: names must be distinct, got ('t', 't')"
 
 
 def test_a_torus_of_rank_zero_is_an_input_error(tmp_path, capsys):

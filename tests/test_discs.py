@@ -973,8 +973,12 @@ def test_basis_validation():
 def test_duplicate_ring_names_are_rejected():
     # ("R", "R") would print a potential as `R + R` and take the second
     # toric differential on the first variable
-    with pytest.raises(ValueError, match="ring names must be distinct"):
+    with pytest.raises(ValueError, match=r"^names must be distinct, got \('R', 'R'\)$"):
         HomologyBasis(("A", "B"), ((1, 0), (0, 1)), 2, ring_names=("R", "R"))
+    with pytest.raises(ValueError, match=r"^names must be distinct, got \('A', 'A'\)$"):
+        HomologyBasis(("A", "A"), ((1, 0), (0, 1)), 2)
+    with pytest.raises(ValueError, match="'AB' is a string, not a list of names"):
+        HomologyBasis("AB", ((1, 0), (0, 1)), 2)
 
 
 def test_odd_maslov_warns_but_does_not_reject():

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import functools
@@ -7,6 +8,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,6 @@ from parse_reference import reference_parse_forest, reference_parse_word
 from twistkit import forests
 from twistkit.errors import CapExceeded, InvalidLeafIndex, ParseError
 from twistkit.forests import (
-    _hash_of,
     LEAF,
     RootedForest,
     RootedTree,
@@ -789,37 +790,6 @@ def per_tree_ample_trees(n):
     return tuple(level)
 
 
-class _Hashed:
-    """Hashes to a given value, so a tuple of these hashes like a tuple of
-    the objects whose hashes they carry."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
-def walked_hash(tree):
-    """`RootedTree.__hash__` before hashes were kept: hash((children,)) over
-    the whole tree, bottom-up, without reading any stored hash."""
-    hashes = {}
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if id(node) in hashes:
-            stack.pop()
-            continue
-        todo = [c for c in node.children if id(c) not in hashes]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        kids = hash(tuple(_Hashed(hashes[id(c)]) for c in node.children))
-        hashes[id(node)] = hash((_Hashed(kids),))
-    return hashes[id(tree)]
-
-
 def test_bulk_levels_match_the_per_tree_build():
     for n in range(1, 13):
         got = enumerate_ample_trees(n)
@@ -832,7 +802,7 @@ def test_bulk_levels_match_the_per_tree_build():
             assert tree == rebuilt
             assert tree.canonical_key == rebuilt.canonical_key
             assert tree.leaf_count == rebuilt.leaf_count
-            assert hash(tree) == walked_hash(tree) == hash(rebuilt)
+            assert hash(tree) == hash(tree.canonical_key) == hash(rebuilt)
             if n <= 10:  # repr walks the whole tree: seconds on the top levels
                 assert repr(tree) == repr(rebuilt)
 
@@ -933,18 +903,19 @@ def test_rooted_tree_is_frozen_and_slotted():
     assert not hasattr(LEAF, "__dict__")
 
 
-def test_equality_and_hash_ignore_the_stored_key():
+def test_equality_ignores_the_stored_key():
+    # the hash trusts the key, as `canonical_form` and `is_isomorphic` do
     left = RootedTree((bush(2), LEAF))
     right = RootedTree((LEAF, bush(2)))
     assert canonical_form(left) == canonical_form(right)
     assert left != right
     twin = RootedTree((bush(2), LEAF))
     object.__setattr__(twin, "canonical_key", "tampered")
-    assert twin == left and hash(twin) == hash(left)
+    assert twin == left
 
 
 def test_a_tree_stores_its_children_and_key_and_reads_its_leaf_count_off_the_key():
-    assert RootedTree.__slots__ == ("children", "canonical_key", "_hash")
+    assert RootedTree.__slots__ == ("children", "canonical_key")
     assert isinstance(RootedTree.__dict__["leaf_count"], property)
     with pytest.raises(AttributeError):
         object.__setattr__(bush(2), "leaf_count", 3)
@@ -1045,8 +1016,8 @@ def test_deep_word_builds_without_recursion():
 
 @dataclasses.dataclass(frozen=True)
 class GeneratedTree:
-    """What the dataclass decorator generates for a tree: recursive equality,
-    hash and repr over `children`."""
+    """What the dataclass decorator generates for a tree: recursive equality
+    and repr over `children`."""
 
     children: tuple = ()
 
@@ -1055,14 +1026,13 @@ def generated(tree):
     return GeneratedTree(tuple(generated(c) for c in tree.children))
 
 
-def test_eq_hash_and_repr_match_the_generated_ones():
+def test_eq_and_repr_match_the_generated_ones():
     rng = random.Random(4242)
     trees = [t for n in range(1, 7) for t in enumerate_ample_trees(n)]
     trees += [word_to_tree(random_word(rng, 6)) for _ in range(40)]
     trees += [RootedTree((LEAF,)), RootedTree((RootedTree((LEAF,)),))]
     mirrors = [generated(t) for t in trees]
     for tree, mirror in zip(trees, mirrors):
-        assert hash(tree) == hash(mirror) == hash((tree.children,))
         assert repr(tree) == repr(mirror).replace("GeneratedTree(", "RootedTree(")
     for (a, ma), (b, mb) in itertools.product(zip(trees, mirrors), repeat=2):
         assert (a == b) is (ma == mb)
@@ -1078,27 +1048,45 @@ def test_deep_tree_repr_hash_equality_and_literal():
     leaf = "RootedTree(children=())"
     assert repr(tree) == f"RootedTree(children=({leaf}, " * 1500 + leaf + "))" * 1500
     assert tree == twin == parsed and twin is not tree
-    assert hash(tree) == hash(twin) == hash(parsed) == hash((tree.children,))
+    assert hash(tree) == hash(twin) == hash(parsed) == hash(tree.canonical_key)
     assert len({tree, twin, parsed}) == 1
     other = word_to_tree(TwistWord(steps[:-1] + ((2, 1500),)))
     assert tree != other and other.leaf_count == tree.leaf_count + 1
     assert RootedForest((tree, LEAF)) == RootedForest((LEAF, parsed))
 
 
-def test_kept_hashes_match_the_walked_hash():
+def test_a_tree_hashes_its_canonical_key():
     rng = random.Random(99)
     steps = ((1, 1),) + tuple((1, j) for j in range(2, 1501))  # each on the last leaf
     deep = word_to_tree(TwistWord(steps))
     trees = [deep, pickle.loads(pickle.dumps(deep)), copy.deepcopy(deep)]
     trees += [word_to_tree(random_word(rng, max_steps=8, max_k=3)) for _ in range(200)]
-    trees += [shuffled(t, rng) for t in enumerate_ample_trees(8)]
+    trees += enumerate_ample_trees(8)
+    trees += [parse_forest(print_tree(shuffled(t, rng))).trees[0] for t in trees[-40:]]
+    trees += [pickle.loads(pickle.dumps(t)) for t in trees[::7]]
+    trees += [copy.deepcopy(t) for t in trees[::11]]
     shared = bush(3)
     trees += [RootedTree((shared, shared, RootedTree((shared, LEAF))))]
     for tree in trees:
-        assert tree is LEAF or _hash_of(tree) is None  # new trees, pickled ones too
-        want = walked_hash(tree)
-        assert hash(tree) == want and _hash_of(tree) == want
-        assert hash(tree) == want  # read back from the slot
+        assert hash(tree) == hash(tree.canonical_key) == hash(RootedTree(tree.children))
+
+
+def test_one_hash_rule_for_values():
+    # isomorphic trees in two planar orders share a hash and stay unequal
+    left, right = (parse_forest(text).trees[0] for text in ("((L L) L)", "(L (L L))"))
+    assert hash(left) == hash(right) and left != right
+    assert len({left, right}) == 2
+    # a chain past the recursion limit hashes without recursion
+    chain = parse_forest("(L " * 6000 + "L" + ")" * 6000).trees[0]
+    assert hash(chain) == hash(chain.canonical_key)
+    # the value base hashes every value, the tree its key: no other __hash__
+    package = Path(forests.__file__).parent
+    owners = [(path.name, cls.name) for path in sorted(package.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__hash__"]
+    assert owners == [("_value.py", "Value"), ("forests.py", "RootedTree")]
 
 
 def random_planar_trees(rng, count, max_leaves=60):

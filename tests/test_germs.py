@@ -434,6 +434,11 @@ def test_germ_needs_covectors_of_its_dimension():
         Germ(2, 1, frozenset())
     with pytest.raises(DimensionMismatch, match="has length 3, expected 2"):
         Germ(2, 1, frozenset({(1, 0), (0, 1, 0)}))
+    # dimension 0 has only the empty covector, so any two such germs matched
+    for dim in (0, -1):
+        refused = f"^a germ has dimension at least 1, got {dim}$"
+        with pytest.raises(DimensionMismatch, match=refused):
+            Germ(dim, 1, [[]])
 
 
 def test_germ_covectors_are_checked_in_the_order_given():

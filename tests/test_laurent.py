@@ -285,12 +285,33 @@ def test_every_entry_point_refuses_another_ring_naming_both_sides(call, pair):
 
 def test_hom_rejects_duplicate_target_variables():
     # ("t", "t") would map R + T to t + t
-    with pytest.raises(ValueError, match="target variables must be distinct"):
+    refused = r"^names must be distinct, got \('t', 't'\)$"
+    with pytest.raises(ValueError, match=refused):
         RingHom.from_monomials(GF2, ("t", "t"), {"R": (1, 0), "T": (0, 1)})
+    with pytest.raises(ValueError, match=refused):
+        RingHom(GF2, ["t", "t"], {})
     data = {"ring": "GF2", "variables": ["t", "t"],
             "images": {"R": [[1, 0], "1"], "T": [[0, 1], "1"]}}
-    with pytest.raises(ValueError, match="target variables must be distinct"):
+    with pytest.raises(ValueError, match=refused):
         hom_from_json(data)
+
+
+def test_a_polynomial_refuses_repeated_or_string_variables():
+    # ("x", "x") would let `var` and `log_derivative` read only the first x
+    refused = r"^names must be distinct, got \('x', 'x'\)$"
+    for build in (lambda v: LaurentPoly(GF2, v, {(1, 0): 1}),
+                  lambda v: LaurentPoly.one(GF2, v),
+                  lambda v: LaurentPoly.var(GF2, v, "x")):
+        with pytest.raises(ValueError, match=refused):
+            build(["x", "x"])
+    data = {"ring": "GF2", "variables": ["x", "x"], "terms": [[[1, 0], "1"]]}
+    with pytest.raises(ValueError, match=refused):
+        poly_from_json(data)
+    with pytest.raises(ValueError, match="'xy' is a string, not a list of names"):
+        LaurentPoly(GF2, "xy", {(1, 0): 1})
+    with pytest.raises(ValueError, match="'xy' is a string, not a list of names"):
+        LaurentPoly.var(GF2, "xy", "x")
+    assert LaurentPoly.var(GF2, ["x", "y"], "y").variables == ("x", "y")
 
 
 def test_hom_needs_every_generator():
@@ -343,8 +364,9 @@ def test_evaluation():
 
 
 def test_equal_polynomials_hash_equal():
-    """The hash is recomputed on each call from the ring, the variables and
-    the terms, so equal values built in different ways hash alike."""
+    """The hash is the value base's one rule: the fields, with the terms
+    dict as the frozenset of its items, so equal values built in different
+    ways hash alike."""
     v = ("x", "y")
     for ring, c in ((GF2, 1), (RATIONAL, Fraction(3, 2))):
         x, y = (LaurentPoly.var(ring, v, name) for name in v)
@@ -357,7 +379,7 @@ def test_equal_polynomials_hash_equal():
         for other in same:
             assert other == built and hash(other) == hash(built)
         assert len({built, *same}) == 1
-        assert hash(built) == hash((ring.tag, v, frozenset(built.terms.items())))
+        assert hash(built) == hash((ring, v, frozenset(built.terms.items())))
         assert len({built, built + LaurentPoly.one(ring, v)}) == 2
     assert LaurentPoly.__slots__ == ("ring", "variables", "terms")
 

@@ -386,7 +386,7 @@ def test_element_str_repr_and_hash():
     same = PearlElement(RATIONAL, v, 2, {(): one, (0,): y + x, (0, 1): x * x})
     assert same == element and hash(same) == hash(element)
     assert hash(element) == hash(
-        ("Rational", v, 2, frozenset({(): one, (0,): x + y, (0, 1): x * x}.items()))
+        (RATIONAL, v, 2, frozenset({(): one, (0,): x + y, (0, 1): x * x}.items()))
     )
     assert len({element, same, zero, PearlElement.generator(GF2, V, 2, 0)}) == 3
 
