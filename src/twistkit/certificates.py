@@ -42,6 +42,7 @@ from .groebner import (
     univariate_extended_gcd,
 )
 from .laurent import RATIONAL, LaurentPoly, RingHom, _require_ring
+from .matrices import as_int
 from .pearl import Potential
 
 # Most candidate homomorphisms `search_h0_hom` will try; each costs an
@@ -472,7 +473,9 @@ def search_h0_hom(potential: Potential, exponent_bound: int = 2):
     in [-bound, bound].  Returns the first homomorphism found, or None.
     Raises `ValueError` for a negative bound and `CapExceeded`, before
     trying any, when the (2 bound + 1)^n candidates number more than
-    `HOM_SEARCH_BUDGET`."""
+    `HOM_SEARCH_BUDGET`; a bound that is not an integer (`as_int`) raises
+    `ValueError` too."""
+    exponent_bound = as_int(exponent_bound)
     if exponent_bound < 0:
         raise ValueError(f"exponent bound must be >= 0, got {exponent_bound}")
     ring = potential.ring

@@ -8,8 +8,8 @@ keys) or as text by its writer (default).  The CLI is a thin adapter: every
 computation is a library call.
 
 Outside data (the `--in` tables and potentials, germ files, the `iso`
-expressions, the n and cap of `trees`) becomes twistkit values only through
-`_read`, the one input boundary.
+expressions, the n and cap of `trees`, the `--bounds` box) becomes twistkit
+values only through `_read`, the one input boundary.
 
 Exit codes: 0 success, 1 a result contradicting `--expect`, 2 an input error,
 reported as one `error: <Type>: <message>` line on stderr (never on stdout or
@@ -26,7 +26,7 @@ import sys
 from . import presets
 from ._value import Value
 from .certificates import certify_nondisplaceable, report_text
-from .discs import enumerate_candidate_classes, table_from_json
+from .discs import _normalize_bounds, enumerate_candidate_classes, table_from_json
 from .errors import TwistKitError
 from .forests import (
     DEFAULT_ENUMERATION_CAP,
@@ -96,9 +96,8 @@ def _read(convert, *args, path=None):
 
 
 def _cmd_trees(config: RunConfig):
-    n = config.params["n"]
     cap = config.params.get("cap", DEFAULT_ENUMERATION_CAP)
-    _read(check_enumeration_size, n, cap)
+    n = _read(check_enumeration_size, config.params["n"], cap)
     if config.params.get("count_only", False):
         payload = {"n": n, "cap": cap, "count": count_ample_trees(n)}
     else:
@@ -145,7 +144,8 @@ def _preset_or_file(config: RunConfig, known: dict, of_preset, of_json):
 def _cmd_classes(config: RunConfig):
     (table, file_bounds), source = _preset_or_file(
         config, presets.CONSTRAINT_PRESETS, lambda table: (table, None), table_from_json)
-    bounds = config.params.get("bounds") or file_bounds
+    bounds = _read(_normalize_bounds, config.params.get("bounds") or file_bounds,
+                   len(table.basis.names))
     classes = enumerate_candidate_classes(table, bounds=bounds)
     payload = {
         "source": source,
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config of parsed arguments: each `RunConfig` field from its dest,
-    every other dest a param."""
+    every other dest a param.  `--bounds` is only split into its two ints
+    here; `classes` checks the box as it checks a table file's."""
     settings = {k: v for k, v in vars(args).items() if k in RunConfig._fields}
     params = {k: v for k, v in vars(args).items() if k not in RunConfig._fields}
     if params.get("bounds") is not None:
@@ -333,8 +334,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             lo, hi = (int(x) for x in params["bounds"].split(","))
         except ValueError:
             raise TwistKitError(f"--bounds wants 'a,b', got {params['bounds']!r}") from None
-        if lo > hi:
-            raise TwistKitError(f"--bounds wants a <= b, got {params['bounds']!r}")
         params["bounds"] = (lo, hi)
     return RunConfig(params=params, **settings)
 

@@ -35,9 +35,9 @@ The rows dropped are implied by those kept, so every projection, every
 conditional interval and hence every class list and ray are those of the
 unpruned cascade, while the rows stay few where unpruned elimination can
 grow doubly exponentially.  The cascade, the walk and the ray are integer
-arithmetic, and every integer field of a table passes through
-`matrices.as_int`, the target Maslov index included, so no `Fraction` is
-needed.
+arithmetic, and every integer field of a table (the target Maslov index
+included) and each end of a search box pass through `matrices.as_int`, so no
+`Fraction` is needed.
 """
 
 from __future__ import annotations
@@ -329,26 +329,21 @@ def feasible_region_bounded(table: ConstraintTable) -> BoundednessResult:
 
 
 def _normalize_bounds(bounds, n):
-    """Per-coordinate boxes from one (lo, hi) pair of ints or n such pairs;
-    anything else raises ValueError."""
+    """Per-coordinate boxes from one (lo, hi) pair of integers or n such
+    pairs (n >= 1, the table's width), each end read by `as_int`; anything
+    else raises ValueError."""
     if bounds is None:
         return None
 
-    def is_pair(b):
-        return (
-            isinstance(b, (tuple, list))
-            and len(b) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in b)
-        )
+    def is_list(b):
+        return isinstance(b, (tuple, list))
 
-    if is_pair(bounds):
-        boxes = [tuple(bounds)] * n
-    elif isinstance(bounds, (tuple, list)) and all(is_pair(b) for b in bounds):
-        boxes = [tuple(b) for b in bounds]
-        if len(boxes) != n:
-            raise ValueError(f"need {n} bound pairs, got {len(boxes)}")
-    else:
+    pairs = bounds if is_list(bounds) and all(map(is_list, bounds)) else [bounds] * n
+    if not all(is_list(pair) and len(pair) == 2 for pair in pairs):
         raise ValueError(f"bounds must be a pair of ints or {n} pairs, got {bounds!r}")
+    if len(pairs) != n:
+        raise ValueError(f"need {n} bound pairs, got {len(pairs)}")
+    boxes = [(as_int(lo), as_int(hi)) for lo, hi in pairs]
     for lo, hi in boxes:
         if lo > hi:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")

@@ -206,6 +206,7 @@ def _unflatten(child_counts) -> RootedTree:
 
 def bush(leaves: int) -> RootedTree:
     """Root with `leaves` leaf children (the tree of a single k-fold twist, leaves = k+1)."""
+    leaves = as_int(leaves)
     if leaves < 1:
         raise ValueError("a bush needs at least one leaf")
     return RootedTree((LEAF,) * leaves)
@@ -357,17 +358,19 @@ def is_ample(tree: RootedTree) -> bool:
 def enumerate_ample_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[RootedTree]:
     """All ample rooted trees with exactly n leaves, one per isomorphism
     class, sorted by canonical form."""
-    check_enumeration_size(n, cap)
-    return list(_ample_trees(n))
+    return list(_ample_trees(check_enumeration_size(n, cap)))
 
 
-def check_enumeration_size(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """The checks `enumerate_ample_trees` makes before building anything:
-    ValueError for n < 1, then CapExceeded for n > cap."""
+def check_enumeration_size(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """The checks `enumerate_ample_trees` makes before building anything,
+    returning `n` as an int: ValueError for an `n` or `cap` that is not an
+    integer (`as_int`) and for n < 1, then CapExceeded for n > cap."""
+    n, cap = as_int(n), as_int(cap)
     if n < 1:
         raise ValueError("leaf count must be >= 1")
     if n > cap:
         raise CapExceeded("forests", n, "leaves to enumerate", cap)
+    return n
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,6 +458,7 @@ def count_ample_trees(n: int) -> int:
     costs O(n) big-int operations, and terms are kept in a prefix that grows
     on demand.
     """
+    n = as_int(n)
     if n < 1:
         raise ValueError("leaf count must be >= 1")
     a, b, c = _COUNT_PREFIX

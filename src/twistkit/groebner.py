@@ -110,6 +110,7 @@ from operator import add, le, mul, neg, sub
 
 from .errors import CapExceeded, VariableMismatch
 from .laurent import GF2, LaurentPoly, _require_ring
+from .matrices import as_names
 
 
 def grevlex_key(exps):
@@ -544,7 +545,7 @@ def univariate_extended_gcd(polys, ring, variables):
     inputs get zero cofactors, and the zero ideal has the gcd 0.  Every
     polynomial must live in `ring` and `variables`, which must be one variable.
     """
-    polys, variables = list(polys), tuple(variables)
+    polys, variables = list(polys), as_names(variables)
     _require_polynomials(polys, ring, variables)
     if len(variables) != 1:
         raise VariableMismatch(f"the univariate gcd got the multivariate {variables}")

@@ -336,12 +336,15 @@ class RingHom(Value):
     Every group-ring generator must be sent to a single monomial with unit
     coefficient (so that negative exponents transport).  The hom may shrink
     the variable set; constants (zero exponent vectors) are allowed images.
+    Its target variables and its source names, the keys of `images`, are
+    read by `as_names`.
     """
 
     __slots__ = _fields = ("ring", "variables", "images")
 
     def __init__(self, ring: CoefficientRing, variables, images: dict):
         variables = as_names(variables)
+        as_names(images)  # the source names
         for name, poly in images.items():
             if not isinstance(poly, LaurentPoly):
                 raise NonUnitImage(f"image of {name} must be a LaurentPoly")

@@ -6,9 +6,13 @@ whose k pivot steps every entry is a (k+1)x(k+1) minor of the input, so each
 division by the previous pivot is exact and every entry stays an integer.
 The adjugate is made of determinants of minors.  Entries pass through
 `as_int`, so a non-integral entry raises `ValueError` instead of being
-truncated.  The JSON readers check their integer fields with `as_int`;
-they and the constructors of polynomials, homomorphisms and bases check
-their lists of names with `as_names`.
+truncated.  These two readers are the package's one rule for what a
+caller passes.  `as_int` reads the integer fields of the JSON readers and
+every size, bound, rank and index: the ends of a search box, leaf counts,
+product factor counts, exterior ranks and indices, the hom-search bound.
+`as_names` reads every list of names: those of polynomials, bases, pearl
+elements and the univariate gcd, and a homomorphism's source and target
+names.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from ._value import Value
 from .discs import DiscClass, HomologyBasis, basis_from_json, basis_to_json
 from .errors import VariableMismatch
 from .laurent import CoefficientRing, LaurentPoly, _accumulate, _require_ring, poly_to_json
-from .matrices import as_int
+from .matrices import as_int, as_names
 
 
 class Potential(Value):
@@ -96,17 +96,21 @@ class PearlElement(Value):
     `n`, and nonzero LaurentPoly coefficients over `ring` and `variables`.
     `contract` and `scaled_by` need no sum: deleting k from distinct index
     tuples leaves them distinct, and a Laurent ring over a field has no zero
-    divisors, so a product is zero only when the factor is.
+    divisors, so a product is zero only when the factor is.  The variables
+    are read by `as_names`, and the rank `n` (at least 0) and every exterior
+    index a caller passes by `as_int`.
     """
 
     __slots__ = _fields = ("ring", "variables", "n", "components")
 
     def __init__(self, ring, variables, n, components=None):
-        variables = tuple(variables)
+        variables = as_names(variables)
         n = as_int(n)
+        if n < 0:
+            raise ValueError(f"rank must be >= 0, got {n}")
         pairs = []
         for subset, poly in (components or {}).items():
-            subset = tuple(subset)
+            subset = tuple(map(as_int, subset))
             if tuple(sorted(set(subset))) != subset:
                 raise ValueError(f"exterior index tuple {subset} must be strictly increasing")
             if subset and (subset[0] < 0 or subset[-1] >= n):
@@ -136,15 +140,10 @@ class PearlElement(Value):
         """Wedge of dual generators in the given order, normalized to
         strictly increasing indices with the permutation sign (a repeated
         index gives zero)."""
-        indices = tuple(indices)
+        indices = tuple(map(as_int, indices))
         if len(set(indices)) != len(indices):
             return cls.zero(ring, variables, n)
-        inversions = sum(
-            1
-            for a in range(len(indices))
-            for b in range(a + 1, len(indices))
-            if indices[a] > indices[b]
-        )
+        inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
         coeff = ring.one if inversions % 2 == 0 else ring.neg(ring.one)
         return cls(
             ring,
@@ -171,6 +170,7 @@ class PearlElement(Value):
     def contract(self, k: int) -> "PearlElement":
         """Interior product with the k-th dual generator; drops degree by one.
         The sign is (-1)^(position of k), trivial over GF2."""
+        k = as_int(k)
         comps = {}
         for subset, poly in self.components.items():
             if k in subset:
@@ -186,7 +186,8 @@ class PearlElement(Value):
         return tuple(sorted({len(s) for s in self.components}))
 
     def component(self, subset) -> LaurentPoly:
-        return self.components.get(tuple(subset), LaurentPoly.zero(self.ring, self.variables))
+        return self.components.get(tuple(map(as_int, subset)),
+                                   LaurentPoly.zero(self.ring, self.variables))
 
     def __str__(self):
         if not self.components:

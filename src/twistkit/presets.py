@@ -22,6 +22,7 @@ from .certificates import CertificateReport, certify_nondisplaceable
 from .discs import ConstraintTable, HomologyBasis, enumerate_candidate_classes
 from .germs import Germ
 from .laurent import GF2, RATIONAL, RingHom
+from .matrices import as_int
 from .pearl import Potential
 
 THETA_RING_NAMES = ("R", "T", "S1", "S2")
@@ -143,6 +144,7 @@ def product_bundle(a: int, b: int) -> PotentialPreset:
     candidate classes of this table are the padded factor classes.  The H0
     homomorphism is the identity; the rest is derived as for every preset.
     """
+    a, b = as_int(a), as_int(b)
     if a < 0 or b < 0 or a + b == 0:
         raise ValueError(f"theta^{a} x C^{b} needs nonnegative counts and one factor")
     factors = [theta_constraint_table()] * a + [circle_constraint_table()] * b

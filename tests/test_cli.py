@@ -728,7 +728,21 @@ def test_empty_bounds_is_an_input_error(capsys):
 
 def test_empty_bound_interval_is_refused_where_it_is_read(capsys):
     assert main(["classes", "--preset", "theta_s2xs2", "--bounds=5,1"]) == 2
-    assert error_line(capsys) == "error: TwistKitError: --bounds wants a <= b, got '5,1'\n"
+    assert error_line(capsys) == "error: ValueError: empty bound interval [5, 1]\n"
+
+
+def test_a_box_is_read_alike_from_the_flag_and_from_a_table_file(tmp_path, capsys):
+    """Both boxes are read by `discs._normalize_bounds`: the flag's [5, 1]
+    and a file's are refused with one line, and a file's integral floats
+    are read as ints."""
+    path = tmp_path / "problem.json"
+    data = table_to_json(theta_constraint_table())
+    path.write_text(json.dumps({**data, "bounds": [5, 1]}), encoding="utf-8")
+    assert main(["classes", "--in", str(path)]) == 2
+    assert error_line(capsys) == "error: ValueError: empty bound interval [5, 1]\n"
+    path.write_text(json.dumps({**data, "bounds": [-20.0, 20.0]}), encoding="utf-8")
+    assert main(["classes", "--in", str(path), "--expect", "5"]) == 0
+    assert capsys.readouterr().out.endswith("5 class(es)\n")
 
 
 def test_preset_and_file_together_are_an_input_error(tmp_path, capsys):

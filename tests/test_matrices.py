@@ -1,9 +1,15 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from gauss_reference import gauss_det, gauss_inv, gauss_rank
 
+from twistkit.certificates import search_h0_hom
+from twistkit.discs import enumerate_candidate_classes
+from twistkit.forests import bush, check_enumeration_size, count_ample_trees, enumerate_ample_trees
+from twistkit.groebner import univariate_gcd
+from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
 from twistkit.matrices import (
     adjugate,
     as_int,
@@ -17,6 +23,8 @@ from twistkit.matrices import (
     mat_rank,
     transpose,
 )
+from twistkit.pearl import PearlElement
+from twistkit.presets import product_bundle, theta_constraint_table, theta_potential
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
 
@@ -141,3 +149,49 @@ def test_non_numbers_are_rejected_like_non_integral_numbers():
             as_int(bad)
         assert as_int_matrix([[1, bad]]) is None
         assert not is_unimodular([[1, 0], [0, bad]])
+
+
+def test_sizes_bounds_and_names_are_read_by_the_two_readers():
+    """Every size, bound, rank and index a caller passes is read by `as_int`,
+    and every list of names by `as_names`: 2.5, "3" and True raise the
+    ValueError that names the value (never a RecursionError, and True is
+    never read as 1), and an integral 3.0 gives what 3 gives."""
+    table, potential = theta_constraint_table(), theta_potential()
+    entries = {
+        "enumerate_ample_trees": enumerate_ample_trees,
+        "check_enumeration_size": check_enumeration_size,
+        "enumeration cap": lambda k: check_enumeration_size(1, k),
+        "count_ample_trees": count_ample_trees,
+        "bush": bush,
+        "search_h0_hom": lambda k: search_h0_hom(potential, k),
+        "product_bundle": lambda k: product_bundle(k, 0).name,
+        "box end": lambda k: enumerate_candidate_classes(table, bounds=(-3, k)),
+        "box of a coordinate": lambda k: enumerate_candidate_classes(
+            table, bounds=[(-3, 3)] * 3 + [(-3, k)]),
+        "pearl rank": lambda k: str(PearlElement.zero(GF2, ("x",), k)),
+        "exterior index": lambda k: str(PearlElement.generator(GF2, ("x", "y"), 4, k)),
+        "wedge index": lambda k: str(PearlElement.wedge_of(RATIONAL, ("x",), 4, (k, 0))),
+        "contracted index": lambda k: str(PearlElement.generator(GF2, ("x",), 4, 3).contract(k)),
+        "component index": lambda k: str(PearlElement.generator(GF2, ("x",), 4, 3).component([k])),
+    }
+    for name, entry in entries.items():
+        for bad in (2.5, "3", True):
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+                entry(bad)
+        assert entry(3.0) == entry(3), name
+    assert check_enumeration_size(3.0) == 3 and type(check_enumeration_size(3.0)) is int
+    assert product_bundle(1.0, 0).name == "theta^1 x C^0"
+    assert str(PearlElement.generator(GF2, ("x", "y"), 2, 1.0)) == "(1) q2"
+    assert str(PearlElement.wedge_of(RATIONAL, ("x",), 4, (3.0, 0))) == "(-1) q1^q4"
+    floats = enumerate_candidate_classes(table, bounds=(-3.0, 3.0))
+    assert len(floats) == 5 and floats == enumerate_candidate_classes(table, bounds=(-3, 3))
+    for names, message in (("xy", "'xy' is a string"), (("x", "x"), "names must be distinct")):
+        with pytest.raises(ValueError, match=message):
+            PearlElement(GF2, names, 1)
+        with pytest.raises(ValueError, match=message):
+            univariate_gcd([], GF2, names)
+    with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
+        PearlElement(GF2, ("x",), -1)
+    t = LaurentPoly.var(RATIONAL, ("t",), "t")
+    with pytest.raises(ValueError, match="name 1 is not a string"):
+        RingHom(RATIONAL, ("t",), {1: t})
