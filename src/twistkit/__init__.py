@@ -13,73 +13,10 @@ Four pieces fit together:
   computes both, the gcd being the one-variable reduced basis;
 * `germs`: displacement-energy germs as min-of-covectors formulas and their
   GL(n, Z) classification.
+
+The package re-exports nothing: each name is imported from the module that
+defines it (`from twistkit.laurent import LaurentPoly`), so importing one
+half does not load the other (`import twistkit.forests` loads no algebra).
+The version is the installed distribution's,
+`importlib.metadata.version("twistkit")`.
 """
-
-from .certificates import (
-    CertificateReport,
-    IdealMembershipResult,
-    RegularityResult,
-    certify_nondisplaceable,
-    ideal_contains_one,
-    regular_sequence_check,
-    regularity_via_hom,
-    search_h0_hom,
-)
-from .discs import (
-    BoundednessResult,
-    ConstraintTable,
-    DiscClass,
-    HomologyBasis,
-    enumerate_candidate_classes,
-    feasible_region_bounded,
-)
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    InconclusiveCertificate,
-    InvalidLeafIndex,
-    NonGenericHom,
-    NonUnitImage,
-    ParseError,
-    TwistKitError,
-    UnboundedRegion,
-    UnsupportedRing,
-    VariableMismatch,
-)
-from .forests import (
-    RootedForest,
-    RootedTree,
-    TwistWord,
-    canonical_form,
-    count_ample_trees,
-    forest_canonical_form,
-    enumerate_ample_trees,
-    is_ample,
-    is_isomorphic,
-    parse_forest,
-    parse_word,
-    print_forest,
-    print_tree,
-    print_word,
-    word_to_tree,
-)
-from .germs import (
-    UNDEFINED_AT_ORIGIN,
-    Germ,
-    Indeterminate,
-    NotEquivalent,
-    UnimodularWitness,
-    germ_equivalent,
-    germ_value,
-    transform_germ,
-)
-from .laurent import GF2, RATIONAL, CoefficientRing, LaurentPoly, RingHom
-from .pearl import (
-    PearlElement,
-    Potential,
-    pearl_d2,
-    pearl_d2_from_vs,
-    toric_differential,
-)
-
-__version__ = "0.1.0"

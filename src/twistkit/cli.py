@@ -46,6 +46,7 @@ from .germs import (
     germ_to_json,
 )
 from .laurent import GF2, LaurentPoly, hom_from_json, poly_to_json
+from .matrices import as_int
 from .pearl import PearlElement, pearl_d2, potential_from_json
 
 SCHEMA = "1"
@@ -98,6 +99,7 @@ def _read(convert, *args, path=None):
 def _cmd_trees(config: RunConfig):
     cap = config.params.get("cap", DEFAULT_ENUMERATION_CAP)
     n = _read(check_enumeration_size, config.params["n"], cap)
+    cap = as_int(cap)  # the cap as check_enumeration_size read it
     if config.params.get("count_only", False):
         payload = {"n": n, "cap": cap, "count": count_ample_trees(n)}
     else:

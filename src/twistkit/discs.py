@@ -121,14 +121,7 @@ class ConstraintTable(Value):
     def __init__(self, basis, rows, maslov_vector, target_maslov=2):
         n = len(basis.names)
         rows = tuple((str(label), tuple(map(as_int, vec))) for label, vec in rows)
-        maslov_vector = tuple(map(as_int, maslov_vector))
-        try:
-            target = as_int(target_maslov)
-        except ValueError:
-            raise ValueError(
-                f"target Maslov index must be an integer, got {target_maslov!r}"
-            ) from None
-        self._init(basis, rows, maslov_vector, target)
+        self._init(basis, rows, tuple(map(as_int, maslov_vector)), as_int(target_maslov))
         for label, vec in rows:
             if len(vec) != n:
                 raise ValueError(f"row {label!r} has length {len(vec)}, expected {n}")

@@ -244,8 +244,7 @@ class LaurentPoly(Value):
         return LaurentPoly._new(ring, self.variables, terms if c0 != ring.zero else {})
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
+        n = as_int(n)
         if n < 0:
             if not self.is_unit_monomial:
                 raise UnsupportedRing("negative powers need a unit monomial")

@@ -216,6 +216,15 @@ def test_trees_count_reports_match_the_enumerated_ones():
                 assert count == (0, json.dumps(payload, sort_keys=True, indent=2))
 
 
+def test_trees_report_echoes_the_n_and_cap_it_read():
+    # integral floats are read as their ints, in the report as in the count
+    for count_only in (False, True):
+        code, payload = run_json("trees", {"n": 3.0, "cap": 16.0, "count_only": count_only})
+        assert code == 0
+        assert (payload["n"], payload["cap"], payload["count"]) == (3, 16, 2)
+        assert type(payload["n"]) is int and type(payload["cap"]) is int
+
+
 def test_trees_count_checks_size_before_cap():
     for n, cap, error in ((0, 16, "ValueError"), (0, -1, "ValueError"), (17, 16, "CapExceeded")):
         for count_only in (False, True):
@@ -644,7 +653,7 @@ def test_string_target_in_problem_file_exits_two(tmp_path, capsys):
         path.write_text(json.dumps({**data, "target": target}), encoding="utf-8")
         assert main(["classes", "--in", str(path)]) == 2
         assert error_line(capsys) == (
-            f"error: ValueError: target Maslov index must be an integer, got {target!r}\n"
+            f"error: ValueError: {target!r} is not an integer\n"
         )
 
 
@@ -846,17 +855,24 @@ def test_default_seed_is_fixed():
     assert payload["seed"] == DEFAULT_SEED
 
 
-def test_importing_the_cli_loads_no_dataclass_typing_or_argparse_machinery():
+@pytest.mark.parametrize("module", ["twistkit.cli", "twistkit.forests", "twistkit.germs"])
+def test_importing_the_cli_loads_no_dataclass_typing_or_argparse_machinery(module):
     """`import twistkit.cli` in a bare interpreter (`-S`: no site packages,
     so nothing is preloaded) leaves out the modules that cost start-up time
-    and that no computation needs; argparse comes in only with a parse."""
+    and that no computation needs; argparse comes in only with a parse.  The
+    package re-exports nothing, so the forest and germ tools load without
+    the algebra."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = (
-        "import sys; before = set(sys.modules); import twistkit.cli; "
+        f"import sys; before = set(sys.modules); import {module}; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    assert "twistkit.cli" in out
-    assert not {"dataclasses", "inspect", "argparse", "typing"} & set(out)
+    unwanted = {"dataclasses", "inspect", "argparse", "typing"}
+    if module != "twistkit.cli":
+        unwanted |= {f"twistkit.{name}" for name in (
+            "laurent", "groebner", "certificates", "pearl", "discs", "presets", "cli")}
+    assert module in out
+    assert not unwanted & set(out)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -1027,7 +1028,7 @@ def test_integral_target_is_stored_as_int_and_a_fractional_one_rejected():
         assert type(table.target_maslov) is int
         got = [c.coefficients for c in enumerate_candidate_classes(table)]
         assert got == [(0, 1), (1, 0)]
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError, match="is not an integer"):
         ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=Fraction(5, 2))
 
 
@@ -1036,7 +1037,7 @@ def test_target_is_checked_like_every_other_integer_field():
     # when they spell an integer
     rows = (("a", (1, 0)), ("b", (0, 1)))
     for target in ("2", "4/2", 2.5):
-        with pytest.raises(ValueError, match="target Maslov index must be an integer"):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(target))} is not an integer$"):
             ConstraintTable(plain_basis(2), rows, (2, 2), target_maslov=target)
         with pytest.raises(ValueError):
             ConstraintTable(plain_basis(2), (("a", (target, 0)),), (2, 2))

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -127,6 +128,17 @@ def test_pow_and_negative_pow():
             ring.inv(non_unit)
 
 
+def test_an_exponent_is_read_by_as_int():
+    # a boolean is not an exponent, an integral float is its int, and any
+    # other non-integer is refused by the one input rule
+    v = ("x",)
+    p = LaurentPoly.var(RATIONAL, v, "x") + LaurentPoly.one(RATIONAL, v)
+    assert p**2.0 == p**2 and p**Fraction(3) == p**3
+    for exponent in (True, False, 0.5, Fraction(1, 2), "2", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(exponent))} is not an integer$"):
+            p**exponent
+
+
 def test_variable_mismatch():
     a = rational(("x",), {(1,): 1})
     b = rational(("y",), {(1,): 1})
@@ -135,10 +147,9 @@ def test_variable_mismatch():
     with pytest.raises(VariableMismatch):
         a * LaurentPoly(GF2, ("x",), {(1,): 1})
     # a number is not a polynomial of any ring
-    cases = ((operator.add, 1), (operator.sub, 1), (operator.mul, 1), (operator.pow, 0.5))
-    for op, number in cases:
+    for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(TypeError, match="unsupported operand"):
-            op(a, number)
+            op(a, 1)
 
 
 def test_times_monomial_checks_the_length_of_its_shift():
