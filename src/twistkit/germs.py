@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from ._value import Value
 from .errors import CapExceeded, DimensionMismatch
@@ -27,6 +26,7 @@ from .matrices import (
     adjugate,
     as_int,
     as_int_matrix,
+    as_rational,
     mat_det,
     mat_mul,
     mat_rank,
@@ -64,7 +64,7 @@ class Germ(Value):
         dim = as_int(dim)
         if dim < 1:
             raise DimensionMismatch(f"a germ has dimension at least 1, got {dim}")
-        constant = Fraction(constant)
+        constant = as_rational(constant)
         if isinstance(covectors, str):
             raise ValueError(f"{covectors!r} is a string, not a list of covectors")
         # checked in the order given, so an error names the first bad entry
@@ -127,13 +127,13 @@ class Indeterminate(_NoWitness):
 
 def germ_value(germ: Germ, xi):
     """Exact value at a rational deformation; the puncture is undefined."""
-    xi = tuple(Fraction(x) for x in xi)
+    xi = tuple(map(as_rational, xi))
     if len(xi) != germ.dim:
         raise DimensionMismatch(f"point has length {len(xi)}, germ has dim {germ.dim}")
     if all(x == 0 for x in xi):
         return UNDEFINED_AT_ORIGIN
     return germ.constant + min(
-        sum(Fraction(a) * x for a, x in zip(cov, xi)) for cov in germ.covectors
+        sum(a * x for a, x in zip(cov, xi)) for cov in germ.covectors
     )
 
 
@@ -238,9 +238,4 @@ def germ_to_json(germ: Germ) -> dict:
 
 
 def germ_from_json(data: dict) -> Germ:
-    return Germ(
-        dim=data["dim"],
-        constant=Fraction(str(data["constant"])),
-        covectors=data["covectors"],
-        note=data.get("note"),
-    )
+    return Germ(data["dim"], data["constant"], data["covectors"], data.get("note"))

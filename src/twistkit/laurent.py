@@ -23,7 +23,7 @@ from operator import add, and_, mul, neg, not_, pos, xor
 
 from ._value import Value
 from .errors import NonUnitImage, UnsupportedRing, VariableMismatch
-from .matrices import as_int, as_names
+from .matrices import as_int, as_names, as_rational
 
 # Fractions are immutable, so every rational zero and one can be the same object
 _Q_ZERO = Fraction(0)
@@ -71,19 +71,17 @@ class CoefficientRing:
         return CoefficientRing.from_tag, (self.tag,)
 
     def coerce(self, value):
-        """`value` as an element of this field; a non-integral value is not
-        an element of GF2 and raises `UnsupportedRing`."""
+        """`value`, read by `as_rational`, as an element of this field; a
+        non-integral value is not an element of GF2 and raises
+        `UnsupportedRing`."""
         if self.tag == "Rational":
-            return Fraction(value)
-        if not isinstance(value, int):
-            exact = Fraction(value)
+            return as_rational(value)
+        if type(value) is not int:
+            exact = as_rational(value)
             if exact.denominator != 1:
-                raise UnsupportedRing(f"{value} is not an element of {self.tag}")
+                raise UnsupportedRing(f"{exact} is not an element of {self.tag}")
             value = exact.numerator
         return value % 2
-
-    def parse(self, text: str):
-        return self.coerce(Fraction(text))
 
     def inv(self, a):
         if a == 0:
@@ -124,6 +122,13 @@ def _require_ring(value, ring, variables) -> None:
         raise VariableMismatch(
             f"{value.ring} over {value.variables} does not match {ring} over {variables}"
         )
+
+
+def _variable_index(variables, name) -> int:
+    """The position of `name` in `variables`, or `VariableMismatch` naming both."""
+    if name not in variables:
+        raise VariableMismatch(f"no variable {name!r} in {tuple(variables)}")
+    return variables.index(name)
 
 
 class LaurentPoly(Value):
@@ -174,7 +179,7 @@ class LaurentPoly(Value):
     @classmethod
     def var(cls, ring, variables, name):
         exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
+        exps[_variable_index(variables, name)] = 1
         return cls.monomial(ring, variables, exps)
 
     # -- structure ---------------------------------------------------------
@@ -267,7 +272,7 @@ class LaurentPoly(Value):
     def log_derivative(self, name: str) -> "LaurentPoly":
         """x·d/dx for the named variable: each term is multiplied by its
         exponent, reduced into the coefficient ring.  Characteristic-safe."""
-        idx = self.variables.index(name)
+        idx = _variable_index(self.variables, name)
         ring = self.ring
         terms = {}
         for exps, coeff in self.terms.items():
@@ -286,7 +291,7 @@ class LaurentPoly(Value):
         total = _Q_ZERO
         for exps, value in self.terms.items():
             for name, e in zip(self.variables, exps):
-                value *= Fraction(point[name]) ** e
+                value *= as_rational(point[name]) ** e
             total += value
         return total
 
@@ -439,7 +444,7 @@ def poly_from_json(data: dict) -> LaurentPoly:
     ring = CoefficientRing.from_tag(data["ring"])
     variables = as_names(data["variables"])
     # a repeated exponent vector is summed by the one summing rule
-    items = ((tuple(exps), ring.parse(str(coeff))) for exps, coeff in data["terms"])
+    items = ((tuple(exps), ring.coerce(coeff)) for exps, coeff in data["terms"])
     return LaurentPoly(ring, variables, _accumulate(ring, {}, items))
 
 
@@ -458,7 +463,7 @@ def hom_from_json(data: dict) -> RingHom:
     ring = CoefficientRing.from_tag(data["ring"])
     variables = as_names(data["variables"])
     images = {
-        name: LaurentPoly.monomial(ring, variables, tuple(exps), ring.parse(str(coeff)))
+        name: LaurentPoly.monomial(ring, variables, tuple(exps), ring.coerce(coeff))
         for name, (exps, coeff) in data["images"].items()
     }
     return RingHom(ring, variables, images)

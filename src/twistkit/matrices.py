@@ -6,13 +6,16 @@ whose k pivot steps every entry is a (k+1)x(k+1) minor of the input, so each
 division by the previous pivot is exact and every entry stays an integer.
 The adjugate is made of determinants of minors.  Entries pass through
 `as_int`, so a non-integral entry raises `ValueError` instead of being
-truncated.  These two readers are the package's one rule for what a
+truncated.  These three readers are the package's one rule for what a
 caller passes.  `as_int` reads the integer fields of the JSON readers and
 every size, bound, rank and index: the ends of a search box, leaf counts,
 product factor counts, exterior ranks and indices, the hom-search bound.
 `as_names` reads every list of names: those of polynomials, bases, pearl
 elements and the univariate gcd, and a homomorphism's source and target
 names.
+`as_rational` reads every rational: the coefficients of polynomials and
+homomorphisms, in Python and in files alike, germ constants and the points
+of `germ_value` and `LaurentPoly.evaluate`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ def as_names(x) -> tuple:
     if len(set(names)) != len(names):
         raise ValueError(f"names must be distinct, got {names}")
     return names
+
+
+def as_rational(x) -> Fraction:
+    """`x` as a Fraction: an int or a Fraction as itself, anything else by
+    its text, so 0.1 is 1/10 and "-3/4" is -3/4; a boolean, None or any
+    other text raises `ValueError` ("1/0" raises `ZeroDivisionError`)."""
+    try:
+        return Fraction(x if type(x) in (int, Fraction) else str(x))
+    except ValueError:
+        raise ValueError(f"{x!r} is not a rational number") from None
 
 
 def mat(rows):

@@ -85,6 +85,17 @@ def toric_differential(potential: Potential) -> tuple[LaurentPoly, ...]:
 _COMPONENTS = SimpleNamespace(add=LaurentPoly.__add__, is_zero=LaurentPoly.is_zero.fget)
 
 
+def _index_tuple(subset, n) -> tuple:
+    """`subset`, read by `as_int`, as a strictly increasing tuple of
+    exterior indices below the rank `n`, or `ValueError`."""
+    subset = tuple(map(as_int, subset))
+    if tuple(sorted(set(subset))) != subset:
+        raise ValueError(f"exterior index tuple {subset} must be strictly increasing")
+    if subset and (subset[0] < 0 or subset[-1] >= n):
+        raise ValueError(f"exterior index out of range in {subset}")
+    return subset
+
+
 class PearlElement(Value):
     """Element of the exterior algebra over the group ring: a map from
     strictly increasing tuples of dual-generator indices to coefficients.
@@ -110,11 +121,7 @@ class PearlElement(Value):
             raise ValueError(f"rank must be >= 0, got {n}")
         pairs = []
         for subset, poly in (components or {}).items():
-            subset = tuple(map(as_int, subset))
-            if tuple(sorted(set(subset))) != subset:
-                raise ValueError(f"exterior index tuple {subset} must be strictly increasing")
-            if subset and (subset[0] < 0 or subset[-1] >= n):
-                raise ValueError(f"exterior index out of range in {subset}")
+            subset = _index_tuple(subset, n)
             _require_ring(poly, ring, variables)
             pairs.append((subset, poly))
         self._init(ring, variables, n, _accumulate(_COMPONENTS, {}, pairs))
@@ -169,8 +176,11 @@ class PearlElement(Value):
 
     def contract(self, k: int) -> "PearlElement":
         """Interior product with the k-th dual generator; drops degree by one.
-        The sign is (-1)^(position of k), trivial over GF2."""
+        The sign is (-1)^(position of k), trivial over GF2.  `k` must be
+        an index below the rank."""
         k = as_int(k)
+        if not 0 <= k < self.n:
+            raise ValueError(f"exterior index {k} out of range for rank {self.n}")
         comps = {}
         for subset, poly in self.components.items():
             if k in subset:
@@ -186,7 +196,8 @@ class PearlElement(Value):
         return tuple(sorted({len(s) for s in self.components}))
 
     def component(self, subset) -> LaurentPoly:
-        return self.components.get(tuple(map(as_int, subset)),
+        """The coefficient of `subset`, which the constructor's rule reads."""
+        return self.components.get(_index_tuple(subset, self.n),
                                    LaurentPoly.zero(self.ring, self.variables))
 
     def __str__(self):

@@ -22,7 +22,7 @@ from .certificates import CertificateReport, certify_nondisplaceable
 from .discs import ConstraintTable, HomologyBasis, enumerate_candidate_classes
 from .germs import Germ
 from .laurent import GF2, RATIONAL, RingHom
-from .matrices import as_int
+from .matrices import as_int, as_rational
 from .pearl import Potential
 
 THETA_RING_NAMES = ("R", "T", "S1", "S2")
@@ -198,12 +198,13 @@ def theta_germ() -> Germ:
 
 def theta_s0_germ(s: Fraction = Fraction(-1, 4)) -> Germ:
     """Displaceable nearby torus with diagonal-disc area offset s (s < 0):
-    energy (1+s) + (s' - t')."""
+    energy (1+s) + (s' - t').  The offset is read by `as_rational`."""
+    s = as_rational(s)
     return Germ(
         dim=2,
-        constant=Fraction(1) + Fraction(s),
+        constant=1 + s,
         covectors=frozenset({(1, -1)}),
-        note=f"nearby displaceable torus, area offset s = {Fraction(s)}",
+        note=f"nearby displaceable torus, area offset s = {s}",
     )
 
 

@@ -152,6 +152,14 @@ def test_variable_mismatch():
             op(a, 1)
 
 
+def test_an_unknown_variable_name_is_a_variable_mismatch():
+    v = ("x", "y")
+    for call in (lambda: LaurentPoly.var(GF2, v, "z"),
+                 lambda: LaurentPoly.one(RATIONAL, v).log_derivative("z")):
+        with pytest.raises(VariableMismatch, match=re.escape("no variable 'z' in ('x', 'y')")):
+            call()
+
+
 def test_times_monomial_checks_the_length_of_its_shift():
     v = ("x", "y")
     p = rational(v, {(1, 0): 2})

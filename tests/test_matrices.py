@@ -7,9 +7,11 @@ from gauss_reference import gauss_det, gauss_inv, gauss_rank
 
 from twistkit.certificates import search_h0_hom
 from twistkit.discs import enumerate_candidate_classes
+from twistkit.errors import UnsupportedRing
 from twistkit.forests import bush, check_enumeration_size, count_ample_trees, enumerate_ample_trees
+from twistkit.germs import Germ, germ_from_json, germ_value
 from twistkit.groebner import univariate_gcd
-from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom
+from twistkit.laurent import GF2, RATIONAL, LaurentPoly, RingHom, hom_from_json, poly_from_json
 from twistkit.matrices import (
     adjugate,
     as_int,
@@ -151,11 +153,23 @@ def test_non_numbers_are_rejected_like_non_integral_numbers():
         assert not is_unimodular([[1, 0], [0, bad]])
 
 
-def test_sizes_bounds_and_names_are_read_by_the_two_readers():
+def _outcome(entry, value):
+    """What `entry(value)` gives: its result, or the text of the
+    `UnsupportedRing` it raises."""
+    try:
+        return entry(value)
+    except UnsupportedRing as error:
+        return str(error)
+
+
+def test_sizes_bounds_names_and_rationals_are_read_by_the_three_readers():
     """Every size, bound, rank and index a caller passes is read by `as_int`,
     and every list of names by `as_names`: 2.5, "3" and True raise the
     ValueError that names the value (never a RecursionError, and True is
-    never read as 1), and an integral 3.0 gives what 3 gives."""
+    never read as 1), and an integral 3.0 gives what 3 gives.  Every
+    coefficient, germ constant and point is read by `as_rational`: True,
+    None and "abc" raise the ValueError that names the value, and 0.1 gives
+    what "1/10" gives, in Python as in a file."""
     table, potential = theta_constraint_table(), theta_potential()
     entries = {
         "enumerate_ample_trees": enumerate_ample_trees,
@@ -195,3 +209,23 @@ def test_sizes_bounds_and_names_are_read_by_the_two_readers():
     t = LaurentPoly.var(RATIONAL, ("t",), "t")
     with pytest.raises(ValueError, match="name 1 is not a string"):
         RingHom(RATIONAL, ("t",), {1: t})
+    rationals = {
+        "Rational coefficient": lambda c: str(LaurentPoly(RATIONAL, ("x",), {(1,): c})),
+        "GF2 coefficient": lambda c: str(LaurentPoly(GF2, ("x",), {(1,): c})),
+        "germ constant": lambda c: str(Germ(1, c, [(1,)])),
+        "germ_value point": lambda c: germ_value(Germ(2, 0, [(1, 0), (0, 1)]), (c, 1)),
+        "evaluate point": lambda c: t.evaluate({"t": c}),
+        "hom coefficient": lambda c: hom_from_json(
+            {"ring": "Rational", "variables": ["t"], "images": {"x": [[1], c]}}).describe(),
+    }
+    for name, entry in rationals.items():
+        for bad in (True, None, "abc"):
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a rational number")):
+                entry(bad)
+        assert _outcome(entry, 0.1) == _outcome(entry, "1/10"), name
+    assert rationals["Rational coefficient"](0.1) == "1/10*x"
+    assert _outcome(rationals["GF2 coefficient"], 0.1) == "1/10 is not an element of GF2"
+    assert rationals["evaluate point"](0.1) == Fraction(1, 10)
+    assert LaurentPoly(RATIONAL, ("x",), {(1,): 0.1}) == poly_from_json(
+        {"ring": "Rational", "variables": ["x"], "terms": [[[1], 0.1]]})
+    assert Germ(1, 0.1, [(1,)]) == germ_from_json({"dim": 1, "constant": 0.1, "covectors": [[1]]})

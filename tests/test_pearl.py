@@ -364,6 +364,20 @@ def test_element_validation():
         PearlElement.generator(GF2, V, 2, 0) + PearlElement.generator(GF2, V, 3, 0)
 
 
+def test_component_and_contract_refuse_indices_the_constructor_refuses():
+    element = PearlElement.wedge_of(GF2, V, 2, [0, 1])
+    assert element.component((0, 1)) == LaurentPoly.one(GF2, V)
+    with pytest.raises(ValueError, match=r"tuple \(1, 0\) must be strictly increasing"):
+        element.component((1, 0))
+    with pytest.raises(ValueError, match=r"exterior index out of range in \(2,\)"):
+        element.component((2,))
+    generator = PearlElement.generator(GF2, V, 2, 1)
+    assert generator.contract(1) == PearlElement.scalar(LaurentPoly.one(GF2, V), 2)
+    for k in (5, -1, 2):
+        with pytest.raises(ValueError, match=f"exterior index {k} out of range for rank 2"):
+            generator.contract(k)
+
+
 def test_adding_anything_but_a_pearl_element_is_a_type_error():
     zero = PearlElement.zero(GF2, ("x",), 1)
     for other in (1, LaurentPoly.one(GF2, ("x",)), None):

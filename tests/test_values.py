@@ -169,6 +169,25 @@ def test_only_the_value_base_sets_slots_past_the_frozen_setattr():
     assert offenders == []
 
 
+def test_only_the_rational_reader_reads_a_rational():
+    """`matrices.as_rational` is the one reader of rationals: no other
+    module calls `Fraction` on one argument that is not a literal."""
+    offenders = []
+    for path in sorted(Path(twistkit.__file__).parent.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or len(node.args) + len(node.keywords) != 1:
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) != "Fraction":
+                continue
+            try:
+                ast.literal_eval(node.args[0] if node.args else node.keywords[0].value)
+            except ValueError:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_only_the_compatibility_rule_compares_variables():
     """`laurent._require_ring` is the one compatibility rule: no other module
     compares a `.variables` attribute with `==` or `!=`."""
